@@ -34,7 +34,9 @@ from .output import (
 )
 from .simulate import EstimateWithCI, RngSeed, definetti_estimator, estimate_equalization
 
-# past this horizon the cross-check DP table is not computed automatically
+# Past this horizon the automatic exact reference is skipped: the memory
+# budget admits horizons whose big-int terms take minutes to hours to compute
+# (the cost grows about as horizon^2 log horizon; ~1.6 s at the cap for (2, 1)).
 _REFERENCE_HORIZON_CAP = 20_000
 
 
@@ -185,13 +187,14 @@ def _estimate_fields(est: EstimateWithCI) -> dict[str, str]:
     }
 
 
-def _dp_reference(config: UrnConfig, target: int, horizon: int) -> Optional[Fraction]:
+def _dp_reference_skip_reason(config: UrnConfig, horizon: int) -> Optional[str]:
+    """Why ``simulate --method direct`` does not compute its exact reference, if so."""
     if horizon > _REFERENCE_HORIZON_CAP:
-        return None
+        return f"horizon over {_REFERENCE_HORIZON_CAP}"
     budget = dp_mod.resolve_memory_budget(None)
     if dp_mod.estimate_dp_memory_bytes(config, horizon) > budget:
-        return None
-    return dp_mod.first_passage_dp(config, target, horizon).cumulative
+        return "memory budget"
+    return None
 
 
 def _simulate_record(args: argparse.Namespace) -> OutputRecord:
@@ -206,11 +209,13 @@ def _simulate_record(args: argparse.Namespace) -> OutputRecord:
         est = estimate_equalization(
             config, args.target, args.horizon, args.samples, seed, args.streams
         )
-        reference = _dp_reference(config, args.target, args.horizon)
-        if reference is None:
-            note = "estimates P(tau <= horizon); DP reference skipped (memory budget)"
-        else:
+        skipped = _dp_reference_skip_reason(config, args.horizon)
+        if skipped is None:
+            reference = dp_mod.first_passage_dp(config, args.target, args.horizon).cumulative
             note = "estimates P(tau <= horizon); reference is the exact DP value"
+        else:
+            reference = None
+            note = f"estimates P(tau <= horizon); DP reference skipped ({skipped})"
         horizon, target, streams = args.horizon, args.target, args.streams
     z_score = None
     ref_str = None

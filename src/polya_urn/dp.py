@@ -3,15 +3,21 @@
 The excess process S_n = black_n - white_n moves +1 with probability
 ``black/total`` and -1 otherwise, the counts growing by one ball per draw.
 ``first_passage_dp`` computes the exact distribution of the first time S
-hits a target level, by forward dynamic programming over (step, number of
-black draws so far).  ``enumerate_sequences`` brute-forces all draw
-sequences and is the independent cross-check for the DP and for
-exchangeability properties.
+hits a target level from the hitting-time theorem (van der Hofstad & Keane,
+"An elementary proof of the hitting time theorem", Amer. Math. Monthly 115,
+2008): of the C(n, k) paths with k up-steps that end d = |S_0 - m| away
+from their start after n steps, exactly d/n reach that level first at step
+n.  The draws are exchangeable, so every such path has the same weight and
 
-All probabilities are exact ``Fraction`` values.  Internally each DP row n
-keeps integer numerators over the common denominator
-``prod_{i<n} (total + i)``, so no per-cell reduction is needed; reduction
-happens once per emitted probability.
+    P(tau = n) = d/n * C(n, k) * b^(k) * w^(n-k) / (b+w)^(n),
+
+with ``x^(k)`` the rising factorial.  ``enumerate_sequences`` brute-forces
+all draw sequences and is the independent cross-check for exchangeability.
+
+All probabilities are exact ``Fraction`` values.  Consecutive non-zero terms
+(n -> n+2, k -> k+1) follow from one exact integer update of the running
+numerator and denominator, so the pmf costs O(horizon) big-int operations;
+reduction happens once per emitted probability.
 """
 
 from __future__ import annotations
@@ -113,22 +119,42 @@ def resolve_memory_budget(memory_budget: int | None) -> int:
     return DEFAULT_MEMORY_BUDGET_BYTES
 
 
-def estimate_dp_memory_bytes(config: UrnConfig, horizon: int) -> int:
-    """Rough peak-memory estimate for ``first_passage_dp`` at this horizon.
+def _int_bytes(bits: float) -> int:
+    """Upper bound on the size of a CPython int of this bit length.
 
-    Row n of the DP holds n+1 integer numerators whose bit length is bounded
-    by that of the common denominator ``prod_{i<n}(total+i)``; two adjacent
-    rows plus the emitted pmf dominate the footprint.  CPython stores ints
-    in 30-bit digits with ~28 bytes of object overhead.
+    CPython stores ints in 30-bit digits of 4 bytes each, behind a header of
+    at most 28 bytes.
+    """
+    return 28 + 4 * math.ceil(max(bits, 1.0) / 30)
+
+
+def estimate_dp_memory_bytes(config: UrnConfig, horizon: int) -> int:
+    """Upper bound on the peak memory of ``first_passage_dp`` at this horizon.
+
+    The working state is the running numerator and denominator, both below
+    n * (total)^(n) <= horizon * (total)^(horizon); the term update, the
+    reduction of each emitted term and the validating sum of the pmf hold a
+    few temporaries at most twice that size.  The pmf holds at most
+    ceil(horizon / 2) non-zero terms.  Each reduces to
+
+        d * C(b+k-1, k) * C(w+n-k-1, n-k) / (n * C(total+n-1, n)),
+
+    whose denominator, and so (the term being <= 1) whose numerator too, is
+    below horizon * C(total+horizon-1, horizon).  Each list and tuple slot
+    adds a pointer, each ``Fraction`` an object of under 56 bytes, and the
+    table object with its bookkeeping stays under 4 KiB.
     """
     if horizon < 0:
         raise DomainError(f"horizon must be >= 0, got {horizon}")
     t = config.total
-    denom_bits = (math.lgamma(t + horizon) - math.lgamma(t)) / math.log(2)
-    int_bytes = 28 + 4 * math.ceil(denom_bits / 30)
-    rows = 2 * (horizon + 1) * (int_bytes + 8)
-    pmf = (horizon + 1) * (2 * int_bytes + 56)
-    return int(rows + pmf)
+    n = max(horizon, 1)
+    ln2 = math.log(2)
+    running_bits = math.log2(n) + (math.lgamma(t + n) - math.lgamma(t)) / ln2 + 1
+    term_bits = (math.lgamma(t + n) - math.lgamma(n) - math.lgamma(t)) / ln2 + 1
+    working = 8 * _int_bytes(2 * running_bits)
+    terms = (horizon + 1) // 2 * (2 * _int_bytes(term_bits) + 56)
+    slots = 2 * 8 * (horizon + 1)
+    return 4096 + working + terms + slots
 
 
 def max_feasible_horizon(config: UrnConfig, memory_budget: int | None = None) -> int:
@@ -158,14 +184,21 @@ def first_passage_dp(
 ) -> DPTable:
     """Exact P(tau = n) for n <= horizon, tau the first time S hits the target.
 
-    State (n, k) is "k black draws after n steps", reachable with S never
-    having touched the target before step n; S(n, k) = S_0 + 2k - n.  A state
-    sitting on the target contributes its mass to P(tau = n) and is pruned
-    from further transitions.  If the urn starts on the target, tau = 0.
+    With d = |S_0 - m| and k = (n + m - S_0)/2 black draws, the hitting-time
+    theorem gives
+
+        P(tau = n) = d/n * C(n, k) * b^(k) * w^(n-k) / (b+w)^(n)
+
+    for n >= d of the parity of d, and 0 otherwise.  The first term is at
+    n = d, with k = 0 below S_0 and k = d above it; each step n -> n+2,
+    k -> k+1 multiplies the numerator C(n, k) b^(k) w^(n-k) by
+    (n+1)(n+2)(b+k)(w+n-k) / ((k+1)(n-k+1)), exactly, and the denominator
+    (b+w)^(n) by (b+w+n)(b+w+n+1).  If the urn starts on the target, tau = 0.
 
     The target may be any integer, including negative levels ("ever k more
-    white than black"), for which no closed form is exported; the DP and the
-    Monte Carlo estimators are the supported route.
+    white than black").  Each P(tau = n) is then a closed-form term, but no
+    untruncated closed form is exported; this function and the Monte Carlo
+    estimators are the supported route.
     """
     if horizon < 0:
         raise DomainError(f"horizon must be >= 0, got {horizon}")
@@ -188,25 +221,19 @@ def first_passage_dp(
         pmf[0] = Fraction(1)
         return DPTable(config, m, horizon, tuple(pmf))
 
-    # numerators[k] / denom = P(n steps, k black draws, target untouched)
-    numerators: list[int] = [1]
-    denom = 1
-    for n in range(horizon + 1):
-        hit_twice_k = m - s0 + n  # S(n, k) == m  <=>  2k == m - s0 + n
-        if hit_twice_k % 2 == 0 and 0 <= hit_twice_k // 2 < len(numerators):
-            k = hit_twice_k // 2
-            if numerators[k]:
-                pmf[n] = Fraction(numerators[k], denom)
-                numerators[k] = 0
-        if n == horizon:
-            break
-        nxt = [0] * (n + 2)
-        for k, mass in enumerate(numerators):
-            if mass:
-                nxt[k + 1] += mass * (b + k)
-                nxt[k] += mass * (w + n - k)
-        numerators = nxt
-        denom *= b + w + n
+    d = abs(s0 - m)
+    if d > horizon:
+        # the target is out of reach; the start term alone would cost O(d)
+        return DPTable(config, m, horizon, tuple(pmf))
+    k = 0 if m < s0 else d
+    # num = C(n, k) b^(k) w^(n-k) and den = (b+w)^(n), here at n = d
+    num = _sequence_numerator(config, d, k)
+    den = _step_denominator(config, d)
+    for n in range(d, horizon + 1, 2):
+        pmf[n] = Fraction(d * num, n * den)
+        num = num * (n + 1) * (n + 2) * (b + k) * (w + n - k) // ((k + 1) * (n - k + 1))
+        den *= (b + w + n) * (b + w + n + 1)
+        k += 1
 
     return DPTable(config, m, horizon, tuple(pmf))
 

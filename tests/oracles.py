@@ -2,8 +2,9 @@
 
 These deliberately avoid the code paths they check: the beta CDF oracle
 integrates the density polynomial term by term instead of summing binomial
-tails; the first-passage oracle walks every draw sequence instead of
-running the DP recursion; the normal CDF oracle integrates the density by
+tails; the first-passage oracles walk every draw sequence, or step a
+forward recursion over (step, black draws), instead of evaluating the
+hitting-time formula; the normal CDF oracle integrates the density by
 high-precision quadrature instead of calling erfc.
 """
 
@@ -49,6 +50,49 @@ def first_passage_pmf_by_paths(
         walk(b, w + 1, step + 1, prob * Fraction(w, total))
 
     walk(black, white, 0, Fraction(1))
+    return pmf
+
+
+def first_passage_pmf_by_recursion(
+    black: int, white: int, target: int, horizon: int
+) -> list[Fraction]:
+    """Exact P(tau = n), n <= horizon, by an O(horizon^2) forward recursion.
+
+    State (n, k) is "k black draws after n steps", reachable with S never
+    having touched the target before step n; S(n, k) = S_0 + 2k - n.  A state
+    sitting on the target contributes its mass to P(tau = n) and is pruned
+    from further transitions.  Row n keeps integer numerators over the common
+    denominator ``prod_{i<n} (black + white + i)``.
+    """
+    b, w = black, white
+    s0 = b - w
+    m = target
+    pmf: list[Fraction] = [Fraction(0)] * (horizon + 1)
+
+    if s0 == m:
+        pmf[0] = Fraction(1)
+        return pmf
+
+    # numerators[k] / denom = P(n steps, k black draws, target untouched)
+    numerators: list[int] = [1]
+    denom = 1
+    for n in range(horizon + 1):
+        hit_twice_k = m - s0 + n  # S(n, k) == m  <=>  2k == m - s0 + n
+        if hit_twice_k % 2 == 0 and 0 <= hit_twice_k // 2 < len(numerators):
+            k = hit_twice_k // 2
+            if numerators[k]:
+                pmf[n] = Fraction(numerators[k], denom)
+                numerators[k] = 0
+        if n == horizon:
+            break
+        nxt = [0] * (n + 2)
+        for k, mass in enumerate(numerators):
+            if mass:
+                nxt[k + 1] += mass * (b + k)
+                nxt[k] += mass * (w + n - k)
+        numerators = nxt
+        denom *= b + w + n
+
     return pmf
 
 

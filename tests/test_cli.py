@@ -114,6 +114,19 @@ class TestDpCommand:
         assert proc.returncode == 2
         assert b"largest feasible horizon" in proc.stderr
 
+    def test_default_budget_admits_horizon_ten_thousand(self, capsys, monkeypatch):
+        monkeypatch.delenv("POLYA_URN_DP_MEMORY_BYTES", raising=False)
+        code, out, _ = run_cli(capsys, "dp", "--b", "2", "--w", "1", "--horizon", "10000")
+        assert code == 0
+        assert "exact=5000/10001" in out
+
+    def test_target_out_of_reach(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "dp", "--b", "2", "--w", "1", "--target", "-10000000", "--horizon", "10"
+        )
+        assert code == 0
+        assert "exact=0/1" in out
+
 
 class TestSimulateCommand:
     def test_byte_identical_reruns(self):
@@ -133,6 +146,35 @@ class TestSimulateCommand:
         )
         assert code == 0
         assert "reference=" in out and "z_score=" in out and "std_err=" in out
+
+    def test_direct_skips_dp_reference_over_memory_budget(self, capsys, monkeypatch):
+        monkeypatch.setenv("POLYA_URN_DP_MEMORY_BYTES", "1000")
+        code, out, _ = run_cli(
+            capsys,
+            "simulate", "--b", "2", "--w", "1", "--samples", "1000", "--seed", "3",
+        )
+        assert code == 0
+        assert "DP reference skipped (memory budget)" in out
+        assert "reference=" not in out and "z_score=" not in out
+
+    def test_direct_skips_dp_reference_over_horizon_cap(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            "simulate", "--b", "2", "--w", "1", "--samples", "20", "--seed", "3",
+            "--horizon", "20001",
+        )
+        assert code == 0
+        assert "DP reference skipped (horizon over 20000)" in out
+        assert "reference=" not in out and "z_score=" not in out
+
+    def test_direct_with_target_out_of_reach(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            "simulate", "--b", "2", "--w", "1", "--samples", "100", "--seed", "3",
+            "--target", "-10000000", "--horizon", "10",
+        )
+        assert code == 0
+        assert "value=0 " in out and "reference=0 " in out
 
     def test_definetti_z_within_four_sigma(self, capsys):
         code, out, _ = run_cli(

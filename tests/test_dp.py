@@ -1,5 +1,6 @@
-"""Tests for the exact first-passage DP and the enumeration oracle."""
+"""Tests for the exact first-passage pmf and the enumeration oracle."""
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,11 @@ from polya_urn.dp import (
     max_feasible_horizon,
 )
 
-from oracles import first_passage_pmf_by_paths, sequence_probability_by_stepping
+from oracles import (
+    first_passage_pmf_by_paths,
+    first_passage_pmf_by_recursion,
+    sequence_probability_by_stepping,
+)
 
 SMALL_CONFIGS = [
     UrnConfig(b, w) for total in range(2, 7) for b in range(1, total) for w in [total - b]
@@ -71,6 +76,23 @@ class TestFirstPassageDP:
             oracle = first_passage_pmf_by_paths(config.black, config.white, target, 12)
             table = first_passage_dp(config, target, 12)
             assert list(table.hit_pmf) == oracle
+
+    @pytest.mark.parametrize(
+        "b, w, target, horizon",
+        [(b, w, t, 41) for b in range(1, 8) for w in range(1, 8) for t in range(-7, 8)]
+        + [(2, 1, 0, 300), (3, 9, 5, 300), (4, 6, -9, 301), (50, 30, -4, 300), (5, 3, 12, 299)],
+    )
+    def test_matches_recursion_oracle(self, b, w, target, horizon):
+        """Hitting-time formula and the O(h^2) forward recursion agree exactly."""
+        table = first_passage_dp(UrnConfig(b, w), target, horizon)
+        assert list(table.hit_pmf) == first_passage_pmf_by_recursion(b, w, target, horizon)
+
+    @pytest.mark.parametrize("target", [-10**7, 10**7])
+    def test_target_out_of_reach_is_all_zero(self, target):
+        """A target farther than the horizon is never hit, and costs nothing."""
+        table = first_passage_dp(UrnConfig(2, 1), target, 10)
+        assert table.hit_pmf == (Fraction(0),) * 11
+        assert table.cumulative == 0
 
     def test_parity(self):
         table = first_passage_dp(UrnConfig(2, 1), 0, 11)
@@ -134,6 +156,29 @@ class TestMemoryBudget:
         assert estimate_dp_memory_bytes(config, n) <= budget
         assert estimate_dp_memory_bytes(config, n + 1) > budget
         first_passage_dp(config, 0, n, memory_budget=budget)  # runs
+
+    @pytest.mark.parametrize(
+        "b, w, target, horizon",
+        [
+            (2, 1, 0, 0),
+            (7, 1, 3, 5),
+            (2, 1, 0, 2000),
+            (3, 9, 5, 700),
+            (6, 12, -53, 973),
+            (50, 30, -4, 1500),
+            (5, 3, 200, 1000),
+            (500, 300, 0, 1000),
+        ],
+    )
+    def test_estimate_bounds_traced_peak(self, b, w, target, horizon):
+        config = UrnConfig(b, w)
+        tracemalloc.start()
+        try:
+            first_passage_dp(config, target, horizon, memory_budget=10**12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= estimate_dp_memory_bytes(config, horizon)
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv(MEMORY_BUDGET_ENV_VAR, "5000")
