@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Literal, Optional
 
 from .errors import DomainError
-from .exact import ExactProbability, UrnConfig
+from .exact import ExactProbability, UrnConfig, _require_strict_majority
 
 __all__ = [
     "ApproxResult",
@@ -68,15 +68,6 @@ def standard_normal_cdf(z: float) -> float:
     return 0.5 * math.erfc(-float(z) / math.sqrt(2.0))
 
 
-def _require_strict_majority(config: UrnConfig) -> tuple[int, int]:
-    if config.black <= config.white:
-        raise DomainError(
-            f"approximations require black > white, got black={config.black}, "
-            f"white={config.white}"
-        )
-    return config.black, config.white
-
-
 def normal_approximation(
     config: UrnConfig, exact_ref: Optional[ExactProbability] = None
 ) -> ApproxResult:
@@ -86,7 +77,7 @@ def normal_approximation(
     ``Phi((w - 1 + 1/2 - n/2) / (sqrt(n)/2))``, the half outside the count
     being the usual continuity correction, and doubled.
     """
-    b, w = _require_strict_majority(config)
+    b, w = _require_strict_majority(config, "the normal approximation")
     n = b + w - 1
     z = (w - 0.5 - n / 2.0) / (math.sqrt(n) / 2.0)
     value = 2.0 * standard_normal_cdf(z)
@@ -111,7 +102,7 @@ def chernoff_bound(
     is exactly log 2 and the bound ``2^(1-n)`` coincides with the exact
     probability, so that case is computed as an exact power of two.
     """
-    b, w = _require_strict_majority(config)
+    b, w = _require_strict_majority(config, "the Chernoff bound")
     n = b + w - 1
     if w == 1:
         value = 2.0 ** (1 - n)

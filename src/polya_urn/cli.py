@@ -11,8 +11,10 @@ import argparse
 import csv
 import io
 import sys
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional, Sequence
+from functools import cached_property
+from typing import Any, Callable, Optional, Sequence
 
 from . import dp as dp_mod
 from .approx import chernoff_bound, normal_approximation
@@ -38,6 +40,9 @@ from .simulate import EstimateWithCI, RngSeed, definetti_estimator, estimate_equ
 # budget admits horizons whose big-int terms take minutes to hours to compute
 # (the cost grows about as horizon^2 log horizon; ~1.6 s at the cap for (2, 1)).
 _REFERENCE_HORIZON_CAP = 20_000
+
+# the methods ``approx --method all`` reports, in order
+_APPROX_METHODS = ("normal", "chernoff")
 
 
 def _positive_int(text: str) -> int:
@@ -83,61 +88,147 @@ def _emit_records(records: list[OutputRecord], fmt: str, output: Optional[str]) 
         _emit("".join(record_to_text(rec) + "\n" for rec in records), output)
 
 
-def _exact_record(
-    config: UrnConfig, method: str, p: ExactProbability, note: Optional[str] = None
-) -> OutputRecord:
+@dataclass(frozen=True)
+class _Pair:
+    """One (b, w) with the parsed arguments; each closed form is computed at most once."""
+
+    config: UrnConfig
+    args: argparse.Namespace
+
+    @cached_property
+    def exact(self) -> ExactProbability:
+        return equalization_probability(self.config)
+
+    @cached_property
+    def binomial(self) -> ExactProbability:
+        return equalization_probability_binomial(self.config)
+
+    @cached_property
+    def complement(self) -> ExactProbability:
+        return equalization_probability_complement(self.config)
+
+
+def _record(pair: _Pair, method: str, value: Fraction | float, **fields) -> OutputRecord:
+    """One row for ``pair``; an exact ``value`` also carries its lossless ``num/den``."""
+    if isinstance(value, Fraction):
+        fields["exact"] = rational_str(value)
     return OutputRecord(
-        b=config.black,
-        w=config.white,
+        b=pair.config.black,
+        w=pair.config.white,
         method=method,  # type: ignore[arg-type]
-        value=render_decimal(p.value),
-        exact=rational_str(p.value),
-        note=note,
+        value=render_decimal(value),
+        **fields,
     )
 
 
-def _exact_records(config: UrnConfig, form: str) -> list[OutputRecord]:
+def _closed_form_row(pair: _Pair, method: str, p: ExactProbability):
+    return _record(pair, method, p.value), p
+
+
+def _dp_row(pair: _Pair, method: str):
+    table = dp_mod.first_passage_dp(pair.config, pair.args.target, pair.args.horizon)
+    note = "cumulative P(tau <= horizon)"
+    fields = {"target": table.target_diff, "horizon": table.horizon, "note": note}
+    return _record(pair, method, table.cumulative, **fields), table
+
+
+def _estimate_row(pair: _Pair, method: str, est: EstimateWithCI, **fields):
+    return _record(
+        pair,
+        method,
+        est.p_hat,
+        samples=pair.args.samples,
+        seed=pair.args.seed,
+        std_err=render_decimal(est.std_err),
+        ci_lo=render_decimal(est.ci95[0]),
+        ci_hi=render_decimal(est.ci95[1]),
+        **fields,
+    ), est
+
+
+def _mc_row(pair: _Pair, method: str):
+    args = pair.args
+    est = estimate_equalization(
+        pair.config, args.target, args.horizon, args.samples, RngSeed(args.seed), args.streams
+    )
+    fields = {"target": args.target, "horizon": args.horizon, "streams": args.streams}
+    return _estimate_row(pair, method, est, **fields)
+
+
+def _definetti_row(pair: _Pair, method: str):
+    est = definetti_estimator(pair.config, pair.args.samples, RngSeed(pair.args.seed))
+    return _estimate_row(pair, method, est)
+
+
+def _approx_row(pair: _Pair, method: str, approximation: Callable):
+    result = approximation(pair.config, pair.exact)
+    return _record(pair, method, result.value, reference=render_decimal(pair.exact.value)), result
+
+
+# Every method's bare record for one pair (what ``sweep`` prints), with the
+# library result it came from; the other subcommands add their own fields.
+METHODS: dict[str, Callable[[_Pair, str], tuple[OutputRecord, Any]]] = {
+    "exact": lambda pair, method: _closed_form_row(pair, method, pair.exact),
+    "binomial": lambda pair, method: _closed_form_row(pair, method, pair.binomial),
+    "complement": lambda pair, method: _closed_form_row(pair, method, pair.complement),
+    "dp": _dp_row,
+    "mc": _mc_row,
+    "definetti": _definetti_row,
+    "normal": lambda pair, method: _approx_row(pair, method, normal_approximation),
+    "chernoff": lambda pair, method: _approx_row(pair, method, chernoff_bound),
+}
+
+
+def _row(pair: _Pair, method: str) -> tuple[OutputRecord, Any]:
+    return METHODS[method](pair, method)
+
+
+def _triple_holds(pair: _Pair) -> bool:
+    """Whether the three closed forms agree; a mismatch is reported on stderr."""
+    if pair.exact == pair.binomial == pair.complement:
+        return True
+    print(
+        f"MISMATCH b={pair.config.black} w={pair.config.white}: "
+        f"{pair.exact} vs {pair.binomial} vs {pair.complement}",
+        file=sys.stderr,
+    )
+    return False
+
+
+def _closed_form_notes(config: UrnConfig) -> dict[str, Optional[str]]:
+    """The note ``exact`` adds to each closed-form row, in ``--form all`` order."""
     b, w = config.black, config.white
     convention = None
     if b == w:
         convention = "starts equal: equalized at step 0 by convention"
     elif b < w:
         convention = f"black < white: value taken from the color-swapped urn ({w}, {b})"
+    return {
+        "exact": convention,
+        "binomial": f"head sum, {w} term(s)",
+        "complement": f"complement sum, {b - w} term(s)",
+    }
 
-    if form == "theorem":
-        return [_exact_record(config, "exact", equalization_probability(config), convention)]
-    if form == "binomial":
-        p = equalization_probability_binomial(config)
-        return [_exact_record(config, "binomial", p, f"head sum, {w} term(s)")]
-    if form == "complement":
-        p = equalization_probability_complement(config)
-        return [_exact_record(config, "complement", p, f"complement sum, {b - w} term(s)")]
 
-    # --form all
-    theorem = equalization_probability(config)
-    if b <= w:
+def cmd_exact(args: argparse.Namespace) -> int:
+    pair = _Pair(UrnConfig(args.b, args.w), args)
+    notes = _closed_form_notes(pair.config)
+    if args.form != "all":
+        # the theorem form is the "exact" method; each sum form shares its method's name
+        method = "exact" if args.form == "theorem" else args.form
+        notes = {method: notes[method]}
+    elif args.b <= args.w:
         print(
             "note: binomial/complement forms need b > w; reporting the general form only",
             file=sys.stderr,
         )
-        return [_exact_record(config, "exact", theorem, convention)]
-    binom = equalization_probability_binomial(config)
-    compl = equalization_probability_complement(config)
-    if not (theorem == binom == compl):
-        raise PolyaUrnError(
-            f"triple identity violated at b={b}, w={w}: "
-            f"{theorem} vs {binom} vs {compl}"
-        )
-    return [
-        _exact_record(config, "exact", theorem, "triple identity verified"),
-        _exact_record(config, "binomial", binom, f"head sum, {w} term(s)"),
-        _exact_record(config, "complement", compl, f"complement sum, {b - w} term(s)"),
-    ]
-
-
-def cmd_exact(args: argparse.Namespace) -> int:
-    config = UrnConfig(args.b, args.w)
-    _emit_records(_exact_records(config, args.form), args.format, args.output)
+        notes = {"exact": notes["exact"]}
+    elif _triple_holds(pair):
+        notes["exact"] = "triple identity verified"
+    else:
+        return 1
+    records = [replace(_row(pair, method)[0], note=note) for method, note in notes.items()]
+    _emit_records(records, args.format, args.output)
     return 0
 
 
@@ -150,23 +241,8 @@ def _pmf_csv(table: dp_mod.DPTable) -> str:
     return buf.getvalue()
 
 
-def _dp_record(table: dp_mod.DPTable) -> OutputRecord:
-    return OutputRecord(
-        b=table.config.black,
-        w=table.config.white,
-        method="dp",
-        value=render_decimal(table.cumulative),
-        exact=rational_str(table.cumulative),
-        target=table.target_diff,
-        horizon=table.horizon,
-        note="cumulative P(tau <= horizon)",
-    )
-
-
 def cmd_dp(args: argparse.Namespace) -> int:
-    config = UrnConfig(args.b, args.w)
-    table = dp_mod.first_passage_dp(config, args.target, args.horizon)
-    record = _dp_record(table)
+    record, table = _row(_Pair(UrnConfig(args.b, args.w), args), "dp")
     if args.emit_pmf:
         if args.output is not None:
             _emit(_pmf_csv(table), args.output)
@@ -176,15 +252,6 @@ def cmd_dp(args: argparse.Namespace) -> int:
     else:
         _emit_records([record], args.format, args.output)
     return 0
-
-
-def _estimate_fields(est: EstimateWithCI) -> dict[str, str]:
-    return {
-        "value": render_decimal(est.p_hat),
-        "std_err": render_decimal(est.std_err),
-        "ci_lo": render_decimal(est.ci95[0]),
-        "ci_hi": render_decimal(est.ci95[1]),
-    }
 
 
 def _dp_reference_skip_reason(config: UrnConfig, horizon: int) -> Optional[str]:
@@ -197,181 +264,77 @@ def _dp_reference_skip_reason(config: UrnConfig, horizon: int) -> Optional[str]:
     return None
 
 
-def _simulate_record(args: argparse.Namespace) -> OutputRecord:
-    config = UrnConfig(args.b, args.w)
-    seed = RngSeed(args.seed)
+def cmd_simulate(args: argparse.Namespace) -> int:
+    pair = _Pair(UrnConfig(args.b, args.w), args)
+    record, est = _row(pair, "mc" if args.method == "direct" else args.method)
+    reference: Optional[Fraction] = None
     if args.method == "definetti":
-        est = definetti_estimator(config, args.samples, seed)
-        reference: Optional[Fraction] = equalization_probability(config).value
+        reference = pair.exact.value
         note = "untruncated estimate of P(tau < infinity); reference is the exact value"
-        horizon = target = streams = None
+    elif (skipped := _dp_reference_skip_reason(pair.config, args.horizon)) is None:
+        reference = dp_mod.first_passage_dp(pair.config, args.target, args.horizon).cumulative
+        note = "estimates P(tau <= horizon); reference is the exact DP value"
     else:
-        est = estimate_equalization(
-            config, args.target, args.horizon, args.samples, seed, args.streams
-        )
-        skipped = _dp_reference_skip_reason(config, args.horizon)
-        if skipped is None:
-            reference = dp_mod.first_passage_dp(config, args.target, args.horizon).cumulative
-            note = "estimates P(tau <= horizon); reference is the exact DP value"
-        else:
-            reference = None
-            note = f"estimates P(tau <= horizon); DP reference skipped ({skipped})"
-        horizon, target, streams = args.horizon, args.target, args.streams
-    z_score = None
-    ref_str = None
+        note = f"estimates P(tau <= horizon); DP reference skipped ({skipped})"
     if reference is not None:
-        ref_str = render_decimal(reference)
+        record = replace(record, reference=render_decimal(reference))
         if not est.degenerate:
-            z_score = render_decimal(est.z_score(float(reference)))
+            record = replace(record, z_score=render_decimal(est.z_score(float(reference))))
     if est.degenerate:
         note += "; degenerate CI (zero standard error)"
-    return OutputRecord(
-        b=config.black,
-        w=config.white,
-        method="mc" if args.method == "direct" else "definetti",
-        target=target,
-        horizon=horizon,
-        samples=args.samples,
-        seed=args.seed,
-        streams=streams,
-        reference=ref_str,
-        z_score=z_score,
-        note=note,
-        **_estimate_fields(est),
-    )
-
-
-def cmd_simulate(args: argparse.Namespace) -> int:
-    _emit_records([_simulate_record(args)], args.format, args.output)
+    _emit_records([replace(record, note=note)], args.format, args.output)
     return 0
-
-
-def _approx_records(config: UrnConfig, method: str) -> list[OutputRecord]:
-    exact = equalization_probability(config)
-    records = []
-    picks = ("normal", "chernoff") if method == "all" else (method,)
-    for pick in picks:
-        fn = normal_approximation if pick == "normal" else chernoff_bound
-        result = fn(config, exact)
-        kind = "approximation" if pick == "normal" else "guaranteed upper bound"
-        records.append(
-            OutputRecord(
-                b=config.black,
-                w=config.white,
-                method=pick,  # type: ignore[arg-type]
-                value=render_decimal(result.value),
-                reference=render_decimal(exact.value),
-                note=f"{kind}; rel_error={render_decimal(result.rel_error)}",
-            )
-        )
-    return records
 
 
 def cmd_approx(args: argparse.Namespace) -> int:
-    config = UrnConfig(args.b, args.w)
-    _emit_records(_approx_records(config, args.method), args.format, args.output)
+    pair = _Pair(UrnConfig(args.b, args.w), args)
+    records = []
+    for method in _APPROX_METHODS if args.method == "all" else (args.method,):
+        record, result = _row(pair, method)
+        note = "guaranteed upper bound" if result.kind == "upper_bound" else result.kind
+        if result.rel_error is not None:  # None when the exact value underflows float
+            note += f"; rel_error={render_decimal(result.rel_error)}"
+        records.append(replace(record, note=note))
+    _emit_records(records, args.format, args.output)
     return 0
-
-
-def _sweep_row(config: UrnConfig, method: str, args: argparse.Namespace) -> OutputRecord:
-    if method == "exact":
-        return _exact_record(config, "exact", equalization_probability(config))
-    if method == "binomial":
-        return _exact_record(
-            config, "binomial", equalization_probability_binomial(config)
-        )
-    if method == "complement":
-        return _exact_record(
-            config, "complement", equalization_probability_complement(config)
-        )
-    if method == "dp":
-        table = dp_mod.first_passage_dp(config, args.target, args.horizon)
-        return _dp_record(table)
-    if method == "mc":
-        est = estimate_equalization(
-            config, args.target, args.horizon, args.samples, RngSeed(args.seed), args.streams
-        )
-        return OutputRecord(
-            b=config.black,
-            w=config.white,
-            method="mc",
-            target=args.target,
-            horizon=args.horizon,
-            samples=args.samples,
-            seed=args.seed,
-            streams=args.streams,
-            **_estimate_fields(est),
-        )
-    if method == "definetti":
-        est = definetti_estimator(config, args.samples, RngSeed(args.seed))
-        return OutputRecord(
-            b=config.black,
-            w=config.white,
-            method="definetti",
-            samples=args.samples,
-            seed=args.seed,
-            **_estimate_fields(est),
-        )
-    if method in ("normal", "chernoff"):
-        fn = normal_approximation if method == "normal" else chernoff_bound
-        result = fn(config, equalization_probability(config))
-        return OutputRecord(
-            b=config.black,
-            w=config.white,
-            method=method,  # type: ignore[arg-type]
-            value=render_decimal(result.value),
-            reference=render_decimal(result.exact_ref.value),
-        )
-    raise DomainError(f"unknown sweep method {method!r}")
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not methods:
         raise DomainError("--methods must name at least one method")
-    valid = {"exact", "binomial", "complement", "dp", "mc", "definetti", "normal", "chernoff"}
-    unknown = [m for m in methods if m not in valid]
+    unknown = [m for m in methods if m not in METHODS]
     if unknown:
         raise DomainError(f"unknown methods: {', '.join(unknown)}")
-    b_lo, b_hi = args.b_range
-    w_lo, w_hi = args.w_range
-    records: list[OutputRecord] = []
-    for b in range(b_lo, b_hi + 1):
-        for w in range(w_lo, w_hi + 1):
-            if w >= b:
-                print(f"# skipped b={b} w={w}: sweep requires w < b", file=sys.stderr)
-                continue
-            config = UrnConfig(b, w)
-            for method in methods:
-                records.append(_sweep_row(config, method, args))
-    if not records:
+    (b_lo, b_hi), (w_lo, w_hi) = args.b_range, args.w_range
+    pairs = [(b, w) for b in range(b_lo, b_hi + 1) for w in range(w_lo, min(w_hi, b - 1) + 1)]
+    skipped = (b_hi - b_lo + 1) * (w_hi - w_lo + 1) - len(pairs)
+    if skipped:
+        print(f"# skipped {skipped} (b, w) pair(s): sweep requires w < b", file=sys.stderr)
+    if not pairs:
         raise DomainError("empty effective range: no (b, w) pairs with w < b")
+    records: list[OutputRecord] = []
+    for b, w in pairs:
+        pair = _Pair(UrnConfig(b, w), args)
+        records.extend(_row(pair, method)[0] for method in methods)
     _emit_records(records, args.format, args.output)
     return 0
 
 
 def cmd_identity_check(args: argparse.Namespace) -> int:
-    failures = 0
-    pairs = 0
-    for total in range(3, args.max_total + 1):
-        for w in range(1, (total - 1) // 2 + 1):
-            b = total - w
-            config = UrnConfig(b, w)
-            pairs += 1
-            theorem = equalization_probability(config)
-            binom = equalization_probability_binomial(config)
-            compl = equalization_probability_complement(config)
-            if not (theorem == binom == compl):
-                failures += 1
-                print(
-                    f"MISMATCH b={b} w={w}: {theorem} vs {binom} vs {compl}",
-                    file=sys.stderr,
-                )
-    if failures:
-        print(f"identity check FAILED for {failures} of {pairs} pairs", file=sys.stderr)
+    holds = [
+        _triple_holds(_Pair(UrnConfig(total - w, w), args))
+        for total in range(3, args.max_total + 1)
+        for w in range(1, (total - 1) // 2 + 1)
+    ]
+    if not all(holds):
+        print(
+            f"identity check FAILED for {holds.count(False)} of {len(holds)} pairs",
+            file=sys.stderr,
+        )
         return 1
     print(
-        f"triple identity verified for {pairs} pairs (1 <= w < b, b+w <= {args.max_total})"
+        f"triple identity verified for {len(holds)} pairs (1 <= w < b, b+w <= {args.max_total})"
     )
     return 0
 
@@ -432,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_approx = sub.add_parser("approx", help="normal approximation and Chernoff bound")
     _add_bw(p_approx)
-    p_approx.add_argument("--method", choices=("normal", "chernoff", "all"), default="all")
+    p_approx.add_argument("--method", choices=(*_APPROX_METHODS, "all"), default="all")
     _add_common(p_approx)
     p_approx.set_defaults(handler=cmd_approx)
 
@@ -442,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--methods",
         default="exact",
-        help="comma-separated: exact,binomial,complement,dp,mc,definetti,normal,chernoff",
+        help="comma-separated: " + ",".join(METHODS),
     )
     p_sweep.add_argument("--target", type=int, default=0)
     p_sweep.add_argument("--horizon", type=_nonnegative_int, default=200)

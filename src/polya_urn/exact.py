@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
+from .output import rational_str
 
 __all__ = [
     "UrnConfig",
@@ -95,7 +96,7 @@ class ExactProbability:
 
     def rational_str(self) -> str:
         """Render as ``"num/den"``, always with an explicit denominator."""
-        return f"{self.value.numerator}/{self.value.denominator}"
+        return rational_str(self.value)
 
     def __float__(self) -> float:
         return float(self.value)
@@ -263,10 +264,11 @@ def equalization_probability(config: UrnConfig) -> ExactProbability:
     return ExactProbability(2 * cdf_half.value)
 
 
-def _require_strict_majority(config: UrnConfig) -> tuple[int, int]:
+def _require_strict_majority(config: UrnConfig, label: str) -> tuple[int, int]:
+    """``(black, white)``, or a DomainError naming ``label`` unless black > white."""
     if config.black <= config.white:
         raise DomainError(
-            f"this form requires black > white, got black={config.black}, "
+            f"{label} requires black > white, got black={config.black}, "
             f"white={config.white}"
         )
     return config.black, config.white
@@ -277,7 +279,7 @@ def equalization_probability_binomial(config: UrnConfig) -> ExactProbability:
 
     Sums w terms, so it is the cheap form when white is small.
     """
-    b, w = _require_strict_majority(config)
+    b, w = _require_strict_majority(config, "the head-sum form")
     n = b + w - 1
     coeff = 1
     total = 0
@@ -292,7 +294,7 @@ def equalization_probability_complement(config: UrnConfig) -> ExactProbability:
 
     Sums b - w terms, so it is the cheap form when the majority is slim.
     """
-    b, w = _require_strict_majority(config)
+    b, w = _require_strict_majority(config, "the complement form")
     n = b + w - 1
     coeff = math.comb(n, w)
     total = 0

@@ -13,10 +13,11 @@ import csv
 import decimal
 import io
 import json
+import re
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from importlib import resources
-from typing import Literal, Optional
+from typing import Literal, Optional, get_args
 
 __all__ = [
     "Method",
@@ -35,9 +36,11 @@ Method = Literal[
     "exact", "binomial", "complement", "dp", "mc", "definetti", "normal", "chernoff"
 ]
 
-_METHODS = ("exact", "binomial", "complement", "dp", "mc", "definetti", "normal", "chernoff")
+_METHODS = get_args(Method)
 
 _DECIMAL_DIGITS = 15
+
+_INTEGER = re.compile(r"-?[0-9]+")
 
 
 def render_decimal(x: Fraction | float | int) -> str:
@@ -53,13 +56,20 @@ def render_decimal(x: Fraction | float | int) -> str:
 
 
 def rational_str(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}"
+    """Render as ``"num/den"``, always with an explicit denominator.
+
+    The integers go through ``Decimal``, which, unlike ``str(int)``, has no
+    limit on the number of digits.
+    """
+    return f"{decimal.Decimal(value.numerator)}/{decimal.Decimal(value.denominator)}"
 
 
 def parse_rational(text: str) -> Fraction:
-    """Inverse of ``rational_str``; round-trips bit-for-bit."""
+    """Inverse of ``rational_str``; round-trips bit-for-bit at any size."""
     num, den = text.split("/")
-    return Fraction(int(num), int(den))
+    if not (_INTEGER.fullmatch(num) and _INTEGER.fullmatch(den)):
+        raise ValueError(f"expected 'num/den' with integer parts, got {text!r}")
+    return Fraction(int(decimal.Decimal(num)), int(decimal.Decimal(den)))
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError
-from .exact import BetaParams, UrnConfig
+from .exact import BetaParams, UrnConfig, _require_strict_majority
 
 __all__ = [
     "RngSeed",
@@ -267,14 +267,9 @@ def definetti_estimator(
     probability of ever reaching 0 is min(1, ((1-p)/p)^(b-w)).  Averaging
     that over p ~ Beta(b, w) gives the equalization probability.
     """
-    if config.black <= config.white:
-        raise DomainError(
-            f"definetti estimator requires black > white, got {config.black}, "
-            f"{config.white}"
-        )
+    b, w = _require_strict_majority(config, "the de Finetti estimator")
     if n_samples < 1:
         raise DomainError(f"n_samples must be >= 1, got {n_samples}")
-    b, w = config.black, config.white
     n_uniforms = b + w - 1
     excess = b - w
     rng = seed.generator()

@@ -1,9 +1,16 @@
+import os
 import sys
 from pathlib import Path
 
+import polya_urn
 
 # tests import shared oracles as a plain module
 sys.path.insert(0, str(Path(__file__).parent))
+
+# CLI subprocesses (``python -m polya_urn.cli``) import the same package as the tests
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(polya_urn.__file__).parents[1]), os.environ.get("PYTHONPATH")])
+)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -8,8 +8,16 @@ import sys
 from fractions import Fraction
 
 import jsonschema
+import pytest
 
-from polya_urn import UrnConfig, equalization_probability, first_passage_dp
+from polya_urn import (
+    ExactProbability,
+    UrnConfig,
+    cli,
+    equalization_probability,
+    equalization_probability_binomial,
+    first_passage_dp,
+)
 from polya_urn.cli import main
 from polya_urn.output import load_output_schema, parse_rational
 
@@ -52,6 +60,14 @@ class TestExactCommand:
         _, straight, _ = run_cli(capsys, "exact", "--b", "3", "--w", "2")
         assert "exact=5/8" in swapped and "exact=5/8" in straight
         assert "color-swapped" in swapped
+
+    @pytest.mark.parametrize("b, w", [(10000, 5000), (20000, 1)])
+    def test_rationals_past_the_int_string_limit(self, capsys, b, w):
+        code, out, err = run_cli(capsys, "exact", "--b", str(b), "--w", str(w))
+        assert code == 0 and not err
+        fields = dict(f.split("=", 1) for f in out.split(" note=")[0].split())
+        assert len(fields["exact"]) > 4300
+        assert parse_rational(fields["exact"]) == equalization_probability(UrnConfig(b, w)).value
 
     def test_sum_form_needs_majority(self, capsys):
         code, _, err = run_cli(capsys, "exact", "--b", "2", "--w", "3", "--form", "binomial")
@@ -216,6 +232,13 @@ class TestApproxCommand:
         code, _, err = run_cli(capsys, "approx", "--b", "3", "--w", "3")
         assert code == 2
 
+    def test_exact_value_below_float_range(self):
+        proc = run_subprocess("approx", "--b", "2000", "--w", "1", "--method", "normal")
+        assert proc.returncode == 0
+        assert b"Traceback" not in proc.stderr
+        # the exact value underflows float, so no relative error is reported
+        assert b"note=approximation\n" in proc.stdout
+
 
 class TestSweepCommand:
     def test_row_count_and_order(self, capsys):
@@ -227,7 +250,8 @@ class TestSweepCommand:
         assert len(rows) == 10
         pairs = [(int(r["b"]), int(r["w"])) for r in rows]
         assert pairs == sorted(pairs)
-        assert "skipped" in err  # w >= b rows are noted on stderr
+        # the 6 pairs with w >= b are counted in one stderr line
+        assert err.splitlines() == ["# skipped 6 (b, w) pair(s): sweep requires w < b"]
 
     def test_values_inside_unit_interval_and_monotone(self, capsys):
         _, out, _ = run_cli(
@@ -278,6 +302,24 @@ class TestIdentityCheck:
         code, out, _ = run_cli(capsys, "identity-check", "--max-total", "60")
         assert code == 0
         assert "870 pairs" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("identity-check", "--max-total", "8"),
+            ("exact", "--b", "5", "--w", "2", "--form", "all"),
+        ],
+    )
+    def test_mismatch_exits_one(self, capsys, monkeypatch, argv):
+        def halved_head_sum(config):
+            p = equalization_probability_binomial(config).value
+            return ExactProbability(p * Fraction(1, 2))
+
+        monkeypatch.setattr(cli, "equalization_probability_binomial", halved_head_sum)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert "method=" not in out
+        assert "MISMATCH b=5 w=2" in err
 
 
 class TestOutputHygiene:

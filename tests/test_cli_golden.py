@@ -134,3 +134,9 @@ def test_golden_invocation(capsys, monkeypatch, argv, env, code, sha256):
     got_code, out = _run(capsys, monkeypatch, argv, env)
     assert (got_code, _digest(out)) == (code, sha256)
 
+
+
+def test_method_names_agree_across_schema_type_and_cli_table():
+    schema = load_output_schema()
+    enum = schema["properties"]["records"]["items"]["properties"]["method"]["enum"]
+    assert enum == list(get_args(Method)) == list(cli.METHODS)

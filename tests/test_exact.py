@@ -14,14 +14,18 @@ from polya_urn import (
     BetaParams,
     DomainError,
     ExactProbability,
+    RngSeed,
     UrnConfig,
     beta_cdf_rational,
     beta_cdf_real,
     beta_density,
     binomial_coefficient,
+    chernoff_bound,
+    definetti_estimator,
     equalization_probability,
     equalization_probability_binomial,
     equalization_probability_complement,
+    normal_approximation,
 )
 
 from oracles import beta_cdf_by_polynomial_integration, beta_density_by_mpmath
@@ -49,6 +53,16 @@ class TestDomainTypes:
         assert p == ExactProbability(Fraction(1, 2))
         assert p.rational_str() == "1/2"
         assert float(p) == 0.5
+
+    def test_exact_probability_str_has_no_digit_limit(self):
+        p = ExactProbability(Fraction(1, 2**20000))
+        num, den = str(p).split("/")
+        assert str(p) == p.rational_str() and num == "1" and len(den) > 6000
+        # read back in 1000-digit chunks, below the int-from-string limit
+        value = 0
+        for i in range(0, len(den), 1000):
+            value = value * 10 ** len(den[i : i + 1000]) + int(den[i : i + 1000])
+        assert value == 2**20000
 
     def test_exact_probability_range(self):
         with pytest.raises(DomainError):
@@ -238,6 +252,21 @@ class TestEqualizationProbability:
             fn(UrnConfig(2, 2))
         with pytest.raises(DomainError):
             fn(UrnConfig(2, 3))
+
+    @pytest.mark.parametrize(
+        "route, label",
+        [
+            (equalization_probability_binomial, "the head-sum form"),
+            (equalization_probability_complement, "the complement form"),
+            (normal_approximation, "the normal approximation"),
+            (chernoff_bound, "the Chernoff bound"),
+            (lambda c: definetti_estimator(c, 10, RngSeed(0)), "the de Finetti estimator"),
+        ],
+    )
+    def test_majority_message_names_the_route(self, route, label):
+        message = f"^{label} requires black > white, got black=2, white=3$"
+        with pytest.raises(DomainError, match=message):
+            route(UrnConfig(2, 3))
 
     @pytest.mark.parametrize(
         "b, w, expected",

@@ -42,7 +42,15 @@ class TestRenderDecimal:
 
 class TestRationalStrings:
     @pytest.mark.parametrize(
-        "value", [Fraction(0), Fraction(1), Fraction(5, 8), Fraction(29, 64), Fraction(123456789, 2**60)]
+        "value",
+        [
+            Fraction(0),
+            Fraction(1),
+            Fraction(5, 8),
+            Fraction(29, 64),
+            Fraction(123456789, 2**60),
+            Fraction(3**10000, 2**30000 + 1),  # both parts past the int-from-string limit
+        ],
     )
     def test_round_trip_is_lossless(self, value):
         assert parse_rational(rational_str(value)) == value
@@ -50,6 +58,11 @@ class TestRationalStrings:
     def test_always_has_denominator(self):
         assert rational_str(Fraction(1)) == "1/1"
         assert rational_str(Fraction(0)) == "0/1"
+
+    @pytest.mark.parametrize("text", ["1.5/2", "1e3/7", "NaN/1", "1/", "x/2"])
+    def test_parse_rejects_non_integer_parts(self, text):
+        with pytest.raises(ValueError):
+            parse_rational(text)
 
 
 class TestOutputRecord:
