@@ -28,15 +28,11 @@ from .exact import (
 )
 from .simulate import (
     EstimateWithCI,
-    FirstPassageSample,
     RngSeed,
     definetti_estimator,
     estimate_equalization,
-    limit_fraction_sample,
     limit_fraction_samples,
-    run_first_passage,
-    sample_beta_order_statistic,
-    step_urn,
+    sample_beta_order_statistics,
 )
 
 __version__ = "0.1.0"
@@ -49,7 +45,6 @@ __all__ = [
     "DPTable",
     "EstimateWithCI",
     "ExactProbability",
-    "FirstPassageSample",
     "PolyaUrnError",
     "ResourceLimitError",
     "RngSeed",
@@ -67,12 +62,9 @@ __all__ = [
     "equalization_probability_complement",
     "estimate_equalization",
     "first_passage_dp",
-    "limit_fraction_sample",
     "limit_fraction_samples",
     "marginal_black_distribution",
     "normal_approximation",
-    "run_first_passage",
-    "sample_beta_order_statistic",
+    "sample_beta_order_statistics",
     "standard_normal_cdf",
-    "step_urn",
 ]

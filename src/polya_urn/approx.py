@@ -109,4 +109,6 @@ def chernoff_bound(
     else:
         a = (w - 1) / n
         value = 2.0 * math.exp(-n * _kl_to_fair(a))
-    return ApproxResult(min(1.0, value), "upper_bound", exact_ref)
+    # a float upper bound rounds up: one that underflows to 0.0 becomes the
+    # smallest positive double, which still dominates the exact probability
+    return ApproxResult(min(1.0, max(value, math.ulp(0.0))), "upper_bound", exact_ref)

@@ -18,7 +18,7 @@ from typing import Any, Callable, Optional, Sequence
 
 from . import dp as dp_mod
 from .approx import chernoff_bound, normal_approximation
-from .errors import DomainError, PolyaUrnError
+from .errors import DomainError, PolyaUrnError, ResourceLimitError
 from .exact import (
     ExactProbability,
     UrnConfig,
@@ -75,8 +75,11 @@ def _emit(text: str, output: Optional[str]) -> None:
     if output is None:
         sys.stdout.write(text)
     else:
-        with open(output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise PolyaUrnError(f"--output: {exc}") from exc
 
 
 def _emit_records(records: list[OutputRecord], fmt: str, output: Optional[str]) -> None:
@@ -237,7 +240,8 @@ def _pmf_csv(table: dp_mod.DPTable) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["n", "p_tau_n_num", "p_tau_n_den", "p_tau_n_decimal"])
     for n, p in enumerate(table.hit_pmf):
-        writer.writerow([n, p.numerator, p.denominator, render_decimal(p)])
+        num, den = rational_str(p).split("/")
+        writer.writerow([n, num, den, render_decimal(p)])
     return buf.getvalue()
 
 
@@ -254,28 +258,26 @@ def cmd_dp(args: argparse.Namespace) -> int:
     return 0
 
 
-def _dp_reference_skip_reason(config: UrnConfig, horizon: int) -> Optional[str]:
-    """Why ``simulate --method direct`` does not compute its exact reference, if so."""
-    if horizon > _REFERENCE_HORIZON_CAP:
-        return f"horizon over {_REFERENCE_HORIZON_CAP}"
-    budget = dp_mod.resolve_memory_budget(None)
-    if dp_mod.estimate_dp_memory_bytes(config, horizon) > budget:
-        return "memory budget"
-    return None
+def _dp_reference(pair: _Pair) -> tuple[Optional[Fraction], str]:
+    """The exact DP reference of ``simulate --method direct`` (None if skipped) and its note."""
+    note = "estimates P(tau <= horizon); "
+    if pair.args.horizon > _REFERENCE_HORIZON_CAP:
+        return None, note + f"DP reference skipped (horizon over {_REFERENCE_HORIZON_CAP})"
+    try:
+        table = dp_mod.first_passage_dp(pair.config, pair.args.target, pair.args.horizon)
+    except ResourceLimitError:
+        return None, note + "DP reference skipped (memory budget)"
+    return table.cumulative, note + "reference is the exact DP value"
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     pair = _Pair(UrnConfig(args.b, args.w), args)
     record, est = _row(pair, "mc" if args.method == "direct" else args.method)
-    reference: Optional[Fraction] = None
     if args.method == "definetti":
-        reference = pair.exact.value
+        reference: Optional[Fraction] = pair.exact.value
         note = "untruncated estimate of P(tau < infinity); reference is the exact value"
-    elif (skipped := _dp_reference_skip_reason(pair.config, args.horizon)) is None:
-        reference = dp_mod.first_passage_dp(pair.config, args.target, args.horizon).cumulative
-        note = "estimates P(tau <= horizon); reference is the exact DP value"
     else:
-        note = f"estimates P(tau <= horizon); DP reference skipped ({skipped})"
+        reference, note = _dp_reference(pair)
     if reference is not None:
         record = replace(record, reference=render_decimal(reference))
         if not est.degenerate:

@@ -1,15 +1,18 @@
 """Seeded Monte Carlo for the urn process.
 
-Three estimators:
+Two estimators, one sampler each:
 
 * direct simulation of the urn until the excess S = black - white hits a
   target level or a horizon runs out (``estimate_equalization``);
 * a two-stage mixture estimator with no horizon truncation
   (``definetti_estimator``): draw the urn's limiting black fraction p from
-  Beta(b, w) via order statistics of uniforms, then average the classical
-  ruin probability min(1, ((1-p)/p)^(b-w)) of the biased walk the urn
-  behaves like conditionally on p;
-* the limiting-fraction sampler itself (``limit_fraction_sample``).
+  Beta(b, w) via order statistics of uniforms
+  (``sample_beta_order_statistics``), then average the classical ruin
+  probability min(1, ((1-p)/p)^(b-w)) of the biased walk the urn behaves
+  like conditionally on p.
+
+``limit_fraction_samples`` runs urns for a fixed number of draws and returns
+their black-ball fractions, whose law tends to Beta(b, w).
 
 Determinism contract: every estimate is a pure function of its parameters
 and an ``RngSeed``.  Randomness comes from the Philox 4x64 counter-based
@@ -22,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -31,14 +33,10 @@ from .exact import BetaParams, UrnConfig, _require_strict_majority
 
 __all__ = [
     "RngSeed",
-    "FirstPassageSample",
     "EstimateWithCI",
-    "step_urn",
-    "run_first_passage",
     "estimate_equalization",
-    "sample_beta_order_statistic",
+    "sample_beta_order_statistics",
     "definetti_estimator",
-    "limit_fraction_sample",
     "limit_fraction_samples",
 ]
 
@@ -79,21 +77,6 @@ class RngSeed:
 
     def with_stream(self, offset: int) -> "RngSeed":
         return RngSeed(self.seed, self.stream_id + offset)
-
-
-@dataclass(frozen=True, slots=True)
-class FirstPassageSample:
-    """Outcome of one simulated path: hit the target level, or ran out."""
-
-    hit: bool
-    tau: Optional[int]
-    final_s: int
-
-    def __post_init__(self) -> None:
-        if self.hit and self.tau is None:
-            raise DomainError("hit samples must carry tau")
-        if not self.hit and self.tau is not None:
-            raise DomainError("unhit samples must not carry tau")
 
 
 @dataclass(frozen=True, slots=True)
@@ -139,37 +122,6 @@ def _wald_estimate(p_hat: float, std_err: float, n_samples: int) -> EstimateWith
     lo = max(0.0, p_hat - _Z95 * std_err)
     hi = min(1.0, p_hat + _Z95 * std_err)
     return EstimateWithCI(p_hat, std_err, (lo, hi), n_samples, std_err == 0.0)
-
-
-def step_urn(state: tuple[int, int], rng: np.random.Generator) -> tuple[int, int]:
-    """One draw: with probability black/total add a black ball, else a white."""
-    black, white = state
-    if black < 0 or white < 0 or black + white < 1:
-        raise DomainError(f"invalid urn state {state}")
-    if rng.random() < black / (black + white):
-        return black + 1, white
-    return black, white + 1
-
-
-def run_first_passage(
-    config: UrnConfig,
-    target_diff: int,
-    horizon: int,
-    rng: np.random.Generator,
-) -> FirstPassageSample:
-    """Simulate one path until S = target_diff or ``horizon`` steps elapse."""
-    if horizon < 0:
-        raise DomainError(f"horizon must be >= 0, got {horizon}")
-    state = (config.black, config.white)
-    s = config.initial_excess
-    if s == target_diff:
-        return FirstPassageSample(hit=True, tau=0, final_s=s)
-    for n in range(1, horizon + 1):
-        state = step_urn(state, rng)
-        s = state[0] - state[1]
-        if s == target_diff:
-            return FirstPassageSample(hit=True, tau=n, final_s=s)
-    return FirstPassageSample(hit=False, tau=None, final_s=s)
 
 
 def _first_passage_hit_count(
@@ -237,15 +189,17 @@ def estimate_equalization(
     return _wald_estimate(p_hat, std_err, n_samples)
 
 
-def sample_beta_order_statistic(params: BetaParams, rng: np.random.Generator) -> float:
-    """One Beta(b, w) draw: the b-th smallest of b+w-1 independent uniforms.
+def sample_beta_order_statistics(
+    params: BetaParams, size: int, rng: np.random.Generator
+) -> np.ndarray:
+    """``size`` Beta(b, w) draws, each the b-th smallest of b+w-1 uniforms.
 
-    Selection uses ``np.partition`` (introselect, expected linear) rather
-    than a full sort.
+    The uniforms come from one ``rng.random((size, b+w-1))`` call, row by
+    row, and selection uses ``np.partition`` (introselect, expected linear)
+    rather than a full sort.
     """
-    n = params.b + params.w - 1
-    u = rng.random(n)
-    return float(np.partition(u, params.b - 1)[params.b - 1])
+    u = rng.random((size, params.b + params.w - 1))
+    return np.partition(u, params.b - 1, axis=1)[:, params.b - 1]
 
 
 def _ruin_values(p: np.ndarray, excess: int) -> np.ndarray:
@@ -270,18 +224,16 @@ def definetti_estimator(
     b, w = _require_strict_majority(config, "the de Finetti estimator")
     if n_samples < 1:
         raise DomainError(f"n_samples must be >= 1, got {n_samples}")
-    n_uniforms = b + w - 1
+    params = BetaParams(b, w)
     excess = b - w
     rng = seed.generator()
-    chunk_rows = max(1, _CHUNK_ELEMENTS // n_uniforms)
+    chunk_rows = max(1, _CHUNK_ELEMENTS // (b + w - 1))
     total = 0.0
     total_sq = 0.0
     remaining = n_samples
     while remaining:
         rows = min(chunk_rows, remaining)
-        u = rng.random((rows, n_uniforms))
-        p = np.partition(u, b - 1, axis=1)[:, b - 1]
-        values = _ruin_values(p, excess)
+        values = _ruin_values(sample_beta_order_statistics(params, rows, rng), excess)
         total += float(values.sum())
         total_sq += float(np.square(values).sum())
         remaining -= rows
@@ -308,9 +260,3 @@ def limit_fraction_samples(
         blacks += rng.random(n_runs) < (b + blacks) / (b + w + n)
     return (b + blacks) / (b + w + n_steps)
 
-
-def limit_fraction_sample(
-    config: UrnConfig, n_steps: int, rng: np.random.Generator
-) -> float:
-    """Run one urn for n_steps draws and return its black-ball fraction."""
-    return float(limit_fraction_samples(config, n_steps, 1, rng)[0])

@@ -5,12 +5,14 @@ import io
 import json
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import jsonschema
 import pytest
 
 from polya_urn import (
+    DPTable,
     ExactProbability,
     UrnConfig,
     cli,
@@ -121,6 +123,13 @@ class TestDpCommand:
         assert code == 0
         assert "method=dp" in out
         assert target.read_text().startswith("n,p_tau_n_num")
+
+    def test_pmf_csv_past_the_int_string_limit(self):
+        p = Fraction(3, 10**5000)
+        table = DPTable(UrnConfig(2, 1), 0, 1, (Fraction(0), p))
+        rows = list(csv.DictReader(io.StringIO(cli._pmf_csv(table))))
+        assert [r["p_tau_n_num"] for r in rows] == ["0", "3"]
+        assert [r["p_tau_n_den"] for r in rows] == ["1", "1" + "0" * 5000]
 
     def test_memory_budget_error_names_feasible_horizon(self):
         proc = run_subprocess(
@@ -239,6 +248,17 @@ class TestApproxCommand:
         # the exact value underflows float, so no relative error is reported
         assert b"note=approximation\n" in proc.stdout
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("--b", "2000", "--w", "1"), ("--b", "1200", "--w", "2", "--method", "chernoff")],
+    )
+    def test_chernoff_bound_below_float_range(self, capsys, argv):
+        code, out, _ = run_cli(capsys, "approx", *argv, "--format", "json")
+        assert code == 0
+        record = next(r for r in json.loads(out)["records"] if r["method"] == "chernoff")
+        exact = equalization_probability(UrnConfig(record["b"], record["w"])).value
+        assert Fraction(Decimal(record["value"])) >= exact
+
 
 class TestSweepCommand:
     def test_row_count_and_order(self, capsys):
@@ -334,5 +354,14 @@ class TestOutputHygiene:
             "exact", "--b", "3", "--w", "1", "--format", "csv", "--output", str(target),
         )
         assert code == 0 and out == ""
-        rows = list(csv.DictReader(target.open()))
+        rows = list(csv.DictReader(io.StringIO(target.read_text())))
         assert rows[0]["exact"] == "1/4"
+
+    def test_output_to_missing_directory_is_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.csv"
+        code, out, err = run_cli(
+            capsys, "exact", "--b", "3", "--w", "2", "--output", str(target)
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: --output: ") and err.count("\n") == 1
+        assert not target.exists()

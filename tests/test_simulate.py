@@ -22,11 +22,8 @@ from polya_urn import (
     equalization_probability,
     estimate_equalization,
     first_passage_dp,
-    limit_fraction_sample,
     limit_fraction_samples,
-    run_first_passage,
-    sample_beta_order_statistic,
-    step_urn,
+    sample_beta_order_statistics,
 )
 from polya_urn.simulate import _ruin_values
 
@@ -64,58 +61,6 @@ class TestRngSeed:
         assert not np.array_equal(a, b)
 
 
-class TestStepUrn:
-    def test_total_grows_by_one(self):
-        rng = SEED.generator()
-        state = (2, 1)
-        for n in range(50):
-            state = step_urn(state, rng)
-            assert sum(state) == 3 + n + 1
-
-    def test_only_two_successors(self):
-        rng = SEED.generator()
-        seen = {step_urn((2, 1), rng) for _ in range(200)}
-        assert seen == {(3, 1), (2, 2)}
-
-    def test_fair_at_equal_counts(self):
-        rng = SEED.generator()
-        blacks = sum(step_urn((1, 1), rng)[0] == 2 for _ in range(20_000))
-        assert abs(z_against(blacks / 20_000, 0.5, 20_000)) < 4
-
-    def test_invalid_state(self):
-        with pytest.raises(DomainError):
-            step_urn((0, 0), SEED.generator())
-
-
-class TestRunFirstPassage:
-    def test_zero_horizon(self):
-        sample = run_first_passage(UrnConfig(2, 1), 0, 0, SEED.generator())
-        assert not sample.hit and sample.tau is None and sample.final_s == 1
-
-    def test_starts_on_target(self):
-        sample = run_first_passage(UrnConfig(2, 1), 1, 1000, SEED.generator())
-        assert sample.hit and sample.tau == 0
-
-    def test_hit_lands_on_target(self):
-        rng = SEED.generator()
-        for _ in range(500):
-            sample = run_first_passage(UrnConfig(3, 2), 0, 50, rng)
-            if sample.hit:
-                assert sample.final_s == 0
-                assert 0 < sample.tau <= 50
-            else:
-                assert sample.final_s != 0
-
-    def test_hit_rate_matches_dp(self):
-        """10^5 paths at horizon 100 stay within 4 sigma of the DP value."""
-        config = UrnConfig(2, 1)
-        rng = RngSeed(99).generator()
-        runs = 100_000
-        hits = sum(run_first_passage(config, 0, 100, rng).hit for _ in range(runs))
-        reference = float(first_passage_dp(config, 0, 100).cumulative)
-        assert abs(z_against(hits / runs, reference, runs)) < 4
-
-
 class TestEstimateWithCI:
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -135,7 +80,7 @@ class TestEstimateWithCI:
 class TestEstimateEqualization:
     @pytest.mark.parametrize(
         "horizon, reference",
-        [(1, 1 / 3), (3, 2 / 5)],
+        [(0, 0.0), (1, 1 / 3), (3, 2 / 5)],
     )
     def test_short_horizons_match_dp(self, horizon, reference):
         est = estimate_equalization(UrnConfig(2, 1), 0, horizon, 10**6, SEED, 4)
@@ -190,19 +135,25 @@ class TestBetaOrderStatistic:
     def test_single_uniform_case(self):
         rng_a = RngSeed(11).generator()
         rng_b = RngSeed(11).generator()
-        assert sample_beta_order_statistic(BetaParams(1, 1), rng_a) == rng_b.random(1)[0]
+        draws = sample_beta_order_statistics(BetaParams(1, 1), 5, rng_a)
+        assert np.array_equal(draws, rng_b.random(5))
+
+    def test_selects_bth_smallest_of_each_row(self):
+        draws = sample_beta_order_statistics(BetaParams(3, 2), 100, RngSeed(11).generator())
+        rows = RngSeed(11).generator().random((100, 4))
+        assert np.array_equal(draws, np.sort(rows, axis=1)[:, 2])
 
     def test_mean_matches_beta(self):
         rng = SEED.generator()
         n = 200_000
-        draws = np.array([sample_beta_order_statistic(BetaParams(3, 2), rng) for _ in range(n)])
+        draws = sample_beta_order_statistics(BetaParams(3, 2), n, rng)
         se = draws.std(ddof=1) / math.sqrt(n)
         assert abs(draws.mean() - 0.6) < 4 * se
 
     def test_cdf_at_half_matches_rational(self):
         rng = SEED.generator()
         n = 200_000
-        draws = np.array([sample_beta_order_statistic(BetaParams(3, 2), rng) for _ in range(n)])
+        draws = sample_beta_order_statistics(BetaParams(3, 2), n, rng)
         reference = float(beta_cdf_rational(BetaParams(3, 2), "1/2"))
         assert abs(z_against(float((draws < 0.5).mean()), reference, n)) < 4
 
@@ -240,7 +191,8 @@ class TestDefinettiEstimator:
 
 class TestLimitFraction:
     def test_zero_steps(self):
-        assert limit_fraction_sample(UrnConfig(1, 1), 0, SEED.generator()) == 0.5
+        fractions = limit_fraction_samples(UrnConfig(1, 1), 0, 3, SEED.generator())
+        assert np.array_equal(fractions, [0.5, 0.5, 0.5])
 
     def test_mean_is_martingale_limit(self):
         rng = SEED.generator()
