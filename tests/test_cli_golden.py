@@ -74,6 +74,9 @@ GOLDEN = [
      "8a409c5c1c72d0cf6253f39b4f5a74fff59e17968013182481d561beec86d1f4"),
     (("simulate", "--b", "2", "--w", "1", *_SIM, "--format", "csv"), _BUDGET, 0,
      "87a7a7b1796c3f1b5bf4bb1edac90f5d7bf261579a620b83fee0fbaa3bbb0beb"),
+    (("simulate", "--b", "500001", "--w", "500000", "--horizon", "20000", "--samples", "1",
+      "--seed", "11", "--format", "csv"), {}, 0,
+     "9d9d6de6e04ceedbdf424ac4a776b5086cd52c708c201a64e47366352283b1e7"),
     (("simulate", "--b", "2", "--w", "1", "--samples", "1", "--seed", "1"), {}, 0,
      "a2f96d14ed4b0143cfa2a5ef94965d7ac66d3b4631708542545bc731ab1533f1"),
     (("approx", "--b", "5", "--w", "3"), {}, 0,
@@ -97,6 +100,8 @@ GOLDEN = [
     (("exact", "--b", "0", "--w", "1"), {}, 2,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     (("dp", "--b", "2", "--w", "1", "--horizon", "4000"), _BUDGET, 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (("dp", "--b", "2", "--w", "1", "--horizon", "10000000"), {}, 2,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     (("simulate", "--b", "2", "--w", "2", "--method", "definetti"), {}, 2,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
