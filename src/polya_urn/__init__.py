@@ -19,9 +19,6 @@ from .exact import (
     ExactProbability,
     UrnConfig,
     beta_cdf_rational,
-    beta_cdf_real,
-    beta_density,
-    binomial_coefficient,
     equalization_probability,
     equalization_probability_binomial,
     equalization_probability_complement,
@@ -51,9 +48,6 @@ __all__ = [
     "SequenceProbability",
     "UrnConfig",
     "beta_cdf_rational",
-    "beta_cdf_real",
-    "beta_density",
-    "binomial_coefficient",
     "chernoff_bound",
     "definetti_estimator",
     "enumerate_sequences",

@@ -53,7 +53,7 @@ class ApproxResult:
                 f"upper bound {self.value} fell below the exact value "
                 f"{self.exact_ref}"
             )
-        exact_float = self.exact_ref.as_float()
+        exact_float = float(self.exact_ref)
         object.__setattr__(self, "abs_error", abs(self.value - exact_float))
         if exact_float != 0.0:
             object.__setattr__(self, "rel_error", abs(self.value - exact_float) / exact_float)
@@ -86,10 +86,6 @@ def normal_approximation(
 
 def _kl_to_fair(a: float) -> float:
     """KL divergence D(a || 1/2) of a Bernoulli(a) from a fair coin."""
-    if a == 0.0:
-        return math.log(2.0)
-    if a == 1.0:
-        return math.log(2.0)
     return a * math.log(2.0 * a) + (1.0 - a) * math.log(2.0 * (1.0 - a))
 
 

@@ -23,7 +23,6 @@ reduction happens once per emitted probability.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -38,14 +37,11 @@ __all__ = [
     "marginal_black_distribution",
     "estimate_dp_memory_bytes",
     "max_feasible_horizon",
-    "resolve_memory_budget",
-    "DEFAULT_MEMORY_BUDGET_BYTES",
-    "MEMORY_BUDGET_ENV_VAR",
+    "MEMORY_BUDGET_BYTES",
     "MAX_ENUMERATION_STEPS",
 ]
 
-DEFAULT_MEMORY_BUDGET_BYTES = 256 * 1024 * 1024
-MEMORY_BUDGET_ENV_VAR = "POLYA_URN_DP_MEMORY_BYTES"
+MEMORY_BUDGET_BYTES = 256 * 1024 * 1024
 
 # 2^n sequences; past 20 the enumeration is no longer a practical oracle.
 MAX_ENUMERATION_STEPS = 20
@@ -99,26 +95,6 @@ class SequenceProbability:
     probability: Fraction
 
 
-def resolve_memory_budget(memory_budget: int | None) -> int:
-    """Budget in bytes: the argument, else the environment override, else default."""
-    if memory_budget is not None:
-        if memory_budget < 1:
-            raise DomainError(f"memory budget must be positive, got {memory_budget}")
-        return memory_budget
-    env = os.environ.get(MEMORY_BUDGET_ENV_VAR)
-    if env is not None:
-        try:
-            value = int(env)
-        except ValueError as exc:
-            raise DomainError(
-                f"{MEMORY_BUDGET_ENV_VAR} must be an integer byte count, got {env!r}"
-            ) from exc
-        if value < 1:
-            raise DomainError(f"{MEMORY_BUDGET_ENV_VAR} must be positive, got {value}")
-        return value
-    return DEFAULT_MEMORY_BUDGET_BYTES
-
-
 def _int_bytes(bits: float) -> int:
     """Upper bound on the size of a CPython int of this bit length.
 
@@ -157,31 +133,25 @@ def estimate_dp_memory_bytes(config: UrnConfig, horizon: int) -> int:
     return 4096 + working + terms + slots
 
 
-def max_feasible_horizon(config: UrnConfig, memory_budget: int | None = None) -> int:
-    """Largest horizon whose estimated DP footprint fits the budget."""
-    budget = resolve_memory_budget(memory_budget)
-    if estimate_dp_memory_bytes(config, 0) > budget:
+def max_feasible_horizon(config: UrnConfig) -> int:
+    """Largest horizon whose estimated DP footprint fits ``MEMORY_BUDGET_BYTES``."""
+    if estimate_dp_memory_bytes(config, 0) > MEMORY_BUDGET_BYTES:
         return 0
     lo, hi = 0, 1
-    while estimate_dp_memory_bytes(config, hi) <= budget:
+    while estimate_dp_memory_bytes(config, hi) <= MEMORY_BUDGET_BYTES:
         lo, hi = hi, hi * 2
         if hi > 100_000_000:
             return lo
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if estimate_dp_memory_bytes(config, mid) <= budget:
+        if estimate_dp_memory_bytes(config, mid) <= MEMORY_BUDGET_BYTES:
             lo = mid
         else:
             hi = mid
     return lo
 
 
-def first_passage_dp(
-    config: UrnConfig,
-    target_diff: int,
-    horizon: int,
-    memory_budget: int | None = None,
-) -> DPTable:
+def first_passage_dp(config: UrnConfig, target_diff: int, horizon: int) -> DPTable:
     """Exact P(tau = n) for n <= horizon, tau the first time S hits the target.
 
     With d = |S_0 - m| and k = (n + m - S_0)/2 black draws, the hitting-time
@@ -202,14 +172,12 @@ def first_passage_dp(
     """
     if horizon < 0:
         raise DomainError(f"horizon must be >= 0, got {horizon}")
-    budget = resolve_memory_budget(memory_budget)
     estimate = estimate_dp_memory_bytes(config, horizon)
-    if estimate > budget:
-        feasible = max_feasible_horizon(config, budget)
+    if estimate > MEMORY_BUDGET_BYTES:
         raise ResourceLimitError(
             f"horizon {horizon} needs ~{estimate} bytes, over the budget of "
-            f"{budget}; largest feasible horizon is ~{feasible} "
-            f"(override via {MEMORY_BUDGET_ENV_VAR} or memory_budget=)"
+            f"{MEMORY_BUDGET_BYTES}; largest feasible horizon is "
+            f"~{max_feasible_horizon(config)}"
         )
 
     b, w = config.black, config.white

@@ -10,4 +10,4 @@ class DomainError(PolyaUrnError, ValueError):
 
 
 class ResourceLimitError(PolyaUrnError, RuntimeError):
-    """A computation would exceed a configured resource budget."""
+    """A computation would exceed a fixed resource budget."""

@@ -30,10 +30,7 @@ __all__ = [
     "UrnConfig",
     "ExactProbability",
     "BetaParams",
-    "binomial_coefficient",
-    "beta_density",
     "beta_cdf_rational",
-    "beta_cdf_real",
     "equalization_probability",
     "equalization_probability_binomial",
     "equalization_probability_complement",
@@ -91,9 +88,6 @@ class ExactProbability:
         if not 0 <= self.value <= 1:
             raise DomainError(f"probability must lie in [0, 1], got {self.value}")
 
-    def as_float(self) -> float:
-        return float(self.value)
-
     def rational_str(self) -> str:
         """Render as ``"num/den"``, always with an explicit denominator."""
         return rational_str(self.value)
@@ -115,55 +109,6 @@ class BetaParams:
     def __post_init__(self) -> None:
         _require_positive_int(self.b, "b")
         _require_positive_int(self.w, "w")
-
-
-def binomial_coefficient(n: int, k: int) -> int:
-    """C(n, k) as an exact arbitrary-precision integer.
-
-    Unlike ``math.comb`` this refuses k > n instead of returning 0: callers
-    here always mean a term of an existing row of Pascal's triangle.
-    """
-    if not isinstance(n, int) or not isinstance(k, int):
-        raise DomainError("n and k must be ints")
-    if n < 0 or k < 0:
-        raise DomainError(f"n and k must be nonnegative, got n={n}, k={k}")
-    if k > n:
-        raise DomainError(f"k must be <= n, got n={n}, k={k}")
-    return math.comb(n, k)
-
-
-def _integer_beta_normalizer(b: int, w: int) -> int:
-    # Gamma(b+w) / (Gamma(b) Gamma(w)) = (b+w-1)! / ((b-1)! (w-1)!), an integer
-    # for integer shapes; no transcendental evaluation needed.
-    return (b + w - 1) * math.comb(b + w - 2, b - 1)
-
-
-def beta_density(params: BetaParams, p: float) -> float:
-    """Beta(b, w) density at ``p``: ``norm * p^(b-1) * (1-p)^(w-1)``.
-
-    The normalizer is computed as an exact integer and the product evaluated
-    directly; if that underflows or overflows, the value is recovered from
-    log space.
-    """
-    p = float(p)
-    if not 0.0 < p < 1.0:
-        raise DomainError(f"p must lie strictly in (0, 1), got {p}")
-    b, w = params.b, params.w
-    norm = _integer_beta_normalizer(b, w)
-    try:
-        direct = float(norm) * p ** (b - 1) * (1.0 - p) ** (w - 1)
-    except OverflowError:
-        direct = math.inf
-    if 0.0 < direct < math.inf:
-        return direct
-    log_density = (
-        math.lgamma(b + w)
-        - math.lgamma(b)
-        - math.lgamma(w)
-        + (b - 1) * math.log(p)
-        + (w - 1) * math.log1p(-p)
-    )
-    return math.exp(log_density)
 
 
 def _as_exact_fraction(x: object, name: str = "x") -> Fraction:
@@ -211,41 +156,6 @@ def beta_cdf_rational(params: BetaParams, x: Fraction | int | str) -> ExactProba
             x_pow *= p
             y_pow //= qp
     return ExactProbability(Fraction(total, q**n))
-
-
-def beta_cdf_real(params: BetaParams, x: float) -> float:
-    """Floating-point Beta(b, w) CDF at ``x``.
-
-    Each binomial term is evaluated in log space (log-gamma) and the terms
-    are summed in ascending magnitude, which avoids overflow at large n and
-    keeps the result within 1e-12 relative error of the rational value for
-    b + w <= 200.
-    """
-    x = float(x)
-    if not 0.0 <= x <= 1.0:
-        raise DomainError(f"x must lie in [0, 1], got {x}")
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
-    b, w = params.b, params.w
-    n = b + w - 1
-    log_x = math.log(x)
-    log_1mx = math.log1p(-x)
-    lg_full = math.lgamma(n + 1)
-    log_terms = [
-        lg_full
-        - math.lgamma(j + 1)
-        - math.lgamma(n - j + 1)
-        + j * log_x
-        + (n - j) * log_1mx
-        for j in range(b, n + 1)
-    ]
-    log_terms.sort()
-    total = 0.0
-    for lt in log_terms:
-        total += math.exp(lt)
-    return min(total, 1.0)
 
 
 def equalization_probability(config: UrnConfig) -> ExactProbability:

@@ -132,8 +132,6 @@ def _first_passage_hit_count(
     rng: np.random.Generator,
 ) -> int:
     """Vectorized hit count over one block of paths (one RNG stream)."""
-    if n_samples == 0:
-        return 0
     b, w = config.black, config.white
     s0 = config.initial_excess
     if s0 == target_diff:
@@ -179,7 +177,8 @@ def estimate_equalization(
         raise DomainError(f"horizon must be >= 0, got {horizon}")
     base, rem = divmod(n_samples, n_streams)
     hits = 0
-    for t in range(n_streams):
+    # streams past the n_samples-th get an empty block and draw nothing
+    for t in range(min(n_streams, n_samples)):
         block = base + (1 if t < rem else 0)
         hits += _first_passage_hit_count(
             config, target_diff, horizon, block, seed.with_stream(t).generator()

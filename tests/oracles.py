@@ -121,9 +121,3 @@ def normal_cdf_by_quadrature(z: float, dps: int = 30) -> float:
             value = 1 - mpmath.quad(density, [z, mpmath.mpf("inf")])
         return float(value)
 
-
-def beta_density_by_mpmath(b: int, w: int, p: float, dps: int = 40) -> float:
-    """Beta(b, w) density via mpmath's gamma, for large-parameter checks."""
-    with mpmath.workdps(dps):
-        norm = mpmath.gamma(b + w) / (mpmath.gamma(b) * mpmath.gamma(w))
-        return float(norm * mpmath.mpf(p) ** (b - 1) * (1 - mpmath.mpf(p)) ** (w - 1))

@@ -30,17 +30,8 @@ def run_cli(capsys, *args: str) -> tuple[int, str, str]:
     return code, captured.out, captured.err
 
 
-def run_subprocess(*args: str, env: dict | None = None) -> subprocess.CompletedProcess:
-    import os
-
-    full_env = dict(os.environ)
-    if env:
-        full_env.update(env)
-    return subprocess.run(
-        [sys.executable, "-m", "polya_urn.cli", *args],
-        capture_output=True,
-        env=full_env,
-    )
+def run_subprocess(*args: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-m", "polya_urn.cli", *args], capture_output=True)
 
 
 class TestExactCommand:
@@ -132,15 +123,11 @@ class TestDpCommand:
         assert [r["p_tau_n_den"] for r in rows] == ["1", "1" + "0" * 5000]
 
     def test_memory_budget_error_names_feasible_horizon(self):
-        proc = run_subprocess(
-            "dp", "--b", "2", "--w", "1", "--horizon", "4000",
-            env={"POLYA_URN_DP_MEMORY_BYTES": "20000"},
-        )
+        proc = run_subprocess("dp", "--b", "2", "--w", "1", "--horizon", "10000000")
         assert proc.returncode == 2
         assert b"largest feasible horizon" in proc.stderr
 
-    def test_default_budget_admits_horizon_ten_thousand(self, capsys, monkeypatch):
-        monkeypatch.delenv("POLYA_URN_DP_MEMORY_BYTES", raising=False)
+    def test_default_budget_admits_horizon_ten_thousand(self, capsys):
         code, out, _ = run_cli(capsys, "dp", "--b", "2", "--w", "1", "--horizon", "10000")
         assert code == 0
         assert "exact=5000/10001" in out
@@ -172,15 +159,22 @@ class TestSimulateCommand:
         assert code == 0
         assert "reference=" in out and "z_score=" in out and "std_err=" in out
 
-    def test_direct_skips_dp_reference_over_memory_budget(self, capsys, monkeypatch):
-        monkeypatch.setenv("POLYA_URN_DP_MEMORY_BYTES", "1000")
+    def test_direct_skips_dp_reference_over_memory_budget(self, capsys):
         code, out, _ = run_cli(
             capsys,
-            "simulate", "--b", "2", "--w", "1", "--samples", "1000", "--seed", "3",
+            "simulate", "--b", "500001", "--w", "500000", "--horizon", "20000",
+            "--samples", "1", "--seed", "11",
         )
         assert code == 0
         assert "DP reference skipped (memory budget)" in out
         assert "reference=" not in out and "z_score=" not in out
+
+    def test_streams_past_the_samples(self, capsys):
+        args = ("simulate", "--b", "5", "--w", "3", "--samples", "10", "--format", "csv")
+        code, most, _ = run_cli(capsys, *args, "--streams", str(2**64 - 1))
+        assert code == 0
+        _, ten, _ = run_cli(capsys, *args, "--streams", "10")
+        assert most.replace(str(2**64 - 1), "10") == ten
 
     def test_direct_skips_dp_reference_over_horizon_cap(self, capsys):
         code, out, _ = run_cli(

@@ -12,16 +12,13 @@ from polya_urn import (
     DPTable,
     ResourceLimitError,
     UrnConfig,
+    dp,
     enumerate_sequences,
     equalization_probability,
     first_passage_dp,
     marginal_black_distribution,
 )
-from polya_urn.dp import (
-    MEMORY_BUDGET_ENV_VAR,
-    estimate_dp_memory_bytes,
-    max_feasible_horizon,
-)
+from polya_urn.dp import estimate_dp_memory_bytes, max_feasible_horizon
 
 from oracles import (
     first_passage_pmf_by_paths,
@@ -147,15 +144,17 @@ class TestDPTableValidation:
 class TestMemoryBudget:
     def test_budget_exceeded_names_feasible_horizon(self):
         with pytest.raises(ResourceLimitError, match="largest feasible horizon"):
-            first_passage_dp(UrnConfig(2, 1), 0, 10_000, memory_budget=10_000)
+            first_passage_dp(UrnConfig(2, 1), 0, 10**7)
 
-    def test_feasible_horizon_is_consistent(self):
+    def test_feasible_horizon_is_consistent(self, monkeypatch):
+        monkeypatch.setattr(dp, "MEMORY_BUDGET_BYTES", 100_000)
         config = UrnConfig(2, 1)
-        budget = 100_000
-        n = max_feasible_horizon(config, budget)
-        assert estimate_dp_memory_bytes(config, n) <= budget
-        assert estimate_dp_memory_bytes(config, n + 1) > budget
-        first_passage_dp(config, 0, n, memory_budget=budget)  # runs
+        n = max_feasible_horizon(config)
+        assert estimate_dp_memory_bytes(config, n) <= 100_000
+        assert estimate_dp_memory_bytes(config, n + 1) > 100_000
+        first_passage_dp(config, 0, n)  # runs
+        with pytest.raises(ResourceLimitError, match=f"largest feasible horizon is ~{n}$"):
+            first_passage_dp(config, 0, n + 1)
 
     @pytest.mark.parametrize(
         "b, w, target, horizon",
@@ -174,19 +173,11 @@ class TestMemoryBudget:
         config = UrnConfig(b, w)
         tracemalloc.start()
         try:
-            first_passage_dp(config, target, horizon, memory_budget=10**12)
+            first_passage_dp(config, target, horizon)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= estimate_dp_memory_bytes(config, horizon)
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(MEMORY_BUDGET_ENV_VAR, "5000")
-        with pytest.raises(ResourceLimitError):
-            first_passage_dp(UrnConfig(2, 1), 0, 5_000)
-        monkeypatch.setenv(MEMORY_BUDGET_ENV_VAR, "junk")
-        with pytest.raises(DomainError):
-            first_passage_dp(UrnConfig(2, 1), 0, 10)
 
 
 class TestEnumerateSequences:

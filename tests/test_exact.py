@@ -17,9 +17,6 @@ from polya_urn import (
     RngSeed,
     UrnConfig,
     beta_cdf_rational,
-    beta_cdf_real,
-    beta_density,
-    binomial_coefficient,
     chernoff_bound,
     definetti_estimator,
     equalization_probability,
@@ -28,7 +25,7 @@ from polya_urn import (
     normal_approximation,
 )
 
-from oracles import beta_cdf_by_polynomial_integration, beta_density_by_mpmath
+from oracles import beta_cdf_by_polynomial_integration
 
 
 class TestDomainTypes:
@@ -81,62 +78,6 @@ class TestDomainTypes:
             BetaParams(2, -1)
 
 
-class TestBinomialCoefficient:
-    @pytest.mark.parametrize(
-        "n, k, expected",
-        [(0, 0, 1), (4, 1, 4), (7, 2, 21), (10, 5, 252), (120, 60, 96614908840363322603893139521372656)],
-    )
-    def test_values(self, n, k, expected):
-        assert binomial_coefficient(n, k) == expected
-
-    def test_k_above_n_is_domain_error(self):
-        with pytest.raises(DomainError):
-            binomial_coefficient(3, 4)
-
-    def test_negative_arguments_rejected(self):
-        with pytest.raises(DomainError):
-            binomial_coefficient(-1, 0)
-        with pytest.raises(DomainError):
-            binomial_coefficient(3, -1)
-
-    @given(st.integers(0, 60), st.integers(0, 60))
-    def test_pascal_recurrence(self, n, k):
-        if k > n:
-            return
-        lhs = binomial_coefficient(n + 1, k + 1)
-        rhs = binomial_coefficient(n, k) + (
-            binomial_coefficient(n, k + 1) if k + 1 <= n else 0
-        )
-        assert lhs == rhs
-
-
-class TestBetaDensity:
-    @pytest.mark.parametrize(
-        "b, w, p, expected",
-        [(1, 1, 0.3, 1.0), (2, 1, 0.5, 1.0), (3, 2, 0.5, 1.5)],
-    )
-    def test_small_values_exact(self, b, w, p, expected):
-        assert beta_density(BetaParams(b, w), p) == expected
-
-    @pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.5])
-    def test_domain(self, p):
-        with pytest.raises(DomainError):
-            beta_density(BetaParams(2, 2), p)
-
-    @pytest.mark.parametrize(
-        "b, w, p",
-        [(300, 300, 0.5), (300, 300, 0.01), (85, 85, 1e-4), (500, 2, 0.999)],
-    )
-    def test_large_parameters_against_gamma_oracle(self, b, w, p):
-        got = beta_density(BetaParams(b, w), p)
-        want = beta_density_by_mpmath(b, w, p)
-        assert got == pytest.approx(want, rel=1e-10)
-
-    def test_integrates_to_one(self):
-        # midpoint rule on the exact polynomial is not needed: the CDF at 1 is 1
-        assert beta_cdf_rational(BetaParams(7, 4), 1).value == 1
-
-
 class TestBetaCdfRational:
     @pytest.mark.parametrize(
         "b, w, x, expected",
@@ -186,37 +127,6 @@ class TestBetaCdfRational:
     def test_oracle_agreement_property(self, b, w, x):
         got = beta_cdf_rational(BetaParams(b, w), x).value
         assert got == beta_cdf_by_polynomial_integration(b, w, x)
-
-
-class TestBetaCdfReal:
-    @pytest.mark.parametrize(
-        "b, w, x, expected",
-        [(2, 1, 0.5, 0.25), (1, 1, 0.7, 0.7), (3, 2, 0.5, 0.3125)],
-    )
-    def test_values(self, b, w, x, expected):
-        assert beta_cdf_real(BetaParams(b, w), x) == pytest.approx(expected, rel=1e-12)
-
-    def test_endpoints(self):
-        assert beta_cdf_real(BetaParams(3, 4), 0.0) == 0.0
-        assert beta_cdf_real(BetaParams(3, 4), 1.0) == 1.0
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            beta_cdf_real(BetaParams(2, 2), 1.0000001)
-
-    @pytest.mark.parametrize(
-        "b, w",
-        [(1, 1), (2, 1), (5, 3), (20, 20), (60, 41), (100, 100), (199, 1), (1, 199), (150, 50), (101, 99)],
-    )
-    @pytest.mark.parametrize("x", [1e-3, 0.1, 1 / 3, 0.5, 0.9, 0.999])
-    def test_float_fidelity_up_to_200_balls(self, b, w, x):
-        """Relative error vs the rational value stays under 1e-12."""
-        exact = beta_cdf_rational(BetaParams(b, w), Fraction(x)).value
-        if exact < Fraction(1, 10**300):
-            return
-        got = beta_cdf_real(BetaParams(b, w), x)
-        rel = abs(Fraction(got) - exact) / exact
-        assert rel <= Fraction(1, 10**12)
 
 
 class TestEqualizationProbability:

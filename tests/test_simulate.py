@@ -104,6 +104,9 @@ class TestEstimateEqualization:
     def test_more_streams_than_samples(self):
         est = estimate_equalization(UrnConfig(2, 1), 0, 20, 3, SEED, n_streams=8)
         assert est.n_samples == 3
+        # streams past the third get no samples, however many there are
+        most = estimate_equalization(UrnConfig(2, 1), 0, 20, 3, SEED, n_streams=2**64 - 1)
+        assert est == most == estimate_equalization(UrnConfig(2, 1), 0, 20, 3, SEED, 3)
 
     def test_validation(self):
         with pytest.raises(DomainError):
