@@ -5,14 +5,8 @@ finite horizons (`dp`), seeded Monte Carlo estimators (`simulate`),
 asymptotic approximations and bounds (`approx`), and a CLI (`cli`).
 """
 
-from .approx import ApproxResult, chernoff_bound, normal_approximation, standard_normal_cdf
-from .dp import (
-    DPTable,
-    SequenceProbability,
-    enumerate_sequences,
-    first_passage_dp,
-    marginal_black_distribution,
-)
+from .approx import ApproxResult, chernoff_bound, normal_approximation
+from .dp import DPTable, first_passage_dp
 from .errors import DomainError, PolyaUrnError, ResourceLimitError
 from .exact import (
     BetaParams,
@@ -28,7 +22,6 @@ from .simulate import (
     RngSeed,
     definetti_estimator,
     estimate_equalization,
-    limit_fraction_samples,
     sample_beta_order_statistics,
 )
 
@@ -45,20 +38,15 @@ __all__ = [
     "PolyaUrnError",
     "ResourceLimitError",
     "RngSeed",
-    "SequenceProbability",
     "UrnConfig",
     "beta_cdf_rational",
     "chernoff_bound",
     "definetti_estimator",
-    "enumerate_sequences",
     "equalization_probability",
     "equalization_probability_binomial",
     "equalization_probability_complement",
     "estimate_equalization",
     "first_passage_dp",
-    "limit_fraction_samples",
-    "marginal_black_distribution",
     "normal_approximation",
     "sample_beta_order_statistics",
-    "standard_normal_cdf",
 ]

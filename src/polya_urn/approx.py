@@ -19,7 +19,6 @@ from .exact import ExactProbability, UrnConfig, _require_strict_majority
 
 __all__ = [
     "ApproxResult",
-    "standard_normal_cdf",
     "normal_approximation",
     "chernoff_bound",
 ]
@@ -59,7 +58,7 @@ class ApproxResult:
             object.__setattr__(self, "rel_error", abs(self.value - exact_float) / exact_float)
 
 
-def standard_normal_cdf(z: float) -> float:
+def _standard_normal_cdf(z: float) -> float:
     """Standard normal CDF via the complementary error function.
 
     ``Phi(z) = erfc(-z / sqrt(2)) / 2``; the erfc route keeps full accuracy
@@ -80,7 +79,7 @@ def normal_approximation(
     b, w = _require_strict_majority(config, "the normal approximation")
     n = b + w - 1
     z = (w - 0.5 - n / 2.0) / (math.sqrt(n) / 2.0)
-    value = 2.0 * standard_normal_cdf(z)
+    value = 2.0 * _standard_normal_cdf(z)
     return ApproxResult(min(1.0, value), "approximation", exact_ref)
 
 

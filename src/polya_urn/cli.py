@@ -324,6 +324,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_identity_check(args: argparse.Namespace) -> int:
+    if args.max_total < 3:
+        # below b+w = 3 there is no pair with 1 <= w < b, so nothing would be checked
+        raise DomainError(f"--max-total must be >= 3, got {args.max_total}")
     holds = [
         _triple_holds(_Pair(UrnConfig(total - w, w), args))
         for total in range(3, args.max_total + 1)

@@ -11,8 +11,7 @@ n.  The draws are exchangeable, so every such path has the same weight and
 
     P(tau = n) = d/n * C(n, k) * b^(k) * w^(n-k) / (b+w)^(n),
 
-with ``x^(k)`` the rising factorial.  ``enumerate_sequences`` brute-forces
-all draw sequences and is the independent cross-check for exchangeability.
+with ``x^(k)`` the rising factorial.
 
 All probabilities are exact ``Fraction`` values.  Consecutive non-zero terms
 (n -> n+2, k -> k+1) follow from one exact integer update of the running
@@ -31,20 +30,13 @@ from .exact import UrnConfig
 
 __all__ = [
     "DPTable",
-    "SequenceProbability",
     "first_passage_dp",
-    "enumerate_sequences",
-    "marginal_black_distribution",
     "estimate_dp_memory_bytes",
     "max_feasible_horizon",
     "MEMORY_BUDGET_BYTES",
-    "MAX_ENUMERATION_STEPS",
 ]
 
 MEMORY_BUDGET_BYTES = 256 * 1024 * 1024
-
-# 2^n sequences; past 20 the enumeration is no longer a practical oracle.
-MAX_ENUMERATION_STEPS = 20
 
 
 @dataclass(frozen=True)
@@ -68,9 +60,11 @@ class DPTable:
         total = Fraction(0)
         parity = abs(self.config.initial_excess - self.target_diff) % 2
         for n, p in enumerate(self.hit_pmf):
+            if not p:  # passes every check and adds nothing; far targets are all zeros
+                continue
             if p < 0:
                 raise DomainError(f"P(tau={n}) must be >= 0, got {p}")
-            if n % 2 != parity and p != 0:
+            if n % 2 != parity:
                 raise DomainError(
                     f"P(tau={n}) must vanish: S moves by 1 per step, so tau has "
                     f"the parity of |S_0 - target| = {parity}"
@@ -79,20 +73,6 @@ class DPTable:
         if total > 1:
             raise DomainError(f"hit probabilities sum to {total} > 1")
         object.__setattr__(self, "cumulative", total)
-
-    def cumulative_through(self, n: int) -> Fraction:
-        """P(tau <= n) for any n <= horizon."""
-        if not 0 <= n <= self.horizon:
-            raise DomainError(f"n must lie in [0, {self.horizon}], got {n}")
-        return sum(self.hit_pmf[: n + 1], Fraction(0))
-
-
-@dataclass(frozen=True)
-class SequenceProbability:
-    """One draw sequence ('B'/'W' per step) and its exact probability."""
-
-    draws: str
-    probability: Fraction
 
 
 def _int_bytes(bits: float) -> int:
@@ -195,8 +175,8 @@ def first_passage_dp(config: UrnConfig, target_diff: int, horizon: int) -> DPTab
         return DPTable(config, m, horizon, tuple(pmf))
     k = 0 if m < s0 else d
     # num = C(n, k) b^(k) w^(n-k) and den = (b+w)^(n), here at n = d
-    num = _sequence_numerator(config, d, k)
-    den = _step_denominator(config, d)
+    num = math.prod(range(w, w + d)) if k == 0 else math.prod(range(b, b + d))
+    den = math.prod(range(b + w, b + w + d))
     for n in range(d, horizon + 1, 2):
         pmf[n] = Fraction(d * num, n * den)
         num = num * (n + 1) * (n + 2) * (b + k) * (w + n - k) // ((k + 1) * (n - k + 1))
@@ -204,62 +184,3 @@ def first_passage_dp(config: UrnConfig, target_diff: int, horizon: int) -> DPTab
         k += 1
 
     return DPTable(config, m, horizon, tuple(pmf))
-
-
-def _sequence_numerator(config: UrnConfig, n: int, blacks: int) -> int:
-    """Unnormalized weight of any length-n sequence with the given black count."""
-    b, w = config.black, config.white
-    num = 1
-    for i in range(blacks):
-        num *= b + i
-    for i in range(n - blacks):
-        num *= w + i
-    return num
-
-
-def _step_denominator(config: UrnConfig, n: int) -> int:
-    d = 1
-    for i in range(n):
-        d *= config.total + i
-    return d
-
-
-def enumerate_sequences(config: UrnConfig, n: int) -> list[SequenceProbability]:
-    """All 2^n draw sequences of length n with exact probabilities.
-
-    Every sequence's probability depends only on its black count (the draws
-    are exchangeable), but each of the 2^n orderings is materialized so that
-    callers can verify exactly that.
-    """
-    if n < 0:
-        raise DomainError(f"n must be >= 0, got {n}")
-    if n > MAX_ENUMERATION_STEPS:
-        raise ResourceLimitError(
-            f"enumeration is 2^n; n={n} exceeds the limit of {MAX_ENUMERATION_STEPS}"
-        )
-    denom = _step_denominator(config, n)
-    by_count = [
-        Fraction(_sequence_numerator(config, n, blacks), denom)
-        for blacks in range(n + 1)
-    ]
-    out = []
-    for bits in range(1 << n):
-        blacks = bits.bit_count()
-        draws = "".join("B" if (bits >> i) & 1 else "W" for i in range(n))
-        out.append(SequenceProbability(draws, by_count[blacks]))
-    return out
-
-
-def marginal_black_distribution(config: UrnConfig, n: int) -> dict[int, Fraction]:
-    """Exact pmf of the number of black draws in n steps.
-
-    P(k blacks) = C(n, k) times the probability of any single sequence with
-    k blacks; the result sums to exactly 1.
-    """
-    if n < 0:
-        raise DomainError(f"n must be >= 0, got {n}")
-    denom = _step_denominator(config, n)
-    return {
-        k: Fraction(math.comb(n, k) * _sequence_numerator(config, n, k), denom)
-        for k in range(n + 1)
-    }

@@ -88,15 +88,11 @@ class ExactProbability:
         if not 0 <= self.value <= 1:
             raise DomainError(f"probability must lie in [0, 1], got {self.value}")
 
-    def rational_str(self) -> str:
-        """Render as ``"num/den"``, always with an explicit denominator."""
-        return rational_str(self.value)
-
     def __float__(self) -> float:
         return float(self.value)
 
     def __str__(self) -> str:
-        return self.rational_str()
+        return rational_str(self.value)
 
 
 @dataclass(frozen=True, slots=True)

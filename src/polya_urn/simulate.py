@@ -11,9 +11,6 @@ Two estimators, one sampler each:
   probability min(1, ((1-p)/p)^(b-w)) of the biased walk the urn behaves
   like conditionally on p.
 
-``limit_fraction_samples`` runs urns for a fixed number of draws and returns
-their black-ball fractions, whose law tends to Beta(b, w).
-
 Determinism contract: every estimate is a pure function of its parameters
 and an ``RngSeed``.  Randomness comes from the Philox 4x64 counter-based
 generator keyed by ``stream_id * 2^64 + seed``; distinct stream ids give
@@ -37,7 +34,6 @@ __all__ = [
     "estimate_equalization",
     "sample_beta_order_statistics",
     "definetti_estimator",
-    "limit_fraction_samples",
 ]
 
 _UINT64_MAX = 2**64 - 1
@@ -243,19 +239,3 @@ def definetti_estimator(
     else:
         std_err = 0.0
     return _wald_estimate(min(1.0, mean), std_err, n_samples)
-
-
-def limit_fraction_samples(
-    config: UrnConfig, n_steps: int, n_runs: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Black-ball fraction after n_steps draws, for n_runs independent urns."""
-    if n_steps < 0:
-        raise DomainError(f"n_steps must be >= 0, got {n_steps}")
-    if n_runs < 1:
-        raise DomainError(f"n_runs must be >= 1, got {n_runs}")
-    b, w = config.black, config.white
-    blacks = np.zeros(n_runs, dtype=np.int64)
-    for n in range(n_steps):
-        blacks += rng.random(n_runs) < (b + blacks) / (b + w + n)
-    return (b + blacks) / (b + w + n_steps)
-

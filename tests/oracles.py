@@ -1,10 +1,13 @@
 """Independent oracles used by the tests.
 
-These deliberately avoid the code paths they check: the beta CDF oracle
-integrates the density polynomial term by term instead of summing binomial
-tails; the first-passage oracles walk every draw sequence, or step a
-forward recursion over (step, black draws), instead of evaluating the
-hitting-time formula; the normal CDF oracle integrates the density by
+These deliberately avoid the code paths they check, and import nothing from
+``polya_urn``: the beta CDF oracle integrates the density polynomial term
+by term instead of summing binomial tails; the first-passage oracles walk
+every draw sequence, or step a forward recursion over (step, black draws),
+instead of evaluating the hitting-time formula; the sequence and
+black-count oracles multiply the urn's per-draw probabilities instead of
+assuming exchangeability; the limit-fraction sampler steps simulated urns
+draw by draw; the normal CDF oracle integrates the density by
 high-precision quadrature instead of calling erfc.
 """
 
@@ -12,8 +15,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 import mpmath
+import numpy as np
 
 
 def beta_cdf_by_polynomial_integration(b: int, w: int, x: Fraction) -> Fraction:
@@ -94,6 +99,63 @@ def first_passage_pmf_by_recursion(
         denom *= b + w + n
 
     return pmf
+
+
+class DrawSequence(NamedTuple):
+    """One draw sequence ('B'/'W' per draw) and its exact probability."""
+
+    draws: str
+    probability: Fraction
+
+
+def enumerate_sequences(black: int, white: int, n: int) -> list[DrawSequence]:
+    """All 2^n draw sequences of length n with exact probabilities.
+
+    Walks the draw tree: each draw multiplies the path's numerator by the
+    count of the colour drawn and its denominator by the current total, so
+    every sequence gets its own product, reduced once at the leaf.  No
+    sequence's probability is taken from another's, so exchangeability is
+    something callers can check, not something this assumes.
+    """
+    level = [("", black, white, 1, 1)]
+    for _ in range(n):
+        nxt = []
+        for draws, b, w, num, den in level:
+            total = b + w
+            nxt.append((draws + "B", b + 1, w, num * b, den * total))
+            nxt.append((draws + "W", b, w + 1, num * w, den * total))
+        level = nxt
+    return [DrawSequence(draws, Fraction(num, den)) for draws, _, _, num, den in level]
+
+
+def black_count_pmfs_by_stepping(
+    black: int, white: int, n_max: int
+) -> list[dict[int, Fraction]]:
+    """Exact pmf of the number of black draws after n steps, for n = 0..n_max.
+
+    One forward pass over the urn's Markov chain: from k blacks after n
+    draws, the next draw is black with probability (black + k)/(total + n).
+    """
+    total = black + white
+    pmfs = [{0: Fraction(1)}]
+    for n in range(n_max):
+        nxt = {k: Fraction(0) for k in range(n + 2)}
+        for k, p in pmfs[-1].items():
+            p_black = Fraction(black + k, total + n)
+            nxt[k + 1] += p * p_black
+            nxt[k] += p * (1 - p_black)
+        pmfs.append(nxt)
+    return pmfs
+
+
+def limit_fraction_samples(
+    black: int, white: int, n_steps: int, n_runs: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Black-ball fraction after n_steps draws, for n_runs independent urns."""
+    blacks = np.zeros(n_runs, dtype=np.int64)
+    for n in range(n_steps):
+        blacks += rng.random(n_runs) < (black + blacks) / (black + white + n)
+    return (black + blacks) / (black + white + n_steps)
 
 
 def sequence_probability_by_stepping(black: int, white: int, draws: str) -> Fraction:

@@ -18,16 +18,18 @@ from polya_urn import (
     beta_cdf_rational,
     chernoff_bound,
     definetti_estimator,
-    enumerate_sequences,
     equalization_probability,
     equalization_probability_binomial,
     equalization_probability_complement,
     estimate_equalization,
     first_passage_dp,
-    marginal_black_distribution,
 )
 
-from oracles import beta_cdf_by_polynomial_integration
+from oracles import (
+    beta_cdf_by_polynomial_integration,
+    black_count_pmfs_by_stepping,
+    enumerate_sequences,
+)
 
 SEED = RngSeed(20260810)
 
@@ -85,7 +87,7 @@ def test_criterion_02_small_exact_values():
         assert 2 * beta_cdf_by_polynomial_integration(b, w, Fraction(1, 2)) == expected
         # oracle 2: exact DP converges to the value from below
         table = first_passage_dp(config, 0, 400)
-        c200, c400 = table.cumulative_through(200), table.cumulative
+        c200, c400 = sum(table.hit_pmf[:201]), table.cumulative
         assert c200 < c400 < expected
         assert expected - c400 < Fraction(1, 100)
 
@@ -96,14 +98,14 @@ def test_criterion_03_dp_vs_enumeration():
     for config in configs_with_total_at_most(6):
         table = first_passage_dp(config, 0, 14)
         hit_mass = [Fraction(0)] * 15
-        for seq in enumerate_sequences(config, 14):
+        for seq in enumerate_sequences(config.black, config.white, 14):
             hit = first_hit_step(seq.draws, config.initial_excess, 0)
             if hit is not None:
                 hit_mass[hit] += seq.probability
         cumulative = Fraction(0)
         for n in range(15):
             cumulative += hit_mass[n]
-            assert table.cumulative_through(n) == cumulative
+            assert sum(table.hit_pmf[: n + 1]) == cumulative
     assert time.monotonic() - start < 60.0
 
 
@@ -114,7 +116,7 @@ def test_criterion_04_exchangeability():
         for n in range(15):
             total = Fraction(0)
             by_count: dict[int, Fraction] = {}
-            for seq in enumerate_sequences(config, n):
+            for seq in enumerate_sequences(config.black, config.white, n):
                 total += seq.probability
                 blacks = seq.draws.count("B")
                 if blacks in by_count:
@@ -130,8 +132,9 @@ def test_criterion_05_martingale():
     for config in configs_with_total_at_most(8):
         b, t = config.black, config.total
         expected = Fraction(b, t)
+        pmfs = black_count_pmfs_by_stepping(b, config.white, 50)
         for n in range(51):
-            pmf = marginal_black_distribution(config, n)
+            pmf = pmfs[n]
             mean = sum(p * Fraction(b + k, t + n) for k, p in pmf.items())
             assert mean == expected
 
@@ -149,8 +152,8 @@ def test_criterion_06_convergence_from_below():
             assert running <= exact
         assert running == table.cumulative
         for n_small in (25, 50, 100):
-            gap_small = exact - table.cumulative_through(n_small)
-            gap_large = exact - table.cumulative_through(2 * n_small)
+            gap_small = exact - sum(table.hit_pmf[: n_small + 1])
+            gap_large = exact - sum(table.hit_pmf[: 2 * n_small + 1])
             assert gap_large < gap_small
     assert time.monotonic() - start < 120.0
 

@@ -15,33 +15,33 @@ from polya_urn import (
     chernoff_bound,
     equalization_probability,
     normal_approximation,
-    standard_normal_cdf,
 )
+from polya_urn.approx import _standard_normal_cdf
 
 from oracles import normal_cdf_by_quadrature
 
 
 class TestStandardNormalCdf:
     def test_center(self):
-        assert standard_normal_cdf(0.0) == 0.5
+        assert _standard_normal_cdf(0.0) == 0.5
 
     def test_known_quantile(self):
-        assert standard_normal_cdf(1.96) == pytest.approx(0.9750021, abs=1e-7)
+        assert _standard_normal_cdf(1.96) == pytest.approx(0.9750021, abs=1e-7)
 
     @pytest.mark.parametrize("z", [-8, -5, -2.5, -1, -0.1, 0.3, 1.644853, 3, 6, 8])
     def test_against_quadrature_oracle(self, z):
-        assert abs(standard_normal_cdf(z) - normal_cdf_by_quadrature(z)) <= 1e-10
+        assert abs(_standard_normal_cdf(z) - normal_cdf_by_quadrature(z)) <= 1e-10
 
     @given(st.floats(-12, 12))
     @settings(max_examples=200, deadline=None)
     def test_symmetry(self, z):
-        assert standard_normal_cdf(z) + standard_normal_cdf(-z) == pytest.approx(
+        assert _standard_normal_cdf(z) + _standard_normal_cdf(-z) == pytest.approx(
             1.0, abs=1e-12
         )
 
     def test_strictly_increasing(self):
         grid = [i / 4 for i in range(-32, 33)]
-        values = [standard_normal_cdf(z) for z in grid]
+        values = [_standard_normal_cdf(z) for z in grid]
         assert all(a < b for a, b in zip(values, values[1:]))
 
 

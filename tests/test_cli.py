@@ -317,6 +317,13 @@ class TestIdentityCheck:
         assert code == 0
         assert "870 pairs" in out
 
+    @pytest.mark.parametrize("max_total", ["1", "2"])
+    def test_grid_without_pairs_is_usage_error(self, capsys, max_total):
+        code, out, err = run_cli(capsys, "identity-check", "--max-total", max_total)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --max-total must be >= 3, got {max_total}\n"
+
     @pytest.mark.parametrize(
         "argv",
         [

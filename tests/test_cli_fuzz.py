@@ -1,11 +1,15 @@
 """Fuzz the CLI: every accepted input prints a result or exits 2, never a traceback.
 
-Invocations are drawn over every subcommand that takes one (b, w): the
-closed forms, ``approx``, ``dp`` and both ``simulate`` methods.  Where the
-exact value is computed, b + w stays at most 20,000 (exact and approx cost
-grows about quadratically in b + w); ``dp`` never computes it, so it takes
-b and w up to 10^5, with horizons that are either short or far past what
-the memory budget admits.
+Invocations are drawn over every subcommand: the closed forms, ``approx``,
+``dp``, both ``simulate`` methods, ``sweep`` and ``identity-check``.  Where
+the exact value is computed for one pair, b + w stays at most 20,000 (exact
+and approx cost grows about quadratically in b + w); ``dp`` never computes
+it, so it takes b and w up to 10^5, with horizons that are either short or
+far past what the memory budget admits.  ``sweep`` runs every method it is
+given on each pair, so its ranges stay within b <= 40 and a few values
+wide, and its short horizons stop at 60 (``simulate`` covers direct Monte
+Carlo to 300); its far horizons skip ``mc``, which steps every path through
+the whole horizon.
 """
 
 import contextlib
@@ -48,28 +52,63 @@ def _dp(draw) -> list[str]:
     ]
 
 
-@st.composite
-def _simulate(draw, method: str) -> list[str]:
+def _sampling(draw) -> list[str]:
     return [
-        "simulate", *draw(_exact_pair()), "--method", method,
-        "--target", str(draw(_targets)),
-        "--horizon", str(draw(st.integers(0, 300))),
         "--samples", str(draw(st.integers(1, 50))),
         "--seed", str(draw(st.integers(0, _UINT64_MAX))),
         "--streams", str(draw(st.integers(1, _UINT64_MAX))),
     ]
 
 
+@st.composite
+def _simulate(draw, method: str) -> list[str]:
+    return [
+        "simulate", *draw(_exact_pair()), "--method", method,
+        "--target", str(draw(_targets)),
+        "--horizon", str(draw(st.integers(0, 300))),
+        *_sampling(draw),
+    ]
+
+
+@st.composite
+def _sweep(draw) -> list[str]:
+    b_lo = draw(st.integers(1, 40))
+    b_hi = draw(st.integers(b_lo, min(40, b_lo + 3)))
+    # w_lo = b_hi leaves no pair with w < b
+    w_lo = draw(st.integers(1, b_hi))
+    w_hi = draw(st.integers(w_lo, w_lo + 3))
+    far = draw(st.booleans())
+    horizon = draw(st.integers(10**7, 10**9) if far else st.integers(0, 60))
+    names = [m for m in cli.METHODS if not (far and m == "mc")]
+    methods = draw(st.lists(st.sampled_from(names), min_size=1, max_size=4, unique=True))
+    # now and then an unknown name, or no name at all
+    methods = draw(st.sampled_from([methods, methods, methods, [*methods, "magic"], []]))
+    return [
+        "sweep", "--b-range", f"{b_lo}:{b_hi}", "--w-range", f"{w_lo}:{w_hi}",
+        "--methods", ",".join(methods),
+        "--target", str(draw(_targets)),
+        "--horizon", str(horizon),
+        *_sampling(draw),
+    ]
+
+
+_exact = st.tuples(
+    _exact_pair(), st.sampled_from(["theorem", "binomial", "complement", "all"])
+).map(lambda t: ["exact", *t[0], "--form", t[1]])
+
+_approx = st.tuples(
+    _exact_pair(), st.sampled_from(["normal", "chernoff", "all"])
+).map(lambda t: ["approx", *t[0], "--method", t[1]])
+
 _INVOCATIONS = {
-    "exact": st.tuples(
-        _exact_pair(), st.sampled_from(["theorem", "binomial", "complement", "all"])
-    ).map(lambda t: ["exact", *t[0], "--form", t[1]]),
-    "approx": st.tuples(
-        _exact_pair(), st.sampled_from(["normal", "chernoff", "all"])
-    ).map(lambda t: ["approx", *t[0], "--method", t[1]]),
-    "dp": _dp(),
-    "simulate direct": _simulate("direct"),
-    "simulate definetti": _simulate("definetti"),
+    "exact": _with_format(_exact),
+    "approx": _with_format(_approx),
+    "dp": _with_format(_dp()),
+    "simulate direct": _with_format(_simulate("direct")),
+    "simulate definetti": _with_format(_simulate("definetti")),
+    "sweep": _with_format(_sweep()),
+    # identity-check prints one summary line and takes no --format
+    "identity-check": st.integers(1, 60).map(lambda n: ["identity-check", "--max-total", str(n)]),
 }
 
 
@@ -77,7 +116,7 @@ _INVOCATIONS = {
 @given(data=st.data())
 @settings(max_examples=80, deadline=None, derandomize=True)
 def test_result_or_clean_exit_2(command, data):
-    argv = data.draw(_with_format(_INVOCATIONS[command]))
+    argv = data.draw(_INVOCATIONS[command])
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = cli.main(argv)

