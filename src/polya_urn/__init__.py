@@ -22,7 +22,6 @@ from .simulate import (
     RngSeed,
     definetti_estimator,
     estimate_equalization,
-    sample_beta_order_statistics,
 )
 
 __version__ = "0.1.0"
@@ -48,5 +47,4 @@ __all__ = [
     "estimate_equalization",
     "first_passage_dp",
     "normal_approximation",
-    "sample_beta_order_statistics",
 ]

@@ -38,21 +38,16 @@ Method = Literal[
 
 _METHODS = get_args(Method)
 
-_DECIMAL_DIGITS = 15
+_CONTEXT = decimal.Context(prec=15, rounding=decimal.ROUND_HALF_EVEN)
 
 _INTEGER = re.compile(r"-?[0-9]+")
 
 
 def render_decimal(x: Fraction | float | int) -> str:
     """Render to 15 significant digits, round-half-even."""
-    with decimal.localcontext() as ctx:
-        ctx.prec = _DECIMAL_DIGITS
-        ctx.rounding = decimal.ROUND_HALF_EVEN
-        if isinstance(x, Fraction):
-            d = decimal.Decimal(x.numerator) / decimal.Decimal(x.denominator)
-        else:
-            d = +decimal.Decimal(x)
-    return str(d)
+    if isinstance(x, Fraction):
+        return str(_CONTEXT.divide(decimal.Decimal(x.numerator), decimal.Decimal(x.denominator)))
+    return str(_CONTEXT.plus(decimal.Decimal(x)))
 
 
 def rational_str(value: Fraction) -> str:

@@ -6,10 +6,10 @@ Two estimators, one sampler each:
   target level or a horizon runs out (``estimate_equalization``);
 * a two-stage mixture estimator with no horizon truncation
   (``definetti_estimator``): draw the urn's limiting black fraction p from
-  Beta(b, w) via order statistics of uniforms
-  (``sample_beta_order_statistics``), then average the classical ruin
-  probability min(1, ((1-p)/p)^(b-w)) of the biased walk the urn behaves
-  like conditionally on p.
+  Beta(b, w) with ``Generator.beta``, one variate per sample at a cost
+  independent of b + w, then average the classical ruin probability
+  min(1, ((1-p)/p)^(b-w)) of the biased walk the urn behaves like
+  conditionally on p.
 
 Determinism contract: every estimate is a pure function of its parameters
 and an ``RngSeed``.  Randomness comes from the Philox 4x64 counter-based
@@ -25,14 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
-from .exact import BetaParams, UrnConfig, _require_strict_majority
+from .errors import DomainError, ResourceLimitError
+from .exact import UrnConfig, _require_strict_majority
 
 __all__ = [
     "RngSeed",
     "EstimateWithCI",
     "estimate_equalization",
-    "sample_beta_order_statistics",
     "definetti_estimator",
 ]
 
@@ -41,9 +40,9 @@ _UINT64_MAX = 2**64 - 1
 # two-sided 95% normal quantile for Wald intervals
 _Z95 = 1.959963984540054
 
-# cap on elements per random block so chunking stays memory-bounded while
-# consuming the stream identically to one large draw
-_CHUNK_ELEMENTS = 4_194_304
+# rows per Beta block: chunking bounds memory, and the draws equal one large
+# ``rng.beta`` call, so the estimate does not depend on the chunk size
+_CHUNK_ROWS = 1 << 16
 
 
 @dataclass(frozen=True, slots=True)
@@ -163,7 +162,8 @@ def estimate_equalization(
     (parameters, seed, n_streams), never on scheduling.  Note the estimand is
     the truncated P(tau <= horizon), not P(tau < infinity); compare
     ``first_passage_dp`` for the truncation gap, or ``definetti_estimator``
-    for the untruncated probability.
+    for the untruncated probability.  Raises ``ResourceLimitError`` when a
+    stream's paths cannot be allocated.
     """
     if n_samples < 1:
         raise DomainError(f"n_samples must be >= 1, got {n_samples}")
@@ -176,25 +176,16 @@ def estimate_equalization(
     # streams past the n_samples-th get an empty block and draw nothing
     for t in range(min(n_streams, n_samples)):
         block = base + (1 if t < rem else 0)
-        hits += _first_passage_hit_count(
-            config, target_diff, horizon, block, seed.with_stream(t).generator()
-        )
+        try:
+            hits += _first_passage_hit_count(
+                config, target_diff, horizon, block, seed.with_stream(t).generator()
+            )
+        except (MemoryError, ValueError) as exc:
+            # numpy's failed allocation, or its ValueError for sizes past its limits
+            raise ResourceLimitError(f"cannot allocate {block} paths in one stream: {exc}") from exc
     p_hat = hits / n_samples
     std_err = math.sqrt(p_hat * (1.0 - p_hat) / n_samples)
     return _wald_estimate(p_hat, std_err, n_samples)
-
-
-def sample_beta_order_statistics(
-    params: BetaParams, size: int, rng: np.random.Generator
-) -> np.ndarray:
-    """``size`` Beta(b, w) draws, each the b-th smallest of b+w-1 uniforms.
-
-    The uniforms come from one ``rng.random((size, b+w-1))`` call, row by
-    row, and selection uses ``np.partition`` (introselect, expected linear)
-    rather than a full sort.
-    """
-    u = rng.random((size, params.b + params.w - 1))
-    return np.partition(u, params.b - 1, axis=1)[:, params.b - 1]
 
 
 def _ruin_values(p: np.ndarray, excess: int) -> np.ndarray:
@@ -219,16 +210,14 @@ def definetti_estimator(
     b, w = _require_strict_majority(config, "the de Finetti estimator")
     if n_samples < 1:
         raise DomainError(f"n_samples must be >= 1, got {n_samples}")
-    params = BetaParams(b, w)
     excess = b - w
     rng = seed.generator()
-    chunk_rows = max(1, _CHUNK_ELEMENTS // (b + w - 1))
     total = 0.0
     total_sq = 0.0
     remaining = n_samples
     while remaining:
-        rows = min(chunk_rows, remaining)
-        values = _ruin_values(sample_beta_order_statistics(params, rows, rng), excess)
+        rows = min(_CHUNK_ROWS, remaining)
+        values = _ruin_values(rng.beta(b, w, rows), excess)
         total += float(values.sum())
         total_sq += float(np.square(values).sum())
         remaining -= rows

@@ -7,7 +7,8 @@ every draw sequence, or step a forward recursion over (step, black draws),
 instead of evaluating the hitting-time formula; the sequence and
 black-count oracles multiply the urn's per-draw probabilities instead of
 assuming exchangeability; the limit-fraction sampler steps simulated urns
-draw by draw; the normal CDF oracle integrates the density by
+draw by draw; the Beta sampler takes order statistics of uniforms instead
+of ratios of gamma variates; the normal CDF oracle integrates the density by
 high-precision quadrature instead of calling erfc.
 """
 
@@ -156,6 +157,19 @@ def limit_fraction_samples(
     for n in range(n_steps):
         blacks += rng.random(n_runs) < (black + blacks) / (black + white + n)
     return (black + blacks) / (black + white + n_steps)
+
+
+def beta_by_order_statistics(
+    b: int, w: int, size: int, rng: np.random.Generator
+) -> np.ndarray:
+    """``size`` Beta(b, w) draws, each the b-th smallest of b+w-1 uniforms.
+
+    The uniforms come from one ``rng.random((size, b+w-1))`` call, row by
+    row, and selection uses ``np.partition`` (introselect, expected linear)
+    rather than a full sort.
+    """
+    u = rng.random((size, b + w - 1))
+    return np.partition(u, b - 1, axis=1)[:, b - 1]
 
 
 def sequence_probability_by_stepping(black: int, white: int, draws: str) -> Fraction:

@@ -176,6 +176,23 @@ class TestSimulateCommand:
         _, ten, _ = run_cli(capsys, *args, "--streams", "10")
         assert most.replace(str(2**64 - 1), "10") == ten
 
+    # Every block below holds at least 2^50 paths (8 PiB of int64), an
+    # allocation that fails at once under every overcommit mode, so these
+    # tests never touch real memory.
+    @pytest.mark.parametrize(
+        "samples, streams",
+        [(2**50, 1), (2**52, 4), (2**61, 1), (2**63, 1), (2**64 - 1, 1)],
+    )
+    def test_oversized_samples_is_resource_error(self, capsys, samples, streams):
+        code, out, err = run_cli(
+            capsys, "simulate", "--b", "5", "--w", "3", "--horizon", "5",
+            "--samples", str(samples), "--streams", str(streams),
+        )
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: cannot allocate ")
+
     def test_direct_skips_dp_reference_over_horizon_cap(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -303,6 +320,17 @@ class TestSweepCommand:
         )
         assert code == 2
         assert "empty effective range" in err
+
+    @pytest.mark.parametrize("samples", [2**50, 2**61, 2**64 - 1])
+    def test_oversized_mc_samples_is_resource_error(self, capsys, samples):
+        code, out, err = run_cli(
+            capsys, "sweep", "--b-range", "2:3", "--w-range", "1:1",
+            "--methods", "exact,mc", "--samples", str(samples),
+        )
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: cannot allocate ")
 
     def test_unknown_method_rejected(self, capsys):
         code, _, err = run_cli(

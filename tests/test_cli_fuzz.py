@@ -9,7 +9,10 @@ far past what the memory budget admits.  ``sweep`` runs every method it is
 given on each pair, so its ranges stay within b <= 40 and a few values
 wide, and its short horizons stop at 60 (``simulate`` covers direct Monte
 Carlo to 300); its far horizons skip ``mc``, which steps every path through
-the whole horizon.
+the whole horizon.  ``simulate --method direct`` now and then asks for
+2^52 or more samples over at most four streams, which must exit 2 rather
+than fail to allocate; the de Finetti route and many streams stay out of
+that case, since both would loop for hours instead of allocating.
 """
 
 import contextlib
@@ -52,21 +55,27 @@ def _dp(draw) -> list[str]:
     ]
 
 
-def _sampling(draw) -> list[str]:
+def _sampling(draw, huge: bool = False) -> list[str]:
+    if huge:
+        # at least 2^50 paths per stream: the allocation fails at once
+        samples, streams = st.integers(2**52, _UINT64_MAX), st.integers(1, 4)
+    else:
+        samples, streams = st.integers(1, 50), st.integers(1, _UINT64_MAX)
     return [
-        "--samples", str(draw(st.integers(1, 50))),
+        "--samples", str(draw(samples)),
         "--seed", str(draw(st.integers(0, _UINT64_MAX))),
-        "--streams", str(draw(st.integers(1, _UINT64_MAX))),
+        "--streams", str(draw(streams)),
     ]
 
 
 @st.composite
 def _simulate(draw, method: str) -> list[str]:
+    huge = method == "direct" and draw(st.integers(0, 3)) == 3
     return [
         "simulate", *draw(_exact_pair()), "--method", method,
         "--target", str(draw(_targets)),
         "--horizon", str(draw(st.integers(0, 300))),
-        *_sampling(draw),
+        *_sampling(draw, huge),
     ]
 
 

@@ -5,6 +5,7 @@ deterministic; tolerances are multiples of the standard error.
 """
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -22,11 +23,11 @@ from polya_urn import (
     equalization_probability,
     estimate_equalization,
     first_passage_dp,
-    sample_beta_order_statistics,
 )
+from polya_urn import simulate
 from polya_urn.simulate import _ruin_values
 
-from oracles import limit_fraction_samples
+from oracles import beta_by_order_statistics, limit_fraction_samples
 
 SEED = RngSeed(20260810)
 
@@ -139,25 +140,25 @@ class TestBetaOrderStatistic:
     def test_single_uniform_case(self):
         rng_a = RngSeed(11).generator()
         rng_b = RngSeed(11).generator()
-        draws = sample_beta_order_statistics(BetaParams(1, 1), 5, rng_a)
+        draws = beta_by_order_statistics(1, 1, 5, rng_a)
         assert np.array_equal(draws, rng_b.random(5))
 
     def test_selects_bth_smallest_of_each_row(self):
-        draws = sample_beta_order_statistics(BetaParams(3, 2), 100, RngSeed(11).generator())
+        draws = beta_by_order_statistics(3, 2, 100, RngSeed(11).generator())
         rows = RngSeed(11).generator().random((100, 4))
         assert np.array_equal(draws, np.sort(rows, axis=1)[:, 2])
 
     def test_mean_matches_beta(self):
         rng = SEED.generator()
         n = 200_000
-        draws = sample_beta_order_statistics(BetaParams(3, 2), n, rng)
+        draws = beta_by_order_statistics(3, 2, n, rng)
         se = draws.std(ddof=1) / math.sqrt(n)
         assert abs(draws.mean() - 0.6) < 4 * se
 
     def test_cdf_at_half_matches_rational(self):
         rng = SEED.generator()
         n = 200_000
-        draws = sample_beta_order_statistics(BetaParams(3, 2), n, rng)
+        draws = beta_by_order_statistics(3, 2, n, rng)
         reference = float(beta_cdf_rational(BetaParams(3, 2), "1/2"))
         assert abs(z_against(float((draws < 0.5).mean()), reference, n)) < 4
 
@@ -183,6 +184,33 @@ class TestDefinettiEstimator:
     def test_single_sample_degenerate(self):
         est = definetti_estimator(UrnConfig(2, 1), 1, SEED)
         assert est.std_err == 0.0 and est.degenerate
+
+    @pytest.mark.parametrize("chunk_rows", [7, simulate._CHUNK_ROWS])
+    @pytest.mark.parametrize("b, w", [(2, 1), (5, 3), (50, 30)])
+    def test_consumes_one_beta_draw_per_sample(self, monkeypatch, chunk_rows, b, w):
+        """The estimate is the mean over one ``Generator.beta`` call, at any chunk size."""
+        monkeypatch.setattr(simulate, "_CHUNK_ROWS", chunk_rows)
+        n = 10_000
+        est = definetti_estimator(UrnConfig(b, w), n, SEED)
+        expected = float(_ruin_values(SEED.generator().beta(b, w, n), b - w).mean())
+        assert est.p_hat == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("b, w", [(3, 2), (50, 30)])
+    def test_agrees_with_order_statistic_oracle(self, b, w):
+        """Two-sample test against ruin values over order-statistic Beta draws."""
+        n = 10**5
+        est = definetti_estimator(UrnConfig(b, w), n, RngSeed(20260810, 0))
+        rng = RngSeed(20260810, 1000).generator()
+        values = _ruin_values(beta_by_order_statistics(b, w, n, rng), b - w)
+        oracle_se = values.std(ddof=1) / math.sqrt(n)
+        z = (est.p_hat - values.mean()) / math.hypot(est.std_err, oracle_se)
+        assert abs(z) < 4
+
+    def test_cost_does_not_grow_with_urn_size(self):
+        """10^5 samples at b + w = 8000; order statistics would draw 8*10^8 uniforms."""
+        start = time.monotonic()
+        definetti_estimator(UrnConfig(5000, 3000), 10**5, SEED)
+        assert time.monotonic() - start < 3.0
 
     @given(st.lists(st.floats(1e-9, 1 - 1e-9), min_size=1, max_size=50), st.integers(1, 9))
     @settings(max_examples=100, deadline=None)
