@@ -67,6 +67,8 @@ GOLDEN = [
      "52a77c99a8d5cfc8d756161fd01d9d33b675e15e1db701411aeeb16c8f3b542f"),
     (("dp", "--b", "3", "--w", "2", "--target", "3", "--horizon", "40", "--format", "csv"), 0,
      "9ac4189584ed53b9342e62da0b13a666b08d04766fb8d20edb550ff2b22eb309"),
+    (("dp", "--b", "2000", "--w", "1999", "--horizon", "3000", "--format", "csv"), 0,
+     "69c922ff0542655efe88723ec21baf48a2a098a57b6c7c18961300dc8e3c5d08"),
     (("simulate", "--b", "5", "--w", "3", "--streams", "2", *_SIM), 0,
      "830eb4f3b2ab53e63652fed3db0f4609a0d7dc73366c4474470b02b26a647ad7"),
     (("simulate", "--b", "5", "--w", "3", "--method", "definetti", *_SIM, "--format", "json"), 0,
