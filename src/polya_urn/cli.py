@@ -37,9 +37,14 @@ from .output import (
 from .simulate import EstimateWithCI, RngSeed, definetti_estimator, estimate_equalization
 
 # Past this horizon the automatic exact reference is skipped: the memory
-# budget admits horizons whose big-int terms take minutes to hours to compute
-# (the cost grows about as horizon^2 log horizon; ~1.6 s at the cap for (2, 1)).
+# budget admits horizons whose pmf takes tens of seconds, nearly all of it the
+# exact sum that validates the pmf ((5000, 3000): ~3 s at the cap, ~16 s at
+# its budget horizon of 56,440, on a 2-vCPU Xeon VM).
 _REFERENCE_HORIZON_CAP = 20_000
+
+# ``simulate`` flags an estimate whose Kish effective sample size is below
+# this: a few draws dominate its mean, so the standard error means nothing
+_MIN_EFFECTIVE_SAMPLES = 10
 
 # the methods ``approx --method all`` reports, in order
 _APPROX_METHODS = ("normal", "chernoff")
@@ -284,6 +289,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             record = replace(record, z_score=render_decimal(est.z_score(float(reference))))
     if est.degenerate:
         note += "; degenerate CI (zero standard error)"
+    ess = est.effective_samples
+    if ess is not None and ess < _MIN_EFFECTIVE_SAMPLES:
+        note += f"; effective sample size {ess:.3g} < {_MIN_EFFECTIVE_SAMPLES}: out of MC reach"
     _emit_records([replace(record, note=note)], args.format, args.output)
     return 0
 
@@ -356,6 +364,15 @@ def _add_bw(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--w", type=_positive_int, required=True, help="white balls")
 
 
+def _add_mc(parser: argparse.ArgumentParser) -> None:
+    """The Monte Carlo options ``simulate`` and ``sweep`` share."""
+    parser.add_argument("--target", type=int, default=0)
+    parser.add_argument("--horizon", type=_nonnegative_int, default=200)
+    parser.add_argument("--samples", type=_positive_int, default=100_000)
+    parser.add_argument("--seed", type=_nonnegative_int, default=0)
+    parser.add_argument("--streams", type=_positive_int, default=1)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polya-urn",
@@ -389,11 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="seeded Monte Carlo estimates")
     _add_bw(p_sim)
-    p_sim.add_argument("--target", type=int, default=0)
-    p_sim.add_argument("--horizon", type=_nonnegative_int, default=200)
-    p_sim.add_argument("--samples", type=_positive_int, default=100_000)
-    p_sim.add_argument("--seed", type=_nonnegative_int, default=0)
-    p_sim.add_argument("--streams", type=_positive_int, default=1)
+    _add_mc(p_sim)
     p_sim.add_argument("--method", choices=("direct", "definetti"), default="direct")
     _add_common(p_sim)
     p_sim.set_defaults(handler=cmd_simulate)
@@ -412,11 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="exact",
         help="comma-separated: " + ",".join(METHODS),
     )
-    p_sweep.add_argument("--target", type=int, default=0)
-    p_sweep.add_argument("--horizon", type=_nonnegative_int, default=200)
-    p_sweep.add_argument("--samples", type=_positive_int, default=100_000)
-    p_sweep.add_argument("--seed", type=_nonnegative_int, default=0)
-    p_sweep.add_argument("--streams", type=_positive_int, default=1)
+    _add_mc(p_sweep)
     _add_common(p_sweep, default_format="csv")
     p_sweep.set_defaults(handler=cmd_sweep)
 

@@ -9,14 +9,15 @@ hits a target level from the hitting-time theorem (van der Hofstad & Keane,
 from their start after n steps, exactly d/n reach that level first at step
 n.  The draws are exchangeable, so every such path has the same weight and
 
-    P(tau = n) = d/n * C(n, k) * b^(k) * w^(n-k) / (b+w)^(n),
+    P(tau = n) = d/n * C(n, k) * b^(k) * w^(n-k) / (b+w)^(n)
+               = d/n * C(b+k-1, k) * C(w+n-k-1, n-k) / C(b+w+n-1, n),
 
 with ``x^(k)`` the rising factorial.
 
 All probabilities are exact ``Fraction`` values.  Consecutive non-zero terms
-(n -> n+2, k -> k+1) follow from one exact integer update of the running
-numerator and denominator, so the pmf costs O(horizon) big-int operations;
-reduction happens once per emitted probability.
+(n -> n+2, k -> k+1) differ by a ratio of small integers, so the pmf costs
+one ``Fraction`` product per term; each product reduces against the small
+ratio only, never by a gcd of two big integers.
 """
 
 from __future__ import annotations
@@ -87,11 +88,12 @@ def _int_bytes(bits: float) -> int:
 def estimate_dp_memory_bytes(config: UrnConfig, horizon: int) -> int:
     """Upper bound on the peak memory of ``first_passage_dp`` at this horizon.
 
-    The working state is the running numerator and denominator, both below
-    n * (total)^(n) <= horizon * (total)^(horizon); the term update, the
-    reduction of each emitted term and the validating sum of the pmf hold a
-    few temporaries at most twice that size.  The pmf holds at most
-    ceil(horizon / 2) non-zero terms.  Each reduces to
+    The working state is the current term, the small step ratio and the
+    running sum that validates the pmf.  Every term's denominator divides
+    n * (total)^(n), so the sum's divides lcm(1..horizon) * (total)^(horizon)
+    <= ((total)^(horizon))^2; each step's product and each addition hold a
+    few temporaries below the square of horizon * (total)^(horizon).  The pmf
+    holds at most ceil(horizon / 2) non-zero terms.  Each reduces to
 
         d * C(b+k-1, k) * C(w+n-k-1, n-k) / (n * C(total+n-1, n)),
 
@@ -120,8 +122,6 @@ def max_feasible_horizon(config: UrnConfig) -> int:
     lo, hi = 0, 1
     while estimate_dp_memory_bytes(config, hi) <= MEMORY_BUDGET_BYTES:
         lo, hi = hi, hi * 2
-        if hi > 100_000_000:
-            return lo
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if estimate_dp_memory_bytes(config, mid) <= MEMORY_BUDGET_BYTES:
@@ -140,10 +140,15 @@ def first_passage_dp(config: UrnConfig, target_diff: int, horizon: int) -> DPTab
         P(tau = n) = d/n * C(n, k) * b^(k) * w^(n-k) / (b+w)^(n)
 
     for n >= d of the parity of d, and 0 otherwise.  The first term is at
-    n = d, with k = 0 below S_0 and k = d above it; each step n -> n+2,
-    k -> k+1 multiplies the numerator C(n, k) b^(k) w^(n-k) by
-    (n+1)(n+2)(b+k)(w+n-k) / ((k+1)(n-k+1)), exactly, and the denominator
-    (b+w)^(n) by (b+w+n)(b+w+n+1).  If the urn starts on the target, tau = 0.
+    n = d, with k = 0 below S_0 and k = d above it, where it reduces to
+
+        P(tau = d) = C(b+k-1, k) * C(w+d-k-1, d-k) / C(b+w+d-1, d);
+
+    each step n -> n+2, k -> k+1 multiplies the term by
+
+        n(n+1)(b+k)(w+n-k) / ((k+1)(n-k+1)(b+w+n)(b+w+n+1)).
+
+    If the urn starts on the target, tau = 0.
 
     The target may be any integer, including negative levels ("ever k more
     white than black").  Each P(tau = n) is then a closed-form term, but no
@@ -174,13 +179,11 @@ def first_passage_dp(config: UrnConfig, target_diff: int, horizon: int) -> DPTab
         # the target is out of reach; the start term alone would cost O(d)
         return DPTable(config, m, horizon, tuple(pmf))
     k = 0 if m < s0 else d
-    # num = C(n, k) b^(k) w^(n-k) and den = (b+w)^(n), here at n = d
-    num = math.prod(range(w, w + d)) if k == 0 else math.prod(range(b, b + d))
-    den = math.prod(range(b + w, b + w + d))
+    t = b + w
+    p = Fraction(math.comb(b + k - 1, k) * math.comb(w + d - k - 1, d - k), math.comb(t + d - 1, d))
     for n in range(d, horizon + 1, 2):
-        pmf[n] = Fraction(d * num, n * den)
-        num = num * (n + 1) * (n + 2) * (b + k) * (w + n - k) // ((k + 1) * (n - k + 1))
-        den *= (b + w + n) * (b + w + n + 1)
+        pmf[n] = p
+        p *= Fraction(n * (n + 1) * (b + k) * (w + n - k), (k + 1) * (n - k + 1) * (t + n) * (t + n + 1))
         k += 1
 
     return DPTable(config, m, horizon, tuple(pmf))

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -80,6 +81,11 @@ class EstimateWithCI:
 
     ``degenerate`` flags a zero standard error (for instance a single
     Bernoulli draw, or every sample hitting), where the interval collapses.
+    ``effective_samples`` is the Kish effective sample size (sum v)^2 / sum v^2
+    of the averaged values v, 0 when every v (or every v^2) is 0; a few
+    dominant draws make it small, and then the standard error means nothing.
+    Only ``definetti_estimator`` sets it: a direct estimate averages 0/1 hits,
+    whose effective sample size is just the hit count.
     """
 
     p_hat: float
@@ -87,6 +93,7 @@ class EstimateWithCI:
     ci95: tuple[float, float]
     n_samples: int
     degenerate: bool = False
+    effective_samples: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.n_samples < 1:
@@ -113,10 +120,14 @@ class EstimateWithCI:
         return (self.p_hat - reference) / self.std_err
 
 
-def _wald_estimate(p_hat: float, std_err: float, n_samples: int) -> EstimateWithCI:
+def _wald_estimate(
+    p_hat: float, std_err: float, n_samples: int, effective_samples: Optional[float] = None
+) -> EstimateWithCI:
     lo = max(0.0, p_hat - _Z95 * std_err)
     hi = min(1.0, p_hat + _Z95 * std_err)
-    return EstimateWithCI(p_hat, std_err, (lo, hi), n_samples, std_err == 0.0)
+    return EstimateWithCI(
+        p_hat, std_err, (lo, hi), n_samples, std_err == 0.0, effective_samples
+    )
 
 
 def _first_passage_hit_count(
@@ -227,4 +238,5 @@ def definetti_estimator(
         std_err = math.sqrt(variance / n_samples)
     else:
         std_err = 0.0
-    return _wald_estimate(min(1.0, mean), std_err, n_samples)
+    effective = total * total / total_sq if total_sq else 0.0
+    return _wald_estimate(min(1.0, mean), std_err, n_samples, effective)

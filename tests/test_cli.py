@@ -240,6 +240,27 @@ class TestSimulateCommand:
         assert code == 0
         assert "degenerate" in out
 
+    @pytest.mark.parametrize(
+        "argv, ess",
+        [
+            (("--b", "500", "--w", "300", "--samples", "1000000", "--seed", "42"), "4.33"),
+            (("--b", "3000", "--w", "2", "--samples", "100000"), "0"),
+        ],
+    )
+    def test_tiny_definetti_estimate_flagged(self, capsys, argv, ess):
+        """One draw dominates (or none counts): the note says the estimate is out of reach."""
+        code, out, _ = run_cli(capsys, "simulate", "--method", "definetti", *argv)
+        assert code == 0
+        assert f"; effective sample size {ess} < 10: out of MC reach" in out
+
+    def test_definetti_estimate_with_many_effective_samples_not_flagged(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "simulate", "--b", "5", "--w", "3", "--method", "definetti",
+            "--samples", "2000", "--seed", "11",
+        )
+        assert code == 0
+        assert "effective sample size" not in out
+
 
 class TestApproxCommand:
     def test_both_methods(self, capsys):

@@ -78,7 +78,8 @@ class TestFirstPassageDP:
     @pytest.mark.parametrize(
         "b, w, target, horizon",
         [(b, w, t, 41) for b in range(1, 8) for w in range(1, 8) for t in range(-7, 8)]
-        + [(2, 1, 0, 300), (3, 9, 5, 300), (4, 6, -9, 301), (50, 30, -4, 300), (5, 3, 12, 299)],
+        + [(2, 1, 0, 300), (3, 9, 5, 300), (4, 6, -9, 301), (50, 30, -4, 300), (5, 3, 12, 299)]
+        + [(500, 300, 0, 300), (2000, 1999, 0, 200), (2, 1, -150, 301)],
     )
     def test_matches_recursion_oracle(self, b, w, target, horizon):
         """Hitting-time formula and the O(h^2) forward recursion agree exactly."""
@@ -97,6 +98,13 @@ class TestFirstPassageDP:
         start = time.monotonic()
         table = first_passage_dp(UrnConfig(2, 1), -10**7, 2 * 10**6)
         assert table.cumulative == 0
+        assert time.monotonic() - start < 3.0
+
+    def test_large_urn_pmf_is_fast(self):
+        """The pmf of a million-ball urn to horizon 4000 takes well under 3 s."""
+        start = time.monotonic()
+        table = first_passage_dp(UrnConfig(500001, 500000), 0, 4000)
+        assert 0 < table.cumulative < 1
         assert time.monotonic() - start < 3.0
 
     def test_parity(self):

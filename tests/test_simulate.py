@@ -103,6 +103,10 @@ class TestEstimateEqualization:
         est = estimate_equalization(UrnConfig(4, 4), 0, 10, 100, SEED)
         assert est.p_hat == 1.0 and est.degenerate
 
+    def test_leaves_effective_samples_unset(self):
+        est = estimate_equalization(UrnConfig(2, 1), 0, 5, 100, SEED)
+        assert est.effective_samples is None
+
     def test_more_streams_than_samples(self):
         est = estimate_equalization(UrnConfig(2, 1), 0, 20, 3, SEED, n_streams=8)
         assert est.n_samples == 3
@@ -194,6 +198,20 @@ class TestDefinettiEstimator:
         est = definetti_estimator(UrnConfig(b, w), n, SEED)
         expected = float(_ruin_values(SEED.generator().beta(b, w, n), b - w).mean())
         assert est.p_hat == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("b, w", [(2, 1), (50, 30), (500, 300)])
+    def test_effective_samples_is_kish(self, b, w):
+        """(sum v)^2 / sum v^2 over the same ``Generator.beta`` draws the mean uses."""
+        n = 10_000
+        est = definetti_estimator(UrnConfig(b, w), n, SEED)
+        values = _ruin_values(SEED.generator().beta(b, w, n), b - w)
+        kish = values.sum() ** 2 / np.square(values).sum()
+        assert est.effective_samples == pytest.approx(kish, rel=1e-9)
+        assert 0 < est.effective_samples <= n * (1 + 1e-12)
+
+    def test_effective_samples_zero_when_every_value_is(self):
+        est = definetti_estimator(UrnConfig(3000, 2), 1000, SEED)
+        assert est.p_hat == 0.0 and est.effective_samples == 0.0
 
     @pytest.mark.parametrize("b, w", [(3, 2), (50, 30)])
     def test_agrees_with_order_statistic_oracle(self, b, w):
