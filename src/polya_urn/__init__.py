@@ -9,7 +9,6 @@ from .approx import ApproxResult, chernoff_bound, normal_approximation
 from .dp import DPTable, first_passage_dp
 from .errors import DomainError, PolyaUrnError, ResourceLimitError
 from .exact import (
-    BetaParams,
     ExactProbability,
     UrnConfig,
     beta_cdf_rational,
@@ -29,7 +28,6 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     "ApproxResult",
-    "BetaParams",
     "DomainError",
     "DPTable",
     "EstimateWithCI",

@@ -31,13 +31,14 @@ class ApproxResult:
     ``kind`` records the relationship: an ``upper_bound`` is guaranteed to
     dominate the exact probability (checked on construction when the exact
     reference is attached); an ``approximation`` may fall on either side.
+    The read-only properties ``abs_error`` and ``rel_error`` compare
+    ``value`` with ``exact_ref``; both are None without a reference, and
+    ``rel_error`` is also None when the reference underflows float.
     """
 
     value: float
     kind: Literal["approximation", "upper_bound"]
     exact_ref: Optional[ExactProbability] = None
-    abs_error: Optional[float] = None
-    rel_error: Optional[float] = None
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.value <= 1.0:
@@ -52,10 +53,15 @@ class ApproxResult:
                 f"upper bound {self.value} fell below the exact value "
                 f"{self.exact_ref}"
             )
-        exact_float = float(self.exact_ref)
-        object.__setattr__(self, "abs_error", abs(self.value - exact_float))
-        if exact_float != 0.0:
-            object.__setattr__(self, "rel_error", abs(self.value - exact_float) / exact_float)
+
+    @property
+    def abs_error(self) -> Optional[float]:
+        return None if self.exact_ref is None else abs(self.value - float(self.exact_ref))
+
+    @property
+    def rel_error(self) -> Optional[float]:
+        exact_float = 0.0 if self.exact_ref is None else float(self.exact_ref)
+        return self.abs_error / exact_float if exact_float else None
 
 
 def _standard_normal_cdf(z: float) -> float:

@@ -164,6 +164,10 @@ def _mc_row(pair: _Pair, method: str):
 
 
 def _definetti_row(pair: _Pair, method: str):
+    if pair.args.target != 0:
+        raise DomainError(
+            f"the de Finetti estimator targets 0 only, got --target {pair.args.target}"
+        )
     est = definetti_estimator(pair.config, pair.args.samples, RngSeed(pair.args.seed))
     return _estimate_row(pair, method, est)
 

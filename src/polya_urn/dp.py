@@ -42,22 +42,21 @@ MEMORY_BUDGET_BYTES = 256 * 1024 * 1024
 
 @dataclass(frozen=True)
 class DPTable:
-    """First-passage distribution of S to ``target_diff`` up to ``horizon``.
+    """First-passage distribution of S to ``target_diff`` up to a horizon.
 
-    ``hit_pmf[n]`` is the exact P(tau = n); ``cumulative`` is P(tau <= horizon).
+    ``hit_pmf[n]`` is the exact P(tau = n) for n = 0..horizon, so the
+    read-only property ``horizon`` is ``len(hit_pmf) - 1``; ``cumulative``,
+    the sum that validates the pmf on construction, is P(tau <= horizon).
     """
 
     config: UrnConfig
     target_diff: int
-    horizon: int
     hit_pmf: tuple[Fraction, ...]
     cumulative: Fraction = field(init=False)
 
     def __post_init__(self) -> None:
-        if len(self.hit_pmf) != self.horizon + 1:
-            raise DomainError(
-                f"hit_pmf must have horizon+1 entries, got {len(self.hit_pmf)}"
-            )
+        if not self.hit_pmf:
+            raise DomainError("hit_pmf must hold P(tau = 0), got no entries")
         total = Fraction(0)
         parity = abs(self.config.initial_excess - self.target_diff) % 2
         for n, p in enumerate(self.hit_pmf):
@@ -74,6 +73,10 @@ class DPTable:
         if total > 1:
             raise DomainError(f"hit probabilities sum to {total} > 1")
         object.__setattr__(self, "cumulative", total)
+
+    @property
+    def horizon(self) -> int:
+        return len(self.hit_pmf) - 1
 
 
 def _int_bytes(bits: float) -> int:
@@ -152,8 +155,8 @@ def first_passage_dp(config: UrnConfig, target_diff: int, horizon: int) -> DPTab
 
     The target may be any integer, including negative levels ("ever k more
     white than black").  Each P(tau = n) is then a closed-form term, but no
-    untruncated closed form is exported; this function and the Monte Carlo
-    estimators are the supported route.
+    untruncated closed form is exported; this function and the direct Monte
+    Carlo estimator are the supported routes.
     """
     if horizon < 0:
         raise DomainError(f"horizon must be >= 0, got {horizon}")
@@ -172,12 +175,12 @@ def first_passage_dp(config: UrnConfig, target_diff: int, horizon: int) -> DPTab
 
     if s0 == m:
         pmf[0] = Fraction(1)
-        return DPTable(config, m, horizon, tuple(pmf))
+        return DPTable(config, m, tuple(pmf))
 
     d = abs(s0 - m)
     if d > horizon:
         # the target is out of reach; the start term alone would cost O(d)
-        return DPTable(config, m, horizon, tuple(pmf))
+        return DPTable(config, m, tuple(pmf))
     k = 0 if m < s0 else d
     t = b + w
     p = Fraction(math.comb(b + k - 1, k) * math.comb(w + d - k - 1, d - k), math.comb(t + d - 1, d))
@@ -186,4 +189,4 @@ def first_passage_dp(config: UrnConfig, target_diff: int, horizon: int) -> DPTab
         p *= Fraction(n * (n + 1) * (b + k) * (w + n - k), (k + 1) * (n - k + 1) * (t + n) * (t + n + 1))
         k += 1
 
-    return DPTable(config, m, horizon, tuple(pmf))
+    return DPTable(config, m, tuple(pmf))

@@ -29,7 +29,6 @@ from .output import rational_str
 __all__ = [
     "UrnConfig",
     "ExactProbability",
-    "BetaParams",
     "beta_cdf_rational",
     "equalization_probability",
     "equalization_probability_binomial",
@@ -95,18 +94,6 @@ class ExactProbability:
         return rational_str(self.value)
 
 
-@dataclass(frozen=True, slots=True)
-class BetaParams:
-    """Integer shape parameters (b, w) of a Beta(b, w) distribution."""
-
-    b: int
-    w: int
-
-    def __post_init__(self) -> None:
-        _require_positive_int(self.b, "b")
-        _require_positive_int(self.w, "w")
-
-
 def _as_exact_fraction(x: object, name: str = "x") -> Fraction:
     if isinstance(x, float):
         raise TypeError(
@@ -119,11 +106,13 @@ def _as_exact_fraction(x: object, name: str = "x") -> Fraction:
         raise DomainError(f"{name} is not a rational number: {x!r}") from exc
 
 
-def beta_cdf_rational(params: BetaParams, x: Fraction | int | str) -> ExactProbability:
-    """Beta(b, w) CDF at rational ``x``, exactly.
+def beta_cdf_rational(config: UrnConfig, x: Fraction | int | str) -> ExactProbability:
+    """Beta(b, w) CDF at rational ``x``, exactly, with b = black and w = white.
 
-    For integer shapes the CDF equals the probability that at least ``b`` of
-    ``n = b + w - 1`` independent Bernoulli(x) trials succeed:
+    Beta(black, white) is the law of the urn's limiting black fraction
+    (Eggenberger and Polya, 1923).  For integer shapes the CDF equals the
+    probability that at least ``b`` of ``n = b + w - 1`` independent
+    Bernoulli(x) trials succeed:
 
         F(x) = sum_{j=b}^{n} C(n, j) x^j (1-x)^(n-j)
 
@@ -137,7 +126,7 @@ def beta_cdf_rational(params: BetaParams, x: Fraction | int | str) -> ExactProba
         return ExactProbability(Fraction(0))
     if frac == 1:
         return ExactProbability(Fraction(1))
-    b, w = params.b, params.w
+    b, w = config.black, config.white
     n = b + w - 1
     p, q = frac.numerator, frac.denominator
     qp = q - p
@@ -166,7 +155,7 @@ def equalization_probability(config: UrnConfig) -> ExactProbability:
         return ExactProbability(Fraction(1))
     if b < w:
         return equalization_probability(config.swapped())
-    cdf_half = beta_cdf_rational(BetaParams(b, w), Fraction(1, 2))
+    cdf_half = beta_cdf_rational(config, Fraction(1, 2))
     return ExactProbability(2 * cdf_half.value)
 
 

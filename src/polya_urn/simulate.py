@@ -77,10 +77,12 @@ class RngSeed:
 
 @dataclass(frozen=True, slots=True)
 class EstimateWithCI:
-    """Monte Carlo point estimate with Wald standard error and 95% CI.
+    """Monte Carlo point estimate with its Wald standard error.
 
-    ``degenerate`` flags a zero standard error (for instance a single
-    Bernoulli draw, or every sample hitting), where the interval collapses.
+    Two read-only properties derive from these fields: ``ci95`` is the Wald
+    95% interval p_hat +/- z * std_err clamped to [0, 1], and ``degenerate``
+    flags a zero standard error (for instance a single Bernoulli draw, or
+    every sample hitting), where the interval collapses to p_hat.
     ``effective_samples`` is the Kish effective sample size (sum v)^2 / sum v^2
     of the averaged values v, 0 when every v (or every v^2) is 0; a few
     dominant draws make it small, and then the standard error means nothing.
@@ -90,9 +92,7 @@ class EstimateWithCI:
 
     p_hat: float
     std_err: float
-    ci95: tuple[float, float]
     n_samples: int
-    degenerate: bool = False
     effective_samples: Optional[float] = None
 
     def __post_init__(self) -> None:
@@ -102,9 +102,6 @@ class EstimateWithCI:
             raise DomainError(f"p_hat must lie in [0, 1], got {self.p_hat}")
         if self.std_err < 0.0:
             raise DomainError(f"std_err must be >= 0, got {self.std_err}")
-        lo, hi = self.ci95
-        if not lo <= self.p_hat <= hi:
-            raise DomainError(f"CI {self.ci95} must bracket p_hat={self.p_hat}")
         if self.n_samples >= 2:
             # sampling values in [0,1]: s^2/n is at most p(1-p)/(n-1)
             bound = self.p_hat * (1.0 - self.p_hat) / (self.n_samples - 1)
@@ -113,21 +110,20 @@ class EstimateWithCI:
                     f"std_err={self.std_err} exceeds the binomial-sampling bound"
                 )
 
+    @property
+    def ci95(self) -> tuple[float, float]:
+        half = _Z95 * self.std_err
+        return max(0.0, self.p_hat - half), min(1.0, self.p_hat + half)
+
+    @property
+    def degenerate(self) -> bool:
+        return self.std_err == 0.0
+
     def z_score(self, reference: float) -> float:
         """Standardized distance of the estimate from a reference value."""
-        if self.std_err == 0.0:
+        if self.degenerate:
             return math.inf if self.p_hat != reference else 0.0
         return (self.p_hat - reference) / self.std_err
-
-
-def _wald_estimate(
-    p_hat: float, std_err: float, n_samples: int, effective_samples: Optional[float] = None
-) -> EstimateWithCI:
-    lo = max(0.0, p_hat - _Z95 * std_err)
-    hi = min(1.0, p_hat + _Z95 * std_err)
-    return EstimateWithCI(
-        p_hat, std_err, (lo, hi), n_samples, std_err == 0.0, effective_samples
-    )
 
 
 def _first_passage_hit_count(
@@ -196,7 +192,7 @@ def estimate_equalization(
             raise ResourceLimitError(f"cannot allocate {block} paths in one stream: {exc}") from exc
     p_hat = hits / n_samples
     std_err = math.sqrt(p_hat * (1.0 - p_hat) / n_samples)
-    return _wald_estimate(p_hat, std_err, n_samples)
+    return EstimateWithCI(p_hat, std_err, n_samples)
 
 
 def _ruin_values(p: np.ndarray, excess: int) -> np.ndarray:
@@ -239,4 +235,4 @@ def definetti_estimator(
     else:
         std_err = 0.0
     effective = total * total / total_sq if total_sq else 0.0
-    return _wald_estimate(min(1.0, mean), std_err, n_samples, effective)
+    return EstimateWithCI(min(1.0, mean), std_err, n_samples, effective)

@@ -12,7 +12,6 @@ from fractions import Fraction
 
 
 from polya_urn import (
-    BetaParams,
     RngSeed,
     UrnConfig,
     beta_cdf_rational,
@@ -198,10 +197,10 @@ def test_criterion_10_pearson_identity_general_x():
     xs = [Fraction(1, 10), Fraction(1, 3), Fraction(1, 2), Fraction(9, 10)]
     for b in range(1, 21):
         for w in range(1, 21):
-            params = BetaParams(b, w)
+            config = UrnConfig(b, w)
             for x in xs:
                 assert (
-                    beta_cdf_rational(params, x).value
+                    beta_cdf_rational(config, x).value
                     == beta_cdf_by_polynomial_integration(b, w, x)
                 )
 

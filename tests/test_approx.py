@@ -56,6 +56,12 @@ class TestApproxResult:
         res = ApproxResult(0.52, "approximation")
         assert res.abs_error is None and res.rel_error is None
 
+    def test_reference_below_float_range(self):
+        """A reference that underflows float keeps abs_error but has no rel_error."""
+        res = ApproxResult(0.25, "approximation", ExactProbability(Fraction(1, 2**1100)))
+        assert res.abs_error == res.value
+        assert res.rel_error is None
+
     def test_upper_bound_below_exact_rejected(self):
         with pytest.raises(DomainError):
             ApproxResult(0.4, "upper_bound", ExactProbability(Fraction(1, 2)))

@@ -117,7 +117,7 @@ class TestDpCommand:
 
     def test_pmf_csv_past_the_int_string_limit(self):
         p = Fraction(3, 10**5000)
-        table = DPTable(UrnConfig(2, 1), 0, 1, (Fraction(0), p))
+        table = DPTable(UrnConfig(2, 1), 0, (Fraction(0), p))
         rows = list(csv.DictReader(io.StringIO(cli._pmf_csv(table))))
         assert [r["p_tau_n_num"] for r in rows] == ["0", "3"]
         assert [r["p_tau_n_den"] for r in rows] == ["1", "1" + "0" * 5000]
@@ -232,6 +232,17 @@ class TestSimulateCommand:
         )
         assert code == 2
         assert "black > white" in err
+
+    def test_definetti_refuses_nonzero_target(self, capsys):
+        """The estimator answers target 0 only; any other target is refused, not misreported."""
+        code, out, err = run_cli(
+            capsys,
+            "simulate", "--b", "5", "--w", "3", "--method", "definetti",
+            "--target", "3", "--samples", "1000", "--seed", "1",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: the de Finetti estimator targets 0 only, got --target 3\n"
 
     def test_degenerate_single_sample_flagged(self, capsys):
         code, out, _ = run_cli(
@@ -352,6 +363,17 @@ class TestSweepCommand:
         assert out == ""
         assert len(err.splitlines()) == 1
         assert err.startswith("error: cannot allocate ")
+
+    def test_definetti_with_nonzero_target_refused(self, capsys):
+        """No target-0 de Finetti row lands among rows at another target."""
+        code, out, err = run_cli(
+            capsys,
+            "sweep", "--b-range", "5:5", "--w-range", "3:3",
+            "--methods", "dp,mc,definetti", "--target", "-2", "--horizon", "40",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: the de Finetti estimator targets 0 only, got --target -2\n"
 
     def test_unknown_method_rejected(self, capsys):
         code, _, err = run_cli(

@@ -40,6 +40,7 @@ class TestFirstPassageDP:
 
     def test_three_step_table(self):
         table = first_passage_dp(UrnConfig(2, 1), 0, 3)
+        assert table.horizon == len(table.hit_pmf) - 1 == 3
         assert table.hit_pmf[3] == Fraction(1, 15)  # the single B,W,W path
         assert table.cumulative == Fraction(2, 5)
 
@@ -135,17 +136,17 @@ class TestFirstPassageDP:
 
 
 class TestDPTableValidation:
-    def test_wrong_length_rejected(self):
+    def test_empty_pmf_rejected(self):
         with pytest.raises(DomainError):
-            DPTable(UrnConfig(2, 1), 0, 3, (Fraction(0), Fraction(1, 3)))
+            DPTable(UrnConfig(2, 1), 0, ())
 
     def test_parity_violation_rejected(self):
         with pytest.raises(DomainError):
-            DPTable(UrnConfig(2, 1), 0, 2, (Fraction(0), Fraction(0), Fraction(1, 3)))
+            DPTable(UrnConfig(2, 1), 0, (Fraction(0), Fraction(0), Fraction(1, 3)))
 
     def test_mass_above_one_rejected(self):
         with pytest.raises(DomainError):
-            DPTable(UrnConfig(2, 1), 0, 1, (Fraction(0), Fraction(2)))
+            DPTable(UrnConfig(2, 1), 0, (Fraction(0), Fraction(2)))
 
 
 class TestMemoryBudget:

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polya_urn import (
-    BetaParams,
     DomainError,
     ExactProbability,
     RngSeed,
@@ -72,12 +71,6 @@ class TestDomainTypes:
         with pytest.raises(TypeError):
             ExactProbability(0.5)
 
-    def test_beta_params_validation(self):
-        with pytest.raises(DomainError):
-            BetaParams(0, 1)
-        with pytest.raises(DomainError):
-            BetaParams(2, -1)
-
 
 class TestBetaCdfRational:
     @pytest.mark.parametrize(
@@ -89,22 +82,22 @@ class TestBetaCdfRational:
         ],
     )
     def test_values(self, b, w, x, expected):
-        assert beta_cdf_rational(BetaParams(b, w), x).value == expected
+        assert beta_cdf_rational(UrnConfig(b, w), x).value == expected
 
     @pytest.mark.parametrize("b, w", [(1, 1), (2, 1), (5, 3), (4, 7)])
     def test_endpoints(self, b, w):
-        assert beta_cdf_rational(BetaParams(b, w), 0).value == 0
-        assert beta_cdf_rational(BetaParams(b, w), 1).value == 1
+        assert beta_cdf_rational(UrnConfig(b, w), 0).value == 0
+        assert beta_cdf_rational(UrnConfig(b, w), 1).value == 1
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            beta_cdf_rational(BetaParams(2, 2), Fraction(3, 2))
+            beta_cdf_rational(UrnConfig(2, 2), Fraction(3, 2))
         with pytest.raises(DomainError):
-            beta_cdf_rational(BetaParams(2, 2), -1)
+            beta_cdf_rational(UrnConfig(2, 2), -1)
 
     def test_float_arguments_refused(self):
         with pytest.raises(TypeError):
-            beta_cdf_rational(BetaParams(2, 2), 0.5)
+            beta_cdf_rational(UrnConfig(2, 2), 0.5)
 
     @pytest.mark.parametrize("b", range(1, 7))
     @pytest.mark.parametrize("w", range(1, 7))
@@ -112,12 +105,12 @@ class TestBetaCdfRational:
         "x", [Fraction(1, 10), Fraction(1, 3), Fraction(1, 2), Fraction(9, 10)]
     )
     def test_matches_polynomial_integration(self, b, w, x):
-        got = beta_cdf_rational(BetaParams(b, w), x).value
+        got = beta_cdf_rational(UrnConfig(b, w), x).value
         assert got == beta_cdf_by_polynomial_integration(b, w, x)
 
     @pytest.mark.parametrize("k", [1, 2, 5, 17, 40])
     def test_symmetric_shape_is_half(self, k):
-        assert beta_cdf_rational(BetaParams(k, k), Fraction(1, 2)).value == Fraction(1, 2)
+        assert beta_cdf_rational(UrnConfig(k, k), Fraction(1, 2)).value == Fraction(1, 2)
 
     @given(
         st.integers(1, 8),
@@ -126,7 +119,7 @@ class TestBetaCdfRational:
     )
     @settings(max_examples=60, deadline=None)
     def test_oracle_agreement_property(self, b, w, x):
-        got = beta_cdf_rational(BetaParams(b, w), x).value
+        got = beta_cdf_rational(UrnConfig(b, w), x).value
         assert got == beta_cdf_by_polynomial_integration(b, w, x)
 
 

@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polya_urn import (
-    BetaParams,
     DomainError,
     EstimateWithCI,
     RngSeed,
@@ -66,17 +65,34 @@ class TestRngSeed:
 class TestEstimateWithCI:
     def test_validation(self):
         with pytest.raises(DomainError):
-            EstimateWithCI(1.5, 0.0, (1.5, 1.5), 10)
+            EstimateWithCI(1.5, 0.0, 10)
         with pytest.raises(DomainError):
-            EstimateWithCI(0.5, -0.1, (0.4, 0.6), 10)
+            EstimateWithCI(0.5, -0.1, 10)
         with pytest.raises(DomainError):
-            EstimateWithCI(0.5, 0.01, (0.6, 0.7), 10)
-        with pytest.raises(DomainError):
-            EstimateWithCI(0.5, 0.9, (0.0, 1.0), 100)  # impossible std err
+            EstimateWithCI(0.5, 0.9, 100)  # impossible std err
 
     def test_z_score(self):
-        est = EstimateWithCI(0.5, 0.01, (0.48, 0.52), 2500)
+        est = EstimateWithCI(0.5, 0.01, 2500)
         assert est.z_score(0.48) == pytest.approx(2.0)
+
+    @given(
+        p=st.floats(0.0, 1.0),
+        n=st.integers(2, 10**9),
+        frac=st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_derived_interval_is_consistent(self, p, n, frac):
+        """Any valid (p_hat, std_err, n) yields the clamped Wald pair around p_hat.
+
+        The interval is derived, so a check that it brackets p_hat has
+        nothing to catch.
+        """
+        se = frac * math.sqrt(p * (1.0 - p) / (n - 1))
+        est = EstimateWithCI(p, se, n)
+        lo, hi = est.ci95
+        assert (lo, hi) == (max(0.0, p - simulate._Z95 * se), min(1.0, p + simulate._Z95 * se))
+        assert 0.0 <= lo <= p <= hi <= 1.0
+        assert est.degenerate == (se == 0.0)
 
 
 class TestEstimateEqualization:
@@ -163,7 +179,7 @@ class TestBetaOrderStatistic:
         rng = SEED.generator()
         n = 200_000
         draws = beta_by_order_statistics(3, 2, n, rng)
-        reference = float(beta_cdf_rational(BetaParams(3, 2), "1/2"))
+        reference = float(beta_cdf_rational(UrnConfig(3, 2), "1/2"))
         assert abs(z_against(float((draws < 0.5).mean()), reference, n)) < 4
 
 
