@@ -80,7 +80,6 @@ class OutputRecord:
     horizon: Optional[int] = None
     samples: Optional[int] = None
     seed: Optional[int] = None
-    stream_id: Optional[int] = None
     streams: Optional[int] = None
     std_err: Optional[str] = None
     ci_lo: Optional[str] = None

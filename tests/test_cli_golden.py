@@ -8,6 +8,14 @@ print de Finetti estimates: ``simulate --b 5 --w 3 --method definetti
 cases (CSV by default, ``--format text`` and ``--format json``).  They were
 re-captured when the de Finetti route moved from order statistics of
 uniforms to one Beta draw per sample; every other digest is unchanged.
+
+The nine CSV digests (``--format csv`` of ``exact`` theorem, binomial,
+complement and all, of ``dp`` at (3, 2) target 3 and at (2000, 1999), of
+``simulate`` at (500001, 500000), of ``approx`` at (9, 1), and the default
+CSV ``_SWEEP_ALL`` case) were re-captured when the never-set ``stream_id``
+column left the records: each new output equals the old one with that
+column cut out.  Text and JSON output did not change, as JSON and text
+already dropped unset fields.
 """
 
 import hashlib
@@ -30,25 +38,25 @@ GOLDEN = [
     (("exact", "--b", "7", "--w", "3", "--form", "theorem", "--format", "text"), 0,
      "2b9056d6a48f047f499006c83679e1a915efb467c845bf724a9d18148bdd7193"),
     (("exact", "--b", "7", "--w", "3", "--form", "theorem", "--format", "csv"), 0,
-     "10527fba14abd5113db4f3c6095ce72dd04c16b4443c83dde7d313ae9de05020"),
+     "286d8dff78f8ee61431ae6c4c73b51fc884fe8ee0c84c0a4af6148c427bd7af2"),
     (("exact", "--b", "7", "--w", "3", "--form", "theorem", "--format", "json"), 0,
      "2cd907809f97a6b24cb9aa92b3eb2a0045c8595b4808a53378bd6f30bf8e13b7"),
     (("exact", "--b", "7", "--w", "3", "--form", "binomial", "--format", "text"), 0,
      "a9114898068bea861207563ce8a7d70ced257f4d72f9e80e9a62e40e04171a1c"),
     (("exact", "--b", "7", "--w", "3", "--form", "binomial", "--format", "csv"), 0,
-     "a5734e504c6452a7c90bc1b7574272f01b34b3c2821102d68efa9cb01fcfc453"),
+     "902a4a1c2b750efdee005c4a23060f3b7cbf214a20750e489516dd0375a64886"),
     (("exact", "--b", "7", "--w", "3", "--form", "binomial", "--format", "json"), 0,
      "1e1432a7485ef96d91b3c2d8db4738665e1d44c77863c928afce1a75e8f34956"),
     (("exact", "--b", "7", "--w", "3", "--form", "complement", "--format", "text"), 0,
      "c575138169be0cdbd7441ecf3f8e8e507ff012f6609e52983d47cd98e076ae50"),
     (("exact", "--b", "7", "--w", "3", "--form", "complement", "--format", "csv"), 0,
-     "81cb2e12c79b3fe8ed1170f5fc30cae8eac64722a79990e84f9ae64a557fddf8"),
+     "5018a45d8a90b6fbd1dde7bc9373a37e3a3493006c2b67a05cc273b5ea57ab8f"),
     (("exact", "--b", "7", "--w", "3", "--form", "complement", "--format", "json"), 0,
      "2a4f515b81c5c9e9530c82289c9a4076357360af931e9b57ae380902ac21ac65"),
     (("exact", "--b", "7", "--w", "3", "--form", "all", "--format", "text"), 0,
      "da21a943635239d09f27b9a1b8dfbd37906323f00e3d146d4fca9f00903027a2"),
     (("exact", "--b", "7", "--w", "3", "--form", "all", "--format", "csv"), 0,
-     "8f12372d19593a8a694ac30e7b9bd8ed421710ea3dd63bebd5f70d22cc1291e2"),
+     "790cc0573151a3ba8dbf9ccaa8e41e8b6d05c8a258747797528f5c15b1a3c901"),
     (("exact", "--b", "7", "--w", "3", "--form", "all", "--format", "json"), 0,
      "62da0b067005c3218f3d02da2f656400bca8009017cbea9bd4f3b692677482a3"),
     (("exact", "--b", "5", "--w", "5"), 0,
@@ -66,9 +74,9 @@ GOLDEN = [
     (("dp", "--b", "3", "--w", "2", "--target", "-2", "--horizon", "40", "--format", "json"), 0,
      "52a77c99a8d5cfc8d756161fd01d9d33b675e15e1db701411aeeb16c8f3b542f"),
     (("dp", "--b", "3", "--w", "2", "--target", "3", "--horizon", "40", "--format", "csv"), 0,
-     "9ac4189584ed53b9342e62da0b13a666b08d04766fb8d20edb550ff2b22eb309"),
+     "70eb9b9f0397639c3ad51a149e191472ef470713506b7695dc0d69e02ab138b2"),
     (("dp", "--b", "2000", "--w", "1999", "--horizon", "3000", "--format", "csv"), 0,
-     "69c922ff0542655efe88723ec21baf48a2a098a57b6c7c18961300dc8e3c5d08"),
+     "caaaa41b6735c2cea4512ef750cfb1675f3469f5ba83d2bbe240650e30c07255"),
     (("simulate", "--b", "5", "--w", "3", "--streams", "2", *_SIM), 0,
      "830eb4f3b2ab53e63652fed3db0f4609a0d7dc73366c4474470b02b26a647ad7"),
     (("simulate", "--b", "5", "--w", "3", "--method", "definetti", *_SIM, "--format", "json"), 0,
@@ -77,17 +85,17 @@ GOLDEN = [
      "8a409c5c1c72d0cf6253f39b4f5a74fff59e17968013182481d561beec86d1f4"),
     (("simulate", "--b", "500001", "--w", "500000", "--horizon", "20000", "--samples", "1",
       "--seed", "11", "--format", "csv"), 0,
-     "9d9d6de6e04ceedbdf424ac4a776b5086cd52c708c201a64e47366352283b1e7"),
+     "c89e280ed119a0c52457d738750f15dd3657ba1172776562e49ceeeafeaa3955"),
     (("simulate", "--b", "2", "--w", "1", "--samples", "1", "--seed", "1"), 0,
      "a2f96d14ed4b0143cfa2a5ef94965d7ac66d3b4631708542545bc731ab1533f1"),
     (("approx", "--b", "5", "--w", "3"), 0,
      "6d0273ee1ec3c7725977edad2d066fc8babb400836c2b52b01e8db00626d24ac"),
     (("approx", "--b", "9", "--w", "1", "--method", "normal", "--format", "csv"), 0,
-     "a3dbe4806ae12bb845eeda75c033b22edb62b4f3555582f3407c92ba04dc0904"),
+     "dda4e706cb46c311c8bed32b5765169458d820a44baeac3ed4ae1a080f48677b"),
     (("approx", "--b", "40", "--w", "12", "--method", "chernoff", "--format", "json"), 0,
      "93242bd0db593924872322e8e5ab17892514163bef9b18b7d5e2e2b2e8197588"),
     (_SWEEP_ALL, 0,
-     "cf1b8cdee7d6c681f40e35743cd59485af1bef7db5f1b1e016858d86c626d72f"),
+     "35984ca46ca259bae2f1fb12c308d1828759fec238ce9e86e47ff61be2bef0ed"),
     ((*_SWEEP_ALL, "--format", "text"), 0,
      "343f11136bb481746b2c1f98a3925bcea08fa5d3365e3958057333afd5e62083"),
     ((*_SWEEP_ALL, "--format", "json"), 0,

@@ -47,7 +47,7 @@ _FIELDS = {
     polya_urn.RngSeed: ("seed", "stream_id"),
     OutputRecord: (
         "b", "w", "method", "value", "exact", "target", "horizon", "samples", "seed",
-        "stream_id", "streams", "std_err", "ci_lo", "ci_hi", "reference", "z_score", "note",
+        "streams", "std_err", "ci_lo", "ci_hi", "reference", "z_score", "note",
     ),
 }
 # values derived from the fields above: read-only properties, never stored
