@@ -4,8 +4,9 @@ Exact closed forms (`exact`), an exact dynamic-programming oracle for
 finite horizons (`dp`), seeded Monte Carlo estimators (`simulate`),
 asymptotic approximations and bounds (`approx`), and a CLI (`cli`).
 
-Only `simulate` needs numpy, so its names are resolved on first use
-(PEP 562): importing the package, or running an exact route, never loads it.
+Only `simulate` needs numpy, and it imports numpy inside the functions that
+draw random numbers: importing the package, or running an exact route,
+never loads it.
 """
 
 from .approx import ApproxResult, chernoff_bound, normal_approximation
@@ -19,6 +20,7 @@ from .exact import (
     equalization_probability_binomial,
     equalization_probability_complement,
 )
+from .simulate import EstimateWithCI, RngSeed, definetti_estimator, estimate_equalization
 
 __version__ = "0.1.0"
 
@@ -43,18 +45,3 @@ __all__ = [
     "first_passage_dp",
     "normal_approximation",
 ]
-
-# the names ``simulate`` exports, imported on first access
-_LAZY = frozenset({"EstimateWithCI", "RngSeed", "definetti_estimator", "estimate_equalization"})
-
-
-def __getattr__(name: str):
-    if name in _LAZY:
-        from . import simulate
-
-        return getattr(simulate, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | _LAZY)

@@ -14,7 +14,7 @@ import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from . import dp as dp_mod
 from .approx import chernoff_bound, normal_approximation
@@ -34,9 +34,7 @@ from .output import (
     records_to_json,
     render_decimal,
 )
-
-if TYPE_CHECKING:
-    from .simulate import EstimateWithCI
+from .simulate import EstimateWithCI, RngSeed, definetti_estimator, estimate_equalization
 
 # Past this horizon the automatic exact reference is skipped: the memory
 # budget admits horizons whose pmf takes tens of seconds, nearly all of it the
@@ -156,10 +154,7 @@ def _estimate_row(pair: _Pair, method: str, est: EstimateWithCI, **fields):
     ), est
 
 
-# The Monte Carlo rows import ``simulate`` when called, so only they load numpy.
 def _mc_row(pair: _Pair, method: str):
-    from .simulate import RngSeed, estimate_equalization
-
     args = pair.args
     est = estimate_equalization(
         pair.config, args.target, args.horizon, args.samples, RngSeed(args.seed), args.streams
@@ -173,8 +168,6 @@ def _definetti_row(pair: _Pair, method: str):
         raise DomainError(
             f"the de Finetti estimator targets 0 only, got --target {pair.args.target}"
         )
-    from .simulate import RngSeed, definetti_estimator
-
     est = definetti_estimator(pair.config, pair.args.samples, RngSeed(pair.args.seed))
     return _estimate_row(pair, method, est)
 

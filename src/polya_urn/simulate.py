@@ -11,23 +11,28 @@ Two estimators, one sampler each:
   min(1, ((1-p)/p)^(b-w)) of the biased walk the urn behaves like
   conditionally on p.
 
-Determinism contract: every estimate is a pure function of its parameters
-and an ``RngSeed``.  Randomness comes from the Philox 4x64 counter-based
-generator keyed by ``stream_id * 2^64 + seed``; distinct stream ids give
-independent streams, and identical inputs give bit-identical results on
-every platform, regardless of how the sample blocks would be scheduled.
+Determinism contract: every estimate is a pure function of its parameters,
+its ``RngSeed`` and, for direct simulation, ``n_streams``.  Randomness comes
+from the Philox 4x64 counter-based generator; stream t of seed s is keyed
+``t * 2^64 + s``, so distinct streams are independent, and identical inputs
+give bit-identical results on every platform, regardless of how the sample
+blocks would be scheduled.
+
+numpy is imported only inside the functions that draw or hold random
+numbers, so importing this module, or building an ``RngSeed``, never loads it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from .errors import DomainError, ResourceLimitError
 from .exact import UrnConfig, _require_strict_majority
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "RngSeed",
@@ -48,31 +53,26 @@ _CHUNK_ROWS = 1 << 16
 
 @dataclass(frozen=True, slots=True)
 class RngSeed:
-    """Seed plus stream id selecting one Philox stream.
+    """A 64-bit seed naming a family of independent Philox streams.
 
-    The 128-bit Philox key is ``stream_id * 2^64 + seed``, so every
-    (seed, stream_id) pair names a distinct, independent stream.
+    ``generator(t)`` is stream t, keyed ``t * 2^64 + seed``, so every
+    (seed, stream) pair names a distinct, independent stream.
     """
 
     seed: int
-    stream_id: int = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.seed, int) or not 0 <= self.seed <= _UINT64_MAX:
-            raise DomainError(f"seed must be a 64-bit unsigned int, got {self.seed!r}")
-        if not isinstance(self.stream_id, int) or not 0 <= self.stream_id <= _UINT64_MAX:
-            raise DomainError(
-                f"stream_id must be a 64-bit unsigned int, got {self.stream_id!r}"
-            )
+        # bool is an int subclass: RngSeed(True) would silently act as seed 1
+        seed = self.seed
+        if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed <= _UINT64_MAX:
+            raise DomainError(f"seed must be a 64-bit unsigned int, got {seed!r}")
 
-    def philox_key(self) -> int:
-        return (self.stream_id << 64) | self.seed
+    def generator(self, stream: int = 0) -> np.random.Generator:
+        if not 0 <= stream <= _UINT64_MAX:
+            raise DomainError(f"stream must be a 64-bit unsigned int, got {stream!r}")
+        import numpy as np
 
-    def generator(self) -> np.random.Generator:
-        return np.random.Generator(np.random.Philox(key=self.philox_key()))
-
-    def with_stream(self, offset: int) -> "RngSeed":
-        return RngSeed(self.seed, self.stream_id + offset)
+        return np.random.Generator(np.random.Philox(key=(stream << 64) | self.seed))
 
 
 @dataclass(frozen=True, slots=True)
@@ -134,6 +134,8 @@ def _first_passage_hit_count(
     rng: np.random.Generator,
 ) -> int:
     """Vectorized hit count over one block of paths (one RNG stream)."""
+    import numpy as np
+
     b, w = config.black, config.white
     s0 = config.initial_excess
     if s0 == target_diff:
@@ -165,7 +167,7 @@ def estimate_equalization(
     """Estimate P(tau <= horizon) by direct simulation.
 
     Samples are split as evenly as possible over ``n_streams`` blocks, block
-    t drawing from stream ``seed.with_stream(t)``; the result depends only on
+    t drawing from stream ``seed.generator(t)``; the result depends only on
     (parameters, seed, n_streams), never on scheduling.  Note the estimand is
     the truncated P(tau <= horizon), not P(tau < infinity); compare
     ``first_passage_dp`` for the truncation gap, or ``definetti_estimator``
@@ -184,9 +186,7 @@ def estimate_equalization(
     for t in range(min(n_streams, n_samples)):
         block = base + (1 if t < rem else 0)
         try:
-            hits += _first_passage_hit_count(
-                config, target_diff, horizon, block, seed.with_stream(t).generator()
-            )
+            hits += _first_passage_hit_count(config, target_diff, horizon, block, seed.generator(t))
         except (MemoryError, ValueError) as exc:
             # numpy's failed allocation, or its ValueError for sizes past its limits
             raise ResourceLimitError(f"cannot allocate {block} paths in one stream: {exc}") from exc
@@ -197,6 +197,8 @@ def estimate_equalization(
 
 def _ruin_values(p: np.ndarray, excess: int) -> np.ndarray:
     """min(1, ((1-p)/p)^excess) per sample, the biased-walk ruin probability."""
+    import numpy as np
+
     values = np.ones(p.shape[0])
     favored = p > 0.5
     ratio = (1.0 - p[favored]) / p[favored]
@@ -212,8 +214,11 @@ def definetti_estimator(
     The urn's draws are exchangeable, so conditionally on the limiting black
     fraction p the excess performs a biased random walk from b - w, whose
     probability of ever reaching 0 is min(1, ((1-p)/p)^(b-w)).  Averaging
-    that over p ~ Beta(b, w) gives the equalization probability.
+    that over p ~ Beta(b, w) gives the equalization probability.  It draws
+    from stream 0 of ``seed``.
     """
+    import numpy as np
+
     b, w = _require_strict_majority(config, "the de Finetti estimator")
     if n_samples < 1:
         raise DomainError(f"n_samples must be >= 1, got {n_samples}")

@@ -222,6 +222,16 @@ class TestSimulateCommand:
         z_field = next(f for f in out.split() if f.startswith("z_score="))
         assert abs(float(z_field.partition("=")[2])) < 4
 
+    @pytest.mark.parametrize(
+        "flag, value, default", [("--streams", "7", "1"), ("--horizon", "0", "200")]
+    )
+    def test_definetti_ignores_streams_and_horizon(self, capsys, flag, value, default):
+        """The untruncated estimator draws from stream 0 alone, at no horizon."""
+        argv = ("simulate", "--b", "5", "--w", "3", "--method", "definetti", "--samples", "1000")
+        _, changed, _ = run_cli(capsys, *argv, flag, value)
+        _, baseline, _ = run_cli(capsys, *argv, flag, default)
+        assert changed == baseline and "method=definetti" in changed
+
     def test_zero_samples_usage_error(self):
         proc = run_subprocess("simulate", "--b", "2", "--w", "1", "--samples", "0")
         assert proc.returncode == 2

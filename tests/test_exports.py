@@ -44,7 +44,7 @@ _FIELDS = {
     polya_urn.DPTable: ("config", "target_diff", "hit_pmf", "cumulative"),
     polya_urn.EstimateWithCI: ("p_hat", "std_err", "n_samples", "effective_samples"),
     polya_urn.ApproxResult: ("value", "kind", "exact_ref"),
-    polya_urn.RngSeed: ("seed", "stream_id"),
+    polya_urn.RngSeed: ("seed",),
     OutputRecord: (
         "b", "w", "method", "value", "exact", "target", "horizon", "samples", "seed",
         "streams", "std_err", "ci_lo", "ci_hi", "reference", "z_score", "note",

@@ -1,7 +1,9 @@
-"""Only the Monte Carlo routes load numpy; the package's lazy names act like eager ones.
+"""Only the Monte Carlo routes load numpy, and the package re-exports ``simulate``'s names.
 
-Each isolation test runs ``cli.main`` in a fresh interpreter and reports
-whether ``numpy`` is in ``sys.modules`` before and after the call.
+``simulate`` imports numpy inside the functions that draw random numbers, so
+importing it, the package or the CLI loads no numpy.  Each isolation test
+runs in a fresh interpreter and reports whether ``numpy`` is in
+``sys.modules``.
 """
 
 import json
@@ -53,6 +55,12 @@ def _probe(*argv: str) -> dict:
 
 def test_importing_the_package_leaves_numpy_unloaded():
     code = "import sys, polya_urn; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
+
+
+def test_importing_simulate_and_seeding_leaves_numpy_unloaded():
+    code = "import sys, polya_urn.simulate; polya_urn.simulate.RngSeed(1); print('numpy' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "False"
 

@@ -24,7 +24,7 @@ from polya_urn import (
     first_passage_dp,
 )
 from polya_urn import simulate
-from polya_urn.simulate import _ruin_values
+from polya_urn.simulate import _first_passage_hit_count, _ruin_values
 
 from oracles import beta_by_order_statistics, limit_fraction_samples
 
@@ -38,7 +38,8 @@ def z_against(p_hat: float, reference: float, n: int) -> float:
 
 class TestRngSeed:
     def test_key_layout(self):
-        assert RngSeed(5, 3).philox_key() == (3 << 64) | 5
+        expected = np.random.Generator(np.random.Philox(key=(3 << 64) | 5)).random(8)
+        assert np.array_equal(RngSeed(5).generator(3).random(8), expected)
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -46,19 +47,20 @@ class TestRngSeed:
         with pytest.raises(DomainError):
             RngSeed(2**64)
         with pytest.raises(DomainError):
-            RngSeed(0, -2)
-
-    def test_with_stream(self):
-        assert RngSeed(9, 1).with_stream(4) == RngSeed(9, 5)
+            RngSeed(True)
+        with pytest.raises(DomainError):
+            RngSeed(0).generator(-1)
+        with pytest.raises(DomainError):
+            RngSeed(0).generator(2**64)
 
     def test_same_key_same_stream(self):
-        a = RngSeed(123, 7).generator().random(8)
-        b = RngSeed(123, 7).generator().random(8)
+        a = RngSeed(123).generator(7).random(8)
+        b = RngSeed(123).generator(7).random(8)
         assert np.array_equal(a, b)
 
     def test_distinct_streams_differ(self):
-        a = RngSeed(123, 0).generator().random(8)
-        b = RngSeed(123, 1).generator().random(8)
+        a = RngSeed(123).generator(0).random(8)
+        b = RngSeed(123).generator(1).random(8)
         assert not np.array_equal(a, b)
 
 
@@ -149,10 +151,10 @@ class TestEstimateEqualization:
         """Two-sample proportion test at the 1e-4 level (|z| < 3.891)."""
         config = UrnConfig(b, w)
         n = 10**5
-        lhs = estimate_equalization(config, 0, 100, n, RngSeed(20260810, 0))
-        rhs = estimate_equalization(config, 0, 100, n, RngSeed(20260810, 1000))
-        pooled = (lhs.p_hat + rhs.p_hat) / 2
-        z = (lhs.p_hat - rhs.p_hat) / math.sqrt(pooled * (1 - pooled) * 2 / n)
+        lhs = estimate_equalization(config, 0, 100, n, SEED).p_hat
+        rhs = _first_passage_hit_count(config, 0, 100, n, SEED.generator(1000)) / n
+        pooled = (lhs + rhs) / 2
+        z = (lhs - rhs) / math.sqrt(pooled * (1 - pooled) * 2 / n)
         assert abs(z) < 3.891
 
 
@@ -233,8 +235,8 @@ class TestDefinettiEstimator:
     def test_agrees_with_order_statistic_oracle(self, b, w):
         """Two-sample test against ruin values over order-statistic Beta draws."""
         n = 10**5
-        est = definetti_estimator(UrnConfig(b, w), n, RngSeed(20260810, 0))
-        rng = RngSeed(20260810, 1000).generator()
+        est = definetti_estimator(UrnConfig(b, w), n, SEED)
+        rng = SEED.generator(1000)
         values = _ruin_values(beta_by_order_statistics(b, w, n, rng), b - w)
         oracle_se = values.std(ddof=1) / math.sqrt(n)
         z = (est.p_hat - values.mean()) / math.hypot(est.std_err, oracle_se)
