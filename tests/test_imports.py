@@ -60,7 +60,10 @@ def test_importing_the_package_leaves_numpy_unloaded():
 
 
 def test_importing_simulate_and_seeding_leaves_numpy_unloaded():
-    code = "import sys, polya_urn.simulate; polya_urn.simulate.RngSeed(1); print('numpy' in sys.modules)"
+    code = (
+        "import sys, polya_urn.simulate; polya_urn.simulate.RngSeed(1); "
+        "print('numpy' in sys.modules)"
+    )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "False"
 
