@@ -28,7 +28,7 @@ from .exact import (
 )
 from .output import (
     OutputRecord,
-    rational_str,
+    rational_parts,
     record_to_text,
     records_to_csv,
     records_to_json,
@@ -119,12 +119,15 @@ class _Pair:
 def _record(pair: _Pair, method: str, value: Fraction | float, **fields) -> OutputRecord:
     """One row for ``pair``; an exact ``value`` also carries its lossless ``num/den``."""
     if isinstance(value, Fraction):
-        fields["exact"] = rational_str(value)
+        num, den, text = rational_parts(value)
+        fields["exact"] = f"{num}/{den}"
+    else:
+        text = render_decimal(value)
     return OutputRecord(
         b=pair.config.black,
         w=pair.config.white,
         method=method,  # type: ignore[arg-type]
-        value=render_decimal(value),
+        value=text,
         **fields,
     )
 
@@ -249,8 +252,7 @@ def _pmf_csv(table: dp_mod.DPTable) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["n", "p_tau_n_num", "p_tau_n_den", "p_tau_n_decimal"])
     for n, p in enumerate(table.hit_pmf):
-        num, den = rational_str(p).split("/")
-        writer.writerow([n, num, den, render_decimal(p)])
+        writer.writerow([n, *rational_parts(p)])
     return buf.getvalue()
 
 
@@ -293,8 +295,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             record = replace(record, z_score=render_decimal(est.z_score(float(reference))))
     if est.degenerate:
         note += "; degenerate CI (zero standard error)"
-    ess = est.effective_samples
-    if ess is not None and ess < _MIN_EFFECTIVE_SAMPLES:
+    if (ess := est.effective_samples) < _MIN_EFFECTIVE_SAMPLES:
         note += f"; effective sample size {ess:.3g} < {_MIN_EFFECTIVE_SAMPLES}: out of MC reach"
     _emit_records([replace(record, note=note)], args.format, args.output)
     return 0

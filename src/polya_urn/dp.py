@@ -22,6 +22,7 @@ ratio only, never by a gcd of two big integers.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -120,18 +121,10 @@ def estimate_dp_memory_bytes(config: UrnConfig, horizon: int) -> int:
 
 def max_feasible_horizon(config: UrnConfig) -> int:
     """Largest horizon whose estimated DP footprint fits ``MEMORY_BUDGET_BYTES``."""
-    if estimate_dp_memory_bytes(config, 0) > MEMORY_BUDGET_BYTES:
-        return 0
-    lo, hi = 0, 1
-    while estimate_dp_memory_bytes(config, hi) <= MEMORY_BUDGET_BYTES:
-        lo, hi = hi, hi * 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if estimate_dp_memory_bytes(config, mid) <= MEMORY_BUDGET_BYTES:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    fits = bisect.bisect_right(
+        range(1 << 62), MEMORY_BUDGET_BYTES, key=lambda h: estimate_dp_memory_bytes(config, h)
+    )
+    return max(0, fits - 1)
 
 
 def first_passage_dp(config: UrnConfig, target_diff: int, horizon: int) -> DPTable:

@@ -24,6 +24,7 @@ __all__ = [
     "OutputRecord",
     "render_decimal",
     "rational_str",
+    "rational_parts",
     "parse_rational",
     "CSV_COLUMNS",
     "records_to_csv",
@@ -46,7 +47,7 @@ _INTEGER = re.compile(r"-?[0-9]+")
 def render_decimal(x: Fraction | float | int) -> str:
     """Render to 15 significant digits, round-half-even."""
     if isinstance(x, Fraction):
-        return str(_CONTEXT.divide(decimal.Decimal(x.numerator), decimal.Decimal(x.denominator)))
+        return rational_parts(x)[2]
     return str(_CONTEXT.plus(decimal.Decimal(x)))
 
 
@@ -57,6 +58,12 @@ def rational_str(value: Fraction) -> str:
     limit on the number of digits.
     """
     return f"{decimal.Decimal(value.numerator)}/{decimal.Decimal(value.denominator)}"
+
+
+def rational_parts(value: Fraction) -> tuple[str, str, str]:
+    """Numerator, denominator and 15-digit decimal, converting each integer once."""
+    num, den = decimal.Decimal(value.numerator), decimal.Decimal(value.denominator)
+    return str(num), str(den), str(_CONTEXT.divide(num, den))
 
 
 def parse_rational(text: str) -> Fraction:

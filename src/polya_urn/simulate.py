@@ -11,6 +11,10 @@ Two estimators, one sampler each:
   min(1, ((1-p)/p)^(b-w)) of the biased walk the urn behaves like
   conditionally on p.
 
+Both return an ``EstimateWithCI`` of the sums of the values they average (0/1
+hits, or ruin probabilities), so one standard error and one effective sample
+size serve both.
+
 Determinism contract: every estimate is a pure function of its parameters,
 its ``RngSeed`` and, for direct simulation, ``n_streams``.  Randomness comes
 from the Philox 4x64 counter-based generator; stream t of seed s is keyed
@@ -26,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from .errors import DomainError, ResourceLimitError
 from .exact import UrnConfig, _require_strict_majority
@@ -77,38 +81,47 @@ class RngSeed:
 
 @dataclass(frozen=True, slots=True)
 class EstimateWithCI:
-    """Monte Carlo point estimate with its Wald standard error.
+    """Monte Carlo estimate stored as the sums of its averaged values v in [0, 1].
 
-    Two read-only properties derive from these fields: ``ci95`` is the Wald
-    95% interval p_hat +/- z * std_err clamped to [0, 1], and ``degenerate``
-    flags a zero standard error (for instance a single Bernoulli draw, or
-    every sample hitting), where the interval collapses to p_hat.
-    ``effective_samples`` is the Kish effective sample size (sum v)^2 / sum v^2
-    of the averaged values v, 0 when every v (or every v^2) is 0; a few
-    dominant draws make it small, and then the standard error means nothing.
-    Only ``definetti_estimator`` sets it: a direct estimate averages 0/1 hits,
-    whose effective sample size is just the hit count.
+    ``total`` is sum v and ``total_sq`` sum v^2: both are the hit count of a
+    direct estimate, which averages 0/1 hits.  The rest are read-only
+    properties: ``p_hat`` is the mean; ``std_err`` is sqrt(s^2/n), s^2 the
+    unbiased sample variance (0 for one sample); ``ci95`` is the Wald 95%
+    interval p_hat +/- z * std_err clamped to [0, 1], collapsing to p_hat when
+    ``degenerate`` (zero standard error); ``effective_samples`` is the Kish
+    size total^2 / total_sq (0 when every v is 0), below which a few draws
+    carry the mean and the standard error means nothing.  Values in [0, 1]
+    give 0 <= total_sq <= total <= n, so std_err^2 <= p_hat(1-p_hat)/(n-1).
     """
 
-    p_hat: float
-    std_err: float
     n_samples: int
-    effective_samples: Optional[float] = None
+    total: float
+    total_sq: float
 
     def __post_init__(self) -> None:
         if self.n_samples < 1:
             raise DomainError(f"n_samples must be >= 1, got {self.n_samples}")
-        if not 0.0 <= self.p_hat <= 1.0:
-            raise DomainError(f"p_hat must lie in [0, 1], got {self.p_hat}")
-        if self.std_err < 0.0:
-            raise DomainError(f"std_err must be >= 0, got {self.std_err}")
-        if self.n_samples >= 2:
-            # sampling values in [0,1]: s^2/n is at most p(1-p)/(n-1)
-            bound = self.p_hat * (1.0 - self.p_hat) / (self.n_samples - 1)
-            if self.std_err**2 > bound + 1e-12:
-                raise DomainError(
-                    f"std_err={self.std_err} exceeds the binomial-sampling bound"
-                )
+        # summation rounding may carry a sum a relative 1e-12 past its bound
+        slack = 1 + 1e-12
+        if not (0.0 <= self.total_sq <= self.total * slack and self.total <= self.n_samples * slack):
+            raise DomainError(f"need 0 <= total_sq <= total <= n_samples, got {self}")
+
+    @property
+    def p_hat(self) -> float:
+        return min(1.0, self.total / self.n_samples)
+
+    @property
+    def std_err(self) -> float:
+        n = self.n_samples
+        if n < 2:
+            return 0.0
+        mean = self.total / n
+        variance = max(0.0, (self.total_sq - n * mean * mean) / (n - 1))
+        return math.sqrt(variance / n)
+
+    @property
+    def effective_samples(self) -> float:
+        return self.total * self.total / self.total_sq if self.total_sq else 0.0
 
     @property
     def ci95(self) -> tuple[float, float]:
@@ -145,8 +158,11 @@ def _first_passage_hit_count(
     for n in range(horizon):
         u = rng.random(blacks.shape[0])
         blacks += u < (b + blacks) / (b + w + n)
-        s = s0 + 2 * blacks - (n + 1)
-        absorbed = s == target_diff
+        # S = s0 + 2 * blacks - (n + 1) hits the target iff 2 * blacks == need
+        need = target_diff - s0 + n + 1
+        if need % 2:
+            continue
+        absorbed = blacks == need // 2
         n_absorbed = int(absorbed.sum())
         if n_absorbed:
             hits += n_absorbed
@@ -174,15 +190,14 @@ def estimate_equalization(
     for the untruncated probability.  Raises ``ResourceLimitError`` when a
     stream's paths cannot be allocated.
     """
-    if n_samples < 1:
-        raise DomainError(f"n_samples must be >= 1, got {n_samples}")
     if n_streams < 1:
         raise DomainError(f"n_streams must be >= 1, got {n_streams}")
     if horizon < 0:
         raise DomainError(f"horizon must be >= 0, got {horizon}")
     base, rem = divmod(n_samples, n_streams)
     hits = 0
-    # streams past the n_samples-th get an empty block and draw nothing
+    # streams past the n_samples-th get an empty block and draw nothing, and
+    # n_samples < 1 draws nothing and is refused by EstimateWithCI
     for t in range(min(n_streams, n_samples)):
         block = base + (1 if t < rem else 0)
         try:
@@ -190,20 +205,16 @@ def estimate_equalization(
         except (MemoryError, ValueError) as exc:
             # numpy's failed allocation, or its ValueError for sizes past its limits
             raise ResourceLimitError(f"cannot allocate {block} paths in one stream: {exc}") from exc
-    p_hat = hits / n_samples
-    std_err = math.sqrt(p_hat * (1.0 - p_hat) / n_samples)
-    return EstimateWithCI(p_hat, std_err, n_samples)
+    return EstimateWithCI(n_samples, hits, hits)
 
 
 def _ruin_values(p: np.ndarray, excess: int) -> np.ndarray:
     """min(1, ((1-p)/p)^excess) per sample, the biased-walk ruin probability."""
     import numpy as np
 
-    values = np.ones(p.shape[0])
-    favored = p > 0.5
-    ratio = (1.0 - p[favored]) / p[favored]
-    values[favored] = ratio**excess
-    return values
+    # p = 0 divides by zero and p < 1/2 may overflow: both give inf, clamped to 1
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.minimum(1.0, ((1.0 - p) / p) ** excess)
 
 
 def definetti_estimator(
@@ -220,24 +231,11 @@ def definetti_estimator(
     import numpy as np
 
     b, w = _require_strict_majority(config, "the de Finetti estimator")
-    if n_samples < 1:
-        raise DomainError(f"n_samples must be >= 1, got {n_samples}")
-    excess = b - w
     rng = seed.generator()
-    total = 0.0
-    total_sq = 0.0
-    remaining = n_samples
-    while remaining:
-        rows = min(_CHUNK_ROWS, remaining)
-        values = _ruin_values(rng.beta(b, w, rows), excess)
+    total = total_sq = 0.0
+    # n_samples < 1 draws nothing and is refused by EstimateWithCI
+    for start in range(0, n_samples, _CHUNK_ROWS):
+        values = _ruin_values(rng.beta(b, w, min(_CHUNK_ROWS, n_samples - start)), b - w)
         total += float(values.sum())
         total_sq += float(np.square(values).sum())
-        remaining -= rows
-    mean = total / n_samples
-    if n_samples >= 2:
-        variance = max(0.0, (total_sq - n_samples * mean * mean) / (n_samples - 1))
-        std_err = math.sqrt(variance / n_samples)
-    else:
-        std_err = 0.0
-    effective = total * total / total_sq if total_sq else 0.0
-    return EstimateWithCI(min(1.0, mean), std_err, n_samples, effective)
+    return EstimateWithCI(n_samples, total, total_sq)

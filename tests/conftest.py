@@ -1,8 +1,19 @@
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import polya_urn
+
+# Hypothesis imports its patch writer (and with it libcst, whose import warns)
+# only once a @given test fails; under filterwarnings = error that warning
+# becomes an INTERNALERROR that hides the failure and ends the session.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # without libcst Hypothesis skips the patch itself
+        pass
 
 # tests import shared oracles as a plain module
 sys.path.insert(0, str(Path(__file__).parent))

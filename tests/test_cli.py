@@ -274,6 +274,15 @@ class TestSimulateCommand:
         assert code == 0
         assert f"; effective sample size {ess} < 10: out of MC reach" in out
 
+    @pytest.mark.parametrize("samples, ess", [("1", "0"), ("20", "8")])
+    def test_direct_estimate_with_few_hits_flagged(self, capsys, samples, ess):
+        """A direct estimate's effective sample size is its hit count."""
+        code, out, _ = run_cli(
+            capsys, "simulate", "--b", "2", "--w", "1", "--samples", samples, "--seed", "1"
+        )
+        assert code == 0
+        assert f"; effective sample size {ess} < 10: out of MC reach" in out
+
     def test_definetti_estimate_with_many_effective_samples_not_flagged(self, capsys):
         code, out, _ = run_cli(
             capsys, "simulate", "--b", "5", "--w", "3", "--method", "definetti",

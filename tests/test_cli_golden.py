@@ -16,6 +16,18 @@ CSV ``_SWEEP_ALL`` case) were re-captured when the never-set ``stream_id``
 column left the records: each new output equals the old one with that
 column cut out.  Text and JSON output did not change, as JSON and text
 already dropped unset fields.
+
+Seven direct-simulation digests were re-captured when both Monte Carlo
+routes moved to one sample-variance standard error, which for 0/1 hits is
+sqrt(p(1-p)/(n-1)) instead of sqrt(p(1-p)/n): ``simulate --b 5 --w 3
+--streams 2 --samples 2000 --seed 11``, ``simulate --b 2 --w 1 --samples 20
+--horizon 20001``, ``simulate --b 500001 --w 500000 --horizon 20000
+--samples 1 --seed 11 --format csv``, ``simulate --b 2 --w 1 --samples 1
+--seed 1`` and the three ``_SWEEP_ALL`` cases.  Only the direct rows'
+``std_err``, ``ci_lo``, ``ci_hi`` and ``z_score`` digits moved, and the two
+1-sample runs, whose effective sample size is their hit count (1 and 0),
+gained the note "effective sample size ... < 10: out of MC reach"; every
+estimate and every de Finetti row is unchanged.
 """
 
 import hashlib
@@ -78,16 +90,16 @@ GOLDEN = [
     (("dp", "--b", "2000", "--w", "1999", "--horizon", "3000", "--format", "csv"), 0,
      "caaaa41b6735c2cea4512ef750cfb1675f3469f5ba83d2bbe240650e30c07255"),
     (("simulate", "--b", "5", "--w", "3", "--streams", "2", *_SIM), 0,
-     "830eb4f3b2ab53e63652fed3db0f4609a0d7dc73366c4474470b02b26a647ad7"),
+     "046ff7d227f3a8275f1c79c27e495c38f5e5933bf7090cea3b767106c9878c75"),
     (("simulate", "--b", "5", "--w", "3", "--method", "definetti", *_SIM, "--format", "json"), 0,
      "5cf4bfa66cece9c5a279b00d5e09d56659c0355cf46afa8423e16423ba9663fa"),
     (("simulate", "--b", "2", "--w", "1", "--samples", "20", "--horizon", "20001"), 0,
-     "8a409c5c1c72d0cf6253f39b4f5a74fff59e17968013182481d561beec86d1f4"),
+     "dbca15e3b53560750b3bc8d0d351197eaf8ff92c907d261cd60f969660a3f866"),
     (("simulate", "--b", "500001", "--w", "500000", "--horizon", "20000", "--samples", "1",
       "--seed", "11", "--format", "csv"), 0,
-     "c89e280ed119a0c52457d738750f15dd3657ba1172776562e49ceeeafeaa3955"),
+     "aaa524db4caf0496affb2b7b5bb64099d26dbf565e31fc2aa2ff2086225d74a3"),
     (("simulate", "--b", "2", "--w", "1", "--samples", "1", "--seed", "1"), 0,
-     "a2f96d14ed4b0143cfa2a5ef94965d7ac66d3b4631708542545bc731ab1533f1"),
+     "b5a661921e5fec6800fc64c7b5358f23997208fd4198cc68390779f4f50036a7"),
     (("approx", "--b", "5", "--w", "3"), 0,
      "6d0273ee1ec3c7725977edad2d066fc8babb400836c2b52b01e8db00626d24ac"),
     (("approx", "--b", "9", "--w", "1", "--method", "normal", "--format", "csv"), 0,
@@ -95,11 +107,11 @@ GOLDEN = [
     (("approx", "--b", "40", "--w", "12", "--method", "chernoff", "--format", "json"), 0,
      "93242bd0db593924872322e8e5ab17892514163bef9b18b7d5e2e2b2e8197588"),
     (_SWEEP_ALL, 0,
-     "35984ca46ca259bae2f1fb12c308d1828759fec238ce9e86e47ff61be2bef0ed"),
+     "bc75e9105ce8e6a17249d0de496deafe31da8a67ca6f565858ee3d6819e0c5d1"),
     ((*_SWEEP_ALL, "--format", "text"), 0,
-     "343f11136bb481746b2c1f98a3925bcea08fa5d3365e3958057333afd5e62083"),
+     "b2b6e219d0e712f4258002fd1f6d7be39d0b5427c418e2ad5279320bd84e0b98"),
     ((*_SWEEP_ALL, "--format", "json"), 0,
-     "ab5f3fd449f648b148f38d6290f046de51c6ef3f744bd388a86b59678d0e752b"),
+     "e6123b5076d82d834e6ee090bc77a2aef408a3b50306df6c01b7c275091144d4"),
     (("identity-check", "--max-total", "40"), 0,
      "095988ae244c5f1f9da9f19201bed1fac474a9f90780b3cebbc9989db06560b0"),
     (("exact", "--b", "2", "--w", "3", "--form", "binomial"), 2,

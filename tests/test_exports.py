@@ -42,7 +42,7 @@ _FIELDS = {
     polya_urn.UrnConfig: ("black", "white"),
     polya_urn.ExactProbability: ("value",),
     polya_urn.DPTable: ("config", "target_diff", "hit_pmf", "cumulative"),
-    polya_urn.EstimateWithCI: ("p_hat", "std_err", "n_samples", "effective_samples"),
+    polya_urn.EstimateWithCI: ("n_samples", "total", "total_sq"),
     polya_urn.ApproxResult: ("value", "kind", "exact_ref"),
     polya_urn.RngSeed: ("seed",),
     OutputRecord: (
@@ -53,7 +53,7 @@ _FIELDS = {
 # values derived from the fields above: read-only properties, never stored
 _PROPERTIES = {
     polya_urn.DPTable: ("horizon",),
-    polya_urn.EstimateWithCI: ("ci95", "degenerate"),
+    polya_urn.EstimateWithCI: ("p_hat", "std_err", "effective_samples", "ci95", "degenerate"),
     polya_urn.ApproxResult: ("abs_error", "rel_error"),
 }
 

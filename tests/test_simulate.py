@@ -6,10 +6,11 @@ deterministic; tolerances are multiples of the standard error.
 
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polya_urn import (
@@ -66,35 +67,52 @@ class TestRngSeed:
 
 class TestEstimateWithCI:
     def test_validation(self):
-        with pytest.raises(DomainError):
-            EstimateWithCI(1.5, 0.0, 10)
-        with pytest.raises(DomainError):
-            EstimateWithCI(0.5, -0.1, 10)
-        with pytest.raises(DomainError):
-            EstimateWithCI(0.5, 0.9, 100)  # impossible std err
+        invalid = [
+            (0, 0, 0),  # no samples
+            (10, 11, 5),  # total above n
+            (10, 5, 6),  # total_sq above total
+            (10, 5, -1),  # negative total_sq
+            (10, -1, -1),  # negative total
+            (10, math.nan, 0),
+            (10, 5, math.nan),
+        ]
+        for n, total, total_sq in invalid:
+            with pytest.raises(DomainError):
+                EstimateWithCI(n, total, total_sq)
+
+    def test_rounding_slack(self):
+        """Sums a relative 1e-13 past their bounds are summation rounding, not errors."""
+        est = EstimateWithCI(10, 10 * (1 + 1e-13), 10 * (1 + 2e-13))
+        assert est.p_hat == 1.0
 
     def test_z_score(self):
-        est = EstimateWithCI(0.5, 0.01, 2500)
+        # mean 0.5 and unbiased variance 624.75/2499, so std_err = sqrt(1e-4)
+        est = EstimateWithCI(2500, 1250, 1249.75)
         assert est.z_score(0.48) == pytest.approx(2.0)
 
     @given(
-        p=st.floats(0.0, 1.0),
-        n=st.integers(2, 10**9),
+        n=st.integers(1, 10**9),
+        mean=st.floats(0.0, 1.0),
         frac=st.floats(0.0, 1.0),
     )
     @settings(max_examples=300, deadline=None)
-    def test_derived_interval_is_consistent(self, p, n, frac):
-        """Any valid (p_hat, std_err, n) yields the clamped Wald pair around p_hat.
+    def test_derived_interval_is_consistent(self, n, mean, frac):
+        """Any valid sums yield the clamped Wald pair and the sampling bound on std_err.
 
         The interval is derived, so a check that it brackets p_hat has
         nothing to catch.
         """
-        se = frac * math.sqrt(p * (1.0 - p) / (n - 1))
-        est = EstimateWithCI(p, se, n)
+        total = mean * n
+        est = EstimateWithCI(n, total, frac * total)
+        p, se = est.p_hat, est.std_err
         lo, hi = est.ci95
         assert (lo, hi) == (max(0.0, p - simulate._Z95 * se), min(1.0, p + simulate._Z95 * se))
         assert 0.0 <= lo <= p <= hi <= 1.0
         assert est.degenerate == (se == 0.0)
+        if n == 1:
+            assert se == 0.0
+        else:
+            assert se**2 <= p * (1.0 - p) / (n - 1) + 1e-12
 
 
 class TestEstimateEqualization:
@@ -121,9 +139,19 @@ class TestEstimateEqualization:
         est = estimate_equalization(UrnConfig(4, 4), 0, 10, 100, SEED)
         assert est.p_hat == 1.0 and est.degenerate
 
-    def test_leaves_effective_samples_unset(self):
+    def test_effective_samples_equals_hit_count(self):
         est = estimate_equalization(UrnConfig(2, 1), 0, 5, 100, SEED)
-        assert est.effective_samples is None
+        hits = est.total
+        assert hits > 0 and est.total_sq == hits and est.p_hat == hits / 100
+        assert est.effective_samples == hits
+
+    def test_std_err_is_the_sample_standard_error_of_hits(self):
+        """0/1 values have unbiased sample variance n p(1-p)/(n-1)."""
+        n = 1000
+        est = estimate_equalization(UrnConfig(5, 3), 0, 30, n, SEED)
+        p = est.p_hat
+        assert 0.0 < p < 1.0
+        assert est.std_err == pytest.approx(math.sqrt(p * (1.0 - p) / (n - 1)), rel=1e-12)
 
     def test_more_streams_than_samples(self):
         est = estimate_equalization(UrnConfig(2, 1), 0, 20, 3, SEED, n_streams=8)
@@ -133,8 +161,9 @@ class TestEstimateEqualization:
         assert est == most == estimate_equalization(UrnConfig(2, 1), 0, 20, 3, SEED, 3)
 
     def test_validation(self):
-        with pytest.raises(DomainError):
-            estimate_equalization(UrnConfig(2, 1), 0, 10, 0, SEED)
+        for n in (0, -1):
+            with pytest.raises(DomainError, match="n_samples must be >= 1"):
+                estimate_equalization(UrnConfig(2, 1), 0, 10, n, SEED)
         with pytest.raises(DomainError):
             estimate_equalization(UrnConfig(2, 1), 0, 10, 5, SEED, n_streams=0)
         with pytest.raises(DomainError):
@@ -192,6 +221,11 @@ class TestDefinettiEstimator:
         est = definetti_estimator(config, 10**5, SEED)
         assert abs(est.z_score(float(equalization_probability(config)))) < 4
 
+    def test_needs_a_sample(self):
+        for n in (0, -1):
+            with pytest.raises(DomainError, match="n_samples must be >= 1"):
+                definetti_estimator(UrnConfig(2, 1), n, SEED)
+
     def test_requires_majority(self):
         with pytest.raises(DomainError):
             definetti_estimator(UrnConfig(2, 2), 100, SEED)
@@ -248,10 +282,18 @@ class TestDefinettiEstimator:
         definetti_estimator(UrnConfig(5000, 3000), 10**5, SEED)
         assert time.monotonic() - start < 3.0
 
-    @given(st.lists(st.floats(1e-9, 1 - 1e-9), min_size=1, max_size=50), st.integers(1, 9))
+    @given(
+        st.lists(st.sampled_from([0.0, 0.5]) | st.floats(1e-9, 1 - 1e-9), min_size=1, max_size=50),
+        st.integers(1, 3000),
+    )
+    @example([0.0, 0.5], 1)
+    @example([0.0, 0.1, 0.5], 2998)
     @settings(max_examples=100, deadline=None)
     def test_every_summand_lies_in_unit_interval(self, ps, excess):
-        values = _ruin_values(np.array(ps), excess)
+        """p = 0 divides by zero and small p overflow at large excess; neither warns."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = _ruin_values(np.array(ps), excess)
         assert np.all(values >= 0.0) and np.all(values <= 1.0)
         below_half = np.array(ps) <= 0.5
         assert np.all(values[below_half] == 1.0)
