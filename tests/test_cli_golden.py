@@ -44,6 +44,11 @@ _SWEEP_ALL = (
     "--methods", "exact,binomial,complement,dp,mc,definetti,normal,chernoff",
     "--horizon", "30", "--samples", "200", "--seed", "4", "--streams", "2",
 )
+# w columns that start mid-range: at b = 30 for w < 30, at b = w + 1 above
+_SWEEP_MID = (
+    "sweep", "--b-range", "30:45", "--w-range", "7:50",
+    "--methods", "binomial,complement,normal,chernoff",
+)
 
 # (argv, exit code, stdout SHA-256)
 GOLDEN = [
@@ -112,6 +117,12 @@ GOLDEN = [
      "b2b6e219d0e712f4258002fd1f6d7be39d0b5427c418e2ad5279320bd84e0b98"),
     ((*_SWEEP_ALL, "--format", "json"), 0,
      "e6123b5076d82d834e6ee090bc77a2aef408a3b50306df6c01b7c275091144d4"),
+    ((*_SWEEP_MID, "--format", "json"), 0,
+     "45d8a714ac37a276a678a1daf295a654fa91c4775984f642cc976f35c302f268"),
+    ((*_SWEEP_MID, "--format", "text"), 0,
+     "df1f37aa7a030680b28ce8b876adb56e736ea7fdae3b820ad7e49671119929a5"),
+    (("sweep", "--b-range", "5:5", "--w-range", "3:3", "--methods", "exact"), 0,
+     "37fdfd1befee0235a57340167c62bf60b4c4dbce5d0a58e752d11c948be0f55e"),
     (("identity-check", "--max-total", "40"), 0,
      "095988ae244c5f1f9da9f19201bed1fac474a9f90780b3cebbc9989db06560b0"),
     (("exact", "--b", "2", "--w", "3", "--form", "binomial"), 2,
