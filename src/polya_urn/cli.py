@@ -3,6 +3,11 @@
 Subcommands: ``exact``, ``dp``, ``simulate``, ``approx``, ``sweep``, and
 ``identity-check``.  Data goes to stdout (or ``--output``); diagnostics and
 errors go to stderr; the exit code is 0 exactly when no error occurred.
+
+``sweep`` takes its closed forms from ``exact.equalization_sweep``, which
+carries them down each w column by Pascal's rule, and writes each row as
+soon as it is built; ``exact --form all`` and ``identity-check`` evaluate
+the three closed forms independently, since cross-checking them is their job.
 """
 
 from __future__ import annotations
@@ -10,11 +15,13 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
-from typing import Any, Callable, Optional, Sequence
+from itertools import chain
+from typing import Any, Callable, Optional, Sequence, TextIO
 
 from . import dp as dp_mod
 from .approx import chernoff_bound, normal_approximation
@@ -25,6 +32,7 @@ from .exact import (
     equalization_probability,
     equalization_probability_binomial,
     equalization_probability_complement,
+    equalization_sweep,
 )
 from .output import (
     OutputRecord,
@@ -33,6 +41,7 @@ from .output import (
     records_to_csv,
     records_to_json,
     render_decimal,
+    write_records,
 )
 from .simulate import EstimateWithCI, RngSeed, definetti_estimator, estimate_equalization
 
@@ -76,15 +85,20 @@ def _parse_range(text: str) -> tuple[int, int]:
     return low, high
 
 
-def _emit(text: str, output: Optional[str]) -> None:
+def _emit_with(write: Callable[[TextIO], Any], output: Optional[str]) -> None:
+    """Run ``write`` on stdout (looked up now), or on ``output`` opened for writing."""
     if output is None:
-        sys.stdout.write(text)
+        write(sys.stdout)
     else:
         try:
             with open(output, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
+                write(fh)
         except OSError as exc:
             raise PolyaUrnError(f"--output: {exc}") from exc
+
+
+def _emit(text: str, output: Optional[str]) -> None:
+    _emit_with(lambda fh: fh.write(text), output)
 
 
 def _emit_records(records: list[OutputRecord], fmt: str, output: Optional[str]) -> None:
@@ -98,10 +112,24 @@ def _emit_records(records: list[OutputRecord], fmt: str, output: Optional[str]) 
 
 @dataclass(frozen=True)
 class _Pair:
-    """One (b, w) with the parsed arguments; each closed form is computed at most once."""
+    """One (b, w) with the parsed arguments; each closed form is computed, and
+    each exact value rendered, at most once.
+
+    ``forms`` holds (theorem, binomial, complement) when ``sweep``'s column
+    recurrence already has them; otherwise each comes from its own function.
+    """
 
     config: UrnConfig
     args: argparse.Namespace
+    forms: Optional[Sequence[ExactProbability]] = None
+    # rational_parts by (numerator, denominator), which hash faster than a Fraction
+    _parts: dict[tuple[int, int], tuple[str, str, str]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        if self.forms:  # fill the cached properties below
+            vars(self).update(zip(("exact", "binomial", "complement"), self.forms))
 
     @cached_property
     def exact(self) -> ExactProbability:
@@ -115,11 +143,19 @@ class _Pair:
     def complement(self) -> ExactProbability:
         return equalization_probability_complement(self.config)
 
+    def parts(self, value: Fraction) -> tuple[str, str, str]:
+        """``rational_parts(value)``, converted once however many rows show it."""
+        key = value.as_integer_ratio()
+        parts = self._parts.get(key)
+        if parts is None:
+            parts = self._parts[key] = rational_parts(value)
+        return parts
+
 
 def _record(pair: _Pair, method: str, value: Fraction | float, **fields) -> OutputRecord:
     """One row for ``pair``; an exact ``value`` also carries its lossless ``num/den``."""
     if isinstance(value, Fraction):
-        num, den, text = rational_parts(value)
+        num, den, text = pair.parts(value)
         fields["exact"] = f"{num}/{den}"
     else:
         text = render_decimal(value)
@@ -177,7 +213,7 @@ def _definetti_row(pair: _Pair, method: str):
 
 def _approx_row(pair: _Pair, method: str, approximation: Callable):
     result = approximation(pair.config, pair.exact)
-    return _record(pair, method, result.value, reference=render_decimal(pair.exact.value)), result
+    return _record(pair, method, result.value, reference=pair.parts(pair.exact.value)[2]), result
 
 
 # Every method's bare record for one pair (what ``sweep`` prints), with the
@@ -314,6 +350,15 @@ def cmd_approx(args: argparse.Namespace) -> int:
     return 0
 
 
+def _sweep_pair_count(b_range: tuple[int, int], w_range: tuple[int, int]) -> int:
+    """How many (b, w) in the ranges have w < b, counted without listing them."""
+    (b_lo, b_hi), (w_lo, w_hi) = b_range, w_range
+    # w < b_lo pairs with every b; b_lo <= w < b_hi with the b_hi - w values of b above w
+    below = max(0, min(w_hi, b_lo - 1) - w_lo + 1) * (b_hi - b_lo + 1)
+    lo, hi = max(w_lo, b_lo), min(w_hi, b_hi - 1)
+    return below + (max(0, hi - lo + 1) * (2 * b_hi - lo - hi)) // 2
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not methods:
@@ -322,17 +367,21 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if unknown:
         raise DomainError(f"unknown methods: {', '.join(unknown)}")
     (b_lo, b_hi), (w_lo, w_hi) = args.b_range, args.w_range
-    pairs = [(b, w) for b in range(b_lo, b_hi + 1) for w in range(w_lo, min(w_hi, b - 1) + 1)]
-    skipped = (b_hi - b_lo + 1) * (w_hi - w_lo + 1) - len(pairs)
+    count = _sweep_pair_count(args.b_range, args.w_range)
+    skipped = (b_hi - b_lo + 1) * (w_hi - w_lo + 1) - count
     if skipped:
         print(f"# skipped {skipped} (b, w) pair(s): sweep requires w < b", file=sys.stderr)
-    if not pairs:
+    if not count:
         raise DomainError("empty effective range: no (b, w) pairs with w < b")
-    records: list[OutputRecord] = []
-    for b, w in pairs:
-        pair = _Pair(UrnConfig(b, w), args)
-        records.extend(_row(pair, method)[0] for method in methods)
-    _emit_records(records, args.format, args.output)
+    # Rows stream, so every refusal runs before the first byte: the dp budget
+    # here, at the largest b + w, and the per-method ones on the first pair.
+    if "dp" in methods:
+        dp_mod.check_memory_budget(UrnConfig(b_hi, min(w_hi, b_hi - 1)), args.horizon)
+    columns = equalization_sweep(args.b_range, args.w_range)
+    pairs = (_Pair(config, args, forms) for config, *forms in columns)
+    rows = ([_row(pair, method)[0] for method in methods] for pair in pairs)
+    records = chain(next(rows), chain.from_iterable(rows))
+    _emit_with(lambda fh: write_records(records, args.format, fh), args.output)
     return 0
 
 
@@ -452,6 +501,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except PolyaUrnError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader of stdout stopped early (``sweep ... | head``): stop quietly,
+        # and point stdout at devnull so the interpreter's last flush cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
 
 
 if __name__ == "__main__":

@@ -34,6 +34,7 @@ __all__ = [
     "DPTable",
     "first_passage_dp",
     "estimate_dp_memory_bytes",
+    "check_memory_budget",
     "max_feasible_horizon",
     "MEMORY_BUDGET_BYTES",
 ]
@@ -127,6 +128,22 @@ def max_feasible_horizon(config: UrnConfig) -> int:
     return max(0, fits - 1)
 
 
+def check_memory_budget(config: UrnConfig, horizon: int) -> None:
+    """Refuse with ``ResourceLimitError`` a horizon whose estimated DP footprint
+    exceeds ``MEMORY_BUDGET_BYTES``.
+
+    The estimate grows with b + w and with the horizon, so one check at the
+    largest b + w covers a whole range of urns.
+    """
+    estimate = estimate_dp_memory_bytes(config, horizon)
+    if estimate > MEMORY_BUDGET_BYTES:
+        raise ResourceLimitError(
+            f"horizon {horizon} needs ~{estimate} bytes, over the budget of "
+            f"{MEMORY_BUDGET_BYTES}; largest feasible horizon is "
+            f"~{max_feasible_horizon(config)}"
+        )
+
+
 def first_passage_dp(config: UrnConfig, target_diff: int, horizon: int) -> DPTable:
     """Exact P(tau = n) for n <= horizon, tau the first time S hits the target.
 
@@ -151,15 +168,7 @@ def first_passage_dp(config: UrnConfig, target_diff: int, horizon: int) -> DPTab
     untruncated closed form is exported; this function and the direct Monte
     Carlo estimator are the supported routes.
     """
-    if horizon < 0:
-        raise DomainError(f"horizon must be >= 0, got {horizon}")
-    estimate = estimate_dp_memory_bytes(config, horizon)
-    if estimate > MEMORY_BUDGET_BYTES:
-        raise ResourceLimitError(
-            f"horizon {horizon} needs ~{estimate} bytes, over the budget of "
-            f"{MEMORY_BUDGET_BYTES}; largest feasible horizon is "
-            f"~{max_feasible_horizon(config)}"
-        )
+    check_memory_budget(config, horizon)
 
     b, w = config.black, config.white
     s0 = config.initial_excess

@@ -13,6 +13,12 @@ rational arithmetic:
 * ``equalization_probability_complement`` -- one minus the middle block
   ``2^-(b+w-1) * sum_{w<=j<=b-1} C(b+w-1, j)``.
 
+Each sums a stretch of row n = b + w - 1 of Pascal's triangle, and (b, w)
+and (b + 1, w) sit on adjacent rows.  ``equalization_sweep`` uses that to
+tabulate a whole (b, w) range: it carries the three sums down each w column
+by Pascal's rule, at a few big-integer operations per pair, while the three
+functions above stay independent of each other for cross-checking.
+
 Everything is a pure function of its inputs; all returned values are
 immutable and reduced to lowest terms.
 """
@@ -22,6 +28,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from typing import Iterator
 
 from .errors import DomainError
 from .output import rational_str
@@ -33,6 +41,7 @@ __all__ = [
     "equalization_probability",
     "equalization_probability_binomial",
     "equalization_probability_complement",
+    "equalization_sweep",
 ]
 
 
@@ -197,3 +206,67 @@ def equalization_probability_complement(config: UrnConfig) -> ExactProbability:
         total += coeff
         coeff = coeff * (n - j) // (j + 1)
     return ExactProbability(1 - Fraction(total, 2 ** (b + w - 1)))
+
+
+def _column_start(b: int, w: int) -> list[int]:
+    """Column state at (b, w) from row n = b + w - 1, summed directly.
+
+    The state is ``[head, tail, middle, C(n, w-1), C(n, b)]``: the sums of
+    C(n, j) over j < w, j >= b and w <= j < b, and the two coefficients at
+    the edges that Pascal's rule moves across them.
+    """
+    n = b + w - 1
+    row = list(accumulate(range(n), lambda c, j: c * (n - j) // (j + 1), initial=1))
+    return [sum(row[:w]), sum(row[b:]), sum(row[w:b]), row[w - 1], row[b]]
+
+
+def equalization_sweep(
+    b_range: tuple[int, int], w_range: tuple[int, int]
+) -> Iterator[tuple[UrnConfig, ExactProbability, ExactProbability, ExactProbability]]:
+    """The three closed forms of every (b, w) in the ranges with w < b.
+
+    Yields ``(config, theorem, binomial, complement)`` in b-major order, the
+    same values as ``equalization_probability``, ``_binomial`` and
+    ``_complement``.  Each w column starts with direct sums over row
+    n = b + w - 1 at its first b; from (b, w) to (b + 1, w), Pascal's rule
+    C(n+1, j) = C(n, j) + C(n, j-1) gives
+
+        head   <- 2 head - C(n, w-1)
+        tail   <- 2 tail - C(n, b)
+        middle <- 2 middle + C(n, b) + C(n, w-1)
+
+    and the edge coefficients move by small-integer ratios,
+    C(n+1, w-1) = C(n, w-1) (n+1)/(n+2-w) and C(n+1, b+1) = C(n, b) (n+1)/(b+1).
+    So each pair costs a few big-integer operations, and the state is five
+    integers per w column.  With n = b + w - 1,
+
+        theorem = 2 tail / 2^n,  binomial = head / 2^(n-1),  complement = 1 - middle / 2^n.
+    """
+    (b_lo, b_hi), (w_lo, w_hi) = b_range, w_range
+    for value, name in ((b_lo, "b_lo"), (b_hi, "b_hi"), (w_lo, "w_lo"), (w_hi, "w_hi")):
+        _require_positive_int(value, name)
+    columns: dict[int, list[int]] = {}
+    for b in range(b_lo, b_hi + 1):
+        for w in range(w_lo, min(w_hi, b - 1) + 1):
+            n = b + w - 1
+            state = columns.get(w)
+            if state is None:
+                state = columns[w] = _column_start(b, w)
+            else:
+                # Pascal's rule from row n - 1 at b - 1 to row n at b
+                head, tail, middle, c_low, c_high = state
+                state[:] = (
+                    2 * head - c_low,
+                    2 * tail - c_high,
+                    2 * middle + c_high + c_low,
+                    c_low * n // (n + 1 - w),
+                    c_high * n // b,
+                )
+            head, tail, middle = state[:3]
+            denominator = 1 << n
+            yield (
+                UrnConfig(b, w),
+                ExactProbability(Fraction(2 * tail, denominator)),
+                ExactProbability(Fraction(head, denominator >> 1)),
+                ExactProbability(1 - Fraction(middle, denominator)),
+            )

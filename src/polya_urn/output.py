@@ -4,7 +4,9 @@ Exact methods carry both a lossless ``num/den`` string and a decimal
 rendering; every decimal in any format is 15 significant digits, rounded
 half-even, so emitted files are stable golden data.  CSV is UTF-8 with a
 header row and LF line endings; JSON is one object with a ``records`` array
-and validates against the schema shipped in ``schemas/``.
+and validates against the schema shipped in ``schemas/``.  ``write_records``
+writes any of the three formats to a stream one record at a time, so a long
+table never sits in memory; the string renderings are built on it.
 """
 
 from __future__ import annotations
@@ -13,11 +15,12 @@ import csv
 import decimal
 import io
 import json
+import operator
 import re
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from importlib import resources
-from typing import Literal, Optional, get_args
+from typing import Iterable, Literal, Optional, TextIO, get_args
 
 __all__ = [
     "Method",
@@ -30,6 +33,7 @@ __all__ = [
     "records_to_csv",
     "records_to_json",
     "record_to_text",
+    "write_records",
     "load_output_schema",
 ]
 
@@ -112,21 +116,45 @@ class OutputRecord:
 
 
 CSV_COLUMNS = tuple(f.name for f in fields(OutputRecord))
+_csv_row = operator.attrgetter(*CSV_COLUMNS)
 
 
-def records_to_csv(records: list[OutputRecord]) -> str:
+def write_records(records: Iterable[OutputRecord], fmt: str, stream: TextIO) -> None:
+    """Write ``records`` to ``stream`` as ``fmt`` (csv, json or text), one at a time.
+
+    JSON output is byte-identical to ``json.dumps({"records": [...]}, indent=2)``
+    plus a final newline.
+    """
+    if fmt == "csv":
+        writer = csv.writer(stream, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
+        # csv writes None as an empty field and an int as its str()
+        writer.writerows(map(_csv_row, records))
+    elif fmt == "json":
+        stream.write('{\n  "records": [')
+        # json.dumps writes an empty array as "[]"
+        separator, closing = "\n    ", "]\n}\n"
+        for rec in records:
+            stream.write(separator + json.dumps(rec.to_dict(), indent=2).replace("\n", "\n    "))
+            separator, closing = ",\n    ", "\n  ]\n}\n"
+        stream.write(closing)
+    else:
+        for rec in records:
+            stream.write(record_to_text(rec) + "\n")
+
+
+def _rendered(records: list[OutputRecord], fmt: str) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for rec in records:
-        writer.writerow(
-            ["" if (v := getattr(rec, col)) is None else str(v) for col in CSV_COLUMNS]
-        )
+    write_records(records, fmt, buf)
     return buf.getvalue()
 
 
+def records_to_csv(records: list[OutputRecord]) -> str:
+    return _rendered(records, "csv")
+
+
 def records_to_json(records: list[OutputRecord]) -> str:
-    return json.dumps({"records": [rec.to_dict() for rec in records]}, indent=2) + "\n"
+    return _rendered(records, "json")
 
 
 def record_to_text(record: OutputRecord) -> str:

@@ -1,5 +1,6 @@
 """CLI surface tests: formats, round-trips, exit codes, determinism."""
 
+import contextlib
 import csv
 import io
 import json
@@ -10,6 +11,8 @@ from fractions import Fraction
 
 import jsonschema
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from polya_urn import (
     DPTable,
@@ -18,10 +21,14 @@ from polya_urn import (
     cli,
     equalization_probability,
     equalization_probability_binomial,
+    equalization_probability_complement,
     first_passage_dp,
 )
 from polya_urn.cli import main
-from polya_urn.output import load_output_schema, parse_rational
+from polya_urn.dp import MEMORY_BUDGET_BYTES, estimate_dp_memory_bytes
+from polya_urn.output import load_output_schema, parse_rational, render_decimal
+
+from oracles import beta_cdf_by_polynomial_integration
 
 
 def run_cli(capsys, *args: str) -> tuple[int, str, str]:
@@ -400,6 +407,93 @@ class TestSweepCommand:
         )
         assert code == 2
 
+    def test_late_dp_refusal_prints_no_rows(self, capsys):
+        """Rows stream, yet a refusal at the sweep's last pair still leaves stdout empty."""
+        horizon = 2_100_000
+        # (2, 1) and (3, 1) fit the dp budget at this horizon; (3, 2), the last pair, does not
+        fits = [estimate_dp_memory_bytes(UrnConfig(b, w), horizon) <= MEMORY_BUDGET_BYTES
+                for b, w in ((2, 1), (3, 1), (3, 2))]
+        assert fits == [True, True, False]
+        code, out, err = run_cli(
+            capsys,
+            "sweep", "--b-range", "2:3", "--w-range", "1:2", "--methods", "exact,dp",
+            "--target", "-10000000", "--horizon", str(horizon),
+        )
+        assert code == 2 and out == ""
+        assert err.splitlines()[-1].startswith(f"error: horizon {horizon} needs ~")
+
+    def test_closed_forms_come_from_the_column_recurrence(self, capsys, monkeypatch):
+        """``sweep`` never calls the per-pair closed forms; the cross-checking routes do."""
+
+        def refuse(config):
+            raise AssertionError(f"per-pair closed form called for {config}")
+
+        for name in (
+            "equalization_probability",
+            "equalization_probability_binomial",
+            "equalization_probability_complement",
+        ):
+            monkeypatch.setattr(cli, name, refuse)
+        code, out, _ = run_cli(
+            capsys, "sweep", "--b-range", "2:12", "--w-range", "1:11",
+            "--methods", "exact,binomial,complement,normal,chernoff",
+        )
+        assert code == 0 and len(out.splitlines()) == 1 + 5 * 66
+        for argv in (
+            ("identity-check", "--max-total", "12"),
+            ("exact", "--b", "7", "--w", "3", "--form", "all"),
+        ):
+            with pytest.raises(AssertionError, match="per-pair closed form called"):
+                main(list(argv))
+
+    @given(
+        b_range=st.tuples(st.integers(1, 60), st.integers(0, 60)).map(
+            lambda t: (t[0], min(60, t[0] + t[1]))
+        ),
+        w_range=st.tuples(st.integers(1, 60), st.integers(0, 60)).map(
+            lambda t: (t[0], t[0] + t[1])
+        ),
+    )
+    @example(b_range=(30, 45), w_range=(7, 50))  # w_lo > 1, columns starting mid-range
+    @example(b_range=(40, 60), w_range=(3, 9))  # b_lo > w_hi + 1
+    @example(b_range=(5, 5), w_range=(3, 3))  # one pair
+    @example(b_range=(60, 60), w_range=(59, 60))  # one pair at the edge, one skipped
+    @example(b_range=(2, 5), w_range=(5, 9))  # no pair
+    @settings(max_examples=30, deadline=None)
+    def test_streamed_values_match_every_route(self, b_range, w_range):
+        """Each streamed value equals all three per-pair forms and an independent oracle,
+        in b-major order, with the brute-force skipped count on stderr."""
+        (b_lo, b_hi), (w_lo, w_hi) = b_range, w_range
+        argv = [
+            "sweep", "--b-range", f"{b_lo}:{b_hi}", "--w-range", f"{w_lo}:{w_hi}",
+            "--methods", "exact,binomial,complement,normal",
+        ]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        grid = [(b, w) for b in range(b_lo, b_hi + 1) for w in range(w_lo, w_hi + 1)]
+        pairs = [(b, w) for b, w in grid if w < b]
+        skipped = len(grid) - len(pairs)
+        notes = [f"# skipped {skipped} (b, w) pair(s): sweep requires w < b"] if skipped else []
+        if not pairs:
+            assert code == 2 and out.getvalue() == ""
+            return
+        assert code == 0 and err.getvalue().splitlines() == notes
+        rows = list(csv.DictReader(io.StringIO(out.getvalue())))
+        assert [(int(r["b"]), int(r["w"])) for r in rows[::4]] == pairs
+        for (b, w), group in zip(pairs, zip(*[iter(rows)] * 4)):
+            config = UrnConfig(b, w)
+            expected = 2 * beta_cdf_by_polynomial_integration(b, w, Fraction(1, 2))
+            for fn in (
+                equalization_probability,
+                equalization_probability_binomial,
+                equalization_probability_complement,
+            ):
+                assert fn(config).value == expected
+            assert [r["method"] for r in group] == ["exact", "binomial", "complement", "normal"]
+            assert {parse_rational(r["exact"]) for r in group[:3]} == {expected}
+            assert group[3]["reference"] == render_decimal(expected)
+
 
 class TestIdentityCheck:
     def test_passes_and_reports_pair_count(self, capsys):
@@ -448,11 +542,28 @@ class TestOutputHygiene:
         rows = list(csv.DictReader(io.StringIO(target.read_text())))
         assert rows[0]["exact"] == "1/4"
 
+    def test_reader_closing_stdout_early_stops_quietly(self):
+        """``sweep ... | head``: once nobody reads the streamed rows, exit 0 without a traceback."""
+        argv = ["sweep", "--b-range", "2:80", "--w-range", "1:79"]
+        with subprocess.Popen(
+            [sys.executable, "-m", "polya_urn.cli", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        ) as proc:
+            assert proc.stdout.readline().startswith(b"b,w,method,")
+            proc.stdout.close()  # about 270 kB of rows are still to come
+            err = proc.stderr.read().decode()
+        assert proc.returncode == 0
+        assert err == "# skipped 3081 (b, w) pair(s): sweep requires w < b\n"
+
     def test_output_to_missing_directory_is_usage_error(self, capsys, tmp_path):
         target = tmp_path / "missing" / "x.csv"
-        code, out, err = run_cli(
-            capsys, "exact", "--b", "3", "--w", "2", "--output", str(target)
-        )
-        assert code == 2 and out == ""
-        assert err.startswith("error: --output: ") and err.count("\n") == 1
-        assert not target.exists()
+        for argv in (
+            ("exact", "--b", "3", "--w", "2"),
+            # sweep streams its rows into the file it opens
+            ("sweep", "--b-range", "9:12", "--w-range", "1:8", "--methods", "exact,normal"),
+        ):
+            code, out, err = run_cli(capsys, *argv, "--output", str(target))
+            assert code == 2 and out == ""
+            assert err.startswith("error: --output: ") and err.count("\n") == 1
+            assert not target.exists()

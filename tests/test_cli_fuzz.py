@@ -1,4 +1,5 @@
-"""Fuzz the CLI: every accepted input prints a result or exits 2, never a traceback.
+"""Fuzz the CLI: every accepted input prints a result or exits 2 with nothing on
+stdout, never a traceback.
 
 Invocations are drawn over every subcommand: the closed forms, ``approx``,
 ``dp``, both ``simulate`` methods, ``sweep`` and ``identity-check``.  Where
@@ -126,8 +127,11 @@ _INVOCATIONS = {
 @settings(max_examples=80, deadline=None, derandomize=True)
 def test_result_or_clean_exit_2(command, data):
     argv = data.draw(_INVOCATIONS[command])
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
     assert code in (0, 2), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
+    # a refusal comes before the first byte, even from a subcommand that streams its rows
+    if code == 2:
+        assert out.getvalue() == "", (argv, err.getvalue())

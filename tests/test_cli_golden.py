@@ -28,6 +28,11 @@ sqrt(p(1-p)/(n-1)) instead of sqrt(p(1-p)/n): ``simulate --b 5 --w 3
 1-sample runs, whose effective sample size is their hit count (1 and 0),
 gained the note "effective sample size ... < 10: out of MC reach"; every
 estimate and every de Finetti row is unchanged.
+
+The two ``_SWEEP_MID`` digests (JSON and text) and the one-pair ``sweep
+--b-range 5:5 --w-range 3:3 --methods exact`` were captured before ``sweep``
+took its closed forms from the w-column recurrence and streamed its rows;
+they pin streamed JSON and text, and columns that start mid-range.
 """
 
 import hashlib

@@ -17,7 +17,7 @@ from polya_urn import (
     equalization_probability,
     first_passage_dp,
 )
-from polya_urn.dp import estimate_dp_memory_bytes, max_feasible_horizon
+from polya_urn.dp import check_memory_budget, estimate_dp_memory_bytes, max_feasible_horizon
 
 from oracles import (
     black_count_pmfs_by_stepping,
@@ -163,6 +163,25 @@ class TestMemoryBudget:
         first_passage_dp(config, 0, n)  # runs
         with pytest.raises(ResourceLimitError, match=f"largest feasible horizon is ~{n}$"):
             first_passage_dp(config, 0, n + 1)
+
+    def test_budget_check_refuses_what_first_passage_dp_refuses(self, monkeypatch):
+        monkeypatch.setattr(dp, "MEMORY_BUDGET_BYTES", 100_000)
+        config = UrnConfig(5, 3)
+        n = max_feasible_horizon(config)
+        check_memory_budget(config, n)  # fits: returns quietly
+        with pytest.raises(ResourceLimitError) as checked:
+            check_memory_budget(config, n + 1)
+        with pytest.raises(ResourceLimitError) as computed:
+            first_passage_dp(config, 0, n + 1)
+        assert str(checked.value) == str(computed.value)
+
+    @given(st.integers(1, 400), st.integers(1, 400), st.integers(0, 10**6))
+    @settings(max_examples=60, deadline=None)
+    def test_estimate_grows_with_total(self, total, more, horizon):
+        """One budget check at a sweep's largest b + w covers every smaller urn."""
+        small = estimate_dp_memory_bytes(UrnConfig(total, 1), horizon)
+        assert small <= estimate_dp_memory_bytes(UrnConfig(total + more, 1), horizon)
+        assert small == estimate_dp_memory_bytes(UrnConfig(1, total), horizon)
 
     @pytest.mark.parametrize(
         "b, w, target, horizon",

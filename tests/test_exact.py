@@ -23,6 +23,7 @@ from polya_urn import (
     equalization_probability_complement,
     normal_approximation,
 )
+from polya_urn.exact import equalization_sweep
 from polya_urn.output import rational_str
 
 from oracles import beta_cdf_by_polynomial_integration
@@ -226,6 +227,24 @@ class TestEqualizationProbability:
                     equalization_probability(UrnConfig(b, w + 1)).value
                     > equalization_probability(UrnConfig(b, w)).value
                 )
+
+    def test_sweep_matches_the_per_pair_forms(self):
+        """Columns starting at b = w + 1 and mid-range (b_lo 9 and 14), and the steps below."""
+        for b_lo, b_hi in ((1, 30), (9, 30), (14, 20)):
+            got = list(equalization_sweep((b_lo, b_hi), (3, 12)))
+            pairs = [(b, w) for b in range(b_lo, b_hi + 1) for w in range(3, 13) if w < b]
+            assert [(c.black, c.white) for c, *_ in got] == pairs
+            for config, theorem, binomial, complement in got:
+                assert theorem == equalization_probability(config)
+                assert binomial == equalization_probability_binomial(config)
+                assert complement == equalization_probability_complement(config)
+
+    @pytest.mark.parametrize(
+        "b_range, w_range", [((0, 5), (1, 2)), ((2, 5), (1, 2.0)), ((True, 5), (1, 2))]
+    )
+    def test_sweep_bounds_are_positive_ints(self, b_range, w_range):
+        with pytest.raises(DomainError):
+            next(equalization_sweep(b_range, w_range))
 
     def test_exact_at_two_thousand_balls(self):
         cfg = UrnConfig(1001, 999)

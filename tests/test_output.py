@@ -2,6 +2,7 @@
 
 import csv
 import io
+import json
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,9 @@ from polya_urn.output import (
     rational_str,
     records_to_csv,
     records_to_json,
+    record_to_text,
     render_decimal,
+    write_records,
 )
 
 
@@ -100,3 +103,44 @@ class TestWriters:
         doc = json.loads(records_to_json([rec]))
         assert list(doc) == ["records"]
         assert doc["records"][0]["exact"] == "5/8"
+
+
+_RECORDS = [
+    OutputRecord(b=2, w=1, method="exact", value="0.5", exact="1/2"),
+    OutputRecord(b=3, w=1, method="normal", value="0.3", reference="0.25", note='a "q"\nz'),
+    OutputRecord(b=9, w=4, method="dp", value="0.1", exact="1/10", target=-3, horizon=40),
+]
+
+
+class TestStreamingWriter:
+    @pytest.mark.parametrize("count", [0, 1, 3])
+    def test_json_is_byte_identical_to_one_dumps(self, count):
+        buf = io.StringIO()
+        write_records(iter(_RECORDS[:count]), "json", buf)
+        document = {"records": [rec.to_dict() for rec in _RECORDS[:count]]}
+        assert buf.getvalue() == json.dumps(document, indent=2) + "\n"
+
+    @pytest.mark.parametrize("count", [0, 1, 3])
+    def test_csv_and_text_match_the_string_renderings(self, count):
+        records = _RECORDS[:count]
+        for fmt, expected in (
+            ("csv", records_to_csv(records)),
+            ("text", "".join(record_to_text(rec) + "\n" for rec in records)),
+        ):
+            buf = io.StringIO()
+            write_records(iter(records), fmt, buf)
+            assert buf.getvalue() == expected
+
+    @pytest.mark.parametrize("fmt", ["csv", "json", "text"])
+    def test_each_record_is_written_before_the_next_is_built(self, fmt):
+        buf = io.StringIO()
+        seen = []
+
+        def records():
+            for rec in _RECORDS:
+                seen.append(len(buf.getvalue()))
+                yield rec
+
+        write_records(records(), fmt, buf)
+        # the stream grew between consecutive records: nothing was held back
+        assert seen[0] < seen[1] < seen[2] < len(buf.getvalue())
