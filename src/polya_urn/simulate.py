@@ -3,7 +3,10 @@
 Two estimators, one sampler each:
 
 * direct simulation of the urn until the excess S = black - white hits a
-  target level or a horizon runs out (``estimate_equalization``);
+  target level or a horizon runs out (``estimate_equalization``): each
+  stream's paths are stepped in place, a cache-sized chunk at a time, and
+  blocks of at least a chunk run up to min(streams, CPUs) streams at once
+  on threads, since numpy releases the GIL while it draws and compares;
 * a two-stage mixture estimator with no horizon truncation
   (``definetti_estimator``): draw the urn's limiting black fraction p from
   Beta(b, w) with ``Generator.beta``, one variate per sample at a cost
@@ -19,16 +22,21 @@ Determinism contract: every estimate is a pure function of its parameters,
 its ``RngSeed`` and, for direct simulation, ``n_streams``.  Randomness comes
 from the Philox 4x64 counter-based generator; stream t of seed s is keyed
 ``t * 2^64 + s``, so distinct streams are independent, and identical inputs
-give bit-identical results on every platform, regardless of how the sample
-blocks would be scheduled.
+give bit-identical results on every platform.  Streams that run at once
+share no state, each block's hits are an exact int, and chunked draws consume
+a stream exactly as one draw of the whole block does, so the result does not
+depend on how the blocks are scheduled or on the chunk size.
 
 numpy is imported only inside the functions that draw or hold random
-numbers, so importing this module, or building an ``RngSeed``, never loads it.
+numbers, and ``concurrent.futures`` only when streams run on a thread pool, so
+importing this module, or building an ``RngSeed``, loads neither.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -50,8 +58,9 @@ _UINT64_MAX = 2**64 - 1
 # two-sided 95% normal quantile for Wald intervals
 _Z95 = 1.959963984540054
 
-# rows per Beta block: chunking bounds memory, and the draws equal one large
-# ``rng.beta`` call, so the estimate does not depend on the chunk size
+# rows per chunk of Beta draws or of direct-simulation paths: chunking bounds
+# memory and keeps a step's buffers in cache, and the draws equal one large
+# ``rng.beta`` or ``rng.random`` call, so no estimate depends on the chunk size
 _CHUNK_ROWS = 1 << 16
 
 
@@ -139,6 +148,14 @@ class EstimateWithCI:
         return (self.p_hat - reference) / self.std_err
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _first_passage_hit_count(
     config: UrnConfig,
     target_diff: int,
@@ -146,29 +163,65 @@ def _first_passage_hit_count(
     n_samples: int,
     rng: np.random.Generator,
 ) -> int:
-    """Vectorized hit count over one block of paths (one RNG stream)."""
+    """Hit count over one block of paths (one RNG stream), stepped in place.
+
+    ``held`` keeps b + blacks for each live path, front-packed.  Each step
+    walks the live paths ``_CHUNK_ROWS`` at a time through three buffers
+    allocated once: fill uniforms, divide by the urn size, compare, add.
+    Consecutive ``random(out=...)`` fills consume the stream exactly as one
+    draw of every live path does, so the count does not depend on the chunk
+    size.  Absorbed paths are packed out of ``held`` chunk by chunk in the
+    same pass, so memory stays at ``held`` plus a few chunk-sized buffers.
+    """
     import numpy as np
 
     b, w = config.black, config.white
     s0 = config.initial_excess
     if s0 == target_diff:
         return n_samples
-    blacks = np.zeros(n_samples, dtype=np.int64)
-    hits = 0
+    held = np.full(n_samples, b, dtype=np.int64 if b + horizon >= 2**31 else np.int32)
+    rows = min(n_samples, _CHUNK_ROWS)
+    u, thr, up = np.empty(rows), np.empty(rows), np.empty(rows, dtype=bool)
+
+    def chunks(live: int) -> list:
+        # a block of at most one chunk is one view of each buffer, rebuilt
+        # only when paths are absorbed, so its steps do no slicing
+        return [
+            (lo, held[lo:lo + k], u[:k], thr[:k], up[:k])
+            for lo in range(0, live, _CHUNK_ROWS)
+            for k in (min(_CHUNK_ROWS, live - lo),)
+        ]
+
+    live, hits = n_samples, 0
+    views = chunks(live)
     for n in range(horizon):
-        u = rng.random(blacks.shape[0])
-        blacks += u < (b + blacks) / (b + w + n)
-        # S = s0 + 2 * blacks - (n + 1) hits the target iff 2 * blacks == need
+        size = float(b + w + n)
+        # S = s0 + 2 * blacks - (n + 1) hits the target iff 2 * blacks == need,
+        # and after n + 1 draws 0 <= blacks <= n + 1
         need = target_diff - s0 + n + 1
-        if need % 2:
-            continue
-        absorbed = blacks == need // 2
-        n_absorbed = int(absorbed.sum())
-        if n_absorbed:
-            hits += n_absorbed
-            blacks = blacks[~absorbed]
-            if blacks.size == 0:
+        check = need % 2 == 0 and 0 <= need <= 2 * (n + 1)
+        level = b + need // 2
+        kept = 0
+        for lo, held_k, u_k, thr_k, up_k in views:
+            rng.random(out=u_k)
+            np.divide(held_k, size, out=thr_k)
+            np.less(u_k, thr_k, out=up_k)
+            held_k += up_k
+            if not check:
+                continue
+            np.not_equal(held_k, level, out=up_k)
+            survivors = int(np.count_nonzero(up_k))
+            if survivors < up_k.size:
+                held[kept:kept + survivors] = held_k[up_k]
+            elif kept < lo:
+                held[kept:kept + survivors] = held_k
+            kept += survivors
+        if check and kept < live:
+            hits += live - kept
+            live = kept
+            if not live:
                 break
+            views = chunks(live)
     return hits
 
 
@@ -183,28 +236,62 @@ def estimate_equalization(
     """Estimate P(tau <= horizon) by direct simulation.
 
     Samples are split as evenly as possible over ``n_streams`` blocks, block
-    t drawing from stream ``seed.generator(t)``; the result depends only on
-    (parameters, seed, n_streams), never on scheduling.  Note the estimand is
-    the truncated P(tau <= horizon), not P(tau < infinity); compare
-    ``first_passage_dp`` for the truncation gap, or ``definetti_estimator``
-    for the untruncated probability.  Raises ``ResourceLimitError`` when a
-    stream's paths cannot be allocated.
+    t drawing from stream ``seed.generator(t)``.  When every block holds at
+    least ``_CHUNK_ROWS`` paths, up to min(n_streams, usable CPUs) blocks run
+    at once on a thread pool; smaller blocks run one after another.  Hits are
+    summed as ints, so the result depends only on (parameters, seed,
+    n_streams), never on scheduling.  Note the estimand is the truncated
+    P(tau <= horizon), not P(tau < infinity); compare ``first_passage_dp``
+    for the truncation gap, or ``definetti_estimator`` for the untruncated
+    probability.  Raises ``ResourceLimitError`` when a stream's paths cannot
+    be allocated; the other workers then start no new block.
     """
     if n_streams < 1:
         raise DomainError(f"n_streams must be >= 1, got {n_streams}")
     if horizon < 0:
         raise DomainError(f"horizon must be >= 0, got {horizon}")
     base, rem = divmod(n_samples, n_streams)
-    hits = 0
     # streams past the n_samples-th get an empty block and draw nothing, and
     # n_samples < 1 draws nothing and is refused by EstimateWithCI
-    for t in range(min(n_streams, n_samples)):
-        block = base + (1 if t < rem else 0)
-        try:
-            hits += _first_passage_hit_count(config, target_diff, horizon, block, seed.generator(t))
-        except (MemoryError, ValueError) as exc:
-            # numpy's failed allocation, or its ValueError for sizes past its limits
-            raise ResourceLimitError(f"cannot allocate {block} paths in one stream: {exc}") from exc
+    n_blocks = min(n_streams, n_samples)
+    # a block below one chunk is bound by per-step interpreter work, which
+    # holds the GIL, so only blocks of a chunk or more share out the streams
+    workers = min(n_blocks, _usable_cpus()) if base >= _CHUNK_ROWS else 1
+    stop = threading.Event()
+
+    def count(first: int) -> int:
+        """Hits of blocks first, first + workers, ... until told to stop."""
+        hits = 0
+        for t in range(first, n_blocks, workers):
+            if stop.is_set():
+                break
+            block = base + (1 if t < rem else 0)
+            try:
+                hits += _first_passage_hit_count(
+                    config, target_diff, horizon, block, seed.generator(t)
+                )
+            except (MemoryError, ValueError) as exc:
+                stop.set()
+                # numpy's failed allocation, or its ValueError for sizes past its limits
+                raise ResourceLimitError(
+                    f"cannot allocate {block} paths in one stream: {exc}"
+                ) from exc
+        return hits
+
+    if workers == 1:
+        hits = count(0)
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        # numpy releases the GIL while it fills and compares a chunk, and hit
+        # counts are exact ints, so the sum does not depend on scheduling
+        with ThreadPoolExecutor(workers) as pool:
+            try:
+                futures = [pool.submit(count, first) for first in range(workers)]
+                hits = sum(future.result() for future in futures)
+            finally:
+                # a failed worker or an interrupt: start no new block before the pool joins
+                stop.set()
     return EstimateWithCI(n_samples, hits, hits)
 
 

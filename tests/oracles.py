@@ -7,9 +7,12 @@ every draw sequence, or step a forward recursion over (step, black draws),
 instead of evaluating the hitting-time formula; the sequence and
 black-count oracles multiply the urn's per-draw probabilities instead of
 assuming exchangeability; the limit-fraction sampler steps simulated urns
-draw by draw; the Beta sampler takes order statistics of uniforms instead
-of ratios of gamma variates; the normal CDF oracle integrates the density by
-high-precision quadrature instead of calling erfc.
+draw by draw; the direct hit counter holds every path of a stream in one
+array and draws each step in one call instead of stepping cache-sized
+chunks in place, one stream after another; the Beta sampler takes order
+statistics of uniforms instead of ratios of gamma variates; the normal CDF
+oracle integrates the density by high-precision quadrature instead of
+calling erfc.
 """
 
 from __future__ import annotations
@@ -157,6 +160,37 @@ def limit_fraction_samples(
     for n in range(n_steps):
         blacks += rng.random(n_runs) < (black + blacks) / (black + white + n)
     return (black + blacks) / (black + white + n_steps)
+
+
+def direct_hit_count_unchunked(
+    black: int, white: int, target: int, horizon: int, n_samples: int, rng: np.random.Generator
+) -> int:
+    """Paths, of n_samples, whose excess hits ``target`` within ``horizon`` draws.
+
+    Every live path is held at once: each step draws one uniform per live
+    path in one call, draws black when u < (black + blacks) / (urn size), and
+    drops the absorbed paths, so the next step draws only for the rest.
+    """
+    s0 = black - white
+    if s0 == target:
+        return n_samples
+    blacks = np.zeros(n_samples, dtype=np.int64)
+    hits = 0
+    for n in range(horizon):
+        u = rng.random(blacks.shape[0])
+        blacks += u < (black + blacks) / (black + white + n)
+        # S = s0 + 2 * blacks - (n + 1) hits the target iff 2 * blacks == need
+        need = target - s0 + n + 1
+        if need % 2:
+            continue
+        absorbed = blacks == need // 2
+        n_absorbed = int(absorbed.sum())
+        if n_absorbed:
+            hits += n_absorbed
+            blacks = blacks[~absorbed]
+            if blacks.size == 0:
+                break
+    return hits
 
 
 def beta_by_order_statistics(

@@ -183,7 +183,7 @@ class TestSimulateCommand:
         _, ten, _ = run_cli(capsys, *args, "--streams", "10")
         assert most.replace(str(2**64 - 1), "10") == ten
 
-    # Every block below holds at least 2^50 paths (8 PiB of int64), an
+    # Every block below holds at least 2^50 paths (4 PiB of int32 path state), an
     # allocation that fails at once under every overcommit mode, so these
     # tests never touch real memory.
     @pytest.mark.parametrize(
@@ -199,6 +199,22 @@ class TestSimulateCommand:
         assert out == ""
         assert len(err.splitlines()) == 1
         assert err.startswith("error: cannot allocate ")
+
+    def test_pooled_worker_memory_error_exits_2(self, capsys, monkeypatch):
+        from polya_urn import simulate
+
+        def no_room(*args):
+            raise MemoryError("no room")
+
+        monkeypatch.setattr(simulate, "_CHUNK_ROWS", 4)
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(simulate, "_first_passage_hit_count", no_room)
+        code, out, err = run_cli(
+            capsys, "simulate", "--b", "5", "--w", "3", "--horizon", "5",
+            "--samples", "100", "--streams", "4",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: cannot allocate 25 paths in one stream: no room\n"
 
     def test_direct_skips_dp_reference_over_horizon_cap(self, capsys):
         code, out, _ = run_cli(

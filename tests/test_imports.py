@@ -1,9 +1,9 @@
 """Only the Monte Carlo routes load numpy, and the package re-exports ``simulate``'s names.
 
-``simulate`` imports numpy inside the functions that draw random numbers, so
-importing it, the package or the CLI loads no numpy.  Each isolation test
-runs in a fresh interpreter and reports whether ``numpy`` is in
-``sys.modules``.
+``simulate`` imports numpy inside the functions that draw random numbers, and
+``concurrent.futures`` only when it runs streams on a thread pool, so
+importing it, the package or the CLI loads neither.  Each isolation test runs
+in a fresh interpreter and reports which of the two are in ``sys.modules``.
 """
 
 import json
@@ -15,17 +15,18 @@ import pytest
 import polya_urn
 import polya_urn.simulate
 
-# prints {"code": exit code, "before": numpy loaded by the import, "after": ... by the run}
+# prints {"code": exit code, "before": heavy modules loaded by the import, "after": ... by the run}
 _PROBE = """
 import contextlib, io, json, sys
+heavy = lambda: [m for m in ("concurrent.futures", "numpy") if m in sys.modules]
 from polya_urn import cli
-before = "numpy" in sys.modules
+before = heavy()
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     try:
         code = cli.main(sys.argv[1:])
     except SystemExit as exc:
         code = exc.code
-print(json.dumps({"code": code, "before": before, "after": "numpy" in sys.modules}))
+print(json.dumps({"code": code, "before": before, "after": heavy()}))
 """
 
 _SWEEP = ("sweep", "--b-range", "2:6", "--w-range", "1:4", "--horizon", "20", "--samples", "50")
@@ -60,22 +61,24 @@ def test_importing_the_package_leaves_numpy_unloaded():
 
 
 def test_importing_simulate_and_seeding_leaves_numpy_unloaded():
+    """... and ``concurrent.futures``, which only pooled streams load."""
     code = (
         "import sys, polya_urn.simulate; polya_urn.simulate.RngSeed(1); "
-        "print('numpy' in sys.modules)"
+        "print('numpy' in sys.modules, 'concurrent.futures' in sys.modules)"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "False False"
 
 
 @pytest.mark.parametrize("argv", _EXACT_ROUTES, ids=" ".join)
 def test_exact_routes_never_load_numpy(argv):
-    assert _probe(*argv) == {"code": 0, "before": False, "after": False}
+    """... nor ``concurrent.futures``: an eager pool import would cost every spawn."""
+    assert _probe(*argv) == {"code": 0, "before": [], "after": []}
 
 
 @pytest.mark.parametrize("argv", _MC_ROUTES, ids=" ".join)
 def test_monte_carlo_routes_load_numpy_when_they_run(argv):
-    assert _probe(*argv) == {"code": 0, "before": False, "after": True}
+    assert _probe(*argv) == {"code": 0, "before": [], "after": ["numpy"]}
 
 
 class TestLazyNames:

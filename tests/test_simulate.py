@@ -5,7 +5,9 @@ deterministic; tolerances are multiples of the standard error.
 """
 
 import math
+import threading
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 from polya_urn import (
     DomainError,
     EstimateWithCI,
+    ResourceLimitError,
     RngSeed,
     UrnConfig,
     beta_cdf_rational,
@@ -27,7 +30,7 @@ from polya_urn import (
 from polya_urn import simulate
 from polya_urn.simulate import _first_passage_hit_count, _ruin_values
 
-from oracles import beta_by_order_statistics, limit_fraction_samples
+from oracles import beta_by_order_statistics, direct_hit_count_unchunked, limit_fraction_samples
 
 SEED = RngSeed(20260810)
 
@@ -185,6 +188,89 @@ class TestEstimateEqualization:
         pooled = (lhs + rhs) / 2
         z = (lhs - rhs) / math.sqrt(pooled * (1 - pooled) * 2 / n)
         assert abs(z) < 3.891
+
+
+def oracle_total(b, w, target, horizon, n_samples, n_streams, seed):
+    """Hits summed over the blocks, block t of the oracle on Philox key t * 2^64 + seed."""
+    base, rem = divmod(n_samples, n_streams)
+    return sum(
+        direct_hit_count_unchunked(
+            b, w, target, horizon, base + (t < rem),
+            np.random.Generator(np.random.Philox(key=(t << 64) | seed)),
+        )
+        for t in range(min(n_streams, n_samples))
+    )
+
+
+class TestDirectKernel:
+    """The chunked, in-place, concurrent kernel draws and decides as the unchunked one did."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        b=st.one_of(st.integers(1, 6), st.just(2**31 - 5)),
+        w=st.integers(1, 6),
+        offset=st.integers(-4, 4),
+        horizon=st.integers(0, 30),
+        n_samples=st.integers(1, 120),
+        n_streams=st.integers(1, 6),
+        seed=st.integers(0, 2**64 - 1),
+        chunk_rows=st.sampled_from([1, 7, simulate._CHUNK_ROWS]),
+        cpus=st.sampled_from([1, 2, 3]),
+    )
+    # at 7-row chunks, blocks of 8 + 7 paths run pooled and 7 + 6 serially,
+    # either side of the threshold; b + horizon >= 2^31 needs int64 state
+    @example(b=3, w=2, offset=-1, horizon=30, n_samples=15, n_streams=2, seed=1, chunk_rows=7, cpus=2)
+    @example(b=3, w=2, offset=-1, horizon=30, n_samples=13, n_streams=2, seed=1, chunk_rows=7, cpus=2)
+    @example(b=2**31 - 5, w=3, offset=6, horizon=30, n_samples=40, n_streams=3, seed=5, chunk_rows=7, cpus=2)
+    def test_total_equals_the_unchunked_oracle(
+        self, b, w, offset, horizon, n_samples, n_streams, seed, chunk_rows, cpus
+    ):
+        target = b - w + offset
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(simulate, "_CHUNK_ROWS", chunk_rows)
+            patch.setattr(simulate, "_usable_cpus", lambda: cpus)
+            est = estimate_equalization(
+                UrnConfig(b, w), target, horizon, n_samples, RngSeed(seed), n_streams
+            )
+        assert est.total == oracle_total(b, w, target, horizon, n_samples, n_streams, seed)
+
+    @pytest.mark.parametrize("n_streams", [2, 3])
+    def test_default_chunks_match_the_oracle(self, monkeypatch, n_streams):
+        """Two pooled blocks of a chunk and a short tail, or three serial blocks under a chunk."""
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
+        n = 2 * simulate._CHUNK_ROWS + 3
+        est = estimate_equalization(UrnConfig(5, 3), 0, 25, n, SEED, n_streams)
+        assert est.total == oracle_total(5, 3, 0, 25, n, n_streams, SEED.seed)
+
+    def test_worker_memory_error_is_one_resource_error(self, monkeypatch):
+        threads = []
+
+        def no_room(*args):
+            threads.append(threading.current_thread())
+            raise MemoryError("no room")
+
+        monkeypatch.setattr(simulate, "_CHUNK_ROWS", 4)
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(simulate, "_first_passage_hit_count", no_room)
+        baseline = threading.active_count()
+        with pytest.raises(ResourceLimitError, match="^cannot allocate 50 paths in one stream: no room$"):
+            estimate_equalization(UrnConfig(5, 3), 0, 10, 200, SEED, 4)
+        assert threads and threading.main_thread() not in threads
+        assert threading.active_count() == baseline
+
+    def test_block_memory_is_a_few_bytes_a_path(self):
+        """int32 path state plus chunk-sized buffers, not full-length temporaries per step."""
+        n = 200_000
+        rng = SEED.generator()
+        tracemalloc.start()
+        try:
+            _first_passage_hit_count(UrnConfig(5, 3), 0, 40, n, rng)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # 17 bytes a chunk row of buffers (two float64, one bool) and a few
+        # bytes a row for the survivors packed out of one chunk
+        assert peak <= 8 * n + 24 * simulate._CHUNK_ROWS
 
 
 class TestBetaOrderStatistic:
