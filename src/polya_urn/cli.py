@@ -4,24 +4,25 @@ Subcommands: ``exact``, ``dp``, ``simulate``, ``approx``, ``sweep``, and
 ``identity-check``.  Data goes to stdout (or ``--output``); diagnostics and
 errors go to stderr; the exit code is 0 exactly when no error occurred.
 
-``sweep`` takes its closed forms from ``exact.equalization_sweep``, which
-carries them down each w column by Pascal's rule, and writes each row as
-soon as it is built; ``exact --form all`` and ``identity-check`` evaluate
+Every subcommand with ``--format`` streams its data through
+``output.write_records``, or ``output.write_pmf`` for ``dp --emit-pmf``, so
+each format is switched in one place.  ``sweep`` writes each row as soon as
+it is built; it takes its closed forms from ``exact.equalization_sweep``,
+which carries them down each w column by Pascal's rule, and builds none when
+its methods read none.  ``exact --form all`` and ``identity-check`` evaluate
 the three closed forms independently, since cross-checking them is their job.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import os
 import sys
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from typing import Any, Callable, Optional, Sequence, TextIO
+from typing import Any, Callable, Iterable, Optional, Sequence, TextIO
 
 from . import dp as dp_mod
 from .approx import chernoff_bound, normal_approximation
@@ -34,16 +35,14 @@ from .exact import (
     equalization_probability_complement,
     equalization_sweep,
 )
-from .output import (
-    OutputRecord,
-    rational_parts,
-    record_to_text,
-    records_to_csv,
-    records_to_json,
-    render_decimal,
-    write_records,
+from .output import OutputRecord, rational_parts, render_decimal, write_pmf, write_records
+from .simulate import (
+    EstimateWithCI,
+    RngSeed,
+    check_path_state,
+    definetti_estimator,
+    estimate_equalization,
 )
-from .simulate import EstimateWithCI, RngSeed, definetti_estimator, estimate_equalization
 
 # Past this horizon the automatic exact reference is skipped: the memory
 # budget admits horizons whose pmf takes tens of seconds, nearly all of it the
@@ -85,7 +84,7 @@ def _parse_range(text: str) -> tuple[int, int]:
     return low, high
 
 
-def _emit_with(write: Callable[[TextIO], Any], output: Optional[str]) -> None:
+def _emit(write: Callable[[TextIO], Any], output: Optional[str]) -> None:
     """Run ``write`` on stdout (looked up now), or on ``output`` opened for writing."""
     if output is None:
         write(sys.stdout)
@@ -97,17 +96,8 @@ def _emit_with(write: Callable[[TextIO], Any], output: Optional[str]) -> None:
             raise PolyaUrnError(f"--output: {exc}") from exc
 
 
-def _emit(text: str, output: Optional[str]) -> None:
-    _emit_with(lambda fh: fh.write(text), output)
-
-
-def _emit_records(records: list[OutputRecord], fmt: str, output: Optional[str]) -> None:
-    if fmt == "csv":
-        _emit(records_to_csv(records), output)
-    elif fmt == "json":
-        _emit(records_to_json(records), output)
-    else:
-        _emit("".join(record_to_text(rec) + "\n" for rec in records), output)
+def _emit_records(records: Iterable[OutputRecord], fmt: str, output: Optional[str]) -> None:
+    _emit(lambda fh: write_records(records, fmt, fh), output)
 
 
 @dataclass(frozen=True)
@@ -168,10 +158,6 @@ def _record(pair: _Pair, method: str, value: Fraction | float, **fields) -> Outp
     )
 
 
-def _closed_form_row(pair: _Pair, method: str, p: ExactProbability):
-    return _record(pair, method, p.value), p
-
-
 def _dp_row(pair: _Pair, method: str):
     table = dp_mod.first_passage_dp(pair.config, pair.args.target, pair.args.horizon)
     note = "cumulative P(tau <= horizon)"
@@ -219,19 +205,15 @@ def _approx_row(pair: _Pair, method: str, approximation: Callable):
 # Every method's bare record for one pair (what ``sweep`` prints), with the
 # library result it came from; the other subcommands add their own fields.
 METHODS: dict[str, Callable[[_Pair, str], tuple[OutputRecord, Any]]] = {
-    "exact": lambda pair, method: _closed_form_row(pair, method, pair.exact),
-    "binomial": lambda pair, method: _closed_form_row(pair, method, pair.binomial),
-    "complement": lambda pair, method: _closed_form_row(pair, method, pair.complement),
+    "exact": lambda pair, method: (_record(pair, method, pair.exact.value), pair.exact),
+    "binomial": lambda pair, method: (_record(pair, method, pair.binomial.value), pair.binomial),
+    "complement": lambda pair, method: (_record(pair, method, pair.complement.value), pair.complement),
     "dp": _dp_row,
     "mc": _mc_row,
     "definetti": _definetti_row,
     "normal": lambda pair, method: _approx_row(pair, method, normal_approximation),
     "chernoff": lambda pair, method: _approx_row(pair, method, chernoff_bound),
 }
-
-
-def _row(pair: _Pair, method: str) -> tuple[OutputRecord, Any]:
-    return METHODS[method](pair, method)
 
 
 def _triple_holds(pair: _Pair) -> bool:
@@ -278,30 +260,18 @@ def cmd_exact(args: argparse.Namespace) -> int:
         notes["exact"] = "triple identity verified"
     else:
         return 1
-    records = [replace(_row(pair, method)[0], note=note) for method, note in notes.items()]
+    records = [replace(METHODS[m](pair, m)[0], note=note) for m, note in notes.items()]
     _emit_records(records, args.format, args.output)
     return 0
 
 
-def _pmf_csv(table: dp_mod.DPTable) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["n", "p_tau_n_num", "p_tau_n_den", "p_tau_n_decimal"])
-    for n, p in enumerate(table.hit_pmf):
-        writer.writerow([n, *rational_parts(p)])
-    return buf.getvalue()
-
-
 def cmd_dp(args: argparse.Namespace) -> int:
-    record, table = _row(_Pair(UrnConfig(args.b, args.w), args), "dp")
+    record, table = METHODS["dp"](_Pair(UrnConfig(args.b, args.w), args), "dp")
     if args.emit_pmf:
-        if args.output is not None:
-            _emit(_pmf_csv(table), args.output)
-            _emit_records([record], args.format, None)
-        else:
-            _emit(_pmf_csv(table), None)
-    else:
-        _emit_records([record], args.format, args.output)
+        _emit(lambda fh: write_pmf(table.hit_pmf, fh), args.output)
+    # the record goes to --output, or to stdout when the pmf took --output
+    if not args.emit_pmf or args.output is not None:
+        _emit_records([record], args.format, None if args.emit_pmf else args.output)
     return 0
 
 
@@ -319,7 +289,8 @@ def _dp_reference(pair: _Pair) -> tuple[Optional[Fraction], str]:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     pair = _Pair(UrnConfig(args.b, args.w), args)
-    record, est = _row(pair, "mc" if args.method == "direct" else args.method)
+    method = "mc" if args.method == "direct" else args.method
+    record, est = METHODS[method](pair, method)
     if args.method == "definetti":
         reference: Optional[Fraction] = pair.exact.value
         note = "untruncated estimate of P(tau < infinity); reference is the exact value"
@@ -341,7 +312,7 @@ def cmd_approx(args: argparse.Namespace) -> int:
     pair = _Pair(UrnConfig(args.b, args.w), args)
     records = []
     for method in _APPROX_METHODS if args.method == "all" else (args.method,):
-        record, result = _row(pair, method)
+        record, result = METHODS[method](pair, method)
         note = "guaranteed upper bound" if result.kind == "upper_bound" else result.kind
         if result.rel_error is not None:  # None when the exact value underflows float
             note += f"; rel_error={render_decimal(result.rel_error)}"
@@ -374,14 +345,22 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not count:
         raise DomainError("empty effective range: no (b, w) pairs with w < b")
     # Rows stream, so every refusal runs before the first byte: the dp budget
-    # here, at the largest b + w, and the per-method ones on the first pair.
+    # and the path-state limit here, at the largest b + w and b, and the
+    # per-method ones on the first pair.
+    largest = UrnConfig(b_hi, min(w_hi, b_hi - 1))
     if "dp" in methods:
-        dp_mod.check_memory_budget(UrnConfig(b_hi, min(w_hi, b_hi - 1)), args.horizon)
-    columns = equalization_sweep(args.b_range, args.w_range)
+        dp_mod.check_memory_budget(largest, args.horizon)
+    if "mc" in methods:
+        check_path_state(largest, args.horizon)
+    if {"dp", "mc", "definetti"}.issuperset(methods):
+        # no row reads a closed form, so the pairs get none, in the same order
+        b_values = range(b_lo, b_hi + 1)
+        columns = ((UrnConfig(b, w),) for b in b_values for w in range(w_lo, min(w_hi, b - 1) + 1))
+    else:
+        columns = equalization_sweep(args.b_range, args.w_range)
     pairs = (_Pair(config, args, forms) for config, *forms in columns)
-    rows = ([_row(pair, method)[0] for method in methods] for pair in pairs)
-    records = chain(next(rows), chain.from_iterable(rows))
-    _emit_with(lambda fh: write_records(records, args.format, fh), args.output)
+    rows = ([METHODS[method](pair, method)[0] for method in methods] for pair in pairs)
+    _emit_records(chain(next(rows), chain.from_iterable(rows)), args.format, args.output)
     return 0
 
 

@@ -1,19 +1,19 @@
-"""Plot-ready output records and their CSV/JSON/text renderings.
+"""Plot-ready output records and the stream writers every subcommand uses.
 
 Exact methods carry both a lossless ``num/den`` string and a decimal
 rendering; every decimal in any format is 15 significant digits, rounded
-half-even, so emitted files are stable golden data.  CSV is UTF-8 with a
-header row and LF line endings; JSON is one object with a ``records`` array
-and validates against the schema shipped in ``schemas/``.  ``write_records``
-writes any of the three formats to a stream one record at a time, so a long
-table never sits in memory; the string renderings are built on it.
+half-even, so emitted files are stable golden data.  ``write_records``
+writes records as CSV (UTF-8, a header row, LF line endings), JSON (one
+object with a ``records`` array that validates against the schema shipped
+in ``schemas/``) or text (one ``key=value`` line per record); ``write_pmf``
+writes a first-passage pmf as CSV.  Both write one row at a time, so a long
+table never sits in memory.
 """
 
 from __future__ import annotations
 
 import csv
 import decimal
-import io
 import json
 import operator
 import re
@@ -30,10 +30,8 @@ __all__ = [
     "rational_parts",
     "parse_rational",
     "CSV_COLUMNS",
-    "records_to_csv",
-    "records_to_json",
-    "record_to_text",
     "write_records",
+    "write_pmf",
     "load_output_schema",
 ]
 
@@ -122,6 +120,7 @@ _csv_row = operator.attrgetter(*CSV_COLUMNS)
 def write_records(records: Iterable[OutputRecord], fmt: str, stream: TextIO) -> None:
     """Write ``records`` to ``stream`` as ``fmt`` (csv, json or text), one at a time.
 
+    A text line is the record's set fields as ``key=value``, space-separated.
     JSON output is byte-identical to ``json.dumps({"records": [...]}, indent=2)``
     plus a final newline.
     """
@@ -140,28 +139,21 @@ def write_records(records: Iterable[OutputRecord], fmt: str, stream: TextIO) -> 
         stream.write(closing)
     else:
         for rec in records:
-            stream.write(record_to_text(rec) + "\n")
+            stream.write(" ".join(f"{k}={v}" for k, v in rec.to_dict().items()) + "\n")
 
 
-def _rendered(records: list[OutputRecord], fmt: str) -> str:
-    buf = io.StringIO()
-    write_records(records, fmt, buf)
-    return buf.getvalue()
+def write_pmf(hit_pmf: Iterable[Fraction], stream: TextIO) -> None:
+    """Write P(tau = n) for n = 0, 1, ... to ``stream`` as CSV, one row at a time.
 
-
-def records_to_csv(records: list[OutputRecord]) -> str:
-    return _rendered(records, "csv")
-
-
-def records_to_json(records: list[OutputRecord]) -> str:
-    return _rendered(records, "json")
-
-
-def record_to_text(record: OutputRecord) -> str:
-    return " ".join(f"{k}={v}" for k, v in record.to_dict().items())
+    The columns are ``n``, the lossless numerator and denominator, and the
+    15-digit decimal.
+    """
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(("n", "p_tau_n_num", "p_tau_n_den", "p_tau_n_decimal"))
+    writer.writerows((n, *rational_parts(p)) for n, p in enumerate(hit_pmf))
 
 
 def load_output_schema() -> dict:
-    """The published JSON schema for ``records_to_json`` output."""
+    """The published JSON schema for ``write_records``' JSON output."""
     text = resources.files("polya_urn").joinpath("schemas/output_records.schema.json").read_text("utf-8")
     return json.loads(text)

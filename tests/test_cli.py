@@ -15,7 +15,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polya_urn import (
-    DPTable,
     ExactProbability,
     UrnConfig,
     cli,
@@ -122,12 +121,20 @@ class TestDpCommand:
         assert "method=dp" in out
         assert target.read_text().startswith("n,p_tau_n_num")
 
-    def test_pmf_csv_past_the_int_string_limit(self):
-        p = Fraction(3, 10**5000)
-        table = DPTable(UrnConfig(2, 1), 0, (Fraction(0), p))
-        rows = list(csv.DictReader(io.StringIO(cli._pmf_csv(table))))
-        assert [r["p_tau_n_num"] for r in rows] == ["0", "3"]
-        assert [r["p_tau_n_den"] for r in rows] == ["1", "1" + "0" * 5000]
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    def test_pmf_to_file_is_the_stdout_pmf_byte_for_byte(self, capsys, tmp_path, fmt):
+        """``--emit-pmf --output F``: F holds what stdout holds without
+        ``--output``, and stdout holds the plain ``dp`` record."""
+        argv = ("dp", "--b", "5", "--w", "3", "--target", "-1", "--horizon", "30", "--format", fmt)
+        _, pmf, _ = run_cli(capsys, *argv, "--emit-pmf")
+        _, record, _ = run_cli(capsys, *argv)
+        target = tmp_path / "pmf.csv"
+        code, out, err = run_cli(capsys, *argv, "--emit-pmf", "--output", str(target))
+        assert (code, err) == (0, "")
+        assert target.read_bytes() == pmf.encode()
+        assert out == record
+        assert pmf.startswith("n,p_tau_n_num,p_tau_n_den,p_tau_n_decimal\n")
+        assert len(pmf.splitlines()) == 1 + 31
 
     def test_memory_budget_error_names_feasible_horizon(self):
         proc = run_subprocess("dp", "--b", "2", "--w", "1", "--horizon", "10000000")
@@ -199,6 +206,29 @@ class TestSimulateCommand:
         assert out == ""
         assert len(err.splitlines()) == 1
         assert err.startswith("error: cannot allocate ")
+
+    @pytest.mark.parametrize(
+        "b, w, horizon",
+        [(2**63, 1, 3), (2**63 - 3, 1, 3), (2**63 - 4, 2**64, 4), (2**64, 2**64 - 1, 0)],
+    )
+    def test_path_state_past_int64_is_resource_error(self, capsys, b, w, horizon):
+        code, out, err = run_cli(
+            capsys, "simulate", "--b", str(b), "--w", str(w), "--horizon", str(horizon),
+            "--samples", "2",
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: b + horizon = {b + horizon} exceeds the int64 path-state limit "
+            "of direct simulation, 2^63 - 1\n"
+        )
+
+    def test_path_state_at_the_int64_limit_runs(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "simulate", "--b", str(2**63 - 4), "--w", "1", "--horizon", "3",
+            "--samples", "2",
+        )
+        assert code == 0
+        assert "method=mc value=0 " in out and "reference=0 " in out
 
     def test_pooled_worker_memory_error_exits_2(self, capsys, monkeypatch):
         from polya_urn import simulate
@@ -437,6 +467,45 @@ class TestSweepCommand:
         )
         assert code == 2 and out == ""
         assert err.splitlines()[-1].startswith(f"error: horizon {horizon} needs ~")
+
+    def test_late_path_state_refusal_prints_no_rows(self, capsys):
+        """Direct simulation's int64 limit is checked at the sweep's largest b."""
+        code, out, err = run_cli(
+            capsys,
+            "sweep", "--b-range", f"{2**63 - 5}:{2**63 - 2}", "--w-range", "1:1",
+            "--methods", "mc", "--horizon", "2", "--samples", "2",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: b + horizon = {2**63} exceeds the int64 path-state")
+
+    def test_methods_without_closed_forms_build_none(self, capsys, monkeypatch):
+        """A sweep of only dp, mc and definetti never builds the closed forms, so
+        a b past 2^63 costs nothing, and its rows are those of a sweep that does."""
+        argv = (
+            "sweep", "--b-range", "4:9", "--w-range", "2:6", "--target", "0",
+            "--horizon", "12", "--samples", "40", "--seed", "5", "--streams", "2",
+        )
+        _, with_forms, _ = run_cli(capsys, *argv, "--methods", "dp,exact,mc,definetti")
+
+        def refuse(*args):
+            raise AssertionError("closed forms built")
+
+        monkeypatch.setattr(cli, "equalization_sweep", refuse)
+        code, out, _ = run_cli(capsys, *argv, "--methods", "dp,mc,definetti")
+        assert code == 0
+        lines = with_forms.splitlines(keepends=True)
+        assert out == "".join(line for line in lines if line.split(",")[2] != "exact")
+        assert len(out.splitlines()) == 1 + 3 * 24
+        code, out, _ = run_cli(
+            capsys,
+            "sweep", "--b-range", f"{2**63}:{2**63 + 1}", "--w-range", "1:2",
+            "--methods", "definetti,dp", "--horizon", "2", "--samples", "2", "--format", "text",
+        )
+        assert code == 0
+        assert [line.split()[:3] for line in out.splitlines()] == [
+            [f"b={b}", f"w={w}", f"method={m}"]
+            for b in (2**63, 2**63 + 1) for w in (1, 2) for m in ("definetti", "dp")
+        ]
 
     def test_closed_forms_come_from_the_column_recurrence(self, capsys, monkeypatch):
         """``sweep`` never calls the per-pair closed forms; the cross-checking routes do."""

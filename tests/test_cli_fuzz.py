@@ -14,6 +14,13 @@ the whole horizon.  ``simulate --method direct`` now and then asks for
 2^52 or more samples over at most four streams, which must exit 2 rather
 than fail to allocate; the de Finetti route and many streams stay out of
 that case, since both would loop for hours instead of allocating.
+
+Now and then ``simulate --method direct`` draws b or w up to 2^64, since
+its dp reference returns at once when the target is out of reach and a
+b + horizon past the int64 path state is refused; so does a ``sweep`` of
+only ``dp``, ``mc`` and ``definetti``, which builds no closed form.  The de
+Finetti ``simulate`` stays within the exact cap: its reference is the exact
+value, whose sums grow with b + w.
 """
 
 import contextlib
@@ -27,6 +34,13 @@ from polya_urn import cli
 
 _UINT64_MAX = 2**64 - 1
 _EXACT_TOTAL_CAP = 20_000
+# the methods whose rows read no closed form, so a sweep of them takes any b
+_NO_CLOSED_FORM = ["dp", "mc", "definetti"]
+# counts past the exact cap, up to 2^64, often within a horizon of the int64
+# path-state limit of direct simulation (b + horizon <= 2^63 - 1)
+_FAR_COUNTS = st.one_of(
+    st.integers(-400, 400).map(lambda k: 2**63 + k), st.integers(_EXACT_TOTAL_CAP, 2**64)
+)
 
 _targets = st.integers(-(10**7), 10**7)
 _formats = st.sampled_from(["text", "csv", "json"])
@@ -36,6 +50,15 @@ _formats = st.sampled_from(["text", "csv", "json"])
 def _exact_pair(draw) -> list[str]:
     b = draw(st.integers(1, _EXACT_TOTAL_CAP - 1))
     w = draw(st.integers(1, _EXACT_TOTAL_CAP - b))
+    if draw(st.booleans()):
+        b, w = w, b
+    return ["--b", str(b), "--w", str(w)]
+
+
+@st.composite
+def _huge_pair(draw) -> list[str]:
+    """b or w past the exact cap, up to 2^64, the other small or as large."""
+    b, w = draw(_FAR_COUNTS), draw(st.one_of(st.integers(1, 50), _FAR_COUNTS))
     if draw(st.booleans()):
         b, w = w, b
     return ["--b", str(b), "--w", str(w)]
@@ -72,8 +95,9 @@ def _sampling(draw, huge: bool = False) -> list[str]:
 @st.composite
 def _simulate(draw, method: str) -> list[str]:
     huge = method == "direct" and draw(st.integers(0, 3)) == 3
+    far_urn = method == "direct" and draw(st.integers(0, 3)) == 3
     return [
-        "simulate", *draw(_exact_pair()), "--method", method,
+        "simulate", *draw(_huge_pair() if far_urn else _exact_pair()), "--method", method,
         "--target", str(draw(_targets)),
         "--horizon", str(draw(st.integers(0, 300))),
         *_sampling(draw, huge),
@@ -82,14 +106,17 @@ def _simulate(draw, method: str) -> list[str]:
 
 @st.composite
 def _sweep(draw) -> list[str]:
-    b_lo = draw(st.integers(1, 40))
-    b_hi = draw(st.integers(b_lo, min(40, b_lo + 3)))
+    far_urn = draw(st.integers(0, 3)) == 3
+    b_lo = draw(_FAR_COUNTS if far_urn else st.integers(1, 40))
+    b_hi = draw(st.integers(b_lo, b_lo + 3 if far_urn else min(40, b_lo + 3)))
     # w_lo = b_hi leaves no pair with w < b
     w_lo = draw(st.integers(1, b_hi))
     w_hi = draw(st.integers(w_lo, w_lo + 3))
     far = draw(st.booleans())
     horizon = draw(st.integers(10**7, 10**9) if far else st.integers(0, 60))
-    names = [m for m in cli.METHODS if not (far and m == "mc")]
+    names = [
+        m for m in (_NO_CLOSED_FORM if far_urn else cli.METHODS) if not (far and m == "mc")
+    ]
     methods = draw(st.lists(st.sampled_from(names), min_size=1, max_size=4, unique=True))
     # now and then an unknown name, or no name at all
     methods = draw(st.sampled_from([methods, methods, methods, [*methods, "magic"], []]))

@@ -1,4 +1,5 @@
-"""The package's exported names: each resolves, and the public surface is pinned.
+"""The exported names: each resolves, and the public surface is pinned, both the
+package's and each module's.
 
 A stale ``__all__`` entry breaks ``from polya_urn.<module> import *`` and
 anything that walks ``__all__`` with ``getattr``.
@@ -38,6 +39,27 @@ _PUBLIC_NAMES = [
     "equalization_probability_complement", "estimate_equalization",
     "first_passage_dp", "normal_approximation",
 ]
+# each module's ``__all__``; a module without one exports nothing by this pin
+_MODULE_NAMES = {
+    "polya_urn.approx": ["ApproxResult", "chernoff_bound", "normal_approximation"],
+    "polya_urn.dp": [
+        "DPTable", "MEMORY_BUDGET_BYTES", "check_memory_budget", "estimate_dp_memory_bytes",
+        "first_passage_dp", "max_feasible_horizon",
+    ],
+    "polya_urn.exact": [
+        "ExactProbability", "UrnConfig", "beta_cdf_rational", "equalization_probability",
+        "equalization_probability_binomial", "equalization_probability_complement",
+        "equalization_sweep",
+    ],
+    "polya_urn.output": [
+        "CSV_COLUMNS", "Method", "OutputRecord", "load_output_schema", "parse_rational",
+        "rational_parts", "rational_str", "render_decimal", "write_pmf", "write_records",
+    ],
+    "polya_urn.simulate": [
+        "EstimateWithCI", "RngSeed", "check_path_state", "definetti_estimator",
+        "estimate_equalization",
+    ],
+}
 _FIELDS = {
     polya_urn.UrnConfig: ("black", "white"),
     polya_urn.ExactProbability: ("value",),
@@ -59,12 +81,15 @@ _PROPERTIES = {
 
 
 def test_public_surface_is_pinned():
-    """``polya_urn.__all__``, the result types' fields and their derived properties.
+    """``polya_urn.__all__``, each module's ``__all__``, the result types' fields
+    and their derived properties.
 
     A public-API change edits this pin and lists the change in CHANGES.md in
     the same commit, so neither happens by accident.
     """
     assert sorted(polya_urn.__all__) == _PUBLIC_NAMES
+    modules = {m.__name__: sorted(m.__all__) for m in _MODULES[1:] if hasattr(m, "__all__")}
+    assert modules == _MODULE_NAMES
     for cls, names in _FIELDS.items():
         assert tuple(f.name for f in dataclasses.fields(cls)) == names, cls.__name__
     for cls, names in _PROPERTIES.items():

@@ -1,4 +1,5 @@
-"""Tests for record rendering: decimal policy, round-trips, validation."""
+"""Tests for record rendering: decimal policy, round-trips, validation, and the
+two stream writers, ``write_records`` and ``write_pmf``."""
 
 import csv
 import io
@@ -12,12 +13,16 @@ from polya_urn.output import (
     OutputRecord,
     parse_rational,
     rational_str,
-    records_to_csv,
-    records_to_json,
-    record_to_text,
     render_decimal,
+    write_pmf,
     write_records,
 )
+
+
+def _written(records, fmt: str) -> str:
+    buf = io.StringIO()
+    write_records(iter(records), fmt, buf)
+    return buf.getvalue()
 
 
 class TestRenderDecimal:
@@ -89,7 +94,7 @@ class TestOutputRecord:
 class TestWriters:
     def test_csv_has_lf_endings_and_header(self):
         rec = OutputRecord(b=2, w=1, method="exact", value="0.5", exact="1/2")
-        text = records_to_csv([rec])
+        text = _written([rec], "csv")
         assert "\r" not in text
         lines = text.split("\n")
         assert lines[0] == ",".join(CSV_COLUMNS)
@@ -97,10 +102,8 @@ class TestWriters:
         assert parsed["exact"] == "1/2"
 
     def test_json_shape(self):
-        import json
-
         rec = OutputRecord(b=3, w=2, method="exact", value="0.625", exact="5/8")
-        doc = json.loads(records_to_json([rec]))
+        doc = json.loads(_written([rec], "json"))
         assert list(doc) == ["records"]
         assert doc["records"][0]["exact"] == "5/8"
 
@@ -115,21 +118,25 @@ _RECORDS = [
 class TestStreamingWriter:
     @pytest.mark.parametrize("count", [0, 1, 3])
     def test_json_is_byte_identical_to_one_dumps(self, count):
-        buf = io.StringIO()
-        write_records(iter(_RECORDS[:count]), "json", buf)
         document = {"records": [rec.to_dict() for rec in _RECORDS[:count]]}
-        assert buf.getvalue() == json.dumps(document, indent=2) + "\n"
+        assert _written(_RECORDS[:count], "json") == json.dumps(document, indent=2) + "\n"
 
     @pytest.mark.parametrize("count", [0, 1, 3])
-    def test_csv_and_text_match_the_string_renderings(self, count):
-        records = _RECORDS[:count]
-        for fmt, expected in (
-            ("csv", records_to_csv(records)),
-            ("text", "".join(record_to_text(rec) + "\n" for rec in records)),
-        ):
-            buf = io.StringIO()
-            write_records(iter(records), fmt, buf)
-            assert buf.getvalue() == expected
+    def test_csv_is_one_csv_writer_over_every_column(self, count):
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
+        writer.writerows([getattr(rec, c) for c in CSV_COLUMNS] for rec in _RECORDS[:count])
+        assert _written(_RECORDS[:count], "csv") == expected.getvalue()
+
+    @pytest.mark.parametrize("count", [0, 1, 3])
+    def test_text_is_one_key_value_line_per_record(self, count):
+        lines = [
+            "b=2 w=1 method=exact value=0.5 exact=1/2",
+            'b=3 w=1 method=normal value=0.3 reference=0.25 note=a "q"\nz',
+            "b=9 w=4 method=dp value=0.1 exact=1/10 target=-3 horizon=40",
+        ]
+        assert _written(_RECORDS[:count], "text") == "".join(line + "\n" for line in lines[:count])
 
     @pytest.mark.parametrize("fmt", ["csv", "json", "text"])
     def test_each_record_is_written_before_the_next_is_built(self, fmt):
@@ -143,4 +150,36 @@ class TestStreamingWriter:
 
         write_records(records(), fmt, buf)
         # the stream grew between consecutive records: nothing was held back
+        assert seen[0] < seen[1] < seen[2] < len(buf.getvalue())
+
+
+class TestPmfWriter:
+    def test_header_and_one_row_per_step(self):
+        buf = io.StringIO()
+        write_pmf(iter([Fraction(0), Fraction(1, 3), Fraction(0), Fraction(2, 27)]), buf)
+        assert buf.getvalue() == (
+            "n,p_tau_n_num,p_tau_n_den,p_tau_n_decimal\n"
+            "0,0,1,0\n"
+            "1,1,3,0.333333333333333\n"
+            "2,0,1,0\n"
+            "3,2,27,0.0740740740740741\n"
+        )
+
+    def test_pmf_csv_past_the_int_string_limit(self):
+        buf = io.StringIO()
+        write_pmf((Fraction(0), Fraction(3, 10**5000)), buf)
+        rows = list(csv.DictReader(io.StringIO(buf.getvalue())))
+        assert [r["p_tau_n_num"] for r in rows] == ["0", "3"]
+        assert [r["p_tau_n_den"] for r in rows] == ["1", "1" + "0" * 5000]
+
+    def test_each_row_is_written_before_the_next_is_built(self):
+        buf = io.StringIO()
+        seen = []
+
+        def pmf():
+            for p in (Fraction(0), Fraction(1, 2), Fraction(1, 4)):
+                seen.append(len(buf.getvalue()))
+                yield p
+
+        write_pmf(pmf(), buf)
         assert seen[0] < seen[1] < seen[2] < len(buf.getvalue())

@@ -172,6 +172,25 @@ class TestEstimateEqualization:
         with pytest.raises(DomainError):
             estimate_equalization(UrnConfig(2, 1), 0, -1, 5, SEED)
 
+    @pytest.mark.parametrize(
+        "config, horizon",
+        [(UrnConfig(2**63, 1), 0), (UrnConfig(2**63 - 3, 2**64), 3), (UrnConfig(1, 1), 2**63 - 1)],
+    )
+    def test_path_state_past_int64_refused_before_any_draw(self, monkeypatch, config, horizon):
+        def drew(*args):
+            raise AssertionError("drew paths")
+
+        monkeypatch.setattr(simulate, "_first_passage_hit_count", drew)
+        with pytest.raises(ResourceLimitError, match=r"int64 path-state limit .* 2\^63 - 1$"):
+            estimate_equalization(config, 0, horizon, 2, SEED)
+
+    def test_path_state_at_the_int64_limit(self):
+        # b + horizon = 2^63 - 1: every path's b + blacks still fits an int64
+        config = UrnConfig(2**63 - 4, 2**63 - 5)
+        est = estimate_equalization(config, 0, 3, 4000, SEED)
+        reference = float(first_passage_dp(config, 0, 3).cumulative)
+        assert abs(est.z_score(reference)) < 4
+
     def test_oracle_agreement_moderate(self):
         config = UrnConfig(3, 2)
         est = estimate_equalization(config, 0, 200, 10**5, SEED, 4)
