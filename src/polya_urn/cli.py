@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
@@ -35,7 +35,7 @@ from .exact import (
     equalization_probability_complement,
     equalization_sweep,
 )
-from .output import OutputRecord, rational_parts, render_decimal, write_pmf, write_records
+from .output import OutputRecord, rational_str, render_decimal, write_pmf, write_records
 from .simulate import (
     EstimateWithCI,
     RngSeed,
@@ -100,26 +100,19 @@ def _emit_records(records: Iterable[OutputRecord], fmt: str, output: Optional[st
     _emit(lambda fh: write_records(records, fmt, fh), output)
 
 
-@dataclass(frozen=True)
 class _Pair:
-    """One (b, w) with the parsed arguments; each closed form is computed, and
-    each exact value rendered, at most once.
+    """One (b, w) with the parsed arguments; each closed form is computed at most once.
 
     ``forms`` holds (theorem, binomial, complement) when ``sweep``'s column
     recurrence already has them; otherwise each comes from its own function.
     """
 
-    config: UrnConfig
-    args: argparse.Namespace
-    forms: Optional[Sequence[ExactProbability]] = None
-    # rational_parts by (numerator, denominator), which hash faster than a Fraction
-    _parts: dict[tuple[int, int], tuple[str, str, str]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-
-    def __post_init__(self) -> None:
-        if self.forms:  # fill the cached properties below
-            vars(self).update(zip(("exact", "binomial", "complement"), self.forms))
+    def __init__(
+        self, config: UrnConfig, args: argparse.Namespace, forms: Sequence[ExactProbability] = ()
+    ) -> None:
+        self.config, self.args = config, args
+        if forms:  # fill the cached properties below
+            self.exact, self.binomial, self.complement = forms
 
     @cached_property
     def exact(self) -> ExactProbability:
@@ -133,27 +126,16 @@ class _Pair:
     def complement(self) -> ExactProbability:
         return equalization_probability_complement(self.config)
 
-    def parts(self, value: Fraction) -> tuple[str, str, str]:
-        """``rational_parts(value)``, converted once however many rows show it."""
-        key = value.as_integer_ratio()
-        parts = self._parts.get(key)
-        if parts is None:
-            parts = self._parts[key] = rational_parts(value)
-        return parts
-
 
 def _record(pair: _Pair, method: str, value: Fraction | float, **fields) -> OutputRecord:
     """One row for ``pair``; an exact ``value`` also carries its lossless ``num/den``."""
     if isinstance(value, Fraction):
-        num, den, text = pair.parts(value)
-        fields["exact"] = f"{num}/{den}"
-    else:
-        text = render_decimal(value)
+        fields["exact"] = rational_str(value)
     return OutputRecord(
         b=pair.config.black,
         w=pair.config.white,
         method=method,  # type: ignore[arg-type]
-        value=text,
+        value=render_decimal(value),
         **fields,
     )
 
@@ -199,7 +181,7 @@ def _definetti_row(pair: _Pair, method: str):
 
 def _approx_row(pair: _Pair, method: str, approximation: Callable):
     result = approximation(pair.config, pair.exact)
-    return _record(pair, method, result.value, reference=pair.parts(pair.exact.value)[2]), result
+    return _record(pair, method, result.value, reference=render_decimal(pair.exact.value)), result
 
 
 # Every method's bare record for one pair (what ``sweep`` prints), with the
@@ -476,15 +458,28 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a write error still in the buffer surfaces here
+        return code
     except PolyaUrnError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:
-        # the reader of stdout stopped early (``sweep ... | head``): stop quietly,
-        # and point stdout at devnull so the interpreter's last flush cannot fail
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # the reader of stdout stopped early (``sweep ... | head``): stop quietly
+        _drop_stdout()
         return 0
+    except OSError as exc:
+        # --output errors arrive as PolyaUrnError, so this one is stdout's (a full disk)
+        print(f"error: stdout: {exc}", file=sys.stderr)
+        _drop_stdout()
+        return 2
+
+
+def _drop_stdout() -> None:
+    """Point stdout at devnull, so that the interpreter's last flush cannot fail."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
 
 
 if __name__ == "__main__":

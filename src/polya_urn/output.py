@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import csv
 import decimal
+import functools
 import json
 import operator
-import re
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from importlib import resources
@@ -28,7 +28,6 @@ __all__ = [
     "render_decimal",
     "rational_str",
     "rational_parts",
-    "parse_rational",
     "CSV_COLUMNS",
     "write_records",
     "write_pmf",
@@ -43,8 +42,6 @@ _METHODS = get_args(Method)
 
 _CONTEXT = decimal.Context(prec=15, rounding=decimal.ROUND_HALF_EVEN)
 
-_INTEGER = re.compile(r"-?[0-9]+")
-
 
 def render_decimal(x: Fraction | float | int) -> str:
     """Render to 15 significant digits, round-half-even."""
@@ -54,26 +51,26 @@ def render_decimal(x: Fraction | float | int) -> str:
 
 
 def rational_str(value: Fraction) -> str:
-    """Render as ``"num/den"``, always with an explicit denominator.
-
-    The integers go through ``Decimal``, which, unlike ``str(int)``, has no
-    limit on the number of digits.
-    """
-    return f"{decimal.Decimal(value.numerator)}/{decimal.Decimal(value.denominator)}"
+    """Render as ``"num/den"``, always with an explicit denominator."""
+    num, den, _ = rational_parts(value)
+    return f"{num}/{den}"
 
 
 def rational_parts(value: Fraction) -> tuple[str, str, str]:
-    """Numerator, denominator and 15-digit decimal, converting each integer once."""
-    num, den = decimal.Decimal(value.numerator), decimal.Decimal(value.denominator)
+    """Numerator, denominator and 15-digit decimal of ``value``.
+
+    A value that several rows show in a row (a sweep pair's closed forms and
+    the reference of its approximations) is converted once.
+    """
+    # keyed by (numerator, denominator), which hash faster than a Fraction
+    return _converted(value.as_integer_ratio())
+
+
+@functools.lru_cache(maxsize=8)
+def _converted(ratio: tuple[int, int]) -> tuple[str, str, str]:
+    # Decimal, unlike str(int), has no limit on the number of digits
+    num, den = map(decimal.Decimal, ratio)
     return str(num), str(den), str(_CONTEXT.divide(num, den))
-
-
-def parse_rational(text: str) -> Fraction:
-    """Inverse of ``rational_str``; round-trips bit-for-bit at any size."""
-    num, den = text.split("/")
-    if not (_INTEGER.fullmatch(num) and _INTEGER.fullmatch(den)):
-        raise ValueError(f"expected 'num/den' with integer parts, got {text!r}")
-    return Fraction(int(decimal.Decimal(num)), int(decimal.Decimal(den)))
 
 
 @dataclass(frozen=True)

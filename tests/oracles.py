@@ -12,12 +12,14 @@ array and draws each step in one call instead of stepping cache-sized
 chunks in place, one stream after another; the Beta sampler takes order
 statistics of uniforms instead of ratios of gamma variates; the normal CDF
 oracle integrates the density by high-precision quadrature instead of
-calling erfc.
+calling erfc; the ``num/den`` parser reads the digits a chunk at a time
+instead of through ``Decimal``.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -231,3 +233,23 @@ def normal_cdf_by_quadrature(z: float, dps: int = 30) -> float:
             value = 1 - mpmath.quad(density, [z, mpmath.mpf("inf")])
         return float(value)
 
+
+_DIGIT_CHUNK = 1000  # under int()'s limit of 4,300 digits a string
+
+
+def parse_rational(text: str) -> Fraction:
+    """Read a ``num/den`` string with integer parts of any length."""
+    parts = text.split("/")
+    if len(parts) != 2 or not all(re.fullmatch(r"-?[0-9]+", part) for part in parts):
+        raise ValueError(f"expected 'num/den' with integer parts, got {text!r}")
+    num, den = map(_int_by_chunks, parts)
+    return Fraction(num, den)
+
+
+def _int_by_chunks(text: str) -> int:
+    digits = text.lstrip("-")
+    value = 0
+    for start in range(0, len(digits), _DIGIT_CHUNK):
+        chunk = digits[start : start + _DIGIT_CHUNK]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return -value if text.startswith("-") else value

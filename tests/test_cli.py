@@ -4,6 +4,7 @@ import contextlib
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 from decimal import Decimal
@@ -22,12 +23,13 @@ from polya_urn import (
     equalization_probability_binomial,
     equalization_probability_complement,
     first_passage_dp,
+    output,
 )
 from polya_urn.cli import main
 from polya_urn.dp import MEMORY_BUDGET_BYTES, estimate_dp_memory_bytes
-from polya_urn.output import load_output_schema, parse_rational, render_decimal
+from polya_urn.output import load_output_schema, render_decimal
 
-from oracles import beta_cdf_by_polynomial_integration
+from oracles import beta_cdf_by_polynomial_integration, parse_rational
 
 
 def run_cli(capsys, *args: str) -> tuple[int, str, str]:
@@ -397,6 +399,32 @@ class TestSweepCommand:
         assert all(0 < v < 1 for v in values)
         assert all(a > b for a, b in zip(values, values[1:]))  # b grows, P falls
 
+    def test_each_exact_value_is_converted_once(self, capsys, monkeypatch):
+        """A pair's three closed-form rows and two approximation references share one
+        ``Decimal`` conversion of its exact value."""
+        context, divisions = output._CONTEXT, []
+
+        class CountingContext:
+            def __getattr__(self, name):
+                return getattr(context, name)
+
+            def divide(self, num, den):
+                divisions.append((num, den))
+                return context.divide(num, den)
+
+        monkeypatch.setattr(output, "_CONTEXT", CountingContext())
+        output._converted.cache_clear()  # values converted by earlier tests count too
+        code, out, _ = run_cli(
+            capsys,
+            "sweep", "--b-range", "2:5", "--w-range", "1:4",
+            "--methods", "exact,binomial,complement,normal,chernoff",
+        )
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == 5 * 10  # the 10 pairs with w < b, each with its own value
+        values = [parse_rational(row["exact"]) for row in rows[::5]]
+        assert [Fraction(int(n), int(d)) for n, d in divisions] == values
+
     def test_csv_round_trips_exact_rationals(self, capsys):
         _, out, _ = run_cli(
             capsys,
@@ -452,6 +480,13 @@ class TestSweepCommand:
             capsys, "sweep", "--b-range", "2:3", "--w-range", "1:1", "--methods", "magic"
         )
         assert code == 2
+
+    def test_empty_method_list_rejected(self, capsys):
+        code, out, err = run_cli(
+            capsys, "sweep", "--b-range", "2:3", "--w-range", "1:1", "--methods", " , "
+        )
+        assert code == 2 and out == ""
+        assert err == "error: --methods must name at least one method\n"
 
     def test_late_dp_refusal_prints_no_rows(self, capsys):
         """Rows stream, yet a refusal at the sweep's last pair still leaves stdout empty."""
@@ -640,6 +675,35 @@ class TestOutputHygiene:
             err = proc.stderr.read().decode()
         assert proc.returncode == 0
         assert err == "# skipped 3081 (b, w) pair(s): sweep requires w < b\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("exact", "--b", "3", "--w", "2"),
+            ("dp", "--b", "3", "--w", "2", "--horizon", "5"),
+            ("dp", "--b", "3", "--w", "2", "--horizon", "5", "--emit-pmf"),
+            ("simulate", "--b", "3", "--w", "2", "--samples", "10"),
+            ("approx", "--b", "3", "--w", "2"),
+            ("sweep", "--b-range", "5:8", "--w-range", "1:4"),
+            # about 240 kB of rows, so writes fail while rows still stream
+            ("sweep", "--b-range", "41:80", "--w-range", "1:40", "--methods", "exact,normal"),
+            ("identity-check", "--max-total", "10"),
+        ],
+    )
+    def test_stdout_write_error_is_usage_error(self, argv):
+        """A stdout that cannot be written (a full disk) exits 2 with one line, like --output."""
+        # buffered, so that a short output fails only when it is flushed
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "polya_urn.cli", *argv],
+                stdout=full, stderr=subprocess.PIPE, env=env,
+            )
+        err = proc.stderr.decode()
+        assert proc.returncode == 2, err
+        assert err.startswith("error: stdout: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err and "Exception ignored" not in err
 
     def test_output_to_missing_directory_is_usage_error(self, capsys, tmp_path):
         target = tmp_path / "missing" / "x.csv"

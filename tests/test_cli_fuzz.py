@@ -112,18 +112,20 @@ def _sweep(draw) -> list[str]:
     # w_lo = b_hi leaves no pair with w < b
     w_lo = draw(st.integers(1, b_hi))
     w_hi = draw(st.integers(w_lo, w_lo + 3))
-    far = draw(st.booleans())
+    far = draw(st.integers(0, 3)) == 3
     horizon = draw(st.integers(10**7, 10**9) if far else st.integers(0, 60))
     names = [
         m for m in (_NO_CLOSED_FORM if far_urn else cli.METHODS) if not (far and m == "mc")
     ]
     methods = draw(st.lists(st.sampled_from(names), min_size=1, max_size=4, unique=True))
     # now and then an unknown name, or no name at all
-    methods = draw(st.sampled_from([methods, methods, methods, [*methods, "magic"], []]))
+    methods = draw(st.sampled_from([methods] * 8 + [[*methods, "magic"], []]))
+    # the de Finetti estimator refuses any other target before the first row
+    target = 0 if "definetti" in methods else draw(_targets)
     return [
         "sweep", "--b-range", f"{b_lo}:{b_hi}", "--w-range", f"{w_lo}:{w_hi}",
         "--methods", ",".join(methods),
-        "--target", str(draw(_targets)),
+        "--target", str(target),
         "--horizon", str(horizon),
         *_sampling(draw),
     ]

@@ -52,8 +52,8 @@ _MODULE_NAMES = {
         "equalization_sweep",
     ],
     "polya_urn.output": [
-        "CSV_COLUMNS", "Method", "OutputRecord", "load_output_schema", "parse_rational",
-        "rational_parts", "rational_str", "render_decimal", "write_pmf", "write_records",
+        "CSV_COLUMNS", "Method", "OutputRecord", "load_output_schema", "rational_parts",
+        "rational_str", "render_decimal", "write_pmf", "write_records",
     ],
     "polya_urn.simulate": [
         "EstimateWithCI", "RngSeed", "check_path_state", "definetti_estimator",

@@ -11,12 +11,13 @@ import pytest
 from polya_urn.output import (
     CSV_COLUMNS,
     OutputRecord,
-    parse_rational,
     rational_str,
     render_decimal,
     write_pmf,
     write_records,
 )
+
+from oracles import parse_rational
 
 
 def _written(records, fmt: str) -> str:
@@ -66,11 +67,6 @@ class TestRationalStrings:
     def test_always_has_denominator(self):
         assert rational_str(Fraction(1)) == "1/1"
         assert rational_str(Fraction(0)) == "0/1"
-
-    @pytest.mark.parametrize("text", ["1.5/2", "1e3/7", "NaN/1", "1/", "x/2"])
-    def test_parse_rejects_non_integer_parts(self, text):
-        with pytest.raises(ValueError):
-            parse_rational(text)
 
 
 class TestOutputRecord:
