@@ -2,7 +2,8 @@
 
 Exact closed forms (`exact`), an exact dynamic-programming oracle for
 finite horizons (`dp`), seeded Monte Carlo estimators (`simulate`),
-asymptotic approximations and bounds (`approx`), and a CLI (`cli`).
+asymptotic approximations and bounds (`approx`), the cost rule that
+refuses a run over its limits before any work (`cost`), and a CLI (`cli`).
 
 Only `simulate` needs numpy, and it imports numpy inside the functions that
 draw random numbers: importing the package, or running an exact route,

@@ -24,9 +24,10 @@ from functools import cached_property
 from itertools import chain
 from typing import Any, Callable, Iterable, Optional, Sequence, TextIO
 
+from . import cost
 from . import dp as dp_mod
 from .approx import chernoff_bound, normal_approximation
-from .errors import DomainError, PolyaUrnError, ResourceLimitError
+from .errors import DomainError, PolyaUrnError
 from .exact import (
     ExactProbability,
     UrnConfig,
@@ -36,19 +37,7 @@ from .exact import (
     equalization_sweep,
 )
 from .output import OutputRecord, rational_str, render_decimal, write_pmf, write_records
-from .simulate import (
-    EstimateWithCI,
-    RngSeed,
-    check_path_state,
-    definetti_estimator,
-    estimate_equalization,
-)
-
-# Past this horizon the automatic exact reference is skipped: the memory
-# budget admits horizons whose pmf takes tens of seconds, nearly all of it the
-# exact sum that validates the pmf ((5000, 3000): ~3 s at the cap, ~16 s at
-# its budget horizon of 56,440, on a 2-vCPU Xeon VM).
-_REFERENCE_HORIZON_CAP = 20_000
+from .simulate import EstimateWithCI, RngSeed, definetti_estimator, estimate_equalization
 
 # ``simulate`` flags an estimate whose Kish effective sample size is below
 # this: a few draws dominate its mean, so the standard error means nothing
@@ -227,6 +216,8 @@ def _closed_form_notes(config: UrnConfig) -> dict[str, Optional[str]]:
 
 def cmd_exact(args: argparse.Namespace) -> int:
     pair = _Pair(UrnConfig(args.b, args.w), args)
+    # the closed forms share one estimate, which covers --form all
+    cost.check("exact", pair.config)
     notes = _closed_form_notes(pair.config)
     if args.form != "all":
         # the theorem form is the "exact" method; each sum form shares its method's name
@@ -257,27 +248,27 @@ def cmd_dp(args: argparse.Namespace) -> int:
     return 0
 
 
-def _dp_reference(pair: _Pair) -> tuple[Optional[Fraction], str]:
-    """The exact DP reference of ``simulate --method direct`` (None if skipped) and its note."""
+def _reference(pair: _Pair, method: str) -> tuple[Optional[Fraction], str]:
+    """``simulate``'s exact reference (None when the cost rule skips it) and its note."""
+    args = pair.args
+    if method == "definetti":
+        note = "untruncated estimate of P(tau < infinity); "
+        if skip := cost.reference_skip("exact", pair.config):
+            return None, note + f"exact reference skipped ({skip})"
+        return pair.exact.value, note + "reference is the exact value"
     note = "estimates P(tau <= horizon); "
-    if pair.args.horizon > _REFERENCE_HORIZON_CAP:
-        return None, note + f"DP reference skipped (horizon over {_REFERENCE_HORIZON_CAP})"
-    try:
-        table = dp_mod.first_passage_dp(pair.config, pair.args.target, pair.args.horizon)
-    except ResourceLimitError:
-        return None, note + "DP reference skipped (memory budget)"
+    if skip := cost.reference_skip("dp", pair.config, args.horizon):
+        return None, note + f"DP reference skipped ({skip})"
+    table = dp_mod.first_passage_dp(pair.config, args.target, args.horizon)
     return table.cumulative, note + "reference is the exact DP value"
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     pair = _Pair(UrnConfig(args.b, args.w), args)
     method = "mc" if args.method == "direct" else args.method
+    cost.check(method, pair.config, args.horizon, args.samples, args.streams)
     record, est = METHODS[method](pair, method)
-    if args.method == "definetti":
-        reference: Optional[Fraction] = pair.exact.value
-        note = "untruncated estimate of P(tau < infinity); reference is the exact value"
-    else:
-        reference, note = _dp_reference(pair)
+    reference, note = _reference(pair, method)
     if reference is not None:
         record = replace(record, reference=render_decimal(reference))
         if not est.degenerate:
@@ -292,8 +283,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_approx(args: argparse.Namespace) -> int:
     pair = _Pair(UrnConfig(args.b, args.w), args)
+    methods = _APPROX_METHODS if args.method == "all" else (args.method,)
+    for method in methods:
+        cost.check(method, pair.config)
     records = []
-    for method in _APPROX_METHODS if args.method == "all" else (args.method,):
+    for method in methods:
         record, result = METHODS[method](pair, method)
         note = "guaranteed upper bound" if result.kind == "upper_bound" else result.kind
         if result.rel_error is not None:  # None when the exact value underflows float
@@ -326,14 +320,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         print(f"# skipped {skipped} (b, w) pair(s): sweep requires w < b", file=sys.stderr)
     if not count:
         raise DomainError("empty effective range: no (b, w) pairs with w < b")
-    # Rows stream, so every refusal runs before the first byte: the dp budget
-    # and the path-state limit here, at the largest b + w and b, and the
-    # per-method ones on the first pair.
+    # Rows stream, so every refusal runs before the first byte: each method's
+    # cost here, at the largest pair, which bounds every other, over all the
+    # pairs, and the per-method domain checks on the first pair.
     largest = UrnConfig(b_hi, min(w_hi, b_hi - 1))
-    if "dp" in methods:
-        dp_mod.check_memory_budget(largest, args.horizon)
-    if "mc" in methods:
-        check_path_state(largest, args.horizon)
+    for method in methods:
+        cost.check(method, largest, args.horizon, args.samples, args.streams, count)
     if {"dp", "mc", "definetti"}.issuperset(methods):
         # no row reads a closed form, so the pairs get none, in the same order
         b_values = range(b_lo, b_hi + 1)
@@ -350,6 +342,10 @@ def cmd_identity_check(args: argparse.Namespace) -> int:
     if args.max_total < 3:
         # below b+w = 3 there is no pair with 1 <= w < b, so nothing would be checked
         raise DomainError(f"--max-total must be >= 3, got {args.max_total}")
+    # the pairs with 1 <= w < b and b + w <= t number (t - 1)^2 // 4, the largest at b + w = t
+    largest_w = (args.max_total - 1) // 2
+    largest = UrnConfig(args.max_total - largest_w, largest_w)
+    cost.check("identity-check", largest, pairs=(args.max_total - 1) ** 2 // 4)
     holds = [
         _triple_holds(_Pair(UrnConfig(total - w, w), args))
         for total in range(3, args.max_total + 1)

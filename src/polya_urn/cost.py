@@ -1,0 +1,252 @@
+"""What each route may cost, decided from its parameters before it runs.
+
+The answer reduces to b + w - 1 fair coin tosses, so every route's cost
+follows from its parameters.  ``estimate`` gives each route, keyed by the
+CLI's method names, one integer estimate, and ``check`` refuses with
+``ResourceLimitError`` a run over its fixed limit:
+
+* ``dp``: its memory in bytes, against ``MEMORY_BUDGET_BYTES``.  Its time is
+  not modelled: the exact sum that validates its pmf reduces unpredictably
+  ((2, 1) at horizon 10^5 takes 0.3 s at target 0 and 5 s at target -50,000
+  on a 2-vCPU Xeon VM, while an upper bound says hours).
+* every other route: work units, against ``WORK_CEILING``.  A unit is about
+  a nanosecond of the route's work on that VM; the estimates count path
+  steps, samples and squared row lengths and never read a clock, so a
+  refusal depends only on the parameters.
+
+Direct simulation must also represent its paths (``check_path_state``).
+``first_passage_dp`` and ``estimate_equalization`` refuse only what cannot
+be represented; the CLI checks the work too.  Every estimate is
+non-decreasing in b, w, horizon, samples, streams and pairs, so one check
+at a sweep's largest pair, with its pair count, covers the whole sweep.
+"""
+
+from __future__ import annotations
+
+import bisect
+import math
+from typing import Optional
+
+from .errors import DomainError, ResourceLimitError
+from .exact import UrnConfig
+
+__all__ = [
+    "MEMORY_BUDGET_BYTES",
+    "WORK_CEILING",
+    "estimate",
+    "check",
+    "reference_skip",
+    "estimate_dp_memory_bytes",
+    "max_feasible_horizon",
+    "check_memory_budget",
+    "check_path_state",
+]
+
+MEMORY_BUDGET_BYTES = 256 * 1024 * 1024
+
+# about ten seconds: the closed forms stay admitted up to b + w of about
+# 1.4 * 10^5, past ``exact --b 50001 --w 49999`` (about 3 s)
+WORK_CEILING = 10**10
+
+# Past this horizon ``simulate`` skips its automatic DP reference: the memory
+# budget admits horizons whose pmf takes tens of seconds, nearly all of it the
+# exact sum that validates the pmf ((5000, 3000): ~3 s at the cap, ~16 s at
+# its budget horizon of 56,440, on a 2-vCPU Xeon VM).
+_REFERENCE_HORIZON_CAP = 20_000
+
+_INT64_MAX = 2**63 - 1
+
+# Work units, measured on that VM with room to spare.  Direct simulation:
+# 10 ns a live path-step, plus 4-6 us a step (up to 15 us when the host was
+# slower) and 30 us of setup per stream, however few paths it has.
+_PATH_STEP, _BLOCK_STEP, _BLOCK_SETUP = 12, 10_000, 50_000
+# de Finetti: 70-200 ns a sample, slowest near b, w of a few thousand
+_SAMPLE = 250
+# Closed forms on row n = b + w - 1: a row summed directly (a sweep's w
+# column start, or one direct form) took 0.2-0.5 ns per n^2; each further
+# pair of a sweep, mostly rendering its n-bit rationals, 0.01 ns per n^2;
+# and each record about 50 us.
+_RECORD = 50_000
+
+
+def _direct_sum(n: int) -> int:
+    return n * n // 2
+
+
+def _closed_forms(config: UrnConfig, horizon: int, samples: int, streams: int, pairs: int) -> int:
+    """At most min(pairs, w) w column starts, and the pairs carried down the
+    columns (``exact.equalization_sweep``); one pair is one direct sum."""
+    n = config.total - 1
+    return min(pairs, config.white) * _direct_sum(n) + pairs * (n * n // 64 + _RECORD)
+
+
+def _direct(config: UrnConfig, horizon: int, samples: int, streams: int, pairs: int) -> int:
+    """Every path through the whole horizon, and each stream's fixed work."""
+    blocks = min(streams, samples)
+    return pairs * (
+        horizon * (samples * _PATH_STEP + blocks * _BLOCK_STEP) + blocks * _BLOCK_SETUP
+    )
+
+
+_ESTIMATES = {
+    # the approximations are O(1) once they have the exact value
+    **dict.fromkeys(("exact", "binomial", "complement", "normal", "chernoff"), _closed_forms),
+    # dp's memory is freed between pairs, so it does not grow with their count
+    "dp": lambda config, horizon, *_: estimate_dp_memory_bytes(config, horizon),
+    "mc": _direct,
+    "definetti": lambda config, horizon, samples, streams, pairs: pairs * samples * _SAMPLE,
+    # three direct sums per pair, each at most the largest pair's
+    "identity-check": lambda config, horizon, samples, streams, pairs: (
+        3 * pairs * (_direct_sum(config.total - 1) + _RECORD)
+    ),
+}
+
+
+def estimate(
+    method: str,
+    config: UrnConfig,
+    horizon: int = 0,
+    samples: int = 1,
+    streams: int = 1,
+    pairs: int = 1,
+) -> int:
+    """The cost of ``method`` over ``pairs`` urns no larger than ``config``:
+    bytes of memory for ``dp``, work units for every other method."""
+    return _ESTIMATES[method](config, horizon, samples, streams, pairs)
+
+
+def check(
+    method: str,
+    config: UrnConfig,
+    horizon: int = 0,
+    samples: int = 1,
+    streams: int = 1,
+    pairs: int = 1,
+) -> None:
+    """Refuse with ``ResourceLimitError``, before any work, a run of ``method``
+    over its limit, or whose direct-simulation paths cannot be represented."""
+    if method == "dp":
+        check_memory_budget(config, horizon)
+        return
+    if method == "mc":
+        check_path_state(config, horizon, -(-samples // streams))
+    work = estimate(method, config, horizon, samples, streams, pairs)
+    if work > WORK_CEILING:
+        raise ResourceLimitError(
+            f"{method} needs ~{work} work units, over the work ceiling of {WORK_CEILING}"
+        )
+
+
+def reference_skip(method: str, config: UrnConfig, horizon: int = 0) -> Optional[str]:
+    """Why ``simulate`` skips its exact reference by ``method`` (``dp``, or
+    ``exact`` for de Finetti), or None when the reference is admitted."""
+    if method != "dp":
+        return "work ceiling" if estimate(method, config) > WORK_CEILING else None
+    if horizon > _REFERENCE_HORIZON_CAP:
+        return f"horizon over {_REFERENCE_HORIZON_CAP}"
+    over = estimate_dp_memory_bytes(config, horizon) > MEMORY_BUDGET_BYTES
+    return "memory budget" if over else None
+
+
+def _int_bytes(bits: float) -> int:
+    """Upper bound on the size of a CPython int of this bit length.
+
+    CPython stores ints in 30-bit digits of 4 bytes each, behind a header of
+    at most 28 bytes.
+    """
+    return 28 + 4 * math.ceil(max(bits, 1.0) / 30)
+
+
+def _log_sizes(t: int, n: int) -> tuple[float, float]:
+    """ln of the rising factorial t^(n) = Gamma(t + n) / Gamma(t), and ln of
+    n * C(t + n - 1, n), from lgammas below t + n = 2^22.
+
+    Past that the lgamma differences lose the digits that grow with t and n.
+    Upper bounds take their place, t^(n) <= N^n and C(N, k) <= (e N)^k with
+    N = t + n - 1 and k = min(n, t - 1): products of factors that grow with t
+    and n, so that rounding cannot make them shrink, and no float overflows.
+    """
+    if t + n < 1 << 22:
+        return (
+            math.lgamma(t + n) - math.lgamma(t),
+            math.lgamma(t + n) - math.lgamma(n) - math.lgamma(t),
+        )
+    ln_top = math.log(t + n - 1)
+    n = min(n, 1 << 1000)  # far past any budget
+    return n * ln_top, min(n, t - 1) * (1 + ln_top) + math.log(n)
+
+
+def estimate_dp_memory_bytes(config: UrnConfig, horizon: int) -> int:
+    """Upper bound on the peak memory of ``first_passage_dp`` at this horizon.
+
+    The working state is the current term, the small step ratio and the
+    running sum that validates the pmf.  Every term's denominator divides
+    n * (total)^(n), so the sum's divides lcm(1..horizon) * (total)^(horizon)
+    <= ((total)^(horizon))^2; each step's product and each addition hold a
+    few temporaries below the square of horizon * (total)^(horizon).  The pmf
+    holds at most ceil(horizon / 2) non-zero terms.  Each reduces to
+
+        d * C(b+k-1, k) * C(w+n-k-1, n-k) / (n * C(total+n-1, n)),
+
+    whose denominator, and so (the term being <= 1) whose numerator too, is
+    below horizon * C(total+horizon-1, horizon).  Each list and tuple slot
+    adds a pointer, each ``Fraction`` an object of under 56 bytes, and the
+    table object with its bookkeeping stays under 4 KiB.
+    """
+    if horizon < 0:
+        raise DomainError(f"horizon must be >= 0, got {horizon}")
+    t = config.total
+    n = max(horizon, 1)
+    ln2 = math.log(2)
+    ln_rising, ln_term = _log_sizes(t, n)
+    running_bits = math.log2(n) + ln_rising / ln2 + 1
+    term_bits = ln_term / ln2 + 1
+    working = 8 * _int_bytes(2 * running_bits)
+    terms = (horizon + 1) // 2 * (2 * _int_bytes(term_bits) + 56)
+    slots = 2 * 8 * (horizon + 1)
+    return 4096 + working + terms + slots
+
+
+def max_feasible_horizon(config: UrnConfig) -> int:
+    """Largest horizon whose estimated DP footprint fits ``MEMORY_BUDGET_BYTES``."""
+    fits = bisect.bisect_right(
+        range(1 << 62), MEMORY_BUDGET_BYTES, key=lambda h: estimate_dp_memory_bytes(config, h)
+    )
+    return max(0, fits - 1)
+
+
+def check_memory_budget(config: UrnConfig, horizon: int) -> None:
+    """Refuse with ``ResourceLimitError`` a horizon whose estimated DP footprint
+    exceeds ``MEMORY_BUDGET_BYTES``.
+
+    The estimate grows with b + w and with the horizon, so one check at the
+    largest b + w covers a whole range of urns.
+    """
+    estimate = estimate_dp_memory_bytes(config, horizon)
+    if estimate > MEMORY_BUDGET_BYTES:
+        raise ResourceLimitError(
+            f"horizon {horizon} needs ~{estimate} bytes, over the budget of "
+            f"{MEMORY_BUDGET_BYTES}; largest feasible horizon is "
+            f"~{max_feasible_horizon(config)}"
+        )
+
+
+def check_path_state(config: UrnConfig, horizon: int, paths: int = 1) -> None:
+    """Refuse with ``ResourceLimitError`` a direct simulation whose path state
+    cannot be represented: each path's b + blacks, at most b + horizon, must
+    fit an int64, and one stream's ``paths``, at 8 bytes each, the memory
+    budget.
+
+    Both bounds grow with b, the horizon and the paths, so one check at the
+    largest covers a whole range of urns.
+    """
+    if config.black + horizon > _INT64_MAX:
+        raise ResourceLimitError(
+            f"b + horizon = {config.black + horizon} exceeds the int64 path-state "
+            "limit of direct simulation, 2^63 - 1"
+        )
+    if 8 * paths > MEMORY_BUDGET_BYTES:
+        raise ResourceLimitError(
+            f"cannot allocate {paths} paths in one stream: ~{8 * paths} bytes of path "
+            f"state, over the memory budget of {MEMORY_BUDGET_BYTES}"
+        )

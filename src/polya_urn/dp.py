@@ -22,24 +22,15 @@ ratio only, never by a gcd of two big integers.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import DomainError, ResourceLimitError
+from .cost import check_memory_budget
+from .errors import DomainError
 from .exact import UrnConfig
 
-__all__ = [
-    "DPTable",
-    "first_passage_dp",
-    "estimate_dp_memory_bytes",
-    "check_memory_budget",
-    "max_feasible_horizon",
-    "MEMORY_BUDGET_BYTES",
-]
-
-MEMORY_BUDGET_BYTES = 256 * 1024 * 1024
+__all__ = ["DPTable", "first_passage_dp"]
 
 
 @dataclass(frozen=True)
@@ -81,69 +72,6 @@ class DPTable:
         return len(self.hit_pmf) - 1
 
 
-def _int_bytes(bits: float) -> int:
-    """Upper bound on the size of a CPython int of this bit length.
-
-    CPython stores ints in 30-bit digits of 4 bytes each, behind a header of
-    at most 28 bytes.
-    """
-    return 28 + 4 * math.ceil(max(bits, 1.0) / 30)
-
-
-def estimate_dp_memory_bytes(config: UrnConfig, horizon: int) -> int:
-    """Upper bound on the peak memory of ``first_passage_dp`` at this horizon.
-
-    The working state is the current term, the small step ratio and the
-    running sum that validates the pmf.  Every term's denominator divides
-    n * (total)^(n), so the sum's divides lcm(1..horizon) * (total)^(horizon)
-    <= ((total)^(horizon))^2; each step's product and each addition hold a
-    few temporaries below the square of horizon * (total)^(horizon).  The pmf
-    holds at most ceil(horizon / 2) non-zero terms.  Each reduces to
-
-        d * C(b+k-1, k) * C(w+n-k-1, n-k) / (n * C(total+n-1, n)),
-
-    whose denominator, and so (the term being <= 1) whose numerator too, is
-    below horizon * C(total+horizon-1, horizon).  Each list and tuple slot
-    adds a pointer, each ``Fraction`` an object of under 56 bytes, and the
-    table object with its bookkeeping stays under 4 KiB.
-    """
-    if horizon < 0:
-        raise DomainError(f"horizon must be >= 0, got {horizon}")
-    t = config.total
-    n = max(horizon, 1)
-    ln2 = math.log(2)
-    running_bits = math.log2(n) + (math.lgamma(t + n) - math.lgamma(t)) / ln2 + 1
-    term_bits = (math.lgamma(t + n) - math.lgamma(n) - math.lgamma(t)) / ln2 + 1
-    working = 8 * _int_bytes(2 * running_bits)
-    terms = (horizon + 1) // 2 * (2 * _int_bytes(term_bits) + 56)
-    slots = 2 * 8 * (horizon + 1)
-    return 4096 + working + terms + slots
-
-
-def max_feasible_horizon(config: UrnConfig) -> int:
-    """Largest horizon whose estimated DP footprint fits ``MEMORY_BUDGET_BYTES``."""
-    fits = bisect.bisect_right(
-        range(1 << 62), MEMORY_BUDGET_BYTES, key=lambda h: estimate_dp_memory_bytes(config, h)
-    )
-    return max(0, fits - 1)
-
-
-def check_memory_budget(config: UrnConfig, horizon: int) -> None:
-    """Refuse with ``ResourceLimitError`` a horizon whose estimated DP footprint
-    exceeds ``MEMORY_BUDGET_BYTES``.
-
-    The estimate grows with b + w and with the horizon, so one check at the
-    largest b + w covers a whole range of urns.
-    """
-    estimate = estimate_dp_memory_bytes(config, horizon)
-    if estimate > MEMORY_BUDGET_BYTES:
-        raise ResourceLimitError(
-            f"horizon {horizon} needs ~{estimate} bytes, over the budget of "
-            f"{MEMORY_BUDGET_BYTES}; largest feasible horizon is "
-            f"~{max_feasible_horizon(config)}"
-        )
-
-
 def first_passage_dp(config: UrnConfig, target_diff: int, horizon: int) -> DPTable:
     """Exact P(tau = n) for n <= horizon, tau the first time S hits the target.
 
@@ -167,6 +95,9 @@ def first_passage_dp(config: UrnConfig, target_diff: int, horizon: int) -> DPTab
     white than black").  Each P(tau = n) is then a closed-form term, but no
     untruncated closed form is exported; this function and the direct Monte
     Carlo estimator are the supported routes.
+
+    A horizon whose estimated footprint exceeds the memory budget is refused
+    with ``ResourceLimitError`` before any work (``cost.check_memory_budget``).
     """
     check_memory_budget(config, horizon)
 

@@ -40,6 +40,7 @@ import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from .cost import check_path_state
 from .errors import DomainError, ResourceLimitError
 from .exact import UrnConfig, _require_strict_majority
 
@@ -50,12 +51,10 @@ __all__ = [
     "RngSeed",
     "EstimateWithCI",
     "estimate_equalization",
-    "check_path_state",
     "definetti_estimator",
 ]
 
 _UINT64_MAX = 2**64 - 1
-_INT64_MAX = 2**63 - 1
 
 # two-sided 95% normal quantile for Wald intervals
 _Z95 = 1.959963984540054
@@ -227,20 +226,6 @@ def _first_passage_hit_count(
     return hits
 
 
-def check_path_state(config: UrnConfig, horizon: int) -> None:
-    """Refuse with ``ResourceLimitError`` an urn whose direct-simulation path
-    state b + blacks, at most b + horizon, does not fit an int64.
-
-    The bound grows with b and the horizon, so one check at the largest b
-    covers a whole range of urns.
-    """
-    if config.black + horizon > _INT64_MAX:
-        raise ResourceLimitError(
-            f"b + horizon = {config.black + horizon} exceeds the int64 path-state "
-            "limit of direct simulation, 2^63 - 1"
-        )
-
-
 def estimate_equalization(
     config: UrnConfig,
     target_diff: int,
@@ -260,16 +245,16 @@ def estimate_equalization(
     P(tau <= horizon), not P(tau < infinity); compare ``first_passage_dp``
     for the truncation gap, or ``definetti_estimator`` for the untruncated
     probability.  Raises ``ResourceLimitError`` before any draw when
-    b + horizon does not fit the int64 path state (``check_path_state``), and
-    when a stream's paths cannot be allocated; the other workers then start
-    no new block.
+    b + horizon does not fit the int64 path state or a stream's paths do not
+    fit the memory budget (``cost.check_path_state``), and when a stream's
+    paths cannot be allocated; the other workers then start no new block.
     """
     if n_streams < 1:
         raise DomainError(f"n_streams must be >= 1, got {n_streams}")
     if horizon < 0:
         raise DomainError(f"horizon must be >= 0, got {horizon}")
-    check_path_state(config, horizon)
     base, rem = divmod(n_samples, n_streams)
+    check_path_state(config, horizon, base + (1 if rem else 0))
     # streams past the n_samples-th get an empty block and draw nothing, and
     # n_samples < 1 draws nothing and is refused by EstimateWithCI
     n_blocks = min(n_streams, n_samples)

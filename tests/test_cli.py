@@ -26,7 +26,7 @@ from polya_urn import (
     output,
 )
 from polya_urn.cli import main
-from polya_urn.dp import MEMORY_BUDGET_BYTES, estimate_dp_memory_bytes
+from polya_urn.cost import MEMORY_BUDGET_BYTES, estimate_dp_memory_bytes
 from polya_urn.output import load_output_schema, render_decimal
 
 from oracles import beta_cdf_by_polynomial_integration, parse_rational

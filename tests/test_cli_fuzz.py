@@ -2,25 +2,26 @@
 stdout, never a traceback.
 
 Invocations are drawn over every subcommand: the closed forms, ``approx``,
-``dp``, both ``simulate`` methods, ``sweep`` and ``identity-check``.  Where
-the exact value is computed for one pair, b + w stays at most 20,000 (exact
-and approx cost grows about quadratically in b + w); ``dp`` never computes
-it, so it takes b and w up to 10^5, with horizons that are either short or
-far past what the memory budget admits.  ``sweep`` runs every method it is
-given on each pair, so its ranges stay within b <= 40 and a few values
-wide, and its short horizons stop at 60 (``simulate`` covers direct Monte
-Carlo to 300); its far horizons skip ``mc``, which steps every path through
-the whole horizon.  ``simulate --method direct`` now and then asks for
-2^52 or more samples over at most four streams, which must exit 2 rather
-than fail to allocate; the de Finetti route and many streams stay out of
-that case, since both would loop for hours instead of allocating.
+``dp``, both ``simulate`` methods, ``sweep`` and ``identity-check``.  The
+cost rule (``polya_urn.cost``) refuses, before any work, a run whose
+estimate exceeds its limit, so the draws reach far past what could run:
 
-Now and then ``simulate --method direct`` draws b or w up to 2^64, since
-its dp reference returns at once when the target is out of reach and a
-b + horizon past the int64 path state is refused; so does a ``sweep`` of
-only ``dp``, ``mc`` and ``definetti``, which builds no closed form.  The de
-Finetti ``simulate`` stays within the exact cap: its reference is the exact
-value, whose sums grow with b + w.
+* ``exact``, ``approx`` and both ``simulate`` methods now and then draw b
+  or w up to 2^64, and so do ``sweep``'s far urns with every method;
+* ``simulate --method direct`` draws horizons up to 10^9, and both
+  ``simulate`` methods now and then draw 2^52 or more samples;
+* ``sweep``'s far horizons, 10^7 to 10^9, may include ``mc``;
+* ``identity-check --max-total`` goes up to 10^6.
+
+Direct horizons and ``--max-total`` are drawn short or past the work
+ceiling, since sizes in between are admitted and may run for seconds; far
+urns, from 20,000 balls up, now and then fall within the ceiling and take
+a second or so.  Only mid-horizon ``dp`` stays out altogether: the cost
+rule does not model dp's time, since the exact sum that validates its pmf
+reduces unpredictably, so a horizon the memory budget admits may still run
+for minutes.  ``sweep`` runs every method it is given on each pair, so its
+short horizons stop at 60 and its small ranges within b <= 40 and a few
+values wide.
 """
 
 import contextlib
@@ -34,8 +35,6 @@ from polya_urn import cli
 
 _UINT64_MAX = 2**64 - 1
 _EXACT_TOTAL_CAP = 20_000
-# the methods whose rows read no closed form, so a sweep of them takes any b
-_NO_CLOSED_FORM = ["dp", "mc", "definetti"]
 # counts past the exact cap, up to 2^64, often within a horizon of the int64
 # path-state limit of direct simulation (b + horizon <= 2^63 - 1)
 _FAR_COUNTS = st.one_of(
@@ -81,7 +80,7 @@ def _dp(draw) -> list[str]:
 
 def _sampling(draw, huge: bool = False) -> list[str]:
     if huge:
-        # at least 2^50 paths per stream: the allocation fails at once
+        # at least 2^50 paths per stream, or de Finetti samples: refused at once
         samples, streams = st.integers(2**52, _UINT64_MAX), st.integers(1, 4)
     else:
         samples, streams = st.integers(1, 50), st.integers(1, _UINT64_MAX)
@@ -93,13 +92,20 @@ def _sampling(draw, huge: bool = False) -> list[str]:
 
 
 @st.composite
+def _pair(draw) -> list[str]:
+    """Now and then a far urn."""
+    return draw(_huge_pair() if draw(st.integers(0, 3)) == 3 else _exact_pair())
+
+
+@st.composite
 def _simulate(draw, method: str) -> list[str]:
-    huge = method == "direct" and draw(st.integers(0, 3)) == 3
-    far_urn = method == "direct" and draw(st.integers(0, 3)) == 3
+    huge = draw(st.integers(0, 3)) == 3
     return [
-        "simulate", *draw(_huge_pair() if far_urn else _exact_pair()), "--method", method,
-        "--target", str(draw(_targets)),
-        "--horizon", str(draw(st.integers(0, 300))),
+        "simulate", *draw(_pair()), "--method", method,
+        # the de Finetti estimator refuses any target but 0
+        "--target", str(draw(st.one_of(st.just(0), _targets))),
+        # 10^6 steps of one path are past the work ceiling
+        "--horizon", str(draw(st.one_of(st.integers(0, 300), st.integers(10**6, 10**9)))),
         *_sampling(draw, huge),
     ]
 
@@ -114,10 +120,8 @@ def _sweep(draw) -> list[str]:
     w_hi = draw(st.integers(w_lo, w_lo + 3))
     far = draw(st.integers(0, 3)) == 3
     horizon = draw(st.integers(10**7, 10**9) if far else st.integers(0, 60))
-    names = [
-        m for m in (_NO_CLOSED_FORM if far_urn else cli.METHODS) if not (far and m == "mc")
-    ]
-    methods = draw(st.lists(st.sampled_from(names), min_size=1, max_size=4, unique=True))
+    names = st.sampled_from(list(cli.METHODS))
+    methods = draw(st.lists(names, min_size=1, max_size=4, unique=True))
     # now and then an unknown name, or no name at all
     methods = draw(st.sampled_from([methods] * 8 + [[*methods, "magic"], []]))
     # the de Finetti estimator refuses any other target before the first row
@@ -132,11 +136,11 @@ def _sweep(draw) -> list[str]:
 
 
 _exact = st.tuples(
-    _exact_pair(), st.sampled_from(["theorem", "binomial", "complement", "all"])
+    _pair(), st.sampled_from(["theorem", "binomial", "complement", "all"])
 ).map(lambda t: ["exact", *t[0], "--form", t[1]])
 
 _approx = st.tuples(
-    _exact_pair(), st.sampled_from(["normal", "chernoff", "all"])
+    _pair(), st.sampled_from(["normal", "chernoff", "all"])
 ).map(lambda t: ["approx", *t[0], "--method", t[1]])
 
 _INVOCATIONS = {
@@ -147,7 +151,10 @@ _INVOCATIONS = {
     "simulate definetti": _with_format(_simulate("definetti")),
     "sweep": _with_format(_sweep()),
     # identity-check prints one summary line and takes no --format
-    "identity-check": st.integers(1, 60).map(lambda n: ["identity-check", "--max-total", str(n)]),
+    # the work ceiling admits --max-total up to 348
+    "identity-check": st.one_of(st.integers(1, 60), st.integers(400, 10**6)).map(
+        lambda n: ["identity-check", "--max-total", str(n)]
+    ),
 }
 
 

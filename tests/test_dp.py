@@ -13,11 +13,11 @@ from polya_urn import (
     DPTable,
     ResourceLimitError,
     UrnConfig,
-    dp,
+    cost,
     equalization_probability,
     first_passage_dp,
 )
-from polya_urn.dp import check_memory_budget, estimate_dp_memory_bytes, max_feasible_horizon
+from polya_urn.cost import check_memory_budget, estimate_dp_memory_bytes, max_feasible_horizon
 
 from oracles import (
     black_count_pmfs_by_stepping,
@@ -155,7 +155,7 @@ class TestMemoryBudget:
             first_passage_dp(UrnConfig(2, 1), 0, 10**7)
 
     def test_feasible_horizon_is_consistent(self, monkeypatch):
-        monkeypatch.setattr(dp, "MEMORY_BUDGET_BYTES", 100_000)
+        monkeypatch.setattr(cost, "MEMORY_BUDGET_BYTES", 100_000)
         config = UrnConfig(2, 1)
         n = max_feasible_horizon(config)
         assert estimate_dp_memory_bytes(config, n) <= 100_000
@@ -165,7 +165,7 @@ class TestMemoryBudget:
             first_passage_dp(config, 0, n + 1)
 
     def test_budget_check_refuses_what_first_passage_dp_refuses(self, monkeypatch):
-        monkeypatch.setattr(dp, "MEMORY_BUDGET_BYTES", 100_000)
+        monkeypatch.setattr(cost, "MEMORY_BUDGET_BYTES", 100_000)
         config = UrnConfig(5, 3)
         n = max_feasible_horizon(config)
         check_memory_budget(config, n)  # fits: returns quietly

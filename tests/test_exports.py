@@ -42,10 +42,11 @@ _PUBLIC_NAMES = [
 # each module's ``__all__``; a module without one exports nothing by this pin
 _MODULE_NAMES = {
     "polya_urn.approx": ["ApproxResult", "chernoff_bound", "normal_approximation"],
-    "polya_urn.dp": [
-        "DPTable", "MEMORY_BUDGET_BYTES", "check_memory_budget", "estimate_dp_memory_bytes",
-        "first_passage_dp", "max_feasible_horizon",
+    "polya_urn.cost": [
+        "MEMORY_BUDGET_BYTES", "WORK_CEILING", "check", "check_memory_budget", "check_path_state",
+        "estimate", "estimate_dp_memory_bytes", "max_feasible_horizon", "reference_skip",
     ],
+    "polya_urn.dp": ["DPTable", "first_passage_dp"],
     "polya_urn.exact": [
         "ExactProbability", "UrnConfig", "beta_cdf_rational", "equalization_probability",
         "equalization_probability_binomial", "equalization_probability_complement",
@@ -56,8 +57,7 @@ _MODULE_NAMES = {
         "rational_str", "render_decimal", "write_pmf", "write_records",
     ],
     "polya_urn.simulate": [
-        "EstimateWithCI", "RngSeed", "check_path_state", "definetti_estimator",
-        "estimate_equalization",
+        "EstimateWithCI", "RngSeed", "definetti_estimator", "estimate_equalization",
     ],
 }
 _FIELDS = {
