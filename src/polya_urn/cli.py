@@ -8,9 +8,10 @@ Every subcommand with ``--format`` streams its data through
 ``output.write_records``, or ``output.write_pmf`` for ``dp --emit-pmf``, so
 each format is switched in one place.  ``sweep`` writes each row as soon as
 it is built; it takes its closed forms from ``exact.equalization_sweep``,
-which carries them down each w column by Pascal's rule, and builds none when
-its methods read none.  ``exact --form all`` and ``identity-check`` evaluate
-the three closed forms independently, since cross-checking them is their job.
+which carries one head sum down each w column by Pascal's rule (by symmetry
+it is the value of all three forms), and builds none when its methods read
+none.  ``exact --form all`` and ``identity-check`` evaluate the three closed
+forms independently, since cross-checking them is their job.
 """
 
 from __future__ import annotations
@@ -92,16 +93,19 @@ def _emit_records(records: Iterable[OutputRecord], fmt: str, output: Optional[st
 class _Pair:
     """One (b, w) with the parsed arguments; each closed form is computed at most once.
 
-    ``forms`` holds (theorem, binomial, complement) when ``sweep``'s column
-    recurrence already has them; otherwise each comes from its own function.
+    ``probability`` is the value of all three forms when ``sweep``'s column
+    recurrence already has it; otherwise each comes from its own function.
     """
 
     def __init__(
-        self, config: UrnConfig, args: argparse.Namespace, forms: Sequence[ExactProbability] = ()
+        self,
+        config: UrnConfig,
+        args: argparse.Namespace,
+        probability: Optional[ExactProbability] = None,
     ) -> None:
         self.config, self.args = config, args
-        if forms:  # fill the cached properties below
-            self.exact, self.binomial, self.complement = forms
+        if probability is not None:  # fill the cached properties below
+            self.exact = self.binomial = self.complement = probability
 
     @cached_property
     def exact(self) -> ExactProbability:
@@ -329,10 +333,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if {"dp", "mc", "definetti"}.issuperset(methods):
         # no row reads a closed form, so the pairs get none, in the same order
         b_values = range(b_lo, b_hi + 1)
-        columns = ((UrnConfig(b, w),) for b in b_values for w in range(w_lo, min(w_hi, b - 1) + 1))
+        columns = (
+            (UrnConfig(b, w), None) for b in b_values for w in range(w_lo, min(w_hi, b - 1) + 1)
+        )
     else:
         columns = equalization_sweep(args.b_range, args.w_range)
-    pairs = (_Pair(config, args, forms) for config, *forms in columns)
+    pairs = (_Pair(config, args, probability) for config, probability in columns)
     rows = ([METHODS[method](pair, method)[0] for method in methods] for pair in pairs)
     _emit_records(chain(next(rows), chain.from_iterable(rows)), args.format, args.output)
     return 0

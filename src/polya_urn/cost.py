@@ -62,10 +62,10 @@ _INT64_MAX = 2**63 - 1
 _PATH_STEP, _BLOCK_STEP, _BLOCK_SETUP = 12, 10_000, 50_000
 # de Finetti: 70-200 ns a sample, slowest near b, w of a few thousand
 _SAMPLE = 250
-# Closed forms on row n = b + w - 1: a row summed directly (a sweep's w
-# column start, or one direct form) took 0.2-0.5 ns per n^2; each further
-# pair of a sweep, mostly rendering its n-bit rationals, 0.01 ns per n^2;
-# and each record about 50 us.
+# Closed forms on row n = b + w - 1: one direct form took 0.2-0.5 ns per n^2,
+# and a sweep's w column start, a w-term head sum, is the same work as the
+# binomial form; each further pair of a sweep, mostly rendering its n-bit
+# rationals, 0.01 ns per n^2; and each record about 50 us.
 _RECORD = 50_000
 
 
@@ -74,8 +74,9 @@ def _direct_sum(n: int) -> int:
 
 
 def _closed_forms(config: UrnConfig, horizon: int, samples: int, streams: int, pairs: int) -> int:
-    """At most min(pairs, w) w column starts, and the pairs carried down the
-    columns (``exact.equalization_sweep``); one pair is one direct sum."""
+    """At most min(pairs, w) w column starts, each a w-term head sum (the
+    same work as one direct form), and the pairs carried down the columns
+    (``exact.equalization_sweep``); one pair is one direct sum."""
     n = config.total - 1
     return min(pairs, config.white) * _direct_sum(n) + pairs * (n * n // 64 + _RECORD)
 

@@ -13,11 +13,13 @@ rational arithmetic:
 * ``equalization_probability_complement`` -- one minus the middle block
   ``2^-(b+w-1) * sum_{w<=j<=b-1} C(b+w-1, j)``.
 
-Each sums a stretch of row n = b + w - 1 of Pascal's triangle, and (b, w)
-and (b + 1, w) sit on adjacent rows.  ``equalization_sweep`` uses that to
-tabulate a whole (b, w) range: it carries the three sums down each w column
-by Pascal's rule, at a few big-integer operations per pair, while the three
-functions above stay independent of each other for cross-checking.
+Each sums a stretch of row n = b + w - 1 of Pascal's triangle.  Since
+C(n, j) = C(n, n - j) and n - b = w - 1, the tail over j >= b is the same w
+terms as the head over j < w, and the middle block is 2^n less both, so on
+one row the three forms are one number.  ``equalization_sweep`` uses that to
+tabulate a whole (b, w) range: it carries the head sum down each w column by
+Pascal's rule, (b, w) and (b + 1, w) sitting on adjacent rows, while the
+three functions above stay independent of each other for cross-checking.
 
 Everything is a pure function of its inputs; all returned values are
 immutable and reduced to lowest terms.
@@ -28,7 +30,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from typing import Iterator
 
 from .errors import DomainError
@@ -208,39 +209,31 @@ def equalization_probability_complement(config: UrnConfig) -> ExactProbability:
     return ExactProbability(1 - Fraction(total, 2 ** (b + w - 1)))
 
 
-def _column_start(b: int, w: int) -> list[int]:
-    """Column state at (b, w) from row n = b + w - 1, summed directly.
-
-    The state is ``[head, tail, middle, C(n, w-1), C(n, b)]``: the sums of
-    C(n, j) over j < w, j >= b and w <= j < b, and the two coefficients at
-    the edges that Pascal's rule moves across them.
-    """
-    n = b + w - 1
-    row = list(accumulate(range(n), lambda c, j: c * (n - j) // (j + 1), initial=1))
-    return [sum(row[:w]), sum(row[b:]), sum(row[w:b]), row[w - 1], row[b]]
+def _head_start(n: int, w: int) -> list[int]:
+    """Column state ``[head, C(n, w-1)]`` on row n: the sum of C(n, j) over
+    j < w, streamed term by term, and its last term."""
+    head = coeff = 1
+    for j in range(1, w):
+        coeff = coeff * (n + 1 - j) // j
+        head += coeff
+    return [head, coeff]
 
 
 def equalization_sweep(
     b_range: tuple[int, int], w_range: tuple[int, int]
-) -> Iterator[tuple[UrnConfig, ExactProbability, ExactProbability, ExactProbability]]:
-    """The three closed forms of every (b, w) in the ranges with w < b.
+) -> Iterator[tuple[UrnConfig, ExactProbability]]:
+    """The equalization probability of every (b, w) in the ranges with w < b.
 
-    Yields ``(config, theorem, binomial, complement)`` in b-major order, the
-    same values as ``equalization_probability``, ``_binomial`` and
-    ``_complement``.  Each w column starts with direct sums over row
-    n = b + w - 1 at its first b; from (b, w) to (b + 1, w), Pascal's rule
+    Yields ``(config, probability)`` in b-major order, the value that
+    ``equalization_probability``, ``_binomial`` and ``_complement`` each give.
+    Each w column starts with the w-term head sum over row n = b + w - 1 at
+    its first b; from (b, w) to (b + 1, w), Pascal's rule
     C(n+1, j) = C(n, j) + C(n, j-1) gives
 
-        head   <- 2 head - C(n, w-1)
-        tail   <- 2 tail - C(n, b)
-        middle <- 2 middle + C(n, b) + C(n, w-1)
+        head <- 2 head - C(n, w-1),  C(n+1, w-1) = C(n, w-1) (n+1)/(n+2-w).
 
-    and the edge coefficients move by small-integer ratios,
-    C(n+1, w-1) = C(n, w-1) (n+1)/(n+2-w) and C(n+1, b+1) = C(n, b) (n+1)/(b+1).
-    So each pair costs a few big-integer operations, and the state is five
-    integers per w column.  With n = b + w - 1,
-
-        theorem = 2 tail / 2^n,  binomial = head / 2^(n-1),  complement = 1 - middle / 2^n.
+    So each pair costs a few big-integer operations, the state is two
+    integers per w column, and the probability is ``head / 2^(n-1)``.
     """
     (b_lo, b_hi), (w_lo, w_hi) = b_range, w_range
     for value, name in ((b_lo, "b_lo"), (b_hi, "b_hi"), (w_lo, "w_lo"), (w_hi, "w_hi")):
@@ -251,22 +244,9 @@ def equalization_sweep(
             n = b + w - 1
             state = columns.get(w)
             if state is None:
-                state = columns[w] = _column_start(b, w)
+                state = columns[w] = _head_start(n, w)
             else:
                 # Pascal's rule from row n - 1 at b - 1 to row n at b
-                head, tail, middle, c_low, c_high = state
-                state[:] = (
-                    2 * head - c_low,
-                    2 * tail - c_high,
-                    2 * middle + c_high + c_low,
-                    c_low * n // (n + 1 - w),
-                    c_high * n // b,
-                )
-            head, tail, middle = state[:3]
-            denominator = 1 << n
-            yield (
-                UrnConfig(b, w),
-                ExactProbability(Fraction(2 * tail, denominator)),
-                ExactProbability(Fraction(head, denominator >> 1)),
-                ExactProbability(1 - Fraction(middle, denominator)),
-            )
+                head, edge = state
+                state[:] = 2 * head - edge, edge * n // (n + 1 - w)
+            yield UrnConfig(b, w), ExactProbability(Fraction(state[0], 1 << (n - 1)))

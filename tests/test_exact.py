@@ -4,6 +4,7 @@ Expected values marked "by integration" were computed with the independent
 polynomial-integration oracle in oracles.py and frozen here.
 """
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -229,15 +230,32 @@ class TestEqualizationProbability:
                 )
 
     def test_sweep_matches_the_per_pair_forms(self):
-        """Columns starting at b = w + 1 and mid-range (b_lo 9 and 14), and the steps below."""
-        for b_lo, b_hi in ((1, 30), (9, 30), (14, 20)):
-            got = list(equalization_sweep((b_lo, b_hi), (3, 12)))
-            pairs = [(b, w) for b in range(b_lo, b_hi + 1) for w in range(3, 13) if w < b]
-            assert [(c.black, c.white) for c, *_ in got] == pairs
-            for config, theorem, binomial, complement in got:
-                assert theorem == equalization_probability(config)
-                assert binomial == equalization_probability_binomial(config)
-                assert complement == equalization_probability_complement(config)
+        """Columns starting at b = w + 1, mid-range (b_lo 9 and 14) and at large w
+        far below b_lo (b_lo 200), and the steps below."""
+        for b_range, w_range in (
+            ((1, 30), (3, 12)),
+            ((9, 30), (3, 12)),
+            ((14, 20), (3, 12)),
+            ((200, 203), (1, 60)),
+        ):
+            (b_lo, b_hi), (w_lo, w_hi) = b_range, w_range
+            got = list(equalization_sweep(b_range, w_range))
+            pairs = [(b, w) for b in range(b_lo, b_hi + 1) for w in range(w_lo, w_hi + 1) if w < b]
+            assert [(c.black, c.white) for c, _ in got] == pairs
+            for config, probability in got:
+                assert probability == equalization_probability(config)
+                assert probability == equalization_probability_binomial(config)
+                assert probability == equalization_probability_complement(config)
+
+    def test_sweep_holds_no_pascal_row(self):
+        """Two integers of about n bits per w column, not the n + 1 of a row."""
+        tracemalloc.start()
+        try:
+            list(equalization_sweep((20001, 20001), (19999, 19999)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20
 
     @pytest.mark.parametrize(
         "b_range, w_range", [((0, 5), (1, 2)), ((2, 5), (1, 2.0)), ((True, 5), (1, 2))]
