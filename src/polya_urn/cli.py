@@ -45,7 +45,7 @@ from .simulate import EstimateWithCI, RngSeed, definetti_estimator, estimate_equ
 _MIN_EFFECTIVE_SAMPLES = 10
 
 # the methods ``approx --method all`` reports, in order
-_APPROX_METHODS = ("normal", "chernoff")
+_APPROXIMATIONS = {"normal": normal_approximation, "chernoff": chernoff_bound}
 
 
 def _positive_int(text: str) -> int:
@@ -172,8 +172,8 @@ def _definetti_row(pair: _Pair, method: str):
     return _estimate_row(pair, method, est)
 
 
-def _approx_row(pair: _Pair, method: str, approximation: Callable):
-    result = approximation(pair.config, pair.exact)
+def _approx_row(pair: _Pair, method: str):
+    result = _APPROXIMATIONS[method](pair.config, pair.exact)
     return _record(pair, method, result.value, reference=render_decimal(pair.exact.value)), result
 
 
@@ -186,8 +186,7 @@ METHODS: dict[str, Callable[[_Pair, str], tuple[OutputRecord, Any]]] = {
     "dp": _dp_row,
     "mc": _mc_row,
     "definetti": _definetti_row,
-    "normal": lambda pair, method: _approx_row(pair, method, normal_approximation),
-    "chernoff": lambda pair, method: _approx_row(pair, method, chernoff_bound),
+    **dict.fromkeys(_APPROXIMATIONS, _approx_row),
 }
 
 
@@ -287,9 +286,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_approx(args: argparse.Namespace) -> int:
     pair = _Pair(UrnConfig(args.b, args.w), args)
-    methods = _APPROX_METHODS if args.method == "all" else (args.method,)
+    methods = _APPROXIMATIONS if args.method == "all" else (args.method,)
     for method in methods:
         cost.check(method, pair.config)
+    # each refuses b <= w itself, before the exact reference is computed
+    for method in methods:
+        _APPROXIMATIONS[method](pair.config)
     records = []
     for method in methods:
         record, result = METHODS[method](pair, method)
@@ -430,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_approx = sub.add_parser("approx", help="normal approximation and Chernoff bound")
     _add_bw(p_approx)
-    p_approx.add_argument("--method", choices=(*_APPROX_METHODS, "all"), default="all")
+    p_approx.add_argument("--method", choices=(*_APPROXIMATIONS, "all"), default="all")
     _add_common(p_approx)
     p_approx.set_defaults(handler=cmd_approx)
 

@@ -3,7 +3,7 @@
 The answer reduces to b + w - 1 fair coin tosses, so every route's cost
 follows from its parameters.  ``estimate`` gives each route, keyed by the
 CLI's method names, one integer estimate, and ``check`` refuses with
-``ResourceLimitError`` a run over its fixed limit:
+``ResourceLimitError`` a run whose estimate is over its route's limit:
 
 * ``dp``: its memory in bytes, against ``MEMORY_BUDGET_BYTES``.  Its time is
   not modelled: the exact sum that validates its pmf reduces unpredictably
@@ -14,11 +14,13 @@ CLI's method names, one integer estimate, and ``check`` refuses with
   steps, samples and squared row lengths and never read a clock, so a
   refusal depends only on the parameters.
 
-Direct simulation must also represent its paths (``check_path_state``).
-``first_passage_dp`` and ``estimate_equalization`` refuse only what cannot
-be represented; the CLI checks the work too.  Every estimate is
-non-decreasing in b, w, horizon, samples, streams and pairs, so one check
-at a sweep's largest pair, with its pair count, covers the whole sweep.
+``reference_skip`` makes the same comparison for ``simulate``'s exact
+reference.  ``first_passage_dp`` refuses its horizon by ``check("dp", ...)``.
+``check_path_state`` is separate: it is the library's check that direct
+simulation can represent its paths, and ``estimate_equalization`` refuses only
+that; the CLI checks the work too.  Every estimate is non-decreasing in b, w,
+horizon, samples, streams and pairs, so one check at a sweep's largest pair,
+with its pair count, covers the whole sweep.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ __all__ = [
     "reference_skip",
     "estimate_dp_memory_bytes",
     "max_feasible_horizon",
-    "check_memory_budget",
     "check_path_state",
 ]
 
@@ -103,6 +104,13 @@ _ESTIMATES = {
 }
 
 
+def _limit(method: str) -> tuple[int, str]:
+    """The limit of ``method``'s estimate, read at each call, and its name."""
+    if method == "dp":
+        return MEMORY_BUDGET_BYTES, "memory budget"
+    return WORK_CEILING, "work ceiling"
+
+
 def estimate(
     method: str,
     config: UrnConfig,
@@ -126,27 +134,27 @@ def check(
 ) -> None:
     """Refuse with ``ResourceLimitError``, before any work, a run of ``method``
     over its limit, or whose direct-simulation paths cannot be represented."""
-    if method == "dp":
-        check_memory_budget(config, horizon)
-        return
     if method == "mc":
         check_path_state(config, horizon, -(-samples // streams))
-    work = estimate(method, config, horizon, samples, streams, pairs)
-    if work > WORK_CEILING:
+    need = estimate(method, config, horizon, samples, streams, pairs)
+    limit, _ = _limit(method)
+    if need <= limit:
+        return
+    if method == "dp":
         raise ResourceLimitError(
-            f"{method} needs ~{work} work units, over the work ceiling of {WORK_CEILING}"
+            f"horizon {horizon} needs ~{need} bytes, over the budget of {limit}; "
+            f"largest feasible horizon is ~{max_feasible_horizon(config)}"
         )
+    raise ResourceLimitError(f"{method} needs ~{need} work units, over the work ceiling of {limit}")
 
 
 def reference_skip(method: str, config: UrnConfig, horizon: int = 0) -> Optional[str]:
     """Why ``simulate`` skips its exact reference by ``method`` (``dp``, or
     ``exact`` for de Finetti), or None when the reference is admitted."""
-    if method != "dp":
-        return "work ceiling" if estimate(method, config) > WORK_CEILING else None
-    if horizon > _REFERENCE_HORIZON_CAP:
+    if method == "dp" and horizon > _REFERENCE_HORIZON_CAP:
         return f"horizon over {_REFERENCE_HORIZON_CAP}"
-    over = estimate_dp_memory_bytes(config, horizon) > MEMORY_BUDGET_BYTES
-    return "memory budget" if over else None
+    limit, name = _limit(method)
+    return name if estimate(method, config, horizon) > limit else None
 
 
 def _int_bytes(bits: float) -> int:
@@ -214,22 +222,6 @@ def max_feasible_horizon(config: UrnConfig) -> int:
         range(1 << 62), MEMORY_BUDGET_BYTES, key=lambda h: estimate_dp_memory_bytes(config, h)
     )
     return max(0, fits - 1)
-
-
-def check_memory_budget(config: UrnConfig, horizon: int) -> None:
-    """Refuse with ``ResourceLimitError`` a horizon whose estimated DP footprint
-    exceeds ``MEMORY_BUDGET_BYTES``.
-
-    The estimate grows with b + w and with the horizon, so one check at the
-    largest b + w covers a whole range of urns.
-    """
-    estimate = estimate_dp_memory_bytes(config, horizon)
-    if estimate > MEMORY_BUDGET_BYTES:
-        raise ResourceLimitError(
-            f"horizon {horizon} needs ~{estimate} bytes, over the budget of "
-            f"{MEMORY_BUDGET_BYTES}; largest feasible horizon is "
-            f"~{max_feasible_horizon(config)}"
-        )
 
 
 def check_path_state(config: UrnConfig, horizon: int, paths: int = 1) -> None:

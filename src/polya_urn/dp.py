@@ -17,7 +17,9 @@ with ``x^(k)`` the rising factorial.
 All probabilities are exact ``Fraction`` values.  Consecutive non-zero terms
 (n -> n+2, k -> k+1) differ by a ratio of small integers, so the pmf costs
 one ``Fraction`` product per term; each product reduces against the small
-ratio only, never by a gcd of two big integers.
+ratio only, never by a gcd of two big integers.  Before any of it,
+``cost.check("dp", ...)`` refuses a horizon whose estimated memory is over
+the budget.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .cost import check_memory_budget
+from . import cost
 from .errors import DomainError
 from .exact import UrnConfig
 
@@ -97,9 +99,9 @@ def first_passage_dp(config: UrnConfig, target_diff: int, horizon: int) -> DPTab
     Carlo estimator are the supported routes.
 
     A horizon whose estimated footprint exceeds the memory budget is refused
-    with ``ResourceLimitError`` before any work (``cost.check_memory_budget``).
+    with ``ResourceLimitError`` before any work, by ``cost.check("dp", ...)``.
     """
-    check_memory_budget(config, horizon)
+    cost.check("dp", config, horizon)
 
     b, w = config.black, config.white
     s0 = config.initial_excess

@@ -18,8 +18,9 @@ C(n, j) = C(n, n - j) and n - b = w - 1, the tail over j >= b is the same w
 terms as the head over j < w, and the middle block is 2^n less both, so on
 one row the three forms are one number.  ``equalization_sweep`` uses that to
 tabulate a whole (b, w) range: it carries the head sum down each w column by
-Pascal's rule, (b, w) and (b + 1, w) sitting on adjacent rows, while the
-three functions above stay independent of each other for cross-checking.
+Pascal's rule, (b, w) and (b + 1, w) sitting on adjacent rows, starting
+each column with the head-sum form's own loop, while the three functions
+above stay independent of each other for cross-checking.
 
 Everything is a pure function of its inputs; all returned values are
 immutable and reduced to lowest terms.
@@ -185,13 +186,7 @@ def equalization_probability_binomial(config: UrnConfig) -> ExactProbability:
     Sums w terms, so it is the cheap form when white is small.
     """
     b, w = _require_strict_majority(config, "the head-sum form")
-    n = b + w - 1
-    coeff = 1
-    total = 0
-    for j in range(w):
-        total += coeff
-        coeff = coeff * (n - j) // (j + 1)
-    return ExactProbability(Fraction(total, 2 ** (b + w - 2)))
+    return ExactProbability(Fraction(_head_start(b + w - 1, w)[0], 2 ** (b + w - 2)))
 
 
 def equalization_probability_complement(config: UrnConfig) -> ExactProbability:

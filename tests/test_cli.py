@@ -1,5 +1,6 @@
 """CLI surface tests: formats, round-trips, exit codes, determinism."""
 
+import argparse
 import contextlib
 import csv
 import io
@@ -358,6 +359,20 @@ class TestApproxCommand:
         code, _, err = run_cli(capsys, "approx", "--b", "3", "--w", "3")
         assert code == 2
 
+    @pytest.mark.parametrize("b, w", [(3, 5), (5, 5)])
+    def test_refuses_a_minority_before_any_closed_form(self, capsys, monkeypatch, b, w):
+        """The refusal is immediate even where the exact reference would take seconds."""
+
+        def computed(config):
+            raise AssertionError("computed the exact reference")
+
+        monkeypatch.setattr(cli, "equalization_probability", computed)
+        code, out, err = run_cli(capsys, "approx", "--b", str(b), "--w", str(w))
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: the normal approximation requires black > white, got black={b}, white={w}\n"
+        )
+
     def test_exact_value_below_float_range(self):
         proc = run_subprocess("approx", "--b", "2000", "--w", "1", "--method", "normal")
         assert proc.returncode == 0
@@ -645,6 +660,55 @@ class TestIdentityCheck:
         assert code == 1
         assert "method=" not in out
         assert "MISMATCH b=5 w=2" in err
+
+
+_FORMATS = ("text", "csv", "json")
+_MC_OPTIONS = [("--target",), ("--horizon",), ("--samples",), ("--seed",), ("--streams",)]
+# every option of every subcommand, with its choices: adding one must edit this list
+_OPTIONS = {
+    "exact": [
+        ("--b",), ("--w",), ("--form", ("theorem", "binomial", "complement", "all")),
+        ("--format", _FORMATS), ("--output",),
+    ],
+    "dp": [
+        ("--b",), ("--w",), ("--target",), ("--horizon",), ("--emit-pmf",),
+        ("--format", _FORMATS), ("--output",),
+    ],
+    "simulate": [
+        ("--b",), ("--w",), *_MC_OPTIONS, ("--method", ("direct", "definetti")),
+        ("--format", _FORMATS), ("--output",),
+    ],
+    "approx": [
+        ("--b",), ("--w",), ("--method", ("normal", "chernoff", "all")),
+        ("--format", _FORMATS), ("--output",),
+    ],
+    "sweep": [
+        ("--b-range",), ("--w-range",), ("--methods",), *_MC_OPTIONS,
+        ("--format", _FORMATS), ("--output",),
+    ],
+    "identity-check": [("--max-total",)],
+}
+
+
+def test_no_option_is_added():
+    """Compares the parser's options, not ``--help`` text, whose layout varies with
+    the Python version and the terminal width."""
+
+    def options(parser):
+        return [
+            (*action.option_strings, *([tuple(action.choices)] if action.choices else []))
+            for action in parser._actions
+            if action.option_strings and action.dest != "help"
+        ]
+
+    parser = cli.build_parser()
+    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert options(parser) == []
+    assert {name: options(sub) for name, sub in commands.choices.items()} == _OPTIONS
+    # the names ``sweep --methods`` accepts
+    assert list(cli.METHODS) == [
+        "exact", "binomial", "complement", "dp", "mc", "definetti", "normal", "chernoff",
+    ]
 
 
 class TestOutputHygiene:

@@ -94,3 +94,28 @@ def test_estimates_are_ints_that_never_decrease(method, values, grown, step):
     small, large = estimate(**args), estimate(**bigger)
     assert type(small) is int and type(large) is int
     assert small <= large
+
+
+@given(
+    black=st.integers(1, 3000),
+    white=st.integers(1, 3000),
+    horizon=st.integers(0, 20_000),
+    budget=st.integers(4096, 10**8),
+    ceiling=st.integers(0, 2 * 10**7),
+)
+@settings(max_examples=200, deadline=None)
+def test_reference_skip_is_the_check(black, white, horizon, budget, ceiling):
+    """Below the horizon cap, ``simulate`` skips its reference exactly when the
+    route's own check would refuse it, at any limits."""
+    config = UrnConfig(black, white)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cost, "MEMORY_BUDGET_BYTES", budget)
+        patch.setattr(cost, "WORK_CEILING", ceiling)
+        for method, reason in (("dp", "memory budget"), ("exact", "work ceiling")):
+            try:
+                cost.check(method, config, horizon)
+            except ResourceLimitError:
+                refused = reason
+            else:
+                refused = None
+            assert cost.reference_skip(method, config, horizon) == refused

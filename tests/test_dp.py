@@ -17,7 +17,7 @@ from polya_urn import (
     equalization_probability,
     first_passage_dp,
 )
-from polya_urn.cost import check_memory_budget, estimate_dp_memory_bytes, max_feasible_horizon
+from polya_urn.cost import estimate_dp_memory_bytes, max_feasible_horizon
 
 from oracles import (
     black_count_pmfs_by_stepping,
@@ -168,9 +168,9 @@ class TestMemoryBudget:
         monkeypatch.setattr(cost, "MEMORY_BUDGET_BYTES", 100_000)
         config = UrnConfig(5, 3)
         n = max_feasible_horizon(config)
-        check_memory_budget(config, n)  # fits: returns quietly
+        cost.check("dp", config, n)  # fits: returns quietly
         with pytest.raises(ResourceLimitError) as checked:
-            check_memory_budget(config, n + 1)
+            cost.check("dp", config, n + 1)
         with pytest.raises(ResourceLimitError) as computed:
             first_passage_dp(config, 0, n + 1)
         assert str(checked.value) == str(computed.value)

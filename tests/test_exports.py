@@ -43,8 +43,8 @@ _PUBLIC_NAMES = [
 _MODULE_NAMES = {
     "polya_urn.approx": ["ApproxResult", "chernoff_bound", "normal_approximation"],
     "polya_urn.cost": [
-        "MEMORY_BUDGET_BYTES", "WORK_CEILING", "check", "check_memory_budget", "check_path_state",
-        "estimate", "estimate_dp_memory_bytes", "max_feasible_horizon", "reference_skip",
+        "MEMORY_BUDGET_BYTES", "WORK_CEILING", "check", "check_path_state", "estimate",
+        "estimate_dp_memory_bytes", "max_feasible_horizon", "reference_skip",
     ],
     "polya_urn.dp": ["DPTable", "first_passage_dp"],
     "polya_urn.exact": [
