@@ -7,6 +7,8 @@ Two estimators, one sampler each:
   stream's paths are stepped in place, a cache-sized chunk at a time, and
   blocks of at least a chunk run up to min(streams, CPUs) streams at once
   on threads, since numpy releases the GIL while it draws and compares;
+  a path-step draws half a raw Philox word, and a path stops drawing once
+  it hits or can no longer hit;
 * a two-stage mixture estimator with no horizon truncation
   (``definetti_estimator``): draw the urn's limiting black fraction p from
   Beta(b, w) with ``Generator.beta``, one variate per sample at a cost
@@ -25,7 +27,9 @@ from the Philox 4x64 counter-based generator; stream t of seed s is keyed
 give bit-identical results on every platform.  Streams that run at once
 share no state, each block's hits are an exact int, and chunked draws consume
 a stream exactly as one draw of the whole block does, so the result does not
-depend on how the blocks are scheduled or on the chunk size.
+depend on how the blocks are scheduled or on the chunk size.  Direct
+simulation cuts each word into 32-bit halves by mask and shift, so byte
+order does not matter either; 32 bits bias a draw by under 2^-32.
 
 numpy is imported only inside the functions that draw or hold random
 numbers, and ``concurrent.futures`` only when streams run on a thread pool, so
@@ -61,8 +65,13 @@ _Z95 = 1.959963984540054
 
 # rows per chunk of Beta draws or of direct-simulation paths: chunking bounds
 # memory and keeps a step's buffers in cache, and the draws equal one large
-# ``rng.beta`` or ``rng.random`` call, so no estimate depends on the chunk size
+# ``rng.beta`` or ``random_raw`` call, so no estimate depends on the chunk
+# size; it must be even, so that no chunk but the last splits a word
 _CHUNK_ROWS = 1 << 16
+
+# direct simulation draws one 32-bit half of a Philox word per path-step
+_HALF_MASK = 0xFFFFFFFF
+_HALF_SCALE = 2.0**-32
 
 
 @dataclass(frozen=True, slots=True)
@@ -166,29 +175,46 @@ def _first_passage_hit_count(
 ) -> int:
     """Hit count over one block of paths (one RNG stream), stepped in place.
 
-    ``held`` keeps b + blacks for each live path, front-packed.  Each step
-    walks the live paths ``_CHUNK_ROWS`` at a time through three buffers
-    allocated once: fill uniforms, divide by the urn size, compare, add.
-    Consecutive ``random(out=...)`` fills consume the stream exactly as one
-    draw of every live path does, so the count does not depend on the chunk
-    size.  Absorbed paths are packed out of ``held`` chunk by chunk in the
-    same pass, so memory stays at ``held`` plus a few chunk-sized buffers.
+    ``held`` keeps b + blacks for each live path, front-packed.  Step n
+    takes ceil(L/2) ``random_raw`` words for its L live paths: path i gets
+    r, the low 32 bits of word i // 2 for even i and the high 32 bits for
+    odd i, and draws black iff r * (b + w + n) * 2^-32 < held.  Scaling by
+    2^-32 is exact, so one float64 compare serves int32 and int64 path
+    state.  The live paths are walked ``_CHUNK_ROWS`` at a time through
+    buffers allocated once; every chunk but the last is even, so the chunks
+    take the words one draw of every live path would, and the count does
+    not depend on the chunk size.
+
+    Where S - m is even, paths on the target are counted as hits, and paths
+    with |S - m| above the draws left are dropped uncounted, since they can
+    no longer hit; a target further than ``horizon`` from S0 draws nothing.
+    Dropped paths are packed out of ``held`` in the same pass, so memory
+    stays at ``held`` plus a few chunk-sized buffers.
     """
     import numpy as np
 
+    # an odd chunk would split a word across chunks and change the stream
+    assert _CHUNK_ROWS % 2 == 0, f"_CHUNK_ROWS must be even, got {_CHUNK_ROWS}"
     b, w = config.black, config.white
     s0 = config.initial_excess
     if s0 == target_diff:
         return n_samples
+    if abs(s0 - target_diff) > horizon:
+        return 0
+    # a path's excess cannot pass the target without sitting on it, so it
+    # stays on its starting side, and only that side's edge of the band of
+    # held values that can still hit drops paths
+    side, within = (1, np.less_equal) if s0 > target_diff else (-1, np.greater_equal)
     held = np.full(n_samples, b, dtype=np.int64 if b + horizon >= 2**31 else np.int32)
     rows = min(n_samples, _CHUNK_ROWS)
-    u, thr, up = np.empty(rows), np.empty(rows), np.empty(rows, dtype=bool)
+    u, up, near = np.empty(rows), np.empty(rows, dtype=bool), np.empty(rows, dtype=bool)
+    raw = rng.bit_generator.random_raw
 
     def chunks(live: int) -> list:
         # a block of at most one chunk is one view of each buffer, rebuilt
-        # only when paths are absorbed, so its steps do no slicing
+        # only when paths are dropped, so its steps do no slicing
         return [
-            (lo, held[lo:lo + k], u[:k], thr[:k], up[:k])
+            (lo, held[lo:lo + k], u[:k], u[0:k:2], u[1:k:2], up[:k], near[:k])
             for lo in range(0, live, _CHUNK_ROWS)
             for k in (min(_CHUNK_ROWS, live - lo),)
         ]
@@ -196,29 +222,39 @@ def _first_passage_hit_count(
     live, hits = n_samples, 0
     views = chunks(live)
     for n in range(horizon):
-        size = float(b + w + n)
-        # S = s0 + 2 * blacks - (n + 1) hits the target iff 2 * blacks == need,
-        # and after n + 1 draws 0 <= blacks <= n + 1
+        scale = (b + w + n) * _HALF_SCALE
+        # S = s0 + 2 * blacks - (n + 1), so when need is even S - m is
+        # 2 * (held - level): a path hits at level, and can still hit in the
+        # draws left iff |held - level| <= reach, so the paths kept are those
+        # strictly between level and edge, or on edge
         need = target_diff - s0 + n + 1
-        check = need % 2 == 0 and 0 <= need <= 2 * (n + 1)
-        level = b + need // 2
+        parity = need % 2 == 0
+        level, reach = b + need // 2, (horizon - n - 1) // 2
+        edge = level + side * reach
         kept = 0
-        for lo, held_k, u_k, thr_k, up_k in views:
-            rng.random(out=u_k)
-            np.divide(held_k, size, out=thr_k)
-            np.less(u_k, thr_k, out=up_k)
+        for lo, held_k, u_k, u_even, u_odd, up_k, near_k in views:
+            words = raw(u_even.size)
+            np.bitwise_and(words, _HALF_MASK, out=u_even)
+            np.right_shift(words[:u_odd.size], 32, out=u_odd)
+            # freed now, not when the next chunk's words are already drawn
+            del words
+            np.multiply(u_k, scale, out=u_k)
+            np.less(u_k, held_k, out=up_k)
             held_k += up_k
-            if not check:
+            if not parity:
                 continue
             np.not_equal(held_k, level, out=up_k)
+            survivors = int(np.count_nonzero(up_k))
+            hits += up_k.size - survivors
+            within(held_k, edge, out=near_k)
+            up_k &= near_k
             survivors = int(np.count_nonzero(up_k))
             if survivors < up_k.size:
                 held[kept:kept + survivors] = held_k[up_k]
             elif kept < lo:
                 held[kept:kept + survivors] = held_k
             kept += survivors
-        if check and kept < live:
-            hits += live - kept
+        if parity and kept < live:
             live = kept
             if not live:
                 break

@@ -7,13 +7,14 @@ every draw sequence, or step a forward recursion over (step, black draws),
 instead of evaluating the hitting-time formula; the sequence and
 black-count oracles multiply the urn's per-draw probabilities instead of
 assuming exchangeability; the limit-fraction sampler steps simulated urns
-draw by draw; the direct hit counter holds every path of a stream in one
-array and draws each step in one call instead of stepping cache-sized
-chunks in place, one stream after another; the Beta sampler takes order
-statistics of uniforms instead of ratios of gamma variates; the normal CDF
-oracle integrates the density by high-precision quadrature instead of
-calling erfc; the ``num/den`` parser reads the digits a chunk at a time
-instead of through ``Decimal``.
+draw by draw; the direct hit counter holds the excess of every live path
+of a stream in one array, cuts each step's raw words into halves in one
+call and drops paths by their distance from the target, instead of
+stepping b + blacks in cache-sized chunks in place, one stream after
+another; the Beta sampler takes order statistics of uniforms instead of
+ratios of gamma variates; the normal CDF oracle integrates the density by
+high-precision quadrature instead of calling erfc; the ``num/den`` parser
+reads the digits a chunk at a time instead of through ``Decimal``.
 """
 
 from __future__ import annotations
@@ -169,29 +170,35 @@ def direct_hit_count_unchunked(
 ) -> int:
     """Paths, of n_samples, whose excess hits ``target`` within ``horizon`` draws.
 
-    Every live path is held at once: each step draws one uniform per live
-    path in one call, draws black when u < (black + blacks) / (urn size), and
-    drops the absorbed paths, so the next step draws only for the rest.
+    Every live path's excess is held at once.  Draw n takes ceil(L/2) raw
+    64-bit words for the L live paths in one call and cuts them into 2L
+    32-bit halves, low half first; the L paths take the first L halves in
+    order.  A path draws black when half * urn size / 2^32 < black + its
+    black draws.  Wherever the excess can equal the target, paths on it
+    are hit and counted, and paths further from it than the draws left
+    are dropped uncounted, so the next draw is only for the rest; a target
+    out of reach from the start draws nothing.
     """
     s0 = black - white
     if s0 == target:
         return n_samples
-    blacks = np.zeros(n_samples, dtype=np.int64)
+    if abs(s0 - target) > horizon:
+        return 0
+    excess = np.full(n_samples, s0, dtype=np.int64)
     hits = 0
     for n in range(horizon):
-        u = rng.random(blacks.shape[0])
-        blacks += u < (black + blacks) / (black + white + n)
-        # S = s0 + 2 * blacks - (n + 1) hits the target iff 2 * blacks == need
-        need = target - s0 + n + 1
-        if need % 2:
+        words = rng.bit_generator.random_raw((excess.size + 1) // 2)
+        halves = np.stack([words % 2**32, words // 2**32], axis=1).reshape(-1)[: excess.size]
+        blacks = (excess - s0 + n) // 2
+        excess += np.where(halves * ((black + white + n) / 2**32) < black + blacks, 1, -1)
+        if (excess[0] - target) % 2:  # every path's excess has the same parity
             continue
-        absorbed = blacks == need // 2
-        n_absorbed = int(absorbed.sum())
-        if n_absorbed:
-            hits += n_absorbed
-            blacks = blacks[~absorbed]
-            if blacks.size == 0:
-                break
+        draws_left = horizon - (n + 1)
+        on_target = excess == target
+        hits += int(on_target.sum())
+        excess = excess[~on_target & (np.abs(excess - target) <= draws_left)]
+        if excess.size == 0:
+            break
     return hits
 
 

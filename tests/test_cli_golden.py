@@ -29,6 +29,14 @@ sqrt(p(1-p)/(n-1)) instead of sqrt(p(1-p)/n): ``simulate --b 5 --w 3
 gained the note "effective sample size ... < 10: out of MC reach"; every
 estimate and every de Finetti row is unchanged.
 
+Five direct-simulation digests were re-captured when the direct route
+moved to 32-bit halves of raw Philox words and stopped stepping paths that
+can no longer reach the target: ``simulate --b 5 --w 3 --streams 2
+--samples 2000 --seed 11``, ``simulate --b 2 --w 1 --samples 20 --horizon
+20001`` and the three ``_SWEEP_ALL`` cases.  Only the ``mc`` rows moved;
+every exact, dp and de Finetti row is byte-identical.  The other direct
+runs (one sample each) drew the same outcome on the new stream.
+
 The two ``_SWEEP_MID`` digests (JSON and text) and the one-pair ``sweep
 --b-range 5:5 --w-range 3:3 --methods exact`` were captured before ``sweep``
 took its closed forms from the w-column recurrence and streamed its rows;
@@ -100,11 +108,11 @@ GOLDEN = [
     (("dp", "--b", "2000", "--w", "1999", "--horizon", "3000", "--format", "csv"), 0,
      "caaaa41b6735c2cea4512ef750cfb1675f3469f5ba83d2bbe240650e30c07255"),
     (("simulate", "--b", "5", "--w", "3", "--streams", "2", *_SIM), 0,
-     "046ff7d227f3a8275f1c79c27e495c38f5e5933bf7090cea3b767106c9878c75"),
+     "7b547dbe530b61f703a2ffb4ea39957c639554645a75af62e6551380a91ed742"),
     (("simulate", "--b", "5", "--w", "3", "--method", "definetti", *_SIM, "--format", "json"), 0,
      "5cf4bfa66cece9c5a279b00d5e09d56659c0355cf46afa8423e16423ba9663fa"),
     (("simulate", "--b", "2", "--w", "1", "--samples", "20", "--horizon", "20001"), 0,
-     "dbca15e3b53560750b3bc8d0d351197eaf8ff92c907d261cd60f969660a3f866"),
+     "83742516c5b183344e30266cb2d68b88841b747cd9d645f1233e09197c3d1af3"),
     (("simulate", "--b", "500001", "--w", "500000", "--horizon", "20000", "--samples", "1",
       "--seed", "11", "--format", "csv"), 0,
      "aaa524db4caf0496affb2b7b5bb64099d26dbf565e31fc2aa2ff2086225d74a3"),
@@ -117,11 +125,11 @@ GOLDEN = [
     (("approx", "--b", "40", "--w", "12", "--method", "chernoff", "--format", "json"), 0,
      "93242bd0db593924872322e8e5ab17892514163bef9b18b7d5e2e2b2e8197588"),
     (_SWEEP_ALL, 0,
-     "bc75e9105ce8e6a17249d0de496deafe31da8a67ca6f565858ee3d6819e0c5d1"),
+     "1035ea744d995520b869125b2af7e4abe2f14b06ef8f2141c98c7c80226ca811"),
     ((*_SWEEP_ALL, "--format", "text"), 0,
-     "b2b6e219d0e712f4258002fd1f6d7be39d0b5427c418e2ad5279320bd84e0b98"),
+     "548357598fa9eb81db7a79d47bbe0bb89b24647c1ceb6d5dd535edc81f760d67"),
     ((*_SWEEP_ALL, "--format", "json"), 0,
-     "e6123b5076d82d834e6ee090bc77a2aef408a3b50306df6c01b7c275091144d4"),
+     "83efaaccacbfb44df6cfcaa305f3a38ab72d30e73b083f149ded36fa1a2287c6"),
     ((*_SWEEP_MID, "--format", "json"), 0,
      "45d8a714ac37a276a678a1daf295a654fa91c4775984f642cc976f35c302f268"),
     ((*_SWEEP_MID, "--format", "text"), 0,

@@ -197,6 +197,21 @@ class TestEstimateEqualization:
         reference = float(first_passage_dp(config, 0, 200).cumulative)
         assert abs(est.z_score(reference)) < 4
 
+    @pytest.mark.parametrize("target", [-2, 4])
+    @pytest.mark.parametrize("extra", [0, 1, 197])
+    def test_pruning_edges_match_dp(self, target, extra):
+        """Dropping paths out of reach keeps P(tau <= horizon) unbiased.
+
+        Targets 3 below and 3 above S0 = 1, at horizons 3 (only the straight
+        run hits), 4 and 200.
+        """
+        config = UrnConfig(3, 2)
+        horizon = abs(config.initial_excess - target) + extra
+        est = estimate_equalization(config, target, horizon, 10**5, SEED, 2)
+        reference = float(first_passage_dp(config, target, horizon).cumulative)
+        assert 0.0 < reference < 1.0
+        assert abs(est.z_score(reference)) < 4
+
     @pytest.mark.parametrize("b, w", [(2, 1), (3, 2), (4, 1), (5, 3)])
     def test_disjoint_streams_agree_statistically(self, b, w):
         """Two-sample proportion test at the 1e-4 level (|z| < 3.891)."""
@@ -233,14 +248,16 @@ class TestDirectKernel:
         n_samples=st.integers(1, 120),
         n_streams=st.integers(1, 6),
         seed=st.integers(0, 2**64 - 1),
-        chunk_rows=st.sampled_from([1, 7, simulate._CHUNK_ROWS]),
+        chunk_rows=st.sampled_from([2, 8, simulate._CHUNK_ROWS]),
         cpus=st.sampled_from([1, 2, 3]),
     )
-    # at 7-row chunks, blocks of 8 + 7 paths run pooled and 7 + 6 serially,
-    # either side of the threshold; b + horizon >= 2^31 needs int64 state
-    @example(b=3, w=2, offset=-1, horizon=30, n_samples=15, n_streams=2, seed=1, chunk_rows=7, cpus=2)
-    @example(b=3, w=2, offset=-1, horizon=30, n_samples=13, n_streams=2, seed=1, chunk_rows=7, cpus=2)
-    @example(b=2**31 - 5, w=3, offset=6, horizon=30, n_samples=40, n_streams=3, seed=5, chunk_rows=7, cpus=2)
+    # at 8-row chunks, blocks of 9 + 8 paths run pooled and 8 + 7 serially,
+    # either side of the threshold; b + horizon >= 2^31 needs int64 state;
+    # 5 paths in 2-row chunks end each step on an odd chunk until some drop
+    @example(b=3, w=2, offset=-1, horizon=30, n_samples=17, n_streams=2, seed=1, chunk_rows=8, cpus=2)
+    @example(b=3, w=2, offset=-1, horizon=30, n_samples=15, n_streams=2, seed=1, chunk_rows=8, cpus=2)
+    @example(b=2**31 - 5, w=3, offset=6, horizon=30, n_samples=40, n_streams=3, seed=5, chunk_rows=8, cpus=2)
+    @example(b=3, w=2, offset=2, horizon=30, n_samples=5, n_streams=1, seed=2, chunk_rows=2, cpus=1)
     def test_total_equals_the_unchunked_oracle(
         self, b, w, offset, horizon, n_samples, n_streams, seed, chunk_rows, cpus
     ):
@@ -260,6 +277,42 @@ class TestDirectKernel:
         n = 2 * simulate._CHUNK_ROWS + 3
         est = estimate_equalization(UrnConfig(5, 3), 0, 25, n, SEED, n_streams)
         assert est.total == oracle_total(5, 3, 0, 25, n, n_streams, SEED.seed)
+
+    def test_three_paths_take_three_halves_of_two_words(self):
+        """Path i of a step draws half i mod 2 of word i // 2, low half first.
+
+        From (2, 1), one draw reaches target 2 iff it is black, so the hits
+        of the first 1, 2 and 3 paths of a fresh stream give each path's
+        decision.  Key 42 tells this layout from the swapped one.
+        """
+        key, mask = 42, 0xFFFFFFFF
+        words = [int(word) for word in np.random.Philox(key=key).random_raw(3)]
+
+        def black(half):  # r * (b + w) * 2^-32 < b
+            return int(half * 3 * 2**-32 < 2)
+
+        by_hand = [black(words[0] & mask), black(words[0] >> 32), black(words[1] & mask)]
+        assert by_hand != [black(words[0] >> 32), black(words[0] & mask), black(words[1] >> 32)]
+        decisions = []
+        for paths in (1, 2, 3):
+            rng = np.random.Generator(np.random.Philox(key=key))
+            decisions.append(_first_passage_hit_count(UrnConfig(2, 1), 2, 1, paths, rng) - sum(decisions))
+        assert decisions == by_hand
+        # the 3-path step took ceil(3/2) = 2 words
+        assert int(rng.bit_generator.random_raw()) == words[2]
+
+    def test_unreachable_target_draws_nothing(self):
+        """A target further than the horizon from S0 returns 0 before any draw."""
+        rng = SEED.generator()
+        before = rng.bit_generator.state
+        assert _first_passage_hit_count(UrnConfig(2, 1), -300, 250, 10**6, rng) == 0
+        np.testing.assert_equal(rng.bit_generator.state, before)
+
+    def test_odd_chunk_rows_are_refused(self, monkeypatch):
+        """An odd chunk would split a word between two chunks."""
+        monkeypatch.setattr(simulate, "_CHUNK_ROWS", 7)
+        with pytest.raises(AssertionError, match="_CHUNK_ROWS must be even"):
+            _first_passage_hit_count(UrnConfig(2, 1), 0, 10, 20, SEED.generator())
 
     def test_worker_memory_error_is_one_resource_error(self, monkeypatch):
         threads = []
@@ -287,8 +340,9 @@ class TestDirectKernel:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # 17 bytes a chunk row of buffers (two float64, one bool) and a few
-        # bytes a row for the survivors packed out of one chunk
+        # 10 bytes a chunk row of buffers (one float64, two bool), 4 for a
+        # step's raw words and a few bytes a row for the survivors packed
+        # out of one chunk
         assert peak <= 8 * n + 24 * simulate._CHUNK_ROWS
 
 
