@@ -57,14 +57,11 @@ _REFERENCE_HORIZON_CAP = 20_000
 
 _INT64_MAX = 2**63 - 1
 
-# Work units, set on that VM with room to spare.  Direct simulation draws a
-# 32-bit half of a Philox word a path-step: on a host that ran the former
-# 64-bit kernel at 10-14 ns a live path-step and 7-8 us a step (4-6 us when
-# these units were set), it takes 6-9 ns a live path-step and 13-16 us a
-# step, plus 30 us of setup per stream however few paths it has.  So
-# _BLOCK_STEP spares no room for a block of a few paths that runs its whole
-# horizon; but paths that hit or can no longer hit stop stepping, and most
-# blocks end well before the horizon charged here.
+# Work units, set on that VM with room to spare.  Direct simulation: 5-9 ns
+# a live path-step, plus 5-6 us a step of numpy calls however few paths are
+# live (2-4 us once a stream's last few paths step in Python lists) and
+# 12-25 us of setup per stream.  _BLOCK_STEP must cover the numpy step,
+# since a block of a few paths can run its whole horizon.
 _PATH_STEP, _BLOCK_STEP, _BLOCK_SETUP = 12, 10_000, 50_000
 # de Finetti: 70-200 ns a sample, slowest near b, w of a few thousand
 _SAMPLE = 250

@@ -7,8 +7,9 @@ Two estimators, one sampler each:
   stream's paths are stepped in place, a cache-sized chunk at a time, and
   blocks of at least a chunk run up to min(streams, CPUs) streams at once
   on threads, since numpy releases the GIL while it draws and compares;
-  a path-step draws half a raw Philox word, and a path stops drawing once
-  it hits or can no longer hit;
+  a path-step draws half a raw Philox word, a path stops drawing once it
+  hits or can no longer hit, and a stream's last few live paths are
+  stepped in Python lists, where a numpy call costs more than its work;
 * a two-stage mixture estimator with no horizon truncation
   (``definetti_estimator``): draw the urn's limiting black fraction p from
   Beta(b, w) with ``Generator.beta``, one variate per sample at a cost
@@ -27,9 +28,10 @@ from the Philox 4x64 counter-based generator; stream t of seed s is keyed
 give bit-identical results on every platform.  Streams that run at once
 share no state, each block's hits are an exact int, and chunked draws consume
 a stream exactly as one draw of the whole block does, so the result does not
-depend on how the blocks are scheduled or on the chunk size.  Direct
-simulation cuts each word into 32-bit halves by mask and shift, so byte
-order does not matter either; 32 bits bias a draw by under 2^-32.
+depend on how the blocks are scheduled, on the chunk size or on whether
+arrays or lists hold the paths.  Direct simulation cuts each word into
+32-bit halves by mask and shift, so byte order does not matter either; 32
+bits bias a draw by under 2^-32.
 
 numpy is imported only inside the functions that draw or hold random
 numbers, and ``concurrent.futures`` only when streams run on a thread pool, so
@@ -72,6 +74,10 @@ _CHUNK_ROWS = 1 << 16
 # direct simulation draws one 32-bit half of a Philox word per path-step
 _HALF_MASK = 0xFFFFFFFF
 _HALF_SCALE = 2.0**-32
+
+# at or below this many live paths a step costs less in Python lists than in
+# numpy calls, each of which costs about a microsecond however short its array
+_FEW_PATHS = 24
 
 
 @dataclass(frozen=True, slots=True)
@@ -173,23 +179,21 @@ def _first_passage_hit_count(
     n_samples: int,
     rng: np.random.Generator,
 ) -> int:
-    """Hit count over one block of paths (one RNG stream), stepped in place.
+    """Hit count over one block of paths (one RNG stream).
 
-    ``held`` keeps b + blacks for each live path, front-packed.  Step n
-    takes ceil(L/2) ``random_raw`` words for its L live paths: path i gets
-    r, the low 32 bits of word i // 2 for even i and the high 32 bits for
-    odd i, and draws black iff r * (b + w + n) * 2^-32 < held.  Scaling by
-    2^-32 is exact, so one float64 compare serves int32 and int64 path
-    state.  The live paths are walked ``_CHUNK_ROWS`` at a time through
-    buffers allocated once; every chunk but the last is even, so the chunks
-    take the words one draw of every live path would, and the count does
-    not depend on the chunk size.
+    Each live path holds b + blacks, and the live paths keep their order.
+    Step n takes ceil(L/2) ``random_raw`` words for its L live paths: path
+    i gets r, the low 32 bits of word i // 2 for even i and the high 32
+    bits for odd i, and draws black iff r * (b + w + n) * 2^-32 < held, in
+    float64.  Scaling by 2^-32 is exact, so one float64 compare serves
+    int32 and int64 path state.
 
     Where S - m is even, paths on the target are counted as hits, and paths
     with |S - m| above the draws left are dropped uncounted, since they can
     no longer hit; a target further than ``horizon`` from S0 draws nothing.
-    Dropped paths are packed out of ``held`` in the same pass, so memory
-    stays at ``held`` plus a few chunk-sized buffers.
+    While more than ``_FEW_PATHS`` paths are live they are stepped in numpy
+    arrays (``_array_steps``), and then in Python lists (``_list_steps``);
+    both apply the same rule to the same words.
     """
     import numpy as np
 
@@ -204,61 +208,120 @@ def _first_passage_hit_count(
     # a path's excess cannot pass the target without sitting on it, so it
     # stays on its starting side, and only that side's edge of the band of
     # held values that can still hit drops paths
-    side, within = (1, np.less_equal) if s0 > target_diff else (-1, np.greater_equal)
-    held = np.full(n_samples, b, dtype=np.int64 if b + horizon >= 2**31 else np.int32)
-    rows = min(n_samples, _CHUNK_ROWS)
-    u, up, near = np.empty(rows), np.empty(rows, dtype=bool), np.empty(rows, dtype=bool)
+    side = 1 if s0 > target_diff else -1
+
+    def schedule():
+        """Per step, the urn size times 2^-32 and the test after its draw."""
+        for n in range(horizon):
+            # S = s0 + 2 * blacks - (n + 1), so when need is even S - m is
+            # 2 * (held - level): a path hits at level, and can still hit in
+            # the draws left iff |held - level| <= reach, so the paths kept
+            # are those strictly between level and edge, or on edge
+            need = target_diff - s0 + n + 1
+            test = None
+            if need % 2 == 0:
+                level, reach = b + need // 2, (horizon - n - 1) // 2
+                edge = level + side * reach
+                # held lies in [b, b + n + 1]: skip a test no path can meet
+                prune = b < edge if side < 0 else edge < b + n + 1
+                if prune or 0 <= need <= 2 * (n + 1):
+                    test = level, edge if prune else None
+            yield (b + w + n) * _HALF_SCALE, test
+
+    steps = schedule()
     raw = rng.bit_generator.random_raw
+    if n_samples > _FEW_PATHS:
+        dtype = np.int64 if b + horizon >= 2**31 else np.int32
+        hits, held = _array_steps(steps, np.full(n_samples, b, dtype=dtype), side, raw)
+    else:
+        hits, held = 0, [b] * n_samples
+    return hits + _list_steps(steps, held, side, raw)
+
+
+def _array_steps(steps, held: np.ndarray, side: int, raw) -> tuple[int, list]:
+    """Hits over ``steps`` until ``_FEW_PATHS`` or fewer paths are live, and
+    the live paths' held values then, as a list.
+
+    ``held`` is front-packed and walked ``_CHUNK_ROWS`` at a time through
+    buffers allocated once; every chunk but the last is even, so the chunks
+    take the words one draw of every live path would, and the count does
+    not depend on the chunk size.  Dropped paths are packed out of ``held``
+    in the same pass, so memory stays at ``held`` plus a few chunk-sized
+    buffers.
+    """
+    import numpy as np
+
+    rows = min(held.size, _CHUNK_ROWS)
+    # one spare half takes the unused high half of an odd chunk's last word
+    halves, u = np.empty(rows + 1, dtype=np.uint64), np.empty(rows)
+    up, near = np.empty(rows, dtype=bool), np.empty(rows, dtype=bool)
+    # uint64 operands and outputs keep the split off numpy's casting loops,
+    # so the one cast to float64 is in the multiply
+    mask, shift = np.uint64(_HALF_MASK), np.uint64(32)
+    within = np.less_equal if side > 0 else np.greater_equal
 
     def chunks(live: int) -> list:
         # a block of at most one chunk is one view of each buffer, rebuilt
         # only when paths are dropped, so its steps do no slicing
         return [
-            (lo, held[lo:lo + k], u[:k], u[0:k:2], u[1:k:2], up[:k], near[:k])
+            (lo, held[lo:lo + k], halves[:k], halves[0:k:2], halves[1:k + 1:2], u[:k], up[:k], near[:k])
             for lo in range(0, live, _CHUNK_ROWS)
             for k in (min(_CHUNK_ROWS, live - lo),)
         ]
 
-    live, hits = n_samples, 0
+    live, hits = held.size, 0
     views = chunks(live)
-    for n in range(horizon):
-        scale = (b + w + n) * _HALF_SCALE
-        # S = s0 + 2 * blacks - (n + 1), so when need is even S - m is
-        # 2 * (held - level): a path hits at level, and can still hit in the
-        # draws left iff |held - level| <= reach, so the paths kept are those
-        # strictly between level and edge, or on edge
-        need = target_diff - s0 + n + 1
-        parity = need % 2 == 0
-        level, reach = b + need // 2, (horizon - n - 1) // 2
-        edge = level + side * reach
+    for scale, test in steps:
         kept = 0
-        for lo, held_k, u_k, u_even, u_odd, up_k, near_k in views:
-            words = raw(u_even.size)
-            np.bitwise_and(words, _HALF_MASK, out=u_even)
-            np.right_shift(words[:u_odd.size], 32, out=u_odd)
+        for lo, held_k, halves_k, low, high, u_k, up_k, near_k in views:
+            words = raw(low.size)
+            np.bitwise_and(words, mask, low)
+            np.right_shift(words, shift, high)
             # freed now, not when the next chunk's words are already drawn
             del words
-            np.multiply(u_k, scale, out=u_k)
-            np.less(u_k, held_k, out=up_k)
+            np.multiply(halves_k, scale, u_k)
+            np.less(u_k, held_k, up_k)
             held_k += up_k
-            if not parity:
+            if test is None:
                 continue
-            np.not_equal(held_k, level, out=up_k)
+            level, edge = test
+            np.not_equal(held_k, level, up_k)
             survivors = int(np.count_nonzero(up_k))
             hits += up_k.size - survivors
-            within(held_k, edge, out=near_k)
-            up_k &= near_k
-            survivors = int(np.count_nonzero(up_k))
+            if edge is not None:
+                within(held_k, edge, near_k)
+                up_k &= near_k
+                survivors = int(np.count_nonzero(up_k))
             if survivors < up_k.size:
                 held[kept:kept + survivors] = held_k[up_k]
             elif kept < lo:
                 held[kept:kept + survivors] = held_k
             kept += survivors
-        if parity and kept < live:
+        if test is not None and kept < live:
             live = kept
-            if not live:
+            if live <= _FEW_PATHS:
                 break
             views = chunks(live)
+    return hits, held[:live].tolist()
+
+
+def _list_steps(steps, held: list, side: int, raw) -> int:
+    """Hits of the live paths ``held`` over the rest of ``steps``, in lists."""
+    hits = 0
+    for scale, test in steps:
+        if not held:
+            break
+        words = raw((len(held) + 1) // 2).tolist()
+        halves = [half for word in words for half in (word & _HALF_MASK, word >> 32)]
+        # float(h): numpy compares a float64 with int path state in float64
+        held = [h + (r * scale < float(h)) for h, r in zip(held, halves)]
+        if test is not None:
+            level, edge = test
+            kept = [h for h in held if h != level]
+            hits += len(held) - len(kept)
+            if edge is not None:
+                kept = [h for h in kept if (h - edge) * side <= 0]
+            held = kept
     return hits
 
 

@@ -241,7 +241,7 @@ class TestDirectKernel:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        b=st.one_of(st.integers(1, 6), st.just(2**31 - 5)),
+        b=st.one_of(st.integers(1, 6), st.just(2**31 - 5), st.just(2**53 + 1)),
         w=st.integers(1, 6),
         offset=st.integers(-4, 4),
         horizon=st.integers(0, 30),
@@ -250,20 +250,24 @@ class TestDirectKernel:
         seed=st.integers(0, 2**64 - 1),
         chunk_rows=st.sampled_from([2, 8, simulate._CHUNK_ROWS]),
         cpus=st.sampled_from([1, 2, 3]),
+        few_paths=st.sampled_from([0, simulate._FEW_PATHS]),
     )
     # at 8-row chunks, blocks of 9 + 8 paths run pooled and 8 + 7 serially,
-    # either side of the threshold; b + horizon >= 2^31 needs int64 state;
-    # 5 paths in 2-row chunks end each step on an odd chunk until some drop
-    @example(b=3, w=2, offset=-1, horizon=30, n_samples=17, n_streams=2, seed=1, chunk_rows=8, cpus=2)
-    @example(b=3, w=2, offset=-1, horizon=30, n_samples=15, n_streams=2, seed=1, chunk_rows=8, cpus=2)
-    @example(b=2**31 - 5, w=3, offset=6, horizon=30, n_samples=40, n_streams=3, seed=5, chunk_rows=8, cpus=2)
-    @example(b=3, w=2, offset=2, horizon=30, n_samples=5, n_streams=1, seed=2, chunk_rows=2, cpus=1)
+    # either side of the threshold; b + horizon >= 2^31 needs int64 state,
+    # and past 2^53 float64 rounds it; 5 paths in 2-row chunks end each step
+    # on an odd chunk until some drop; 40 paths go from arrays to lists
+    @example(b=3, w=2, offset=-1, horizon=30, n_samples=17, n_streams=2, seed=1, chunk_rows=8, cpus=2, few_paths=0)
+    @example(b=3, w=2, offset=-1, horizon=30, n_samples=15, n_streams=2, seed=1, chunk_rows=8, cpus=2, few_paths=0)
+    @example(b=2**31 - 5, w=3, offset=6, horizon=30, n_samples=40, n_streams=3, seed=5, chunk_rows=8, cpus=2, few_paths=0)
+    @example(b=3, w=2, offset=2, horizon=30, n_samples=5, n_streams=1, seed=2, chunk_rows=2, cpus=1, few_paths=0)
+    @example(b=3, w=2, offset=-1, horizon=30, n_samples=40, n_streams=1, seed=3, chunk_rows=8, cpus=1, few_paths=simulate._FEW_PATHS)
     def test_total_equals_the_unchunked_oracle(
-        self, b, w, offset, horizon, n_samples, n_streams, seed, chunk_rows, cpus
+        self, b, w, offset, horizon, n_samples, n_streams, seed, chunk_rows, cpus, few_paths
     ):
         target = b - w + offset
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(simulate, "_CHUNK_ROWS", chunk_rows)
+            patch.setattr(simulate, "_FEW_PATHS", few_paths)
             patch.setattr(simulate, "_usable_cpus", lambda: cpus)
             est = estimate_equalization(
                 UrnConfig(b, w), target, horizon, n_samples, RngSeed(seed), n_streams
@@ -278,13 +282,16 @@ class TestDirectKernel:
         est = estimate_equalization(UrnConfig(5, 3), 0, 25, n, SEED, n_streams)
         assert est.total == oracle_total(5, 3, 0, 25, n, n_streams, SEED.seed)
 
-    def test_three_paths_take_three_halves_of_two_words(self):
-        """Path i of a step draws half i mod 2 of word i // 2, low half first.
+    @pytest.mark.parametrize("few_paths", [0, simulate._FEW_PATHS])
+    def test_three_paths_take_three_halves_of_two_words(self, monkeypatch, few_paths):
+        """Path i of a step draws half i mod 2 of word i // 2, low half first,
+        in numpy arrays and in Python lists.
 
         From (2, 1), one draw reaches target 2 iff it is black, so the hits
         of the first 1, 2 and 3 paths of a fresh stream give each path's
         decision.  Key 42 tells this layout from the swapped one.
         """
+        monkeypatch.setattr(simulate, "_FEW_PATHS", few_paths)
         key, mask = 42, 0xFFFFFFFF
         words = [int(word) for word in np.random.Philox(key=key).random_raw(3)]
 
@@ -300,6 +307,23 @@ class TestDirectKernel:
         assert decisions == by_hand
         # the 3-path step took ceil(3/2) = 2 words
         assert int(rng.bit_generator.random_raw()) == words[2]
+
+    def test_lists_round_path_state_as_numpy_does(self):
+        """Past 2^53, float64 rounds b + blacks, in lists as in numpy arrays.
+
+        r = 2^31 at scale 2^22 is exactly 2^53, which is also float64's value
+        of held = 2^53 + 1: numpy draws white, where an exact compare would
+        draw black and hit level 2^53 + 2.
+        """
+        held, level = 2**53 + 1, 2**53 + 2
+        step = [(2.0**22, (level, None))]
+
+        def raw(size):
+            return np.full(size, 2**31, dtype=np.uint64)
+
+        hits, live = simulate._array_steps(iter(step), np.array([held]), 1, raw)
+        assert (hits, live) == (0, [held])
+        assert simulate._list_steps(iter(step), [held], 1, raw) == 0
 
     def test_unreachable_target_draws_nothing(self):
         """A target further than the horizon from S0 returns 0 before any draw."""
@@ -340,9 +364,9 @@ class TestDirectKernel:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # 10 bytes a chunk row of buffers (one float64, two bool), 4 for a
-        # step's raw words and a few bytes a row for the survivors packed
-        # out of one chunk
+        # 18 bytes a chunk row of buffers (one float64, one uint64, two
+        # bool), 4 for a step's raw words and a few bytes a row for the
+        # survivors packed out of one chunk
         assert peak <= 8 * n + 24 * simulate._CHUNK_ROWS
 
 
