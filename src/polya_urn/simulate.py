@@ -211,7 +211,8 @@ def _first_passage_hit_count(
     side = 1 if s0 > target_diff else -1
 
     def schedule():
-        """Per step, the urn size times 2^-32 and the test after its draw."""
+        """Per step, the urn size times 2^-32 and the test after its draw:
+        None, or the hit level and the drop edge (None when no path can be past it)."""
         for n in range(horizon):
             # S = s0 + 2 * blacks - (n + 1), so when need is even S - m is
             # 2 * (held - level): a path hits at level, and can still hit in
@@ -264,7 +265,8 @@ def _array_steps(steps, held: np.ndarray, side: int, raw) -> tuple[int, list]:
         # a block of at most one chunk is one view of each buffer, rebuilt
         # only when paths are dropped, so its steps do no slicing
         return [
-            (lo, held[lo:lo + k], halves[:k], halves[0:k:2], halves[1:k + 1:2], u[:k], up[:k], near[:k])
+            (lo, held[lo:lo + k], halves[:k], halves[0:k:2], halves[1:k + 1:2],
+             u[:k], up[:k], near[:k])
             for lo in range(0, live, _CHUNK_ROWS)
             for k in (min(_CHUNK_ROWS, live - lo),)
         ]

@@ -260,7 +260,10 @@ class TestDirectKernel:
     @example(b=3, w=2, offset=-1, horizon=30, n_samples=15, n_streams=2, seed=1, chunk_rows=8, cpus=2, few_paths=0)
     @example(b=2**31 - 5, w=3, offset=6, horizon=30, n_samples=40, n_streams=3, seed=5, chunk_rows=8, cpus=2, few_paths=0)
     @example(b=3, w=2, offset=2, horizon=30, n_samples=5, n_streams=1, seed=2, chunk_rows=2, cpus=1, few_paths=0)
-    @example(b=3, w=2, offset=-1, horizon=30, n_samples=40, n_streams=1, seed=3, chunk_rows=8, cpus=1, few_paths=simulate._FEW_PATHS)
+    @example(
+        b=3, w=2, offset=-1, horizon=30, n_samples=40, n_streams=1, seed=3, chunk_rows=8, cpus=1,
+        few_paths=simulate._FEW_PATHS,
+    )
     def test_total_equals_the_unchunked_oracle(
         self, b, w, offset, horizon, n_samples, n_streams, seed, chunk_rows, cpus, few_paths
     ):
