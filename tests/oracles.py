@@ -7,11 +7,9 @@ every draw sequence, or step a forward recursion over (step, black draws),
 instead of evaluating the hitting-time formula; the sequence and
 black-count oracles multiply the urn's per-draw probabilities instead of
 assuming exchangeability; the limit-fraction sampler steps simulated urns
-draw by draw; the direct hit counter holds the excess of every live path
-of a stream in one array, cuts each step's raw words into halves in one
-call and drops paths by their distance from the target, instead of
-stepping b + blacks in cache-sized chunks in place, one stream after
-another; the Beta sampler takes order statistics of uniforms instead of
+draw by draw; the per-path direct hit counter holds the excess of every live
+path of a stream in one array, cuts each step's raw words into halves in
+one call and drops paths by their distance from the target; the Beta sampler takes order statistics of uniforms instead of
 ratios of gamma variates; the normal CDF oracle integrates the density by
 high-precision quadrature instead of calling erfc; the ``num/den`` parser
 reads the digits a chunk at a time instead of through ``Decimal``.
@@ -165,10 +163,10 @@ def limit_fraction_samples(
     return (black + blacks) / (black + white + n_steps)
 
 
-def direct_hit_count_unchunked(
+def direct_step_hits_by_path(
     black: int, white: int, target: int, horizon: int, n_samples: int, rng: np.random.Generator
-) -> int:
-    """Paths, of n_samples, whose excess hits ``target`` within ``horizon`` draws.
+) -> list[int]:
+    """Paths, of n_samples, whose excess first hits ``target`` at draw n, for n = 0..horizon.
 
     Every live path's excess is held at once.  Draw n takes ceil(L/2) raw
     64-bit words for the L live paths in one call and cuts them into 2L
@@ -180,12 +178,13 @@ def direct_hit_count_unchunked(
     out of reach from the start draws nothing.
     """
     s0 = black - white
+    hits = [0] * (horizon + 1)
     if s0 == target:
-        return n_samples
+        hits[0] = n_samples
+        return hits
     if abs(s0 - target) > horizon:
-        return 0
+        return hits
     excess = np.full(n_samples, s0, dtype=np.int64)
-    hits = 0
     for n in range(horizon):
         words = rng.bit_generator.random_raw((excess.size + 1) // 2)
         halves = np.stack([words % 2**32, words // 2**32], axis=1).reshape(-1)[: excess.size]
@@ -195,7 +194,7 @@ def direct_hit_count_unchunked(
             continue
         draws_left = horizon - (n + 1)
         on_target = excess == target
-        hits += int(on_target.sum())
+        hits[n + 1] = int(on_target.sum())
         excess = excess[~on_target & (np.abs(excess - target) <= draws_left)]
         if excess.size == 0:
             break

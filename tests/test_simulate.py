@@ -9,6 +9,7 @@ import threading
 import time
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from polya_urn import (
 from polya_urn import simulate
 from polya_urn.simulate import _first_passage_hit_count, _ruin_values
 
-from oracles import beta_by_order_statistics, direct_hit_count_unchunked, limit_fraction_samples
+from oracles import beta_by_order_statistics, direct_step_hits_by_path, limit_fraction_samples
 
 SEED = RngSeed(20260810)
 
@@ -228,10 +229,10 @@ def oracle_total(b, w, target, horizon, n_samples, n_streams, seed):
     """Hits summed over the blocks, block t of the oracle on Philox key t * 2^64 + seed."""
     base, rem = divmod(n_samples, n_streams)
     return sum(
-        direct_hit_count_unchunked(
+        sum(direct_step_hits_by_path(
             b, w, target, horizon, base + (t < rem),
             np.random.Generator(np.random.Philox(key=(t << 64) | seed)),
-        )
+        ))
         for t in range(min(n_streams, n_samples))
     )
 
@@ -371,6 +372,46 @@ class TestDirectKernel:
         # bool), 4 for a step's raw words and a few bytes a row for the
         # survivors packed out of one chunk
         assert peak <= 8 * n + 24 * simulate._CHUNK_ROWS
+
+
+def dkw_tail(step_hits: list[int], pmf, n: int) -> float:
+    """2 exp(-2 n D^2), D the Kolmogorov distance between the empirical
+    cumulative of tau ^ (horizon + 1) over n paths and the exact one.
+
+    Both cumulatives reach 1 at horizon + 1, so D is their largest gap at
+    0..horizon; by the DKW inequality with Massart's constant (Ann. Probab.
+    18, 1990) the tail bounds P(D_n >= D) for a sampler of the true law.
+    """
+    gap = hits = 0
+    exact = Fraction(0)
+    for count, p in zip(step_hits, pmf, strict=True):
+        hits += count
+        exact += p
+        gap = max(gap, abs(Fraction(hits, n) - exact))
+    return 2 * math.exp(-2 * n * float(gap) ** 2)
+
+
+# (b, w, target, horizon): targets on both sides of S0, horizons at the
+# pruning edges |S0 - m| (only the straight run hits) and |S0 - m| + 1, and
+# far past them
+_LAWS = [
+    (3, 2, -2, 3), (3, 2, -2, 4), (3, 2, -2, 200),
+    (3, 2, 4, 3), (3, 2, 4, 4), (3, 2, 4, 200),
+    (5, 3, -2, 4), (5, 3, -2, 5), (5, 3, 0, 200), (50, 30, -4, 300),
+    (2, 1, 0, 2001),
+]
+
+
+class TestFirstPassageLaw:
+    """The whole law of tau ^ (horizon + 1), not only P(tau <= horizon)."""
+
+    @pytest.mark.parametrize("b, w, target, horizon", _LAWS)
+    def test_per_step_hits_follow_the_dp_pmf(self, b, w, target, horizon):
+        n = 20_000 if horizon > 1000 else 10**5
+        pmf = first_passage_dp(UrnConfig(b, w), target, horizon).hit_pmf
+        step_hits = direct_step_hits_by_path(b, w, target, horizon, n, SEED.generator())
+        assert len(step_hits) == horizon + 1
+        assert dkw_tail(step_hits, pmf, n) > 1e-6
 
 
 class TestBetaOrderStatistic:
