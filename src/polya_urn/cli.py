@@ -269,7 +269,7 @@ def _reference(pair: _Pair, method: str) -> tuple[Optional[Fraction], str]:
 def cmd_simulate(args: argparse.Namespace) -> int:
     pair = _Pair(UrnConfig(args.b, args.w), args)
     method = "mc" if args.method == "direct" else args.method
-    cost.check(method, pair.config, args.horizon, args.samples, args.streams)
+    cost.check(method, pair.config, args.horizon, args.samples, args.streams, target=args.target)
     record, est = METHODS[method](pair, method)
     reference, note = _reference(pair, method)
     if reference is not None:
@@ -331,7 +331,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # pairs, and the per-method domain checks on the first pair.
     largest = UrnConfig(b_hi, min(w_hi, b_hi - 1))
     for method in methods:
-        cost.check(method, largest, args.horizon, args.samples, args.streams, count)
+        cost.check(method, largest, args.horizon, args.samples, args.streams, count, args.target)
     if {"dp", "mc", "definetti"}.issuperset(methods):
         # no row reads a closed form, so the pairs get none, in the same order
         b_values = range(b_lo, b_hi + 1)

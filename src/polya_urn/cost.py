@@ -18,9 +18,12 @@ CLI's method names, one integer estimate, and ``check`` refuses with
 reference.  ``first_passage_dp`` refuses its horizon by ``check("dp", ...)``.
 ``check_path_state`` is separate: it is the library's check that direct
 simulation can represent its paths, and ``estimate_equalization`` refuses only
-that; the CLI checks the work too.  Every estimate is non-decreasing in b, w,
-horizon, samples, streams and pairs, so one check at a sweep's largest pair,
-with its pair count, covers the whole sweep.
+that; the CLI checks the work too, and de Finetti's shapes, which must be
+finite floats.  Every estimate is non-decreasing in b, w, horizon, samples,
+streams and pairs, and so is every representation bound but the urn-size
+float, which depends on the target's reach; that one needs w past 2^1023,
+which no sweep pair (w < b <= 2^63) has.  So one check at a sweep's largest
+pair, with its pair count, covers the whole sweep.
 """
 
 from __future__ import annotations
@@ -57,12 +60,23 @@ _REFERENCE_HORIZON_CAP = 20_000
 
 _INT64_MAX = 2**63 - 1
 
-# Work units, set on that VM with room to spare.  Direct simulation: 5-9 ns
-# a live path-step, plus 5-6 us a step of numpy calls however few paths are
-# live (2-4 us once a stream's last few paths step in Python lists) and
-# 12-25 us of setup per stream.  _BLOCK_STEP must cover the numpy step,
-# since a block of a few paths can run its whole horizon.
-_PATH_STEP, _BLOCK_STEP, _BLOCK_SETUP = 12, 10_000, 50_000
+# the least int that float() rounds to infinity, halfway between the largest
+# float, 2^1024 - 2^971, and 2^1024
+_FLOAT_OVERFLOW = 2**1024 - 2**970
+
+# Work units, set on that VM with room to spare.  Direct simulation, per
+# stream and step: 15-20 us of numpy calls however few paths are live (2-6
+# us once a stream's last few paths step in Python lists); 3-5 ns a level of
+# the window of levels, which spreads like the step index n; 30-40 ns a
+# non-zero level, of which there are at most min(n + 1, paths); and one
+# binomial draw by inversion takes a few ns per unit of its mean, which numpy
+# keeps at or below 30 (above, a draw takes constant time), so at most 8 a
+# path and 240 a level.  A stream of at most _FEW_PATHS paths never forms a
+# window.  Setup is 12-25 us a stream.
+_STEP, _WINDOW_LEVEL, _LIVE_LEVEL, _MEAN_UNIT, _BLOCK_SETUP = 25_000, 6, 35, 8, 50_000
+_INVERSION_MEAN = 30
+# simulate._FEW_PATHS: a stream of at most this many paths steps them in lists
+_FEW_PATHS = 24
 # de Finetti: 70-200 ns a sample, slowest near b, w of a few thousand
 _SAMPLE = 250
 # Closed forms on row n = b + w - 1: one direct form took 0.2-0.5 ns per n^2,
@@ -84,11 +98,26 @@ def _closed_forms(config: UrnConfig, horizon: int, samples: int, streams: int, p
     return min(pairs, config.white) * _direct_sum(n) + pairs * (n * n // 64 + _RECORD)
 
 
+def _capped_sum(rate: int, cap: int, horizon: int) -> int:
+    """sum of min(rate * j, cap) over j = 1..horizon."""
+    k = min(horizon, cap // rate)
+    return rate * k * (k + 1) // 2 + (horizon - k) * cap
+
+
 def _direct(config: UrnConfig, horizon: int, samples: int, streams: int, pairs: int) -> int:
-    """Every path through the whole horizon, and each stream's fixed work."""
+    """Each stream's steps through the whole horizon: step j - 1 moves at
+    most min(j, paths) non-zero levels, whose draws' means sum to at most
+    the paths, and a window of at most j levels; summed over the streams,
+    at most min(blocks * j, samples) non-zero levels, and windows only in
+    the streams of more than _FEW_PATHS paths."""
     blocks = min(streams, samples)
+    windows = min(streams, samples // (_FEW_PATHS + 1))
     return pairs * (
-        horizon * (samples * _PATH_STEP + blocks * _BLOCK_STEP) + blocks * _BLOCK_SETUP
+        horizon * blocks * _STEP
+        + windows * _WINDOW_LEVEL * horizon * (horizon + 1) // 2
+        + _LIVE_LEVEL * _capped_sum(blocks, samples, horizon)
+        + _MEAN_UNIT * _capped_sum(_INVERSION_MEAN * blocks, samples, horizon)
+        + blocks * _BLOCK_SETUP
     )
 
 
@@ -133,11 +162,15 @@ def check(
     samples: int = 1,
     streams: int = 1,
     pairs: int = 1,
+    target: int = 0,
 ) -> None:
     """Refuse with ``ResourceLimitError``, before any work, a run of ``method``
-    over its limit, or whose direct-simulation paths cannot be represented."""
+    over its limit, or whose Monte Carlo state cannot be represented: direct
+    simulation's paths to ``target``, or de Finetti's Beta(b, w) shapes."""
     if method == "mc":
-        check_path_state(config, horizon, -(-samples // streams))
+        check_path_state(config, target, horizon, -(-samples // streams))
+    elif method == "definetti":
+        _check_float("b", config.black, "the de Finetti estimator")
     need = estimate(method, config, horizon, samples, streams, pairs)
     limit, _ = _limit(method)
     if need <= limit:
@@ -226,22 +259,35 @@ def max_feasible_horizon(config: UrnConfig) -> int:
     return max(0, fits - 1)
 
 
-def check_path_state(config: UrnConfig, horizon: int, paths: int = 1) -> None:
-    """Refuse with ``ResourceLimitError`` a direct simulation whose path state
-    cannot be represented: each path's b + blacks, at most b + horizon, must
-    fit an int64, and one stream's ``paths``, at 8 bytes each, the memory
-    budget.
+def _check_float(name: str, value: int, route: str) -> None:
+    """Refuse with ``ResourceLimitError`` a run that would round ``value`` to
+    an infinite float."""
+    if value >= _FLOAT_OVERFLOW:
+        raise ResourceLimitError(
+            f"{name} = {value} exceeds the float range of {route}, below 2^1024"
+        )
 
-    Both bounds grow with b, the horizon and the paths, so one check at the
-    largest covers a whole range of urns.
+
+def check_path_state(config: UrnConfig, target_diff: int, horizon: int, paths: int = 1) -> None:
+    """Refuse with ``ResourceLimitError`` a direct simulation whose state
+    cannot be represented: each path's b + blacks, at most b + horizon, and
+    one stream's count of ``paths`` must fit an int64, and when the target is
+    in reach, so that the urn is drawn from, the float of each urn size, at
+    most b + w + horizon - 1, must be finite.
+
+    The int64 bounds grow with b, the horizon and the paths, so one check at
+    the largest covers a whole range of urns; the float bound needs w past
+    2^1023, since b + horizon fits an int64.
     """
     if config.black + horizon > _INT64_MAX:
         raise ResourceLimitError(
             f"b + horizon = {config.black + horizon} exceeds the int64 path-state "
             "limit of direct simulation, 2^63 - 1"
         )
-    if 8 * paths > MEMORY_BUDGET_BYTES:
+    if paths > _INT64_MAX:
         raise ResourceLimitError(
-            f"cannot allocate {paths} paths in one stream: ~{8 * paths} bytes of path "
-            f"state, over the memory budget of {MEMORY_BUDGET_BYTES}"
+            f"cannot count {paths} paths of one stream: over the int64 limit of "
+            "direct simulation, 2^63 - 1"
         )
+    if config.initial_excess != target_diff and abs(config.initial_excess - target_diff) <= horizon:
+        _check_float("b + w + horizon - 1", config.total + horizon - 1, "direct simulation")

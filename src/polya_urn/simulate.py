@@ -3,13 +3,12 @@
 Two estimators, one sampler each:
 
 * direct simulation of the urn until the excess S = black - white hits a
-  target level or a horizon runs out (``estimate_equalization``): each
-  stream's paths are stepped in place, a cache-sized chunk at a time, and
-  blocks of at least a chunk run up to min(streams, CPUs) streams at once
-  on threads, since numpy releases the GIL while it draws and compares;
-  a path-step draws half a raw Philox word, a path stops drawing once it
-  hits or can no longer hit, and a stream's last few live paths are
-  stepped in Python lists, where a numpy call costs more than its work;
+  target level or a horizon runs out (``estimate_equalization``): every
+  path with the same number of black draws is in the same state, so each
+  stream holds its live paths as counts over a window of levels and moves
+  them a step with one binomial draw per level, drops the paths that hit
+  or can no longer hit, and steps its last few live paths one by one in
+  Python lists, each drawing half a raw Philox word;
 * a two-stage mixture estimator with no horizon truncation
   (``definetti_estimator``): draw the urn's limiting black fraction p from
   Beta(b, w) with ``Generator.beta``, one variate per sample at a cost
@@ -25,29 +24,28 @@ Determinism contract: every estimate is a pure function of its parameters,
 its ``RngSeed`` and, for direct simulation, ``n_streams``.  Randomness comes
 from the Philox 4x64 counter-based generator; stream t of seed s is keyed
 ``t * 2^64 + s``, so distinct streams are independent, and identical inputs
-give bit-identical results on every platform.  Streams that run at once
-share no state, each block's hits are an exact int, and chunked draws consume
-a stream exactly as one draw of the whole block does, so the result does not
-depend on how the blocks are scheduled, on the chunk size or on whether
-arrays or lists hold the paths.  Direct simulation cuts each word into
-32-bit halves by mask and shift, so byte order does not matter either; 32
-bits bias a draw by under 2^-32.
+give bit-identical results on every platform.  Streams run one after
+another and their hits are summed as exact ints.  ``Generator.binomial`` and
+``Generator.beta`` fall under numpy's stream-compatibility policy (NEP 19),
+so a numpy release may change their streams; the de Finetti estimate's Beta
+chunks consume a stream exactly as one large ``rng.beta`` call does, so it
+does not depend on the chunk size.  The list stage cuts each raw word into
+32-bit halves by mask and shift, so byte order does not matter; 32 bits
+bias a draw by under 2^-32.
 
 numpy is imported only inside the functions that draw or hold random
-numbers, and ``concurrent.futures`` only when streams run on a thread pool, so
-importing this module, or building an ``RngSeed``, loads neither.
+numbers, so importing this module, or building an ``RngSeed``, does not
+load it.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .cost import check_path_state
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError
 from .exact import UrnConfig, _require_strict_majority
 
 if TYPE_CHECKING:
@@ -65,18 +63,17 @@ _UINT64_MAX = 2**64 - 1
 # two-sided 95% normal quantile for Wald intervals
 _Z95 = 1.959963984540054
 
-# rows per chunk of Beta draws or of direct-simulation paths: chunking bounds
-# memory and keeps a step's buffers in cache, and the draws equal one large
-# ``rng.beta`` or ``random_raw`` call, so no estimate depends on the chunk
-# size; it must be even, so that no chunk but the last splits a word
+# rows per chunk of Beta draws: chunking bounds memory, and the draws equal
+# one large ``rng.beta`` call, so no estimate depends on the chunk size
 _CHUNK_ROWS = 1 << 16
 
-# direct simulation draws one 32-bit half of a Philox word per path-step
+# direct simulation's list stage draws one 32-bit half of a Philox word per path-step
 _HALF_MASK = 0xFFFFFFFF
 _HALF_SCALE = 2.0**-32
 
 # at or below this many live paths a step costs less in Python lists than in
-# numpy calls, each of which costs about a microsecond however short its array
+# numpy calls, each of which costs about a microsecond however short its
+# array (``cost._FEW_PATHS`` charges by it)
 _FEW_PATHS = 24
 
 
@@ -164,54 +161,46 @@ class EstimateWithCI:
         return (self.p_hat - reference) / self.std_err
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def _first_passage_hit_count(
     config: UrnConfig,
     target_diff: int,
     horizon: int,
     n_samples: int,
     rng: np.random.Generator,
-) -> int:
-    """Hit count over one block of paths (one RNG stream).
+) -> list[int]:
+    """Hits of one block of paths (one RNG stream) at each draw n = 0..horizon.
 
-    Each live path holds b + blacks, and the live paths keep their order.
-    Step n takes ceil(L/2) ``random_raw`` words for its L live paths: path
-    i gets r, the low 32 bits of word i // 2 for even i and the high 32
-    bits for odd i, and draws black iff r * (b + w + n) * 2^-32 < held, in
-    float64.  Scaling by 2^-32 is exact, so one float64 compare serves
-    int32 and int64 path state.
+    Every path that has drawn u blacks in n draws is in the same state, so
+    the live paths are int64 counts over a window of consecutive held values
+    b + u, the lowest ``low``.  Step n moves the whole window with one
+    ``rng.binomial(counts, held / (b + w + n))`` call: each level's black
+    draws move up one level.  numpy draws nothing for a zero count, so the
+    window's zeros do not change the stream.
 
-    Where S - m is even, paths on the target are counted as hits, and paths
-    with |S - m| above the draws left are dropped uncounted, since they can
-    no longer hit; a target further than ``horizon`` from S0 draws nothing.
-    While more than ``_FEW_PATHS`` paths are live they are stepped in numpy
-    arrays (``_array_steps``), and then in Python lists (``_list_steps``);
-    both apply the same rule to the same words.
+    Where S - m is even, the target level's paths are counted as hits and
+    removed, and so, uncounted, are the levels with |S - m| above the draws
+    left, since they can no longer hit; the window is then trimmed to its
+    non-zero levels.  A target further than ``horizon`` from S0 draws
+    nothing.  Once ``_FEW_PATHS`` or fewer paths are live they step one by
+    one, in ascending held order, in Python lists (``_list_steps``).
     """
     import numpy as np
 
-    # an odd chunk would split a word across chunks and change the stream
-    assert _CHUNK_ROWS % 2 == 0, f"_CHUNK_ROWS must be even, got {_CHUNK_ROWS}"
     b, w = config.black, config.white
     s0 = config.initial_excess
+    hits = [0] * (horizon + 1)
     if s0 == target_diff:
-        return n_samples
+        hits[0] = n_samples
+        return hits
     if abs(s0 - target_diff) > horizon:
-        return 0
+        return hits
     # a path's excess cannot pass the target without sitting on it, so it
     # stays on its starting side, and only that side's edge of the band of
     # held values that can still hit drops paths
     side = 1 if s0 > target_diff else -1
 
     def schedule():
-        """Per step, the urn size times 2^-32 and the test after its draw:
+        """Per step, its index, the urn size and the test after its draw:
         None, or the hit level and the drop edge (None when no path can be past it)."""
         for n in range(horizon):
             # S = s0 + 2 * blacks - (n + 1), so when need is even S - m is
@@ -227,104 +216,60 @@ def _first_passage_hit_count(
                 prune = b < edge if side < 0 else edge < b + n + 1
                 if prune or 0 <= need <= 2 * (n + 1):
                     test = level, edge if prune else None
-            yield (b + w + n) * _HALF_SCALE, test
+            yield n, float(b + w + n), test
 
     steps = schedule()
-    raw = rng.bit_generator.random_raw
-    if n_samples > _FEW_PATHS:
-        dtype = np.int64 if b + horizon >= 2**31 else np.int32
-        hits, held = _array_steps(steps, np.full(n_samples, b, dtype=dtype), side, raw)
-    else:
-        hits, held = 0, [b] * n_samples
-    return hits + _list_steps(steps, held, side, raw)
+    counts, low = np.array([n_samples], dtype=np.int64), b
+    for n, size, test in steps if n_samples > _FEW_PATHS else ():
+        blacks = rng.binomial(counts, np.arange(low, low + counts.size) / size)
+        counts = np.append(counts - blacks, 0)
+        counts[1:] += blacks
+        if test is None:
+            continue
+        level, edge = test
+        if low <= level < low + counts.size:
+            hits[n + 1] = int(counts[level - low])
+            counts[level - low] = 0
+        if edge is not None:
+            if side > 0:
+                counts[max(0, edge + 1 - low):] = 0
+            else:
+                counts[:max(0, edge - low)] = 0
+        nonzero = np.flatnonzero(counts)
+        if nonzero.size == 0:
+            return hits
+        low += int(nonzero[0])
+        counts = counts[nonzero[0]:nonzero[-1] + 1]
+        if counts.sum() <= _FEW_PATHS:
+            break
+    held = np.repeat(np.arange(low, low + counts.size), counts).tolist()
+    _list_steps(steps, held, side, rng.bit_generator.random_raw, hits)
+    return hits
 
 
-def _array_steps(steps, held: np.ndarray, side: int, raw) -> tuple[int, list]:
-    """Hits over ``steps`` until ``_FEW_PATHS`` or fewer paths are live, and
-    the live paths' held values then, as a list.
+def _list_steps(steps, held: list, side: int, raw, hits: list) -> None:
+    """Add to ``hits`` those of the live paths ``held`` over the rest of
+    ``steps``, stepped in Python lists.
 
-    ``held`` is front-packed and walked ``_CHUNK_ROWS`` at a time through
-    buffers allocated once; every chunk but the last is even, so the chunks
-    take the words one draw of every live path would, and the count does
-    not depend on the chunk size.  Dropped paths are packed out of ``held``
-    in the same pass, so memory stays at ``held`` plus a few chunk-sized
-    buffers.
+    Step n takes ceil(L/2) ``random_raw`` words for its L live paths: path
+    i gets r, the low 32 bits of word i // 2 for even i and the high 32
+    bits for odd i (cut by mask and shift, so byte order does not matter),
+    and draws black iff r * (b + w + n) * 2^-32 < held, in float64.
     """
-    import numpy as np
-
-    rows = min(held.size, _CHUNK_ROWS)
-    # one spare half takes the unused high half of an odd chunk's last word
-    halves, u = np.empty(rows + 1, dtype=np.uint64), np.empty(rows)
-    up, near = np.empty(rows, dtype=bool), np.empty(rows, dtype=bool)
-    # uint64 operands and outputs keep the split off numpy's casting loops,
-    # so the one cast to float64 is in the multiply
-    mask, shift = np.uint64(_HALF_MASK), np.uint64(32)
-    within = np.less_equal if side > 0 else np.greater_equal
-
-    def chunks(live: int) -> list:
-        # a block of at most one chunk is one view of each buffer, rebuilt
-        # only when paths are dropped, so its steps do no slicing
-        return [
-            (lo, held[lo:lo + k], halves[:k], halves[0:k:2], halves[1:k + 1:2],
-             u[:k], up[:k], near[:k])
-            for lo in range(0, live, _CHUNK_ROWS)
-            for k in (min(_CHUNK_ROWS, live - lo),)
-        ]
-
-    live, hits = held.size, 0
-    views = chunks(live)
-    for scale, test in steps:
-        kept = 0
-        for lo, held_k, halves_k, low, high, u_k, up_k, near_k in views:
-            words = raw(low.size)
-            np.bitwise_and(words, mask, low)
-            np.right_shift(words, shift, high)
-            # freed now, not when the next chunk's words are already drawn
-            del words
-            np.multiply(halves_k, scale, u_k)
-            np.less(u_k, held_k, up_k)
-            held_k += up_k
-            if test is None:
-                continue
-            level, edge = test
-            np.not_equal(held_k, level, up_k)
-            survivors = int(np.count_nonzero(up_k))
-            hits += up_k.size - survivors
-            if edge is not None:
-                within(held_k, edge, near_k)
-                up_k &= near_k
-                survivors = int(np.count_nonzero(up_k))
-            if survivors < up_k.size:
-                held[kept:kept + survivors] = held_k[up_k]
-            elif kept < lo:
-                held[kept:kept + survivors] = held_k
-            kept += survivors
-        if test is not None and kept < live:
-            live = kept
-            if live <= _FEW_PATHS:
-                break
-            views = chunks(live)
-    return hits, held[:live].tolist()
-
-
-def _list_steps(steps, held: list, side: int, raw) -> int:
-    """Hits of the live paths ``held`` over the rest of ``steps``, in lists."""
-    hits = 0
-    for scale, test in steps:
+    for n, size, test in steps:
         if not held:
             break
+        scale = size * _HALF_SCALE
         words = raw((len(held) + 1) // 2).tolist()
         halves = [half for word in words for half in (word & _HALF_MASK, word >> 32)]
-        # float(h): numpy compares a float64 with int path state in float64
         held = [h + (r * scale < float(h)) for h, r in zip(held, halves)]
         if test is not None:
             level, edge = test
             kept = [h for h in held if h != level]
-            hits += len(held) - len(kept)
+            hits[n + 1] = len(held) - len(kept)
             if edge is not None:
                 kept = [h for h in kept if (h - edge) * side <= 0]
             held = kept
-    return hits
 
 
 def estimate_equalization(
@@ -338,65 +283,29 @@ def estimate_equalization(
     """Estimate P(tau <= horizon) by direct simulation.
 
     Samples are split as evenly as possible over ``n_streams`` blocks, block
-    t drawing from stream ``seed.generator(t)``.  When every block holds at
-    least ``_CHUNK_ROWS`` paths, up to min(n_streams, usable CPUs) blocks run
-    at once on a thread pool; smaller blocks run one after another.  Hits are
-    summed as ints, so the result depends only on (parameters, seed,
-    n_streams), never on scheduling.  Note the estimand is the truncated
-    P(tau <= horizon), not P(tau < infinity); compare ``first_passage_dp``
-    for the truncation gap, or ``definetti_estimator`` for the untruncated
-    probability.  Raises ``ResourceLimitError`` before any draw when
-    b + horizon does not fit the int64 path state or a stream's paths do not
-    fit the memory budget (``cost.check_path_state``), and when a stream's
-    paths cannot be allocated; the other workers then start no new block.
+    t drawing from stream ``seed.generator(t)``, one block after another.
+    Note the estimand is the truncated P(tau <= horizon), not
+    P(tau < infinity); compare ``first_passage_dp`` for the truncation gap,
+    or ``definetti_estimator`` for the untruncated probability.  Raises
+    ``ResourceLimitError`` before any draw when the paths cannot be
+    represented (``cost.check_path_state``): b + horizon or a stream's path
+    count past int64, or, with the target in reach, an urn size past the
+    float range.
     """
     if n_streams < 1:
         raise DomainError(f"n_streams must be >= 1, got {n_streams}")
     if horizon < 0:
         raise DomainError(f"horizon must be >= 0, got {horizon}")
     base, rem = divmod(n_samples, n_streams)
-    check_path_state(config, horizon, base + (1 if rem else 0))
+    check_path_state(config, target_diff, horizon, base + (1 if rem else 0))
     # streams past the n_samples-th get an empty block and draw nothing, and
     # n_samples < 1 draws nothing and is refused by EstimateWithCI
-    n_blocks = min(n_streams, n_samples)
-    # a block below one chunk is bound by per-step interpreter work, which
-    # holds the GIL, so only blocks of a chunk or more share out the streams
-    workers = min(n_blocks, _usable_cpus()) if base >= _CHUNK_ROWS else 1
-    stop = threading.Event()
-
-    def count(first: int) -> int:
-        """Hits of blocks first, first + workers, ... until told to stop."""
-        hits = 0
-        for t in range(first, n_blocks, workers):
-            if stop.is_set():
-                break
-            block = base + (1 if t < rem else 0)
-            try:
-                hits += _first_passage_hit_count(
-                    config, target_diff, horizon, block, seed.generator(t)
-                )
-            except (MemoryError, ValueError) as exc:
-                stop.set()
-                # numpy's failed allocation, or its ValueError for sizes past its limits
-                raise ResourceLimitError(
-                    f"cannot allocate {block} paths in one stream: {exc}"
-                ) from exc
-        return hits
-
-    if workers == 1:
-        hits = count(0)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        # numpy releases the GIL while it fills and compares a chunk, and hit
-        # counts are exact ints, so the sum does not depend on scheduling
-        with ThreadPoolExecutor(workers) as pool:
-            try:
-                futures = [pool.submit(count, first) for first in range(workers)]
-                hits = sum(future.result() for future in futures)
-            finally:
-                # a failed worker or an interrupt: start no new block before the pool joins
-                stop.set()
+    hits = sum(
+        sum(_first_passage_hit_count(
+            config, target_diff, horizon, base + (t < rem), seed.generator(t)
+        ))
+        for t in range(min(n_streams, n_samples))
+    )
     return EstimateWithCI(n_samples, hits, hits)
 
 

@@ -9,10 +9,13 @@ black-count oracles multiply the urn's per-draw probabilities instead of
 assuming exchangeability; the limit-fraction sampler steps simulated urns
 draw by draw; the per-path direct hit counter holds the excess of every live
 path of a stream in one array, cuts each step's raw words into halves in
-one call and drops paths by their distance from the target; the Beta sampler takes order statistics of uniforms instead of
-ratios of gamma variates; the normal CDF oracle integrates the density by
-high-precision quadrature instead of calling erfc; the ``num/den`` parser
-reads the digits a chunk at a time instead of through ``Decimal``.
+one call and drops paths by their distance from the target, and the
+level-count one keeps every level of black draws, zeros included, instead
+of a window trimmed to its live levels; the Beta sampler takes order
+statistics of uniforms instead of ratios of gamma variates; the normal CDF
+oracle integrates the density by high-precision quadrature instead of
+calling erfc; the ``num/den`` parser reads the digits a chunk at a time
+instead of through ``Decimal``.
 """
 
 from __future__ import annotations
@@ -198,6 +201,40 @@ def direct_step_hits_by_path(
         excess = excess[~on_target & (np.abs(excess - target) <= draws_left)]
         if excess.size == 0:
             break
+    return hits
+
+
+def direct_step_hits_by_levels(
+    black: int, white: int, target: int, horizon: int, n_samples: int, rng: np.random.Generator
+) -> list[int]:
+    """``direct_step_hits_by_path``'s hits, with the paths held as counts by black draws.
+
+    counts[k] is the number of live paths with k black draws; after draw n
+    all n + 2 levels are kept, zeros included, and none is ever trimmed.
+    Draw n moves every level with one ``rng.binomial(counts, p)`` call, p[k]
+    = (black + k) / (black + white + n) in float64, and a level's black
+    draws move up one level.  Wherever the excess can equal the target, the
+    level on it is counted and zeroed, and so are the levels further from
+    it than the draws left, uncounted; a target out of reach from the start
+    draws nothing.
+    """
+    s0 = black - white
+    hits = [0] * (horizon + 1)
+    if s0 == target:
+        hits[0] = n_samples
+        return hits
+    if abs(s0 - target) > horizon:
+        return hits
+    counts = np.array([n_samples], dtype=np.int64)
+    for n in range(horizon):
+        blacks = rng.binomial(counts, (black + np.arange(n + 1)) / float(black + white + n))
+        counts = np.concatenate([counts - blacks, [0]]) + np.concatenate([[0], blacks])
+        excess = s0 + 2 * np.arange(n + 2) - (n + 1)
+        if (excess[0] - target) % 2:  # every level's excess has the same parity
+            continue
+        on_target = excess == target
+        hits[n + 1] = int(counts[on_target].sum())
+        counts[on_target | (np.abs(excess - target) > horizon - (n + 1))] = 0
     return hits
 
 

@@ -6,6 +6,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from decimal import Decimal
@@ -193,12 +194,9 @@ class TestSimulateCommand:
         _, ten, _ = run_cli(capsys, *args, "--streams", "10")
         assert most.replace(str(2**64 - 1), "10") == ten
 
-    # Every block below holds at least 2^50 paths (4 PiB of int32 path state), an
-    # allocation that fails at once under every overcommit mode, so these
-    # tests never touch real memory.
+    # each stream's share of the samples is past the int64 counts
     @pytest.mark.parametrize(
-        "samples, streams",
-        [(2**50, 1), (2**52, 4), (2**61, 1), (2**63, 1), (2**64 - 1, 1)],
+        "samples, streams", [(2**63, 1), (2**64 - 1, 1), (2**64 - 1, 2)],
     )
     def test_oversized_samples_is_resource_error(self, capsys, samples, streams):
         code, out, err = run_cli(
@@ -208,7 +206,52 @@ class TestSimulateCommand:
         assert code == 2
         assert out == ""
         assert len(err.splitlines()) == 1
-        assert err.startswith("error: cannot allocate ")
+        assert err.startswith("error: cannot count ")
+
+    @pytest.mark.parametrize(
+        "samples, streams, horizon", [(10**8, 2, 200), (2**61, 1, 5), (2**63 - 1, 1, 5)],
+    )
+    def test_samples_that_fit_the_int64_counts_run(self, capsys, samples, streams, horizon):
+        code, out, err = run_cli(
+            capsys, "simulate", "--b", "5", "--w", "3", "--horizon", str(horizon),
+            "--samples", str(samples), "--streams", str(streams), "--format", "json",
+        )
+        assert (code, err) == (0, "")
+        (record,) = json.loads(out)["records"]
+        assert abs(float(record["z_score"])) < 4
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (("--method", "definetti", "--b", str(2**1100), "--w", "3"), "b"),
+            (
+                ("--b", "2", "--w", str(10**400), "--target", str(3 - 10**400),
+                 "--horizon", "5"),
+                "b + w + horizon - 1",
+            ),
+        ],
+    )
+    def test_urn_past_the_float_range_is_resource_error(self, capsys, argv, name):
+        code, out, err = run_cli(capsys, "simulate", *argv, "--samples", "10")
+        assert (code, out) == (2, "")
+        assert re.fullmatch(rf"error: {re.escape(name)} = \d+ exceeds the float range of .*\n", err)
+
+    @pytest.mark.parametrize("horizon", [0, 5])
+    def test_urn_past_the_float_range_with_the_target_out_of_reach_runs(self, capsys, horizon):
+        code, out, _ = run_cli(
+            capsys, "simulate", "--b", "2", "--w", str(10**400), "--horizon", str(horizon),
+            "--samples", "10",
+        )
+        assert code == 0 and "method=mc value=0 " in out
+
+    def test_sweep_refuses_a_float_range_b_at_its_largest_pair(self, capsys):
+        b = 2**1024
+        code, out, err = run_cli(
+            capsys, "sweep", "--b-range", f"{b - 3}:{b}", "--w-range", "1:2",
+            "--methods", "definetti", "--samples", "2",
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: b = {b} exceeds the float range of the de Finetti estimator, below 2^1024\n"
 
     @pytest.mark.parametrize(
         "b, w, horizon",
@@ -232,22 +275,6 @@ class TestSimulateCommand:
         )
         assert code == 0
         assert "method=mc value=0 " in out and "reference=0 " in out
-
-    def test_pooled_worker_memory_error_exits_2(self, capsys, monkeypatch):
-        from polya_urn import simulate
-
-        def no_room(*args):
-            raise MemoryError("no room")
-
-        monkeypatch.setattr(simulate, "_CHUNK_ROWS", 4)
-        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(simulate, "_first_passage_hit_count", no_room)
-        code, out, err = run_cli(
-            capsys, "simulate", "--b", "5", "--w", "3", "--horizon", "5",
-            "--samples", "100", "--streams", "4",
-        )
-        assert (code, out) == (2, "")
-        assert err == "error: cannot allocate 25 paths in one stream: no room\n"
 
     def test_direct_skips_dp_reference_over_horizon_cap(self, capsys):
         code, out, _ = run_cli(
@@ -468,7 +495,7 @@ class TestSweepCommand:
         assert code == 2
         assert "empty effective range" in err
 
-    @pytest.mark.parametrize("samples", [2**50, 2**61, 2**64 - 1])
+    @pytest.mark.parametrize("samples", [2**63, 2**64 - 1])
     def test_oversized_mc_samples_is_resource_error(self, capsys, samples):
         code, out, err = run_cli(
             capsys, "sweep", "--b-range", "2:3", "--w-range", "1:1",
@@ -477,7 +504,7 @@ class TestSweepCommand:
         assert code == 2
         assert out == ""
         assert len(err.splitlines()) == 1
-        assert err.startswith("error: cannot allocate ")
+        assert err.startswith("error: cannot count ")
 
     def test_definetti_with_nonzero_target_refused(self, capsys):
         """No target-0 de Finetti row lands among rows at another target."""

@@ -6,8 +6,10 @@ Invocations are drawn over every subcommand: the closed forms, ``approx``,
 cost rule (``polya_urn.cost``) refuses, before any work, a run whose
 estimate exceeds its limit, so the draws reach far past what could run:
 
-* ``exact``, ``approx`` and both ``simulate`` methods now and then draw b
-  or w up to 2^64, and so do ``sweep``'s far urns with every method;
+* every route now and then draws b or w up to 10^400, past the float
+  range, and a target up to 10^400 away; ``simulate`` now and then draws
+  a target within a few steps of S0, so that an urn past the float range
+  is drawn from;
 * ``simulate --method direct`` draws horizons up to 10^9, and both
   ``simulate`` methods now and then draw 2^52 or more samples;
 * ``sweep``'s far horizons, 10^7 to 10^9, may include ``mc``;
@@ -35,13 +37,17 @@ from polya_urn import cli
 
 _UINT64_MAX = 2**64 - 1
 _EXACT_TOTAL_CAP = 20_000
-# counts past the exact cap, up to 2^64, often within a horizon of the int64
-# path-state limit of direct simulation (b + horizon <= 2^63 - 1)
+# counts past the exact cap, up to 10^400, often within a horizon of the
+# int64 path-state limit of direct simulation (b + horizon <= 2^63 - 1) or
+# near the float range (below 2^1024)
 _FAR_COUNTS = st.one_of(
-    st.integers(-400, 400).map(lambda k: 2**63 + k), st.integers(_EXACT_TOTAL_CAP, 2**64)
+    st.integers(-400, 400).map(lambda k: 2**63 + k),
+    st.integers(_EXACT_TOTAL_CAP, 2**64),
+    st.integers(-400, 400).map(lambda k: 2**1024 + k),
+    st.integers(_EXACT_TOTAL_CAP, 10**400),
 )
 
-_targets = st.integers(-(10**7), 10**7)
+_targets = st.one_of(st.integers(-(10**7), 10**7), st.integers(-(10**400), 10**400))
 _formats = st.sampled_from(["text", "csv", "json"])
 
 
@@ -56,7 +62,7 @@ def _exact_pair(draw) -> list[str]:
 
 @st.composite
 def _huge_pair(draw) -> list[str]:
-    """b or w past the exact cap, up to 2^64, the other small or as large."""
+    """b or w past the exact cap, up to 10^400, the other small or as large."""
     b, w = draw(_FAR_COUNTS), draw(st.one_of(st.integers(1, 50), _FAR_COUNTS))
     if draw(st.booleans()):
         b, w = w, b
@@ -69,7 +75,7 @@ def _with_format(argv: st.SearchStrategy) -> st.SearchStrategy:
 
 @st.composite
 def _dp(draw) -> list[str]:
-    b, w = draw(st.integers(1, 10**5)), draw(st.integers(1, 10**5))
+    b, w = draw(st.integers(1, 10**5) | _FAR_COUNTS), draw(st.integers(1, 10**5) | _FAR_COUNTS)
     horizon = draw(st.one_of(st.integers(0, 300), st.integers(10**7, 10**9)))
     pmf = ["--emit-pmf"] if draw(st.booleans()) else []
     return [
@@ -100,10 +106,12 @@ def _pair(draw) -> list[str]:
 @st.composite
 def _simulate(draw, method: str) -> list[str]:
     huge = draw(st.integers(0, 3)) == 3
+    pair = draw(_pair())
+    s0 = int(pair[1]) - int(pair[3])
     return [
-        "simulate", *draw(_pair()), "--method", method,
+        "simulate", *pair, "--method", method,
         # the de Finetti estimator refuses any target but 0
-        "--target", str(draw(st.one_of(st.just(0), _targets))),
+        "--target", str(draw(st.one_of(st.just(0), _targets, st.integers(s0 - 5, s0 + 5)))),
         # 10^6 steps of one path are past the work ceiling
         "--horizon", str(draw(st.one_of(st.integers(0, 300), st.integers(10**6, 10**9)))),
         *_sampling(draw, huge),

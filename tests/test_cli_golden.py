@@ -37,6 +37,14 @@ can no longer reach the target: ``simulate --b 5 --w 3 --streams 2
 every exact, dp and de Finetti row is byte-identical.  The other direct
 runs (one sample each) drew the same outcome on the new stream.
 
+Four direct-simulation digests were re-captured when the direct route
+moved to level counts, one binomial draw per live level: ``simulate --b 5
+--w 3 --streams 2 --samples 2000 --seed 11`` and the three ``_SWEEP_ALL``
+cases.  Only the ``mc`` rows moved; every exact, dp and de Finetti row is
+byte-identical.  ``simulate --b 2 --w 1 --samples 20 --horizon 20001`` and
+the one-sample runs step at most ``_FEW_PATHS`` paths, all in the
+unchanged list stage, so their digests stand.
+
 The two ``_SWEEP_MID`` digests (JSON and text) and the one-pair ``sweep
 --b-range 5:5 --w-range 3:3 --methods exact`` were captured before ``sweep``
 took its closed forms from the w-column recurrence and streamed its rows;
@@ -108,7 +116,7 @@ GOLDEN = [
     (("dp", "--b", "2000", "--w", "1999", "--horizon", "3000", "--format", "csv"), 0,
      "caaaa41b6735c2cea4512ef750cfb1675f3469f5ba83d2bbe240650e30c07255"),
     (("simulate", "--b", "5", "--w", "3", "--streams", "2", *_SIM), 0,
-     "7b547dbe530b61f703a2ffb4ea39957c639554645a75af62e6551380a91ed742"),
+     "306b4490cb7a40a7cd822d9e309e21dcac26f7df0277f4c43d20058168d0f39f"),
     (("simulate", "--b", "5", "--w", "3", "--method", "definetti", *_SIM, "--format", "json"), 0,
      "5cf4bfa66cece9c5a279b00d5e09d56659c0355cf46afa8423e16423ba9663fa"),
     (("simulate", "--b", "2", "--w", "1", "--samples", "20", "--horizon", "20001"), 0,
@@ -125,11 +133,11 @@ GOLDEN = [
     (("approx", "--b", "40", "--w", "12", "--method", "chernoff", "--format", "json"), 0,
      "93242bd0db593924872322e8e5ab17892514163bef9b18b7d5e2e2b2e8197588"),
     (_SWEEP_ALL, 0,
-     "1035ea744d995520b869125b2af7e4abe2f14b06ef8f2141c98c7c80226ca811"),
+     "623347b44da3c63a5f7406698c8d1228b7df439ae20826257a01c706916b720d"),
     ((*_SWEEP_ALL, "--format", "text"), 0,
-     "548357598fa9eb81db7a79d47bbe0bb89b24647c1ceb6d5dd535edc81f760d67"),
+     "49b4d23efcb6359c85df09342b230dadafdfb88832eba114cd9570573bcd6125"),
     ((*_SWEEP_ALL, "--format", "json"), 0,
-     "83efaaccacbfb44df6cfcaa305f3a38ab72d30e73b083f149ded36fa1a2287c6"),
+     "8878ff872167bd8492d2a29367bae28cd0837a353ebd9cccadfbac259c1e5aa9"),
     ((*_SWEEP_MID, "--format", "json"), 0,
      "45d8a714ac37a276a678a1daf295a654fa91c4775984f642cc976f35c302f268"),
     ((*_SWEEP_MID, "--format", "text"), 0,

@@ -55,16 +55,22 @@ def test_definetti_skips_a_reference_over_the_ceiling(capsys):
     assert "reference=" not in out and "z_score=" not in out
 
 
-def test_direct_refuses_paths_over_the_memory_budget_before_any_draw(monkeypatch):
+def test_direct_refuses_paths_over_int64_before_any_draw(monkeypatch):
     def drew(*args):
         raise AssertionError("drew paths")
 
     monkeypatch.setattr(simulate, "_first_passage_hit_count", drew)
-    paths = cost.MEMORY_BUDGET_BYTES // 8 + 1
-    with pytest.raises(ResourceLimitError, match=f"^cannot allocate {paths} paths in one stream: "):
+    paths = 2**63
+    with pytest.raises(ResourceLimitError, match=f"^cannot count {paths} paths of one stream: "):
         estimate_equalization(UrnConfig(5, 3), 0, 1, paths, RngSeed(0))
-    # split over two streams, each stream's paths fit
-    cost.check_path_state(UrnConfig(5, 3), 1, -(-paths // 2))
+    # split over two streams, each stream's count fits
+    cost.check_path_state(UrnConfig(5, 3), 0, 1, -(-paths // 2))
+
+
+def test_direct_charges_windows_where_the_kernel_forms_them():
+    """A stream of at most ``simulate._FEW_PATHS`` paths steps them in lists,
+    with no window of levels to charge."""
+    assert cost._FEW_PATHS == simulate._FEW_PATHS
 
 
 _PARAMETERS = ("black", "white", "horizon", "samples", "streams", "pairs")

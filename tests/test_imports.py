@@ -1,8 +1,8 @@
 """Only the Monte Carlo routes load numpy, and the package re-exports ``simulate``'s names.
 
-``simulate`` imports numpy inside the functions that draw random numbers, and
-``concurrent.futures`` only when it runs streams on a thread pool, so
-importing it, the package or the CLI loads neither.  Each isolation test runs
+``simulate`` imports numpy inside the functions that draw random numbers, so
+importing it, the package or the CLI does not load it; streams run one after
+another, so no route loads ``concurrent.futures``.  Each isolation test runs
 in a fresh interpreter and reports which of the two are in ``sys.modules``.
 """
 
@@ -41,6 +41,8 @@ _EXACT_ROUTES = [
 ]
 _MC_ROUTES = [
     ("simulate", "--b", "5", "--w", "3", "--samples", "100"),
+    # two streams of 10^5 paths each, which once ran on a thread pool
+    ("simulate", "--b", "5", "--w", "3", "--samples", "200000", "--streams", "2"),
     ("simulate", "--b", "5", "--w", "3", "--samples", "100", "--method", "definetti"),
     (*_SWEEP, "--methods", "mc"),
     (*_SWEEP, "--methods", "definetti"),
@@ -61,7 +63,7 @@ def test_importing_the_package_leaves_numpy_unloaded():
 
 
 def test_importing_simulate_and_seeding_leaves_numpy_unloaded():
-    """... and ``concurrent.futures``, which only pooled streams load."""
+    """... and ``concurrent.futures``, which no route loads."""
     code = (
         "import sys, polya_urn.simulate; polya_urn.simulate.RngSeed(1); "
         "print('numpy' in sys.modules, 'concurrent.futures' in sys.modules)"
@@ -72,12 +74,13 @@ def test_importing_simulate_and_seeding_leaves_numpy_unloaded():
 
 @pytest.mark.parametrize("argv", _EXACT_ROUTES, ids=" ".join)
 def test_exact_routes_never_load_numpy(argv):
-    """... nor ``concurrent.futures``: an eager pool import would cost every spawn."""
+    """... nor ``concurrent.futures``: an eager import would cost every spawn."""
     assert _probe(*argv) == {"code": 0, "before": [], "after": []}
 
 
 @pytest.mark.parametrize("argv", _MC_ROUTES, ids=" ".join)
 def test_monte_carlo_routes_load_numpy_when_they_run(argv):
+    """... and only numpy, never ``concurrent.futures``."""
     assert _probe(*argv) == {"code": 0, "before": [], "after": ["numpy"]}
 
 

@@ -5,7 +5,6 @@ deterministic; tolerances are multiples of the standard error.
 """
 
 import math
-import threading
 import time
 import tracemalloc
 import warnings
@@ -31,7 +30,12 @@ from polya_urn import (
 from polya_urn import simulate
 from polya_urn.simulate import _first_passage_hit_count, _ruin_values
 
-from oracles import beta_by_order_statistics, direct_step_hits_by_path, limit_fraction_samples
+from oracles import (
+    beta_by_order_statistics,
+    direct_step_hits_by_levels,
+    direct_step_hits_by_path,
+    limit_fraction_samples,
+)
 
 SEED = RngSeed(20260810)
 
@@ -215,21 +219,22 @@ class TestEstimateEqualization:
 
     @pytest.mark.parametrize("b, w", [(2, 1), (3, 2), (4, 1), (5, 3)])
     def test_disjoint_streams_agree_statistically(self, b, w):
-        """Two-sample proportion test at the 1e-4 level (|z| < 3.891)."""
+        """Two-sample proportion test against the per-path oracle at the 1e-4
+        level (|z| < 3.891)."""
         config = UrnConfig(b, w)
         n = 10**5
         lhs = estimate_equalization(config, 0, 100, n, SEED).p_hat
-        rhs = _first_passage_hit_count(config, 0, 100, n, SEED.generator(1000)) / n
+        rhs = sum(direct_step_hits_by_path(b, w, 0, 100, n, SEED.generator(1000))) / n
         pooled = (lhs + rhs) / 2
         z = (lhs - rhs) / math.sqrt(pooled * (1 - pooled) * 2 / n)
         assert abs(z) < 3.891
 
 
-def oracle_total(b, w, target, horizon, n_samples, n_streams, seed):
-    """Hits summed over the blocks, block t of the oracle on Philox key t * 2^64 + seed."""
+def oracle_total(oracle, b, w, target, horizon, n_samples, n_streams, seed):
+    """Hits summed over the blocks, block t of ``oracle`` on Philox key t * 2^64 + seed."""
     base, rem = divmod(n_samples, n_streams)
     return sum(
-        sum(direct_step_hits_by_path(
+        sum(oracle(
             b, w, target, horizon, base + (t < rem),
             np.random.Generator(np.random.Philox(key=(t << 64) | seed)),
         ))
@@ -237,59 +242,67 @@ def oracle_total(b, w, target, horizon, n_samples, n_streams, seed):
     )
 
 
+_KERNEL_CASES = dict(
+    b=st.one_of(st.integers(1, 6), st.just(2**31 - 5), st.just(2**53 + 1)),
+    w=st.integers(1, 6),
+    offset=st.integers(-4, 4),
+    horizon=st.integers(0, 30),
+    n_streams=st.integers(1, 6),
+    seed=st.integers(0, 2**64 - 1),
+)
+
+
 class TestDirectKernel:
-    """The chunked, in-place, concurrent kernel draws and decides as the unchunked one did."""
+    """The level-count kernel draws and decides as the oracles do."""
 
     @settings(max_examples=60, deadline=None)
-    @given(
-        b=st.one_of(st.integers(1, 6), st.just(2**31 - 5), st.just(2**53 + 1)),
-        w=st.integers(1, 6),
-        offset=st.integers(-4, 4),
-        horizon=st.integers(0, 30),
-        n_samples=st.integers(1, 120),
-        n_streams=st.integers(1, 6),
-        seed=st.integers(0, 2**64 - 1),
-        chunk_rows=st.sampled_from([2, 8, simulate._CHUNK_ROWS]),
-        cpus=st.sampled_from([1, 2, 3]),
-        few_paths=st.sampled_from([0, simulate._FEW_PATHS]),
-    )
-    # at 8-row chunks, blocks of 9 + 8 paths run pooled and 8 + 7 serially,
-    # either side of the threshold; b + horizon >= 2^31 needs int64 state,
-    # and past 2^53 float64 rounds it; 5 paths in 2-row chunks end each step
-    # on an odd chunk until some drop; 40 paths go from arrays to lists
-    @example(b=3, w=2, offset=-1, horizon=30, n_samples=17, n_streams=2, seed=1, chunk_rows=8, cpus=2, few_paths=0)
-    @example(b=3, w=2, offset=-1, horizon=30, n_samples=15, n_streams=2, seed=1, chunk_rows=8, cpus=2, few_paths=0)
-    @example(b=2**31 - 5, w=3, offset=6, horizon=30, n_samples=40, n_streams=3, seed=5, chunk_rows=8, cpus=2, few_paths=0)
-    @example(b=3, w=2, offset=2, horizon=30, n_samples=5, n_streams=1, seed=2, chunk_rows=2, cpus=1, few_paths=0)
-    @example(
-        b=3, w=2, offset=-1, horizon=30, n_samples=40, n_streams=1, seed=3, chunk_rows=8, cpus=1,
-        few_paths=simulate._FEW_PATHS,
-    )
-    def test_total_equals_the_unchunked_oracle(
-        self, b, w, offset, horizon, n_samples, n_streams, seed, chunk_rows, cpus, few_paths
+    @given(n_samples=st.integers(1, 6 * 10**5), **_KERNEL_CASES)
+    # past 2^53, float64 rounds b + blacks; one stream of 10^5 paths at h = 30
+    @example(b=3, w=2, offset=-1, horizon=30, n_samples=10**5, n_streams=1, seed=1)
+    @example(b=2**53 + 1, w=3, offset=6, horizon=30, n_samples=40, n_streams=3, seed=5)
+    def test_hits_equal_the_full_width_level_oracle(
+        self, b, w, offset, horizon, n_samples, n_streams, seed
     ):
+        """Trimming the window to its live levels draws nothing the full width
+        would not, since a zero count draws nothing, so with no list stage
+        every step's hits are equal."""
         target = b - w + offset
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(simulate, "_CHUNK_ROWS", chunk_rows)
-            patch.setattr(simulate, "_FEW_PATHS", few_paths)
-            patch.setattr(simulate, "_usable_cpus", lambda: cpus)
+            patch.setattr(simulate, "_FEW_PATHS", 0)
+            step_hits = _first_passage_hit_count(
+                UrnConfig(b, w), target, horizon, n_samples, RngSeed(seed).generator()
+            )
             est = estimate_equalization(
                 UrnConfig(b, w), target, horizon, n_samples, RngSeed(seed), n_streams
             )
-        assert est.total == oracle_total(b, w, target, horizon, n_samples, n_streams, seed)
+        by_levels = direct_step_hits_by_levels(
+            b, w, target, horizon, n_samples, RngSeed(seed).generator()
+        )
+        assert step_hits == by_levels
+        assert est.total == oracle_total(
+            direct_step_hits_by_levels, b, w, target, horizon, n_samples, n_streams, seed
+        )
 
-    @pytest.mark.parametrize("n_streams", [2, 3])
-    def test_default_chunks_match_the_oracle(self, monkeypatch, n_streams):
-        """Two pooled blocks of a chunk and a short tail, or three serial blocks under a chunk."""
-        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
-        n = 2 * simulate._CHUNK_ROWS + 3
-        est = estimate_equalization(UrnConfig(5, 3), 0, 25, n, SEED, n_streams)
-        assert est.total == oracle_total(5, 3, 0, 25, n, n_streams, SEED.seed)
+    @settings(max_examples=60, deadline=None)
+    @given(n_samples=st.integers(1, simulate._FEW_PATHS), **_KERNEL_CASES)
+    @example(b=3, w=2, offset=2, horizon=30, n_samples=5, n_streams=1, seed=2)
+    def test_total_equals_the_unchunked_oracle(
+        self, b, w, offset, horizon, n_samples, n_streams, seed
+    ):
+        """A stream of at most ``_FEW_PATHS`` paths steps them all in lists,
+        which draw and decide as the per-path oracle does."""
+        target = b - w + offset
+        est = estimate_equalization(
+            UrnConfig(b, w), target, horizon, n_samples, RngSeed(seed), n_streams
+        )
+        assert est.total == oracle_total(
+            direct_step_hits_by_path, b, w, target, horizon, n_samples, n_streams, seed
+        )
 
-    @pytest.mark.parametrize("few_paths", [0, simulate._FEW_PATHS])
+    @pytest.mark.parametrize("few_paths", [3, simulate._FEW_PATHS])
     def test_three_paths_take_three_halves_of_two_words(self, monkeypatch, few_paths):
-        """Path i of a step draws half i mod 2 of word i // 2, low half first,
-        in numpy arrays and in Python lists.
+        """Path i of a list step draws half i mod 2 of word i // 2, low half
+        first, in every stream of at most ``_FEW_PATHS`` paths.
 
         From (2, 1), one draw reaches target 2 iff it is black, so the hits
         of the first 1, 2 and 3 paths of a fresh stream give each path's
@@ -307,71 +320,51 @@ class TestDirectKernel:
         decisions = []
         for paths in (1, 2, 3):
             rng = np.random.Generator(np.random.Philox(key=key))
-            decisions.append(_first_passage_hit_count(UrnConfig(2, 1), 2, 1, paths, rng) - sum(decisions))
+            step_hits = _first_passage_hit_count(UrnConfig(2, 1), 2, 1, paths, rng)
+            decisions.append(step_hits[1] - sum(decisions))
         assert decisions == by_hand
         # the 3-path step took ceil(3/2) = 2 words
         assert int(rng.bit_generator.random_raw()) == words[2]
 
     def test_lists_round_path_state_as_numpy_does(self):
-        """Past 2^53, float64 rounds b + blacks, in lists as in numpy arrays.
+        """Past 2^53, float64 rounds b + blacks, in lists as in a numpy compare.
 
         r = 2^31 at scale 2^22 is exactly 2^53, which is also float64's value
         of held = 2^53 + 1: numpy draws white, where an exact compare would
         draw black and hit level 2^53 + 2.
         """
         held, level = 2**53 + 1, 2**53 + 2
-        step = [(2.0**22, (level, None))]
+        assert not np.less(np.uint64(2**31) * 2.0**22, np.int64(held))
 
         def raw(size):
             return np.full(size, 2**31, dtype=np.uint64)
 
-        hits, live = simulate._array_steps(iter(step), np.array([held]), 1, raw)
-        assert (hits, live) == (0, [held])
-        assert simulate._list_steps(iter(step), [held], 1, raw) == 0
+        hits = [0, 0]
+        simulate._list_steps(iter([(0, 2.0**54, (level, None))]), [held], 1, raw, hits)
+        assert hits == [0, 0]
 
     def test_unreachable_target_draws_nothing(self):
-        """A target further than the horizon from S0 returns 0 before any draw."""
+        """A target further than the horizon from S0 returns no hits before any draw."""
         rng = SEED.generator()
         before = rng.bit_generator.state
-        assert _first_passage_hit_count(UrnConfig(2, 1), -300, 250, 10**6, rng) == 0
+        assert _first_passage_hit_count(UrnConfig(2, 1), -300, 250, 10**6, rng) == [0] * 251
         np.testing.assert_equal(rng.bit_generator.state, before)
 
-    def test_odd_chunk_rows_are_refused(self, monkeypatch):
-        """An odd chunk would split a word between two chunks."""
-        monkeypatch.setattr(simulate, "_CHUNK_ROWS", 7)
-        with pytest.raises(AssertionError, match="_CHUNK_ROWS must be even"):
-            _first_passage_hit_count(UrnConfig(2, 1), 0, 10, 20, SEED.generator())
-
-    def test_worker_memory_error_is_one_resource_error(self, monkeypatch):
-        threads = []
-
-        def no_room(*args):
-            threads.append(threading.current_thread())
-            raise MemoryError("no room")
-
-        monkeypatch.setattr(simulate, "_CHUNK_ROWS", 4)
-        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(simulate, "_first_passage_hit_count", no_room)
-        baseline = threading.active_count()
-        with pytest.raises(ResourceLimitError, match="^cannot allocate 50 paths in one stream: no room$"):
-            estimate_equalization(UrnConfig(5, 3), 0, 10, 200, SEED, 4)
-        assert threads and threading.main_thread() not in threads
-        assert threading.active_count() == baseline
-
     def test_block_memory_is_a_few_bytes_a_path(self):
-        """int32 path state plus chunk-sized buffers, not full-length temporaries per step."""
-        n = 200_000
-        rng = SEED.generator()
-        tracemalloc.start()
-        try:
-            _first_passage_hit_count(UrnConfig(5, 3), 0, 40, n, rng)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # 18 bytes a chunk row of buffers (one float64, one uint64, two
-        # bool), 4 for a step's raw words and a few bytes a row for the
-        # survivors packed out of one chunk
-        assert peak <= 8 * n + 24 * simulate._CHUNK_ROWS
+        """A few int64 and float64 arrays of at most horizon + 1 levels, the
+        horizon + 1 hit counts and numpy's fixed buffers (about 17 KiB at
+        the first draw): a bound in the horizon that does not grow with the
+        paths."""
+        horizon = 200
+        for paths in (10**4, 10**8):
+            rng = SEED.generator()
+            tracemalloc.start()
+            try:
+                _first_passage_hit_count(UrnConfig(5, 3), 0, horizon, paths, rng)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 64 * (horizon + 1) + 32 * 1024
 
 
 def dkw_tail(step_hits: list[int], pmf, n: int) -> float:
@@ -405,11 +398,19 @@ _LAWS = [
 class TestFirstPassageLaw:
     """The whole law of tau ^ (horizon + 1), not only P(tau <= horizon)."""
 
+    @pytest.mark.parametrize(
+        "sampler",
+        [
+            lambda b, w, *rest: direct_step_hits_by_path(b, w, *rest),
+            lambda b, w, *rest: _first_passage_hit_count(UrnConfig(b, w), *rest),
+        ],
+        ids=["per-path oracle", "kernel"],
+    )
     @pytest.mark.parametrize("b, w, target, horizon", _LAWS)
-    def test_per_step_hits_follow_the_dp_pmf(self, b, w, target, horizon):
+    def test_per_step_hits_follow_the_dp_pmf(self, b, w, target, horizon, sampler):
         n = 20_000 if horizon > 1000 else 10**5
         pmf = first_passage_dp(UrnConfig(b, w), target, horizon).hit_pmf
-        step_hits = direct_step_hits_by_path(b, w, target, horizon, n, SEED.generator())
+        step_hits = sampler(b, w, target, horizon, n, SEED.generator())
         assert len(step_hits) == horizon + 1
         assert dkw_tail(step_hits, pmf, n) > 1e-6
 
