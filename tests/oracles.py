@@ -184,30 +184,39 @@ def direct_step_hits_by_path(
     hits = [0] * (horizon + 1)
     if s0 == target:
         hits[0] = n_samples
-        return hits
-    if abs(s0 - target) > horizon:
-        return hits
-    excess = np.full(n_samples, s0, dtype=np.int64)
-    for n in range(horizon):
+    elif abs(s0 - target) <= horizon:
+        excess = np.full(n_samples, s0, dtype=np.int64)
+        _step_paths(black, white, target, horizon, excess, 0, hits, rng)
+    return hits
+
+
+def _step_paths(
+    black: int, white: int, target: int, horizon: int, excess: np.ndarray, start: int,
+    hits: list[int], rng: np.random.Generator,
+) -> None:
+    """Draws start..horizon - 1 of the paths whose excess is ``excess``, by path."""
+    s0 = black - white
+    for n in range(start, horizon):
+        if excess.size == 0:
+            break
         words = rng.bit_generator.random_raw((excess.size + 1) // 2)
         halves = np.stack([words % 2**32, words // 2**32], axis=1).reshape(-1)[: excess.size]
         blacks = (excess - s0 + n) // 2
-        excess += np.where(halves * ((black + white + n) / 2**32) < black + blacks, 1, -1)
+        excess = excess + np.where(halves * ((black + white + n) / 2**32) < black + blacks, 1, -1)
         if (excess[0] - target) % 2:  # every path's excess has the same parity
             continue
         draws_left = horizon - (n + 1)
         on_target = excess == target
         hits[n + 1] = int(on_target.sum())
         excess = excess[~on_target & (np.abs(excess - target) <= draws_left)]
-        if excess.size == 0:
-            break
-    return hits
 
 
 def direct_step_hits_by_levels(
-    black: int, white: int, target: int, horizon: int, n_samples: int, rng: np.random.Generator
+    black: int, white: int, target: int, horizon: int, n_samples: int, rng: np.random.Generator,
+    few_paths: int = 0,
 ) -> list[int]:
-    """``direct_step_hits_by_path``'s hits, with the paths held as counts by black draws.
+    """``direct_step_hits_by_path``'s hits, with the paths held as counts by
+    black draws until ``few_paths`` or fewer are live.
 
     counts[k] is the number of live paths with k black draws; after draw n
     all n + 2 levels are kept, zeros included, and none is ever trimmed.
@@ -215,16 +224,15 @@ def direct_step_hits_by_levels(
     = (black + k) / (black + white + n) in float64, and a level's black
     draws move up one level.  Wherever the excess can equal the target, the
     level on it is counted and zeroed, and so are the levels further from
-    it than the draws left, uncounted; a target out of reach from the start
-    draws nothing.
+    it than the draws left, uncounted; if then ``few_paths`` or fewer paths
+    are live, they step on by path, in ascending order of excess, as
+    ``direct_step_hits_by_path`` steps them.  A target out of reach from the
+    start draws nothing.
     """
     s0 = black - white
+    if n_samples <= few_paths or s0 == target or abs(s0 - target) > horizon:
+        return direct_step_hits_by_path(black, white, target, horizon, n_samples, rng)
     hits = [0] * (horizon + 1)
-    if s0 == target:
-        hits[0] = n_samples
-        return hits
-    if abs(s0 - target) > horizon:
-        return hits
     counts = np.array([n_samples], dtype=np.int64)
     for n in range(horizon):
         blacks = rng.binomial(counts, (black + np.arange(n + 1)) / float(black + white + n))
@@ -235,6 +243,10 @@ def direct_step_hits_by_levels(
         on_target = excess == target
         hits[n + 1] = int(counts[on_target].sum())
         counts[on_target | (np.abs(excess - target) > horizon - (n + 1))] = 0
+        if counts.sum() <= few_paths:
+            paths = np.repeat(excess, counts)
+            _step_paths(black, white, target, horizon, paths, n + 1, hits, rng)
+            break
     return hits
 
 

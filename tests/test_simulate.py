@@ -4,6 +4,7 @@ Statistical checks use fixed seeds, so every assertion here is
 deterministic; tolerances are multiples of the standard error.
 """
 
+import functools
 import math
 import time
 import tracemalloc
@@ -256,32 +257,51 @@ class TestDirectKernel:
     """The level-count kernel draws and decides as the oracles do."""
 
     @settings(max_examples=60, deadline=None)
-    @given(n_samples=st.integers(1, 6 * 10**5), **_KERNEL_CASES)
-    # past 2^53, float64 rounds b + blacks; one stream of 10^5 paths at h = 30
-    @example(b=3, w=2, offset=-1, horizon=30, n_samples=10**5, n_streams=1, seed=1)
-    @example(b=2**53 + 1, w=3, offset=6, horizon=30, n_samples=40, n_streams=3, seed=5)
+    @given(
+        n_samples=st.integers(1, 6 * 10**5),
+        few_paths=st.sampled_from([0, simulate._FEW_PATHS]),
+        **_KERNEL_CASES,
+    )
+    # past 2^53, float64 rounds b + blacks; one stream of 10^5 paths at h = 30;
+    # 40 paths end in lists
+    @example(
+        b=3, w=2, offset=-1, horizon=30, n_samples=10**5, n_streams=1, seed=1, few_paths=0
+    )
+    @example(
+        b=2**53 + 1, w=3, offset=6, horizon=30, n_samples=40, n_streams=3, seed=5, few_paths=0
+    )
+    @example(
+        b=3, w=2, offset=-1, horizon=30, n_samples=40, n_streams=1, seed=3,
+        few_paths=simulate._FEW_PATHS,
+    )
     def test_hits_equal_the_full_width_level_oracle(
-        self, b, w, offset, horizon, n_samples, n_streams, seed
+        self, b, w, offset, horizon, n_samples, n_streams, seed, few_paths
     ):
         """Trimming the window to its live levels draws nothing the full width
-        would not, since a zero count draws nothing, so with no list stage
-        every step's hits are equal."""
+        would not, since a zero count draws nothing, so every step's hits are
+        equal; so are those of the last ``_FEW_PATHS`` paths, stepped by path."""
         target = b - w + offset
+        oracle = functools.partial(direct_step_hits_by_levels, few_paths=few_paths)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(simulate, "_FEW_PATHS", 0)
+            patch.setattr(simulate, "_FEW_PATHS", few_paths)
             step_hits = _first_passage_hit_count(
                 UrnConfig(b, w), target, horizon, n_samples, RngSeed(seed).generator()
             )
             est = estimate_equalization(
                 UrnConfig(b, w), target, horizon, n_samples, RngSeed(seed), n_streams
             )
-        by_levels = direct_step_hits_by_levels(
-            b, w, target, horizon, n_samples, RngSeed(seed).generator()
-        )
-        assert step_hits == by_levels
-        assert est.total == oracle_total(
-            direct_step_hits_by_levels, b, w, target, horizon, n_samples, n_streams, seed
-        )
+        assert step_hits == oracle(b, w, target, horizon, n_samples, RngSeed(seed).generator())
+        assert est.total == oracle_total(oracle, b, w, target, horizon, n_samples, n_streams, seed)
+
+    @pytest.mark.parametrize("n_streams", [2, 3])
+    def test_default_chunks_match_the_oracle(self, n_streams):
+        """Two streams of 2^16 + 2 paths, or three of about 43,700, the sizes
+        that once ran as pooled chunks or as serial blocks, at the default
+        ``_FEW_PATHS``."""
+        n = 2 * simulate._CHUNK_ROWS + 3
+        est = estimate_equalization(UrnConfig(5, 3), 0, 25, n, SEED, n_streams)
+        oracle = functools.partial(direct_step_hits_by_levels, few_paths=simulate._FEW_PATHS)
+        assert est.total == oracle_total(oracle, 5, 3, 0, 25, n, n_streams, SEED.seed)
 
     @settings(max_examples=60, deadline=None)
     @given(n_samples=st.integers(1, simulate._FEW_PATHS), **_KERNEL_CASES)
