@@ -65,15 +65,17 @@ _INT64_MAX = 2**63 - 1
 _FLOAT_OVERFLOW = 2**1024 - 2**970
 
 # Work units, set on that VM with room to spare.  Direct simulation, per
-# stream and step: 15-20 us of numpy calls however few paths are live (2-6
-# us once a stream's last few paths step in Python lists); 3-5 ns a level of
+# stream and step: 15-20 us of numpy calls in a stream that holds a window
+# of levels, however few paths are live, and 1-5 us in a stream of at most
+# _FEW_PATHS paths, which step in Python lists; 3-5 ns a level of
 # the window of levels, which spreads like the step index n; 30-40 ns a
 # non-zero level, of which there are at most min(n + 1, paths); and one
 # binomial draw by inversion takes a few ns per unit of its mean, which numpy
 # keeps at or below 30 (above, a draw takes constant time), so at most 8 a
 # path and 240 a level.  A stream of at most _FEW_PATHS paths never forms a
 # window.  Setup is 12-25 us a stream.
-_STEP, _WINDOW_LEVEL, _LIVE_LEVEL, _MEAN_UNIT, _BLOCK_SETUP = 25_000, 6, 35, 8, 50_000
+_STEP, _LIST_STEP, _BLOCK_SETUP = 25_000, 10_000, 50_000
+_WINDOW_LEVEL, _LIVE_LEVEL, _MEAN_UNIT = 6, 35, 8
 _INVERSION_MEAN = 30
 # simulate._FEW_PATHS: a stream of at most this many paths steps them in lists
 _FEW_PATHS = 24
@@ -108,12 +110,12 @@ def _direct(config: UrnConfig, horizon: int, samples: int, streams: int, pairs: 
     """Each stream's steps through the whole horizon: step j - 1 moves at
     most min(j, paths) non-zero levels, whose draws' means sum to at most
     the paths, and a window of at most j levels; summed over the streams,
-    at most min(blocks * j, samples) non-zero levels, and windows only in
-    the streams of more than _FEW_PATHS paths."""
+    at most min(blocks * j, samples) non-zero levels, and windows, with
+    their numpy steps, only in the streams of more than _FEW_PATHS paths."""
     blocks = min(streams, samples)
     windows = min(streams, samples // (_FEW_PATHS + 1))
     return pairs * (
-        horizon * blocks * _STEP
+        horizon * (blocks * _LIST_STEP + windows * (_STEP - _LIST_STEP))
         + windows * _WINDOW_LEVEL * horizon * (horizon + 1) // 2
         + _LIVE_LEVEL * _capped_sum(blocks, samples, horizon)
         + _MEAN_UNIT * _capped_sum(_INVERSION_MEAN * blocks, samples, horizon)
