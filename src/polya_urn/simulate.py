@@ -220,6 +220,7 @@ def _first_passage_hit_count(
 
     steps = schedule()
     counts, low = np.array([n_samples], dtype=np.int64), b
+    # a stream of at most _FEW_PATHS paths steps them in lists from the start
     for n, size, test in steps if n_samples > _FEW_PATHS else ():
         blacks = rng.binomial(counts, np.arange(low, low + counts.size) / size)
         counts = np.append(counts - blacks, 0)

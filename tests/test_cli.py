@@ -251,7 +251,9 @@ class TestSimulateCommand:
             "--methods", "definetti", "--samples", "2",
         )
         assert (code, out) == (2, "")
-        assert err == f"error: b = {b} exceeds the float range of the de Finetti estimator, below 2^1024\n"
+        assert err == (
+            f"error: b = {b} exceeds the float range of the de Finetti estimator, below 2^1024\n"
+        )
 
     @pytest.mark.parametrize(
         "b, w, horizon",
