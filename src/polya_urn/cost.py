@@ -65,15 +65,14 @@ _INT64_MAX = 2**63 - 1
 _FLOAT_OVERFLOW = 2**1024 - 2**970
 
 # Work units, set on that VM with room to spare.  Direct simulation, per
-# stream and step: 15-20 us of numpy calls in a stream that holds a window
-# of levels, however few paths are live, and 1-5 us in a stream of at most
-# _FEW_PATHS paths, which step in Python lists; 3-5 ns a level of
-# the window of levels, which spreads like the step index n; 30-40 ns a
-# non-zero level, of which there are at most min(n + 1, paths); and one
-# binomial draw by inversion takes a few ns per unit of its mean, which numpy
-# keeps at or below 30 (above, a draw takes constant time), so at most 8 a
-# path and 240 a level.  A stream of at most _FEW_PATHS paths never forms a
-# window.  Setup is 12-25 us a stream.
+# stream and step: 15-20 us of numpy calls in a stream of more than
+# _FEW_PATHS paths, however few are live, and 1-5 us in a stream of at most
+# _FEW_PATHS, which steps them in Python lists and never forms a window of
+# levels; 3-5 ns a level of the window, which spreads like the step index
+# n; 30-40 ns a non-zero level, of which there are at most min(n + 1,
+# paths); and a binomial draw by inversion takes a few ns per unit of its
+# mean, which numpy keeps at or below 30 (above, a draw takes constant
+# time), so at most 8 a path and 240 a level.  Setup is 12-25 us a stream.
 _STEP, _LIST_STEP, _BLOCK_SETUP = 25_000, 10_000, 50_000
 _WINDOW_LEVEL, _LIVE_LEVEL, _MEAN_UNIT = 6, 35, 8
 _INVERSION_MEAN = 30

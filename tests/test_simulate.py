@@ -389,7 +389,7 @@ class TestDirectKernel:
 
 def dkw_tail(step_hits: list[int], pmf, n: int) -> float:
     """2 exp(-2 n D^2), D the Kolmogorov distance between the empirical
-    cumulative of tau ^ (horizon + 1) over n paths and the exact one.
+    cumulative of min(tau, horizon + 1) over n paths and the exact one.
 
     Both cumulatives reach 1 at horizon + 1, so D is their largest gap at
     0..horizon; by the DKW inequality with Massart's constant (Ann. Probab.
@@ -416,12 +416,12 @@ _LAWS = [
 
 
 class TestFirstPassageLaw:
-    """The whole law of tau ^ (horizon + 1), not only P(tau <= horizon)."""
+    """The whole law of min(tau, horizon + 1), not only P(tau <= horizon)."""
 
     @pytest.mark.parametrize(
         "sampler",
         [
-            lambda b, w, *rest: direct_step_hits_by_path(b, w, *rest),
+            direct_step_hits_by_path,
             lambda b, w, *rest: _first_passage_hit_count(UrnConfig(b, w), *rest),
         ],
         ids=["per-path oracle", "kernel"],
