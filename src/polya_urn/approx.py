@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Literal, Optional
 
 from .errors import DomainError
@@ -45,10 +44,13 @@ class ApproxResult:
             raise DomainError(f"value must lie in [0, 1], got {self.value}")
         if self.kind not in ("approximation", "upper_bound"):
             raise DomainError(f"unknown kind {self.kind!r}")
-        if self.exact_ref is None:
+        if self.exact_ref is None or self.kind != "upper_bound":
             return
-        # Fraction(float) is the exact binary value, so this comparison is exact.
-        if self.kind == "upper_bound" and Fraction(self.value) < self.exact_ref.value:
+        # as_integer_ratio is the float's exact binary value p/q, and both
+        # denominators are positive, so p/q < P/Q iff p Q < P q, exactly
+        num, den = self.value.as_integer_ratio()
+        ref = self.exact_ref.value
+        if num * ref.denominator < ref.numerator * den:
             raise DomainError(
                 f"upper bound {self.value} fell below the exact value "
                 f"{self.exact_ref}"

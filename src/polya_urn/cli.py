@@ -37,7 +37,7 @@ from .exact import (
     equalization_probability_complement,
     equalization_sweep,
 )
-from .output import OutputRecord, rational_str, render_decimal, write_pmf, write_records
+from .output import OutputRecord, rational_parts, render_decimal, write_pmf, write_records
 from .simulate import EstimateWithCI, RngSeed, definetti_estimator, estimate_equalization
 
 # ``simulate`` flags an estimate whose Kish effective sample size is below
@@ -122,13 +122,18 @@ class _Pair:
 
 def _record(pair: _Pair, method: str, value: Fraction | float, **fields) -> OutputRecord:
     """One row for ``pair``; an exact ``value`` also carries its lossless ``num/den``."""
-    if isinstance(value, Fraction):
-        fields["exact"] = rational_str(value)
+    # float first: a float fails isinstance(value, Fraction) only through ABCMeta
+    if isinstance(value, float):
+        text = render_decimal(value)
+    else:
+        # one conversion gives both the rational and its decimal
+        num, den, text = rational_parts(value)
+        fields["exact"] = f"{num}/{den}"
     return OutputRecord(
         b=pair.config.black,
         w=pair.config.white,
         method=method,  # type: ignore[arg-type]
-        value=render_decimal(value),
+        value=text,
         **fields,
     )
 

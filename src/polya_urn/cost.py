@@ -18,12 +18,13 @@ CLI's method names, one integer estimate, and ``check`` refuses with
 reference.  ``first_passage_dp`` refuses its horizon by ``check("dp", ...)``.
 ``check_path_state`` is separate: it is the library's check that direct
 simulation can represent its paths, and ``estimate_equalization`` refuses only
-that; the CLI checks the work too, and de Finetti's shapes, which must be
-finite floats.  Every estimate is non-decreasing in b, w, horizon, samples,
-streams and pairs, and so is every representation bound but the urn-size
-float, which depends on the target's reach; that one needs w past 2^1023,
-which no sweep pair (w < b <= 2^63) has.  So one check at a sweep's largest
-pair, with its pair count, covers the whole sweep.
+that; likewise ``definetti_estimator`` refuses only Beta shapes that are not
+finite floats (``_check_beta_shapes``); the CLI checks the work too.  Every
+estimate is non-decreasing in b, w, horizon, samples, streams and pairs, and
+so is every representation bound but the urn-size float, which depends on
+the target's reach; that one needs w past 2^1023, which no sweep pair
+(w < b <= 2^63) has.  So one check at a sweep's largest pair, with its pair
+count, covers the whole sweep.
 """
 
 from __future__ import annotations
@@ -83,7 +84,11 @@ _SAMPLE = 250
 # Closed forms on row n = b + w - 1: one direct form took 0.2-0.5 ns per n^2,
 # and a sweep's w column start, a w-term head sum, is the same work as the
 # binomial form; each further pair of a sweep, mostly rendering its n-bit
-# rationals, 0.01 ns per n^2; and each record about 50 us.
+# rationals, 0.01 ns per n^2.  _RECORD is the rows of one pair, charged once
+# per pair by ``_closed_forms``, which writes one row per method, and once
+# per form by ``identity-check``: the grid workload's five rows a pair
+# (three closed forms, normal and Chernoff, written as CSV) took 35-40 us a
+# pair, its sweep step included, so 50 us leaves room to spare.
 _RECORD = 50_000
 
 
@@ -171,7 +176,7 @@ def check(
     if method == "mc":
         check_path_state(config, target, horizon, -(-samples // streams))
     elif method == "definetti":
-        _check_float("b", config.black, "the de Finetti estimator")
+        _check_beta_shapes(config)
     need = estimate(method, config, horizon, samples, streams, pairs)
     limit, _ = _limit(method)
     if need <= limit:
@@ -269,16 +274,27 @@ def _check_float(name: str, value: int, route: str) -> None:
         )
 
 
+def _check_beta_shapes(config: UrnConfig) -> None:
+    """Refuse with ``ResourceLimitError`` a de Finetti estimate whose
+    Beta(b, w) shapes are not finite floats; the estimator needs w < b, so b
+    decides."""
+    _check_float("b", config.black, "the de Finetti estimator")
+
+
 def check_path_state(config: UrnConfig, target_diff: int, horizon: int, paths: int = 1) -> None:
     """Refuse with ``ResourceLimitError`` a direct simulation whose state
     cannot be represented: each path's b + blacks, at most b + horizon, and
-    one stream's count of ``paths`` must fit an int64, and when the target is
-    in reach, so that the urn is drawn from, the float of each urn size, at
-    most b + w + horizon - 1, must be finite.
+    one stream's count of ``paths`` must fit an int64; the list of a
+    stream's hits at each draw, 8 bytes a slot over horizon + 1 slots, must
+    fit ``MEMORY_BUDGET_BYTES``, so the horizon is at most about 3.4 * 10^7;
+    and when the target is in reach, so that the urn is drawn from, the
+    float of each urn size, at most b + w + horizon - 1, must be finite.
 
-    The int64 bounds grow with b, the horizon and the paths, so one check at
-    the largest covers a whole range of urns; the float bound needs w past
-    2^1023, since b + horizon fits an int64.
+    The int64 and memory bounds grow with b, the horizon and the paths, so
+    one check at the largest covers a whole range of urns; the float bound
+    needs w past 2^1023, since b + horizon fits an int64.  No horizon the
+    memory bound refuses is under the work ceiling: each step of a stream
+    costs at least ``_LIST_STEP``.
     """
     if config.black + horizon > _INT64_MAX:
         raise ResourceLimitError(
@@ -289,6 +305,11 @@ def check_path_state(config: UrnConfig, target_diff: int, horizon: int, paths: i
         raise ResourceLimitError(
             f"cannot count {paths} paths of one stream: over the int64 limit of "
             "direct simulation, 2^63 - 1"
+        )
+    if 8 * (horizon + 1) > MEMORY_BUDGET_BYTES:
+        raise ResourceLimitError(
+            f"horizon {horizon} needs ~{8 * (horizon + 1)} bytes of per-draw hit "
+            f"counts, over the budget of {MEMORY_BUDGET_BYTES}"
         )
     if config.initial_excess != target_diff and abs(config.initial_excess - target_diff) <= horizon:
         _check_float("b + w + horizon - 1", config.total + horizon - 1, "direct simulation")

@@ -95,7 +95,8 @@ class ExactProbability:
             raise TypeError("ExactProbability requires a Fraction or int, not float")
         if not isinstance(self.value, Fraction):
             object.__setattr__(self, "value", Fraction(self.value))
-        if not 0 <= self.value <= 1:
+        # a Fraction's denominator is positive: integer compares, no Fraction ones
+        if not 0 <= self.value.numerator <= self.value.denominator:
             raise DomainError(f"probability must lie in [0, 1], got {self.value}")
 
     def __float__(self) -> float:

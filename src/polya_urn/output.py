@@ -45,7 +45,8 @@ _CONTEXT = decimal.Context(prec=15, rounding=decimal.ROUND_HALF_EVEN)
 
 def render_decimal(x: Fraction | float | int) -> str:
     """Render to 15 significant digits, round-half-even."""
-    if isinstance(x, Fraction):
+    # a float fails isinstance(x, Fraction) only through ABCMeta's slow check
+    if not isinstance(x, float) and isinstance(x, Fraction):
         return rational_parts(x)[2]
     return str(_CONTEXT.plus(decimal.Decimal(x)))
 
@@ -73,9 +74,16 @@ def _converted(ratio: tuple[int, int]) -> tuple[str, str, str]:
     return str(num), str(den), str(_CONTEXT.divide(num, den))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class OutputRecord:
-    """One (b, w, method) result row; metadata fields apply where relevant."""
+    """One (b, w, method) result row; metadata fields apply where relevant.
+
+    One record is built per output row, so it is slotted rather than frozen:
+    a frozen dataclass sets each of its 16 fields through
+    ``object.__setattr__``, about three times the cost of building a slotted
+    one.  Records are therefore mutable and unhashable; edit one with
+    ``dataclasses.replace``, which validates the new record.
+    """
 
     b: int
     w: int

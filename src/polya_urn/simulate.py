@@ -44,7 +44,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .cost import check_path_state
+from .cost import _check_beta_shapes, check_path_state
 from .errors import DomainError
 from .exact import UrnConfig, _require_strict_majority
 
@@ -290,8 +290,8 @@ def estimate_equalization(
     or ``definetti_estimator`` for the untruncated probability.  Raises
     ``ResourceLimitError`` before any draw when the paths cannot be
     represented (``cost.check_path_state``): b + horizon or a stream's path
-    count past int64, or, with the target in reach, an urn size past the
-    float range.
+    count past int64, a stream's per-draw hit counts past the memory
+    budget, or, with the target in reach, an urn size past the float range.
     """
     if n_streams < 1:
         raise DomainError(f"n_streams must be >= 1, got {n_streams}")
@@ -328,10 +328,12 @@ def definetti_estimator(
     fraction p the excess performs a biased random walk from b - w, whose
     probability of ever reaching 0 is min(1, ((1-p)/p)^(b-w)).  Averaging
     that over p ~ Beta(b, w) gives the equalization probability.  It draws
-    from stream 0 of ``seed``.
+    from stream 0 of ``seed``.  Raises ``ResourceLimitError`` before any
+    draw when b, and so a Beta shape, is past the float range.
     """
     import numpy as np
 
+    _check_beta_shapes(config)
     b, w = _require_strict_majority(config, "the de Finetti estimator")
     rng = seed.generator()
     total = total_sq = 0.0

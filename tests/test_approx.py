@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from polya_urn import (
@@ -74,6 +74,38 @@ class TestApproxResult:
         with pytest.raises(DomainError):
             ApproxResult(0.5, "lower_bound")
 
+    @given(
+        exact=st.fractions(0, 1)
+        # dyadic values, held exactly by a float down to 2^-1074, and below it
+        | st.integers(0, 1200).flatmap(
+            lambda m: st.integers(0, 2**m).map(lambda k: Fraction(k, 2**m))
+        ),
+        steps=st.integers(-3, 3),
+    )
+    @example(exact=Fraction(1, 2**1999), steps=0)  # approx --b 2000 --w 1
+    @example(exact=Fraction(1, 2**1999), steps=1)
+    @example(exact=Fraction(1, 2**1074), steps=0)
+    @example(exact=Fraction(1, 2**1074), steps=-1)
+    @example(exact=Fraction(1, 3), steps=0)
+    @example(exact=Fraction(1), steps=0)
+    @settings(max_examples=500, deadline=None)
+    def test_upper_bound_check_is_the_fraction_comparison(self, exact, steps):
+        """The integer cross-multiplied check refuses exactly the floats whose
+        exact binary value lies below the reference: float(exact) and its
+        neighbours, some equal to a dyadic reference."""
+        value = float(exact)
+        for _ in range(abs(steps)):
+            value = math.nextafter(value, math.copysign(math.inf, steps))
+        assume(0.0 <= value <= 1.0)
+        reference = ExactProbability(exact)
+        if Fraction(value) < exact:
+            with pytest.raises(DomainError, match="fell below the exact value"):
+                ApproxResult(value, "upper_bound", reference)
+        else:
+            assert ApproxResult(value, "upper_bound", reference).value == value
+        # an approximation may fall on either side
+        ApproxResult(value, "approximation", reference)
+
 
 class TestNormalApproximation:
     def test_smallest_case(self):
@@ -128,6 +160,16 @@ class TestChernoffBound:
 
     def test_kind(self):
         assert chernoff_bound(UrnConfig(5, 3)).kind == "upper_bound"
+
+    @pytest.mark.parametrize("b", [1075, 1076])
+    def test_single_white_at_the_smallest_double(self, b):
+        """2^(1-n) at n = 1074 is the smallest double and equals the exact
+        value; past it the bound rounds up to that double, above the exact
+        value (``tests/test_cli.py`` runs b = 2000)."""
+        config = UrnConfig(b, 1)
+        res = chernoff_bound(config, equalization_probability(config))
+        assert res.value == math.ulp(0.0)
+        assert Fraction(res.value) >= equalization_probability(config).value
 
     def test_weak_regime_clamps_to_one(self):
         res = chernoff_bound(UrnConfig(5, 3))

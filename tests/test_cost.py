@@ -67,6 +67,17 @@ def test_direct_refuses_paths_over_int64_before_any_draw(monkeypatch):
     cost.check_path_state(UrnConfig(5, 3), 0, 1, -(-paths // 2))
 
 
+def test_direct_hit_counts_fit_the_memory_budget():
+    """The largest horizon whose 8-byte-a-draw hit counts fit is admitted; one
+    more is refused by name, and is already over the work ceiling at a single
+    sample, so every direct run the CLI admitted before stays admitted."""
+    largest = cost.MEMORY_BUDGET_BYTES // 8 - 1
+    cost.check_path_state(UrnConfig(2, 1), 0, largest)
+    with pytest.raises(ResourceLimitError, match=f"^horizon {largest + 1} needs ~"):
+        cost.check_path_state(UrnConfig(2, 1), 0, largest + 1)
+    assert cost.estimate("mc", UrnConfig(1, 1), largest + 1) > cost.WORK_CEILING
+
+
 def test_direct_charges_windows_where_the_kernel_forms_them():
     """A stream of at most ``simulate._FEW_PATHS`` paths steps them in lists,
     with no window of levels to charge."""

@@ -8,7 +8,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polya_urn import (
@@ -68,6 +68,26 @@ class TestDomainTypes:
             ExactProbability(Fraction(3, 2))
         with pytest.raises(DomainError):
             ExactProbability(Fraction(-1, 2))
+
+    @given(
+        st.fractions(-2, 3)
+        | st.integers(-3, 3)
+        | st.integers(1, 3000).flatmap(
+            lambda m: st.sampled_from([-1, 0, 1, 2**m - 1, 2**m, 2**m + 1]).map(
+                lambda k: Fraction(k, 2**m)
+            )
+        )
+    )
+    @example(Fraction(2**2000 + 1, 2**2000))
+    @example(Fraction(-1, 2**2000))
+    @settings(max_examples=300, deadline=None)
+    def test_exact_probability_rejects_exactly_outside_the_unit_interval(self, value):
+        """The integer bound check agrees with Fraction's comparison, ints too."""
+        if 0 <= value <= 1:
+            assert ExactProbability(value).value == value
+        else:
+            with pytest.raises(DomainError, match="must lie in"):
+                ExactProbability(value)
 
     def test_exact_probability_rejects_float(self):
         with pytest.raises(TypeError):

@@ -4,6 +4,7 @@ two stream writers, ``write_records`` and ``write_pmf``."""
 import csv
 import io
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -79,6 +80,19 @@ class TestOutputRecord:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             OutputRecord(b=2, w=1, method="guess", value="0.5")
+
+    def test_replace_still_validates(self):
+        """Records are mutable; ``dataclasses.replace``, which the CLI edits them
+        with, builds a new record and runs its checks."""
+        rec = OutputRecord(b=2, w=1, method="mc", value="0.5")
+        exact_rec = OutputRecord(b=2, w=1, method="exact", value="0.5", exact="1/2")
+        with pytest.raises(ValueError, match="unknown method 'guess'"):
+            replace(rec, method="guess")
+        with pytest.raises(ValueError, match="must carry the exact rational"):
+            replace(exact_rec, exact=None)
+        assert replace(exact_rec, note="n") == OutputRecord(
+            b=2, w=1, method="exact", value="0.5", exact="1/2", note="n"
+        )
 
     def test_to_dict_drops_missing_fields(self):
         rec = OutputRecord(b=2, w=1, method="mc", value="0.5", samples=100)

@@ -190,6 +190,17 @@ class TestEstimateEqualization:
         with pytest.raises(ResourceLimitError, match=r"int64 path-state limit .* 2\^63 - 1$"):
             estimate_equalization(config, 0, horizon, 2, SEED)
 
+    def test_horizon_past_the_memory_budget_refused_before_any_draw(self, monkeypatch):
+        """One stream's hit counts take 8 bytes a draw; 10^12 draws would raise
+        MemoryError on allocating them."""
+        def drew(*args):
+            raise AssertionError("drew paths")
+
+        monkeypatch.setattr(simulate, "_first_passage_hit_count", drew)
+        refusal = r"^horizon 1000000000000 needs ~8000000000008 bytes"
+        with pytest.raises(ResourceLimitError, match=refusal):
+            estimate_equalization(UrnConfig(2, 1), 0, 10**12, 10, SEED)
+
     def test_path_state_at_the_int64_limit(self):
         # b + horizon = 2^63 - 1: every path's b + blacks still fits an int64
         config = UrnConfig(2**63 - 4, 2**63 - 5)
@@ -479,6 +490,24 @@ class TestDefinettiEstimator:
             definetti_estimator(UrnConfig(2, 2), 100, SEED)
         with pytest.raises(DomainError):
             definetti_estimator(UrnConfig(1, 3), 100, SEED)
+
+    @pytest.mark.parametrize("b", [2**1024 - 2**970, 2**1100], ids=["2^1024-2^970", "2^1100"])
+    def test_b_past_the_float_range_refused_before_any_draw(self, monkeypatch, b):
+        """The rule ``cost.check`` applies for the CLI, with the same message."""
+        def drew(*args):
+            raise AssertionError("drew Beta variates")
+
+        monkeypatch.setattr(RngSeed, "generator", drew)
+        with pytest.raises(
+            ResourceLimitError,
+            match=rf"^b = {b} exceeds the float range of the de Finetti estimator, below 2\^1024$",
+        ):
+            definetti_estimator(UrnConfig(b, 3), 10, SEED)
+
+    def test_b_at_the_float_range_runs(self):
+        # the largest int that float() rounds to the largest finite float
+        est = definetti_estimator(UrnConfig(2**1024 - 2**970 - 1, 3), 10, SEED)
+        assert est.p_hat == 0.0
 
     def test_reproducible(self):
         a = definetti_estimator(UrnConfig(5, 3), 50_000, SEED)
