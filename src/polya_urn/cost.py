@@ -67,17 +67,21 @@ _FLOAT_OVERFLOW = 2**1024 - 2**970
 
 # Work units, set on that VM with room to spare.  Direct simulation, per
 # stream and step: 15-20 us of numpy calls in a stream of more than
-# _FEW_PATHS paths, however few are live, and 1-5 us in a stream of at most
-# _FEW_PATHS, which steps them in Python lists and never forms a window of
-# levels; 3-5 ns a level of the window, which spreads like the step index
-# n; 30-40 ns a non-zero level, of which there are at most min(n + 1,
-# paths); and a binomial draw by inversion takes a few ns per unit of its
-# mean, which numpy keeps at or below 30 (above, a draw takes constant
-# time), so at most 8 a path and 240 a level.  Setup is 12-25 us a stream.
+# _FEW_PATHS paths, however few are live, and 2-7 us in a stream of at most
+# _FEW_PATHS, which steps them in Python lists, one ``Generator.random``
+# call a step, and never forms a window of levels (1.8-1.9 us a step for 1
+# live path, 3.1-3.2 us for 10, 5.0-6.5 us for 24); 3-5 ns a level of the
+# window, which spreads like the step index n; 30-40 ns a non-zero level,
+# of which there are at most min(n + 1, paths); and a binomial draw by
+# inversion takes a few ns per unit of its mean, which numpy keeps at or
+# below 30 (above, a draw takes constant time), so at most 8 a path and
+# 240 a level.  Setup is 12-25 us a stream.
 _STEP, _LIST_STEP, _BLOCK_SETUP = 25_000, 10_000, 50_000
 _WINDOW_LEVEL, _LIVE_LEVEL, _MEAN_UNIT = 6, 35, 8
 _INVERSION_MEAN = 30
-# simulate._FEW_PATHS: a stream of at most this many paths steps them in lists
+# at or below this many live paths a direct step costs less in Python lists
+# than in numpy calls, each of which costs about a microsecond however short
+# its array; ``simulate`` steps by it and ``_direct`` charges by it
 _FEW_PATHS = 24
 # de Finetti: 70-200 ns a sample, slowest near b, w of a few thousand
 _SAMPLE = 250

@@ -8,7 +8,7 @@ Two estimators, one sampler each:
   stream holds its live paths as counts over a window of levels and moves
   them a step with one binomial draw per level, drops the paths that hit
   or can no longer hit, and steps its last few live paths one by one in
-  Python lists, each drawing half a raw Philox word;
+  Python lists, each drawing one ``Generator.random`` double;
 * a two-stage mixture estimator with no horizon truncation
   (``definetti_estimator``): draw the urn's limiting black fraction p from
   Beta(b, w) with ``Generator.beta``, one variate per sample at a cost
@@ -29,9 +29,7 @@ another and their hits are summed as exact ints.  ``Generator.binomial`` and
 ``Generator.beta`` fall under numpy's stream-compatibility policy (NEP 19),
 so a numpy release may change their streams; the de Finetti estimate's Beta
 chunks consume a stream exactly as one large ``rng.beta`` call does, so it
-does not depend on the chunk size.  The list stage cuts each raw word into
-32-bit halves by mask and shift, so byte order does not matter; 32 bits
-bias a draw by under 2^-32.
+does not depend on the chunk size.
 
 numpy is imported only inside the functions that draw or hold random
 numbers, so importing this module, or building an ``RngSeed``, does not
@@ -44,7 +42,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .cost import _check_beta_shapes, check_path_state
+from .cost import _FEW_PATHS, _check_beta_shapes, check_path_state
 from .errors import DomainError
 from .exact import UrnConfig, _require_strict_majority
 
@@ -66,15 +64,6 @@ _Z95 = 1.959963984540054
 # rows per chunk of Beta draws: chunking bounds memory, and the draws equal
 # one large ``rng.beta`` call, so no estimate depends on the chunk size
 _CHUNK_ROWS = 1 << 16
-
-# direct simulation's list stage draws one 32-bit half of a Philox word per path-step
-_HALF_MASK = 0xFFFFFFFF
-_HALF_SCALE = 2.0**-32
-
-# at or below this many live paths a step costs less in Python lists than in
-# numpy calls, each of which costs about a microsecond however short its
-# array (``cost._FEW_PATHS`` charges by it)
-_FEW_PATHS = 24
 
 
 @dataclass(frozen=True, slots=True)
@@ -244,26 +233,22 @@ def _first_passage_hit_count(
         if counts.sum() <= _FEW_PATHS:
             break
     held = np.repeat(np.arange(low, low + counts.size), counts).tolist()
-    _list_steps(steps, held, side, rng.bit_generator.random_raw, hits)
+    _list_steps(steps, held, side, rng.random, hits)
     return hits
 
 
-def _list_steps(steps, held: list, side: int, raw, hits: list) -> None:
+def _list_steps(steps, held: list, side: int, random, hits: list) -> None:
     """Add to ``hits`` those of the live paths ``held`` over the rest of
     ``steps``, stepped in Python lists.
 
-    Step n takes ceil(L/2) ``random_raw`` words for its L live paths: path
-    i gets r, the low 32 bits of word i // 2 for even i and the high 32
-    bits for odd i (cut by mask and shift, so byte order does not matter),
-    and draws black iff r * (b + w + n) * 2^-32 < held, in float64.
+    Step n takes one ``random(L)`` call for its L live paths: path i gets
+    the i-th double u and draws black iff u < held / (b + w + n), the
+    float64 probability the window passes to ``Generator.binomial``.
     """
     for n, size, test in steps:
         if not held:
             break
-        scale = size * _HALF_SCALE
-        words = raw((len(held) + 1) // 2).tolist()
-        halves = [half for word in words for half in (word & _HALF_MASK, word >> 32)]
-        held = [h + (r * scale < float(h)) for h, r in zip(held, halves)]
+        held = [h + (u < h / size) for h, u in zip(held, random(len(held)).tolist())]
         if test is not None:
             level, edge = test
             kept = [h for h in held if h != level]

@@ -8,13 +8,13 @@ instead of evaluating the hitting-time formula; the sequence and
 black-count oracles multiply the urn's per-draw probabilities instead of
 assuming exchangeability; the limit-fraction sampler steps simulated urns
 draw by draw; the per-path direct hit counter holds the excess of every live
-path of a stream in one array, cuts each step's raw words into halves in
-one call and drops paths by their distance from the target, and the
-level-count one keeps every level of black draws, zeros included, instead
-of a window trimmed to its live levels; the Beta sampler takes order
-statistics of uniforms instead of ratios of gamma variates; the normal CDF
-oracle integrates the density by high-precision quadrature instead of
-calling erfc; the ``num/den`` parser reads the digits a chunk at a time
+path of a stream in one array, draws each step's doubles in one call and
+drops paths by their distance from the target, and the level-count one
+keeps every level of black draws, zeros included, instead of a window
+trimmed to its live levels; the Beta sampler takes order statistics of
+uniforms instead of ratios of gamma variates; the normal CDF oracle
+integrates the density by high-precision quadrature instead of calling
+erfc; the ``num/den`` parser reads the digits a chunk at a time
 instead of through ``Decimal``.
 """
 
@@ -171,14 +171,13 @@ def direct_step_hits_by_path(
 ) -> list[int]:
     """Paths, of n_samples, whose excess first hits ``target`` at draw n, for n = 0..horizon.
 
-    Every live path's excess is held at once.  Draw n takes ceil(L/2) raw
-    64-bit words for the L live paths in one call and cuts them into 2L
-    32-bit halves, low half first; the L paths take the first L halves in
-    order.  A path draws black when half * urn size / 2^32 < black + its
-    black draws.  Wherever the excess can equal the target, paths on it
-    are hit and counted, and paths further from it than the draws left
-    are dropped uncounted, so the next draw is only for the rest; a target
-    out of reach from the start draws nothing.
+    Every live path's excess is held at once.  Draw n takes L doubles for
+    the L live paths in one ``rng.random(L)`` call, path i the i-th, and a
+    path draws black when its double is below (black + its black draws) /
+    urn size in float64.  Wherever the excess can equal the target, paths
+    on it are hit and counted, and paths further from it than the draws
+    left are dropped uncounted, so the next draw is only for the rest; a
+    target out of reach from the start draws nothing.
     """
     s0 = black - white
     hits = [0] * (horizon + 1)
@@ -199,10 +198,9 @@ def _step_paths(
     for n in range(start, horizon):
         if excess.size == 0:
             break
-        words = rng.bit_generator.random_raw((excess.size + 1) // 2)
-        halves = np.stack([words % 2**32, words // 2**32], axis=1).reshape(-1)[: excess.size]
         blacks = (excess - s0 + n) // 2
-        excess = excess + np.where(halves * ((black + white + n) / 2**32) < black + blacks, 1, -1)
+        u = rng.random(excess.size)
+        excess = excess + np.where(u < (black + blacks) / float(black + white + n), 1, -1)
         if (excess[0] - target) % 2:  # every path's excess has the same parity
             continue
         draws_left = horizon - (n + 1)

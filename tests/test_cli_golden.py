@@ -45,6 +45,16 @@ byte-identical.  ``simulate --b 2 --w 1 --samples 20 --horizon 20001`` and
 the one-sample runs step at most ``_FEW_PATHS`` paths, all in the
 unchanged list stage, so their digests stand.
 
+Five direct-simulation digests were re-captured when the list stage moved
+from 32-bit halves of raw Philox words to one ``Generator.random`` double a
+path-step: ``simulate --b 5 --w 3 --streams 2 --samples 2000 --seed 11``,
+``simulate --b 2 --w 1 --samples 20 --horizon 20001`` and the three
+``_SWEEP_ALL`` cases.  Only the ``mc`` rows' ``value``, ``std_err``,
+``ci_lo``, ``ci_hi``, ``z_score`` and ``note`` fields moved; the
+one-sample runs drew the same outcome on the new stream.  The
+``_WINDOW_ONLY`` digest was captured before that change; its run never
+enters the list stage, so it pins the window's draws across it.
+
 The two ``_SWEEP_MID`` digests (JSON and text) and the one-pair ``sweep
 --b-range 5:5 --w-range 3:3 --methods exact`` were captured before ``sweep``
 took its closed forms from the w-column recurrence and streamed its rows;
@@ -56,10 +66,16 @@ from typing import get_args
 
 import pytest
 
-from polya_urn import cli
+from polya_urn import cli, simulate
 from polya_urn.output import Method, load_output_schema
 
 _SIM = ("--samples", "2000", "--seed", "11")
+# the mc workload's direct run at the default seed: its two streams of 5 * 10^5
+# paths never fall to _FEW_PATHS live paths, so it draws in the window alone
+_WINDOW_ONLY = (
+    "simulate", "--b", "5", "--w", "3", "--samples", "1000000", "--streams", "2",
+    "--horizon", "200", "--seed", "20110426",
+)
 _SWEEP_ALL = (
     "sweep", "--b-range", "2:9", "--w-range", "1:8",
     "--methods", "exact,binomial,complement,dp,mc,definetti,normal,chernoff",
@@ -116,16 +132,18 @@ GOLDEN = [
     (("dp", "--b", "2000", "--w", "1999", "--horizon", "3000", "--format", "csv"), 0,
      "caaaa41b6735c2cea4512ef750cfb1675f3469f5ba83d2bbe240650e30c07255"),
     (("simulate", "--b", "5", "--w", "3", "--streams", "2", *_SIM), 0,
-     "306b4490cb7a40a7cd822d9e309e21dcac26f7df0277f4c43d20058168d0f39f"),
+     "dd3f7c9db4c5c7a27598082eec9cb8e985a5de5a8f156faeed8ef107cb0330e6"),
     (("simulate", "--b", "5", "--w", "3", "--method", "definetti", *_SIM, "--format", "json"), 0,
      "5cf4bfa66cece9c5a279b00d5e09d56659c0355cf46afa8423e16423ba9663fa"),
     (("simulate", "--b", "2", "--w", "1", "--samples", "20", "--horizon", "20001"), 0,
-     "83742516c5b183344e30266cb2d68b88841b747cd9d645f1233e09197c3d1af3"),
+     "dbca15e3b53560750b3bc8d0d351197eaf8ff92c907d261cd60f969660a3f866"),
     (("simulate", "--b", "500001", "--w", "500000", "--horizon", "20000", "--samples", "1",
       "--seed", "11", "--format", "csv"), 0,
      "aaa524db4caf0496affb2b7b5bb64099d26dbf565e31fc2aa2ff2086225d74a3"),
     (("simulate", "--b", "2", "--w", "1", "--samples", "1", "--seed", "1"), 0,
      "b5a661921e5fec6800fc64c7b5358f23997208fd4198cc68390779f4f50036a7"),
+    (_WINDOW_ONLY, 0,
+     "954877014ecacac4017a0739604f4007375ee9d54d7b786f76a99d26d96d6568"),
     (("approx", "--b", "5", "--w", "3"), 0,
      "6d0273ee1ec3c7725977edad2d066fc8babb400836c2b52b01e8db00626d24ac"),
     (("approx", "--b", "9", "--w", "1", "--method", "normal", "--format", "csv"), 0,
@@ -133,11 +151,11 @@ GOLDEN = [
     (("approx", "--b", "40", "--w", "12", "--method", "chernoff", "--format", "json"), 0,
      "93242bd0db593924872322e8e5ab17892514163bef9b18b7d5e2e2b2e8197588"),
     (_SWEEP_ALL, 0,
-     "623347b44da3c63a5f7406698c8d1228b7df439ae20826257a01c706916b720d"),
+     "34e371dd6eb0c8fc06edce334c14fa733b7bf4ffcc8361b4b9b865273393000c"),
     ((*_SWEEP_ALL, "--format", "text"), 0,
-     "49b4d23efcb6359c85df09342b230dadafdfb88832eba114cd9570573bcd6125"),
+     "88d42f693dc5b852c6456643d1b0189221b802bc1c5aab4c48bf9930d7f9cd67"),
     ((*_SWEEP_ALL, "--format", "json"), 0,
-     "8878ff872167bd8492d2a29367bae28cd0837a353ebd9cccadfbac259c1e5aa9"),
+     "7b0ae960e1551426281bbfab973f5e6ed5a55cb45300819cb8986ab595e53fc6"),
     ((*_SWEEP_MID, "--format", "json"), 0,
      "45d8a714ac37a276a678a1daf295a654fa91c4775984f642cc976f35c302f268"),
     ((*_SWEEP_MID, "--format", "text"), 0,
@@ -188,6 +206,17 @@ def test_golden_invocation(capsys, argv, code, sha256):
     got_code, out = _run(capsys, argv)
     assert (got_code, _digest(out)) == (code, sha256)
 
+
+def test_window_only_golden_never_enters_the_list_stage(capsys, monkeypatch):
+    """``_WINDOW_ONLY``'s digest comes from level-count window draws alone."""
+
+    def list_steps(*args):
+        raise AssertionError("entered the list stage")
+
+    monkeypatch.setattr(simulate, "_list_steps", list_steps)
+    expected = next(sha256 for argv, _, sha256 in GOLDEN if argv == _WINDOW_ONLY)
+    code, out = _run(capsys, _WINDOW_ONLY)
+    assert (code, _digest(out)) == (0, expected)
 
 
 def test_method_names_agree_across_schema_type_and_cli_table():

@@ -306,10 +306,10 @@ class TestDirectKernel:
 
     @pytest.mark.parametrize("n_streams", [2, 3])
     def test_default_chunks_match_the_oracle(self, n_streams):
-        """Two streams of 2^16 + 2 paths, or three of about 43,700, the sizes
-        that once ran as pooled chunks or as serial blocks, at the default
-        ``_FEW_PATHS``."""
-        n = 2 * simulate._CHUNK_ROWS + 3
+        """Two streams of about 2^16 paths, or three of about 43,700, at the
+        default ``_FEW_PATHS``; the size is a literal, so tuning another
+        route's constants cannot resize this test."""
+        n = 2 * 65536 + 3
         est = estimate_equalization(UrnConfig(5, 3), 0, 25, n, SEED, n_streams)
         oracle = functools.partial(direct_step_hits_by_levels, few_paths=simulate._FEW_PATHS)
         assert est.total == oracle_total(oracle, 5, 3, 0, 25, n, n_streams, SEED.seed)
@@ -331,47 +331,51 @@ class TestDirectKernel:
         )
 
     @pytest.mark.parametrize("few_paths", [3, simulate._FEW_PATHS])
-    def test_three_paths_take_three_halves_of_two_words(self, monkeypatch, few_paths):
-        """Path i of a list step draws half i mod 2 of word i // 2, low half
-        first, in every stream of at most ``_FEW_PATHS`` paths.
+    def test_three_paths_take_the_doubles_of_one_call_in_order(self, monkeypatch, few_paths):
+        """A list step's L paths take the doubles of one ``random(L)`` call,
+        path i the i-th, in every stream of at most ``_FEW_PATHS`` paths.
 
         From (2, 1), one draw reaches target 2 iff it is black, so the hits
         of the first 1, 2 and 3 paths of a fresh stream give each path's
-        decision.  Key 42 tells this layout from the swapped one.
+        decision.  Paths on levels 2, 3 and 4, of which only path 2 can
+        reach level 5, tell this order from the reversed one, which key 2
+        decides differently.
         """
         monkeypatch.setattr(simulate, "_FEW_PATHS", few_paths)
-        key, mask = 42, 0xFFFFFFFF
-        words = [int(word) for word in np.random.Philox(key=key).random_raw(3)]
-
-        def black(half):  # r * (b + w) * 2^-32 < b
-            return int(half * 3 * 2**-32 < 2)
-
-        by_hand = [black(words[0] & mask), black(words[0] >> 32), black(words[1] & mask)]
-        assert by_hand != [black(words[0] >> 32), black(words[0] & mask), black(words[1] >> 32)]
+        key = 2
+        doubles = np.random.Generator(np.random.Philox(key=key)).random(4).tolist()
+        by_hand = [int(u < 2 / 3) for u in doubles[:3]]  # u < b / (b + w)
+        assert by_hand != by_hand[::-1]
         decisions = []
         for paths in (1, 2, 3):
             rng = np.random.Generator(np.random.Philox(key=key))
             step_hits = _first_passage_hit_count(UrnConfig(2, 1), 2, 1, paths, rng)
             decisions.append(step_hits[1] - sum(decisions))
         assert decisions == by_hand
-        # the 3-path step took ceil(3/2) = 2 words
-        assert int(rng.bit_generator.random_raw()) == words[2]
-
-    def test_lists_round_path_state_as_numpy_does(self):
-        """Past 2^53, float64 rounds b + blacks, in lists as in a numpy compare.
-
-        r = 2^31 at scale 2^22 is exactly 2^53, which is also float64's value
-        of held = 2^53 + 1: numpy draws white, where an exact compare would
-        draw black and hit level 2^53 + 2.
-        """
-        held, level = 2**53 + 1, 2**53 + 2
-        assert not np.less(np.uint64(2**31) * 2.0**22, np.int64(held))
-
-        def raw(size):
-            return np.full(size, 2**31, dtype=np.uint64)
+        # the 3-path step took exactly 3 doubles
+        assert rng.random() == doubles[3]
 
         hits = [0, 0]
-        simulate._list_steps(iter([(0, 2.0**54, (level, None))]), [held], 1, raw, hits)
+        rng = np.random.Generator(np.random.Philox(key=key))
+        simulate._list_steps(iter([(0, 6.0, (5, None))]), [2, 3, 4], 1, rng.random, hits)
+        assert hits[1] == by_hand[2]  # u < 4 / 6 from the third double
+
+    def test_lists_round_path_state_as_numpy_does(self):
+        """Past 2^53, float64 rounds b + blacks, in lists as in the window's
+        ``held / size``.
+
+        held = 2^53 + 1 rounds to 2^53, so at size 2^54 the path's
+        probability is exactly 0.5 and u = 0.5 draws white, where an exact
+        compare would draw black and hit level 2^53 + 2.
+        """
+        held, level = 2**53 + 1, 2**53 + 2
+        assert np.int64(held) / 2.0**54 == 0.5 < Fraction(held, 2**54)
+
+        def random(size):
+            return np.full(size, 0.5)
+
+        hits = [0, 0]
+        simulate._list_steps(iter([(0, 2.0**54, (level, None))]), [held], 1, random, hits)
         assert hits == [0, 0]
 
     def test_unreachable_target_draws_nothing(self):
