@@ -28,7 +28,7 @@ from typing import Any, Callable, Iterable, Optional, Sequence, TextIO
 from . import cost
 from . import dp as dp_mod
 from .approx import chernoff_bound, normal_approximation
-from .errors import DomainError, PolyaUrnError
+from .errors import DomainError, PolyaUrnError, ResourceLimitError
 from .exact import (
     ExactProbability,
     UrnConfig,
@@ -37,7 +37,9 @@ from .exact import (
     equalization_probability_complement,
     equalization_sweep,
 )
-from .output import OutputRecord, rational_parts, render_decimal, write_pmf, write_records
+from .output import (
+    OutputRecord, int_str, rational_parts, render_decimal, write_pmf, write_records
+)
 from .simulate import EstimateWithCI, RngSeed, definetti_estimator, estimate_equalization
 
 # ``simulate`` flags an estimate whose Kish effective sample size is below
@@ -256,18 +258,30 @@ def cmd_dp(args: argparse.Namespace) -> int:
     return 0
 
 
+# Past this horizon ``simulate`` skips its automatic DP reference: the memory
+# budget admits horizons whose pmf takes tens of seconds, nearly all of it the
+# exact sum that validates the pmf ((5000, 3000): ~3 s at the cap, ~16 s at its
+# budget horizon of 56,440, on a 2-vCPU Xeon VM).  The cap bounds the horizon, not
+# the time: ``simulate --b 500001 --w 500000 --horizon 16456`` still takes ~25 s.
+_REFERENCE_HORIZON_CAP = 20_000
+
+
 def _reference(pair: _Pair, method: str) -> tuple[Optional[Fraction], str]:
-    """``simulate``'s exact reference (None when the cost rule skips it) and its note."""
-    args = pair.args
+    """``simulate``'s exact reference (None when its route refuses it) and its note."""
     if method == "definetti":
         note = "untruncated estimate of P(tau < infinity); "
-        if skip := cost.reference_skip("exact", pair.config):
-            return None, note + f"exact reference skipped ({skip})"
+        try:
+            cost.check("exact", pair.config)
+        except ResourceLimitError:
+            return None, note + "exact reference skipped (work ceiling)"
         return pair.exact.value, note + "reference is the exact value"
     note = "estimates P(tau <= horizon); "
-    if skip := cost.reference_skip("dp", pair.config, args.horizon):
-        return None, note + f"DP reference skipped ({skip})"
-    table = dp_mod.first_passage_dp(pair.config, args.target, args.horizon)
+    if pair.args.horizon > _REFERENCE_HORIZON_CAP:
+        return None, note + f"DP reference skipped (horizon over {_REFERENCE_HORIZON_CAP})"
+    try:
+        table = dp_mod.first_passage_dp(pair.config, pair.args.target, pair.args.horizon)
+    except ResourceLimitError:
+        return None, note + "DP reference skipped (memory budget)"
     return table.cumulative, note + "reference is the exact DP value"
 
 
@@ -328,7 +342,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     count = _sweep_pair_count(args.b_range, args.w_range)
     skipped = (b_hi - b_lo + 1) * (w_hi - w_lo + 1) - count
     if skipped:
-        print(f"# skipped {skipped} (b, w) pair(s): sweep requires w < b", file=sys.stderr)
+        print(f"# skipped {int_str(skipped)} (b, w) pair(s): sweep requires w < b", file=sys.stderr)
     if not count:
         raise DomainError("empty effective range: no (b, w) pairs with w < b")
     # Rows stream, so every refusal runs before the first byte: each method's

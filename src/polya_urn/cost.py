@@ -14,8 +14,7 @@ CLI's method names, one integer estimate, and ``check`` refuses with
   steps, samples and squared row lengths and never read a clock, so a
   refusal depends only on the parameters.
 
-``reference_skip`` makes the same comparison for ``simulate``'s exact
-reference.  ``first_passage_dp`` refuses its horizon by ``check("dp", ...)``.
+``first_passage_dp`` refuses its horizon by ``check("dp", ...)``.
 ``check_path_state`` is separate: it is the library's check that direct
 simulation can represent its paths, and ``estimate_equalization`` refuses only
 that; likewise ``definetti_estimator`` refuses only Beta shapes that are not
@@ -31,17 +30,16 @@ from __future__ import annotations
 
 import bisect
 import math
-from typing import Optional
 
 from .errors import DomainError, ResourceLimitError
 from .exact import UrnConfig
+from .output import int_str
 
 __all__ = [
     "MEMORY_BUDGET_BYTES",
     "WORK_CEILING",
     "estimate",
     "check",
-    "reference_skip",
     "estimate_dp_memory_bytes",
     "max_feasible_horizon",
     "check_path_state",
@@ -52,12 +50,6 @@ MEMORY_BUDGET_BYTES = 256 * 1024 * 1024
 # about ten seconds: the closed forms stay admitted up to b + w of about
 # 1.4 * 10^5, past ``exact --b 50001 --w 49999`` (about 3 s)
 WORK_CEILING = 10**10
-
-# Past this horizon ``simulate`` skips its automatic DP reference: the memory
-# budget admits horizons whose pmf takes tens of seconds, nearly all of it the
-# exact sum that validates the pmf ((5000, 3000): ~3 s at the cap, ~16 s at
-# its budget horizon of 56,440, on a 2-vCPU Xeon VM).
-_REFERENCE_HORIZON_CAP = 20_000
 
 _INT64_MAX = 2**63 - 1
 
@@ -145,13 +137,6 @@ _ESTIMATES = {
 }
 
 
-def _limit(method: str) -> tuple[int, str]:
-    """The limit of ``method``'s estimate, read at each call, and its name."""
-    if method == "dp":
-        return MEMORY_BUDGET_BYTES, "memory budget"
-    return WORK_CEILING, "work ceiling"
-
-
 def estimate(
     method: str,
     config: UrnConfig,
@@ -182,24 +167,17 @@ def check(
     elif method == "definetti":
         _check_beta_shapes(config)
     need = estimate(method, config, horizon, samples, streams, pairs)
-    limit, _ = _limit(method)
+    limit = MEMORY_BUDGET_BYTES if method == "dp" else WORK_CEILING
     if need <= limit:
         return
     if method == "dp":
         raise ResourceLimitError(
-            f"horizon {horizon} needs ~{need} bytes, over the budget of {limit}; "
-            f"largest feasible horizon is ~{max_feasible_horizon(config)}"
+            f"horizon {int_str(horizon)} needs ~{int_str(need)} bytes, over the budget of "
+            f"{int_str(limit)}; largest feasible horizon is ~{max_feasible_horizon(config)}"
         )
-    raise ResourceLimitError(f"{method} needs ~{need} work units, over the work ceiling of {limit}")
-
-
-def reference_skip(method: str, config: UrnConfig, horizon: int = 0) -> Optional[str]:
-    """Why ``simulate`` skips its exact reference by ``method`` (``dp``, or
-    ``exact`` for de Finetti), or None when the reference is admitted."""
-    if method == "dp" and horizon > _REFERENCE_HORIZON_CAP:
-        return f"horizon over {_REFERENCE_HORIZON_CAP}"
-    limit, name = _limit(method)
-    return name if estimate(method, config, horizon) > limit else None
+    raise ResourceLimitError(
+        f"{method} needs ~{int_str(need)} work units, over the work ceiling of {int_str(limit)}"
+    )
 
 
 def _int_bytes(bits: float) -> int:
@@ -248,7 +226,7 @@ def estimate_dp_memory_bytes(config: UrnConfig, horizon: int) -> int:
     table object with its bookkeeping stays under 4 KiB.
     """
     if horizon < 0:
-        raise DomainError(f"horizon must be >= 0, got {horizon}")
+        raise DomainError(f"horizon must be >= 0, got {int_str(horizon)}")
     t = config.total
     n = max(horizon, 1)
     ln2 = math.log(2)
@@ -274,7 +252,7 @@ def _check_float(name: str, value: int, route: str) -> None:
     an infinite float."""
     if value >= _FLOAT_OVERFLOW:
         raise ResourceLimitError(
-            f"{name} = {value} exceeds the float range of {route}, below 2^1024"
+            f"{name} = {int_str(value)} exceeds the float range of {route}, below 2^1024"
         )
 
 
@@ -302,18 +280,18 @@ def check_path_state(config: UrnConfig, target_diff: int, horizon: int, paths: i
     """
     if config.black + horizon > _INT64_MAX:
         raise ResourceLimitError(
-            f"b + horizon = {config.black + horizon} exceeds the int64 path-state "
+            f"b + horizon = {int_str(config.black + horizon)} exceeds the int64 path-state "
             "limit of direct simulation, 2^63 - 1"
         )
     if paths > _INT64_MAX:
         raise ResourceLimitError(
-            f"cannot count {paths} paths of one stream: over the int64 limit of "
+            f"cannot count {int_str(paths)} paths of one stream: over the int64 limit of "
             "direct simulation, 2^63 - 1"
         )
     if 8 * (horizon + 1) > MEMORY_BUDGET_BYTES:
         raise ResourceLimitError(
-            f"horizon {horizon} needs ~{8 * (horizon + 1)} bytes of per-draw hit "
-            f"counts, over the budget of {MEMORY_BUDGET_BYTES}"
+            f"horizon {int_str(horizon)} needs ~{int_str(8 * (horizon + 1))} bytes of "
+            f"per-draw hit counts, over the budget of {int_str(MEMORY_BUDGET_BYTES)}"
         )
     if config.initial_excess != target_diff and abs(config.initial_excess - target_diff) <= horizon:
         _check_float("b + w + horizon - 1", config.total + horizon - 1, "direct simulation")

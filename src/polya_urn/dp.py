@@ -31,6 +31,7 @@ from fractions import Fraction
 from . import cost
 from .errors import DomainError
 from .exact import UrnConfig
+from .output import rational_str
 
 __all__ = ["DPTable", "first_passage_dp"]
 
@@ -58,7 +59,7 @@ class DPTable:
             if not p:  # passes every check and adds nothing; far targets are all zeros
                 continue
             if p < 0:
-                raise DomainError(f"P(tau={n}) must be >= 0, got {p}")
+                raise DomainError(f"P(tau={n}) must be >= 0, got {rational_str(p)}")
             if n % 2 != parity:
                 raise DomainError(
                     f"P(tau={n}) must vanish: S moves by 1 per step, so tau has "
@@ -66,7 +67,7 @@ class DPTable:
                 )
             total += p
         if total > 1:
-            raise DomainError(f"hit probabilities sum to {total} > 1")
+            raise DomainError(f"hit probabilities sum to {rational_str(total)} > 1")
         object.__setattr__(self, "cumulative", total)
 
     @property

@@ -34,7 +34,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .errors import DomainError
-from .output import rational_str
+from .output import int_str, rational_str
 
 __all__ = [
     "UrnConfig",
@@ -51,7 +51,7 @@ def _require_positive_int(value: object, name: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise DomainError(f"{name} must be an int, got {type(value).__name__}")
     if value < 1:
-        raise DomainError(f"{name} must be >= 1, got {value}")
+        raise DomainError(f"{name} must be >= 1, got {int_str(value)}")
     return value
 
 
@@ -97,7 +97,7 @@ class ExactProbability:
             object.__setattr__(self, "value", Fraction(self.value))
         # a Fraction's denominator is positive: integer compares, no Fraction ones
         if not 0 <= self.value.numerator <= self.value.denominator:
-            raise DomainError(f"probability must lie in [0, 1], got {self.value}")
+            raise DomainError(f"probability must lie in [0, 1], got {rational_str(self.value)}")
 
     def __float__(self) -> float:
         return float(self.value)
@@ -133,7 +133,7 @@ def beta_cdf_rational(config: UrnConfig, x: Fraction | int | str) -> ExactProbab
     """
     frac = _as_exact_fraction(x)
     if not 0 <= frac <= 1:
-        raise DomainError(f"x must lie in [0, 1], got {frac}")
+        raise DomainError(f"x must lie in [0, 1], got {rational_str(frac)}")
     if frac == 0:
         return ExactProbability(Fraction(0))
     if frac == 1:
@@ -175,8 +175,8 @@ def _require_strict_majority(config: UrnConfig, label: str) -> tuple[int, int]:
     """``(black, white)``, or a DomainError naming ``label`` unless black > white."""
     if config.black <= config.white:
         raise DomainError(
-            f"{label} requires black > white, got black={config.black}, "
-            f"white={config.white}"
+            f"{label} requires black > white, got black={int_str(config.black)}, "
+            f"white={int_str(config.white)}"
         )
     return config.black, config.white
 

@@ -26,6 +26,7 @@ __all__ = [
     "Method",
     "OutputRecord",
     "render_decimal",
+    "int_str",
     "rational_str",
     "rational_parts",
     "CSV_COLUMNS",
@@ -49,6 +50,11 @@ def render_decimal(x: Fraction | float | int) -> str:
     if not isinstance(x, float) and isinstance(x, Fraction):
         return rational_parts(x)[2]
     return str(_CONTEXT.plus(decimal.Decimal(x)))
+
+
+def int_str(n: int) -> str:
+    """Render an int in full, past the digit limit that ``str(int)`` enforces."""
+    return str(decimal.Decimal(n))
 
 
 def rational_str(value: Fraction) -> str:

@@ -45,6 +45,7 @@ from typing import TYPE_CHECKING
 from .cost import _FEW_PATHS, _check_beta_shapes, check_path_state
 from .errors import DomainError
 from .exact import UrnConfig, _require_strict_majority
+from .output import int_str
 
 if TYPE_CHECKING:
     import numpy as np
@@ -111,7 +112,7 @@ class EstimateWithCI:
 
     def __post_init__(self) -> None:
         if self.n_samples < 1:
-            raise DomainError(f"n_samples must be >= 1, got {self.n_samples}")
+            raise DomainError(f"n_samples must be >= 1, got {int_str(self.n_samples)}")
         # summation rounding may carry a sum a relative 1e-12 past its bound
         slack = 1 + 1e-12
         if not (0.0 <= self.total_sq <= self.total * slack and self.total <= self.n_samples * slack):
@@ -279,9 +280,9 @@ def estimate_equalization(
     budget, or, with the target in reach, an urn size past the float range.
     """
     if n_streams < 1:
-        raise DomainError(f"n_streams must be >= 1, got {n_streams}")
+        raise DomainError(f"n_streams must be >= 1, got {int_str(n_streams)}")
     if horizon < 0:
-        raise DomainError(f"horizon must be >= 0, got {horizon}")
+        raise DomainError(f"horizon must be >= 0, got {int_str(horizon)}")
     base, rem = divmod(n_samples, n_streams)
     check_path_state(config, target_diff, horizon, base + (1 if rem else 0))
     # streams past the n_samples-th get an empty block and draw nothing, and

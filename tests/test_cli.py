@@ -87,6 +87,13 @@ class TestExactCommand:
 
 
 class TestDpCommand:
+    def test_negative_horizon_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["dp", "--b", "2", "--w", "1", "--horizon", "-1"])
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out) == (2, "")
+        assert "argument --horizon: must be >= 0, got -1" in captured.err
+
     def test_cumulative(self, capsys):
         code, out, _ = run_cli(capsys, "dp", "--b", "2", "--w", "1", "--horizon", "3")
         assert code == 0
@@ -489,6 +496,13 @@ class TestSweepCommand:
         jsonschema.validate(document, load_output_schema())
         # pairs with w < b in the 2..4 x 1..3 box, times three methods
         assert len(document["records"]) == 18
+
+    def test_malformed_range_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--b-range", "a:3", "--w-range", "1"])
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out) == (2, "")
+        assert "argument --b-range: expected N or LO:HI, got 'a:3'" in captured.err
 
     def test_empty_effective_range_is_usage_error(self, capsys):
         code, _, err = run_cli(

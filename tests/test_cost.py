@@ -113,26 +113,18 @@ def test_estimates_are_ints_that_never_decrease(method, values, grown, step):
     assert small <= large
 
 
-@given(
-    black=st.integers(1, 3000),
-    white=st.integers(1, 3000),
-    horizon=st.integers(0, 20_000),
-    budget=st.integers(4096, 10**8),
-    ceiling=st.integers(0, 2 * 10**7),
+@pytest.mark.parametrize(
+    "limit, value, argv, note",
+    [
+        ("MEMORY_BUDGET_BYTES", 4096, ["--horizon", "200"], "DP reference skipped (memory budget)"),
+        ("WORK_CEILING", 10**4, ["--method", "definetti"], "exact reference skipped (work ceiling)"),
+    ],
 )
-@settings(max_examples=200, deadline=None)
-def test_reference_skip_is_the_check(black, white, horizon, budget, ceiling):
-    """Below the horizon cap, ``simulate`` skips its reference exactly when the
-    route's own check would refuse it, at any limits."""
-    config = UrnConfig(black, white)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cost, "MEMORY_BUDGET_BYTES", budget)
-        patch.setattr(cost, "WORK_CEILING", ceiling)
-        for method, reason in (("dp", "memory budget"), ("exact", "work ceiling")):
-            try:
-                cost.check(method, config, horizon)
-            except ResourceLimitError:
-                refused = reason
-            else:
-                refused = None
-            assert cost.reference_skip(method, config, horizon) == refused
+def test_reference_reads_the_limits_at_call_time(monkeypatch, capsys, limit, value, argv, note):
+    """``simulate``'s reference asks its route's own refusal, so a patched
+    limit reaches it."""
+    monkeypatch.setattr(cost, limit, value)
+    code = main(["simulate", "--b", "5", "--w", "3", "--samples", "10", *argv])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert note in out and "reference=" not in out

@@ -144,6 +144,10 @@ class TestDPTableValidation:
         with pytest.raises(DomainError):
             DPTable(UrnConfig(2, 1), 0, (Fraction(0), Fraction(0), Fraction(1, 3)))
 
+    def test_negative_term_rejected(self):
+        with pytest.raises(DomainError, match=r"^P\(tau=1\) must be >= 0, got -1/3$"):
+            DPTable(UrnConfig(2, 1), 0, (Fraction(0), Fraction(-1, 3)))
+
     def test_mass_above_one_rejected(self):
         with pytest.raises(DomainError):
             DPTable(UrnConfig(2, 1), 0, (Fraction(0), Fraction(2)))

@@ -121,6 +121,10 @@ class TestBetaCdfRational:
         with pytest.raises(TypeError):
             beta_cdf_rational(UrnConfig(2, 2), 0.5)
 
+    def test_non_rational_string_refused(self):
+        with pytest.raises(DomainError, match="^x is not a rational number: 'abc'$"):
+            beta_cdf_rational(UrnConfig(3, 2), "abc")
+
     @pytest.mark.parametrize("b", range(1, 7))
     @pytest.mark.parametrize("w", range(1, 7))
     @pytest.mark.parametrize(

@@ -44,7 +44,7 @@ _MODULE_NAMES = {
     "polya_urn.approx": ["ApproxResult", "chernoff_bound", "normal_approximation"],
     "polya_urn.cost": [
         "MEMORY_BUDGET_BYTES", "WORK_CEILING", "check", "check_path_state", "estimate",
-        "estimate_dp_memory_bytes", "max_feasible_horizon", "reference_skip",
+        "estimate_dp_memory_bytes", "max_feasible_horizon",
     ],
     "polya_urn.dp": ["DPTable", "first_passage_dp"],
     "polya_urn.exact": [
@@ -53,8 +53,8 @@ _MODULE_NAMES = {
         "equalization_sweep",
     ],
     "polya_urn.output": [
-        "CSV_COLUMNS", "Method", "OutputRecord", "load_output_schema", "rational_parts",
-        "rational_str", "render_decimal", "write_pmf", "write_records",
+        "CSV_COLUMNS", "Method", "OutputRecord", "int_str", "load_output_schema",
+        "rational_parts", "rational_str", "render_decimal", "write_pmf", "write_records",
     ],
     "polya_urn.simulate": [
         "EstimateWithCI", "RngSeed", "definetti_estimator", "estimate_equalization",

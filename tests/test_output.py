@@ -1,5 +1,6 @@
-"""Tests for record rendering: decimal policy, round-trips, validation, and the
-two stream writers, ``write_records`` and ``write_pmf``."""
+"""Tests for record rendering: decimal policy, round-trips, validation, the
+two stream writers, ``write_records`` and ``write_pmf``, and the package's
+refusals, which render their numbers here at any size."""
 
 import csv
 import io
@@ -9,9 +10,22 @@ from fractions import Fraction
 
 import pytest
 
+from polya_urn import (
+    DomainError,
+    DPTable,
+    ExactProbability,
+    ResourceLimitError,
+    RngSeed,
+    UrnConfig,
+    beta_cdf_rational,
+    cost,
+    estimate_equalization,
+    normal_approximation,
+)
 from polya_urn.output import (
     CSV_COLUMNS,
     OutputRecord,
+    int_str,
     rational_str,
     render_decimal,
     write_pmf,
@@ -193,3 +207,39 @@ class TestPmfWriter:
 
         write_pmf(pmf(), buf)
         assert seen[0] < seen[1] < seen[2] < len(buf.getvalue())
+
+
+# past the 4,300 digits that ``str(int)`` renders by default
+_HUGE = 10**5000
+_URN = UrnConfig(2, 1)
+# each refusal names a number of about 5,000 digits or more
+_REFUSED = {
+    "dp-negative-term": (DomainError, lambda: DPTable(_URN, 0, (0, Fraction(-1, _HUGE)))),
+    "dp-mass-above-one": (DomainError, lambda: DPTable(_URN, 0, (0, Fraction(_HUGE + 1, _HUGE)))),
+    "exact-probability": (DomainError, lambda: ExactProbability(Fraction(_HUGE + 1, _HUGE))),
+    "beta-cdf": (DomainError, lambda: beta_cdf_rational(_URN, Fraction(-1, _HUGE))),
+    "urn-config": (DomainError, lambda: UrnConfig(-_HUGE, 1)),
+    "strict-majority": (DomainError, lambda: normal_approximation(UrnConfig(1, _HUGE))),
+    "horizon": (DomainError, lambda: estimate_equalization(_URN, 0, -_HUGE, 10, RngSeed(0))),
+    "streams": (DomainError, lambda: estimate_equalization(_URN, 0, 5, 10, RngSeed(0), -_HUGE)),
+    "path-state": (
+        ResourceLimitError,
+        lambda: estimate_equalization(UrnConfig(_HUGE, 1), 0, 5, 10, RngSeed(0)),
+    ),
+    "work-ceiling": (ResourceLimitError, lambda: cost.check("exact", UrnConfig(_HUGE, 1))),
+}
+
+
+class TestRefusalsPastTheDigitLimit:
+    def test_int_str_renders_every_digit(self):
+        assert int_str(-_HUGE) == "-1" + "0" * 5000
+        assert int_str(42) == "42"
+
+    @pytest.mark.parametrize("error, refused", _REFUSED.values(), ids=_REFUSED)
+    def test_refusal_renders_its_numbers(self, error, refused):
+        """Each refusal renders the numbers it names in full, so a number past
+        ``str(int)``'s digit limit still gives the package's own error."""
+        with pytest.raises(error) as exc:
+            refused()
+        assert type(exc.value) is error
+        assert "0" * 4400 in str(exc.value)

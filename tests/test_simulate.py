@@ -305,10 +305,11 @@ class TestDirectKernel:
         assert est.total == oracle_total(oracle, b, w, target, horizon, n_samples, n_streams, seed)
 
     @pytest.mark.parametrize("n_streams", [2, 3])
-    def test_default_chunks_match_the_oracle(self, n_streams):
-        """Two streams of about 2^16 paths, or three of about 43,700, at the
-        default ``_FEW_PATHS``; the size is a literal, so tuning another
-        route's constants cannot resize this test."""
+    def test_large_streams_match_the_level_oracle(self, n_streams):
+        """Two streams of about 2^16 paths, or three of about 43,700, stepped
+        at the default ``_FEW_PATHS`` as the level-count oracle steps them; the
+        size is a literal, so tuning another route's constants cannot resize
+        this test."""
         n = 2 * 65536 + 3
         est = estimate_equalization(UrnConfig(5, 3), 0, 25, n, SEED, n_streams)
         oracle = functools.partial(direct_step_hits_by_levels, few_paths=simulate._FEW_PATHS)
@@ -317,11 +318,11 @@ class TestDirectKernel:
     @settings(max_examples=60, deadline=None)
     @given(n_samples=st.integers(1, simulate._FEW_PATHS), **_KERNEL_CASES)
     @example(b=3, w=2, offset=2, horizon=30, n_samples=5, n_streams=1, seed=2)
-    def test_total_equals_the_unchunked_oracle(
+    def test_few_paths_total_equals_the_per_path_oracle(
         self, b, w, offset, horizon, n_samples, n_streams, seed
     ):
-        """A stream of at most ``_FEW_PATHS`` paths steps them all in lists,
-        which draw and decide as the per-path oracle does."""
+        """Every stream holds at most ``_FEW_PATHS`` paths, so each steps them
+        all in Python lists, which draw and decide as the per-path oracle does."""
         target = b - w + offset
         est = estimate_equalization(
             UrnConfig(b, w), target, horizon, n_samples, RngSeed(seed), n_streams
