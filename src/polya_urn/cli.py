@@ -306,10 +306,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_approx(args: argparse.Namespace) -> int:
     pair = _Pair(UrnConfig(args.b, args.w), args)
     methods = _APPROXIMATIONS if args.method == "all" else (args.method,)
+    # each method's cost and its own b <= w refusal, before the exact reference
     for method in methods:
         cost.check(method, pair.config)
-    # each refuses b <= w itself, before the exact reference is computed
-    for method in methods:
         _APPROXIMATIONS[method](pair.config)
     records = []
     for method in methods:

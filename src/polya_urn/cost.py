@@ -258,9 +258,9 @@ def _check_float(name: str, value: int, route: str) -> None:
 
 def _check_beta_shapes(config: UrnConfig) -> None:
     """Refuse with ``ResourceLimitError`` a de Finetti estimate whose
-    Beta(b, w) shapes are not finite floats; the estimator needs w < b, so b
-    decides."""
+    Beta(b, w) shapes are not finite floats; b is checked first."""
     _check_float("b", config.black, "the de Finetti estimator")
+    _check_float("w", config.white, "the de Finetti estimator")
 
 
 def check_path_state(config: UrnConfig, target_diff: int, horizon: int, paths: int = 1) -> None:

@@ -47,8 +47,8 @@ class DPTable:
 
     config: UrnConfig
     target_diff: int
-    hit_pmf: tuple[Fraction, ...]
-    cumulative: Fraction = field(init=False)
+    hit_pmf: tuple[Fraction, ...] = field(repr=False)
+    cumulative: Fraction = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.hit_pmf:

@@ -105,6 +105,9 @@ class ExactProbability:
     def __str__(self) -> str:
         return rational_str(self.value)
 
+    def __repr__(self) -> str:
+        return f"ExactProbability({self})"
+
 
 def _as_exact_fraction(x: object, name: str = "x") -> Fraction:
     if isinstance(x, float):

@@ -116,12 +116,7 @@ class OutputRecord:
 
     def to_dict(self) -> dict[str, object]:
         """Field-ordered dict with None entries dropped."""
-        out: dict[str, object] = {}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if v is not None:
-                out[f.name] = v
-        return out
+        return {k: v for k, v in zip(CSV_COLUMNS, _csv_row(self)) if v is not None}
 
 
 CSV_COLUMNS = tuple(f.name for f in fields(OutputRecord))

@@ -44,7 +44,7 @@ from typing import TYPE_CHECKING
 
 from .cost import _FEW_PATHS, _check_beta_shapes, check_path_state
 from .errors import DomainError
-from .exact import UrnConfig, _require_strict_majority
+from .exact import UrnConfig
 from .output import int_str
 
 if TYPE_CHECKING:
@@ -79,13 +79,14 @@ class RngSeed:
 
     def __post_init__(self) -> None:
         # bool is an int subclass: RngSeed(True) would silently act as seed 1
-        seed = self.seed
-        if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed <= _UINT64_MAX:
-            raise DomainError(f"seed must be a 64-bit unsigned int, got {seed!r}")
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
+            raise DomainError(f"seed must be a 64-bit unsigned int, got {self.seed!r}")
+        if not 0 <= self.seed <= _UINT64_MAX:
+            raise DomainError(f"seed must be a 64-bit unsigned int, got {int_str(self.seed)}")
 
     def generator(self, stream: int = 0) -> np.random.Generator:
         if not 0 <= stream <= _UINT64_MAX:
-            raise DomainError(f"stream must be a 64-bit unsigned int, got {stream!r}")
+            raise DomainError(f"stream must be a 64-bit unsigned int, got {int_str(stream)}")
         import numpy as np
 
         return np.random.Generator(np.random.Philox(key=(stream << 64) | self.seed))
@@ -116,7 +117,8 @@ class EstimateWithCI:
         # summation rounding may carry a sum a relative 1e-12 past its bound
         slack = 1 + 1e-12
         if not (0.0 <= self.total_sq <= self.total * slack and self.total <= self.n_samples * slack):
-            raise DomainError(f"need 0 <= total_sq <= total <= n_samples, got {self}")
+            shown = f"n_samples={int_str(self.n_samples)}, total={self.total}, total_sq={self.total_sq}"
+            raise DomainError(f"need 0 <= total_sq <= total <= n_samples, got EstimateWithCI({shown})")
 
     @property
     def p_hat(self) -> float:
@@ -313,14 +315,15 @@ def definetti_estimator(
     The urn's draws are exchangeable, so conditionally on the limiting black
     fraction p the excess performs a biased random walk from b - w, whose
     probability of ever reaching 0 is min(1, ((1-p)/p)^(b-w)).  Averaging
-    that over p ~ Beta(b, w) gives the equalization probability.  It draws
-    from stream 0 of ``seed``.  Raises ``ResourceLimitError`` before any
-    draw when b, and so a Beta shape, is past the float range.
+    that over p ~ Beta(b, w) gives the equalization probability, 1 at b = w
+    and the color-swapped urn's at b < w.  It draws from stream 0 of
+    ``seed``.  Raises ``ResourceLimitError`` before any draw when b or w, a
+    Beta shape, is past the float range.
     """
     import numpy as np
 
     _check_beta_shapes(config)
-    b, w = _require_strict_majority(config, "the de Finetti estimator")
+    b, w = config.black, config.white
     rng = seed.generator()
     total = total_sq = 0.0
     # n_samples < 1 draws nothing and is refused by EstimateWithCI

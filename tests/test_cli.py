@@ -236,6 +236,7 @@ class TestSimulateCommand:
                  "--horizon", "5"),
                 "b + w + horizon - 1",
             ),
+            (("--method", "definetti", "--b", "1", "--w", str(10**400)), "w"),
         ],
     )
     def test_urn_past_the_float_range_is_resource_error(self, capsys, argv, name):
@@ -328,12 +329,23 @@ class TestSimulateCommand:
         proc = run_subprocess("simulate", "--b", "2", "--w", "1", "--samples", "0")
         assert proc.returncode == 2
 
-    def test_definetti_needs_majority(self, capsys):
-        code, _, err = run_cli(
-            capsys, "simulate", "--b", "2", "--w", "2", "--method", "definetti"
+    def test_definetti_answers_a_minority(self, capsys):
+        code, out, err = run_cli(
+            capsys, "simulate", "--b", "3", "--w", "5", "--method", "definetti",
+            "--samples", "100000", "--seed", "3", "--format", "json",
         )
-        assert code == 2
-        assert "black > white" in err
+        assert (code, err) == (0, "")
+        (record,) = json.loads(out)["records"]
+        assert record["reference"] == "0.453125"  # 29/64, the value of (5, 3)
+        assert abs(float(record["z_score"])) < 4
+
+    def test_definetti_answers_a_tie_with_exactly_one(self, capsys):
+        code, out, err = run_cli(
+            capsys, "simulate", "--b", "2", "--w", "2", "--method", "definetti", "--samples", "1000",
+        )
+        assert (code, err) == (0, "")
+        assert " value=1 " in out and " ci_lo=1 ci_hi=1 reference=1 " in out
+        assert "z_score=" not in out and "degenerate CI" in out
 
     def test_definetti_refuses_nonzero_target(self, capsys):
         """The estimator answers target 0 only; any other target is refused, not misreported."""

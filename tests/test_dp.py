@@ -136,6 +136,11 @@ class TestFirstPassageDP:
 
 
 class TestDPTableValidation:
+    def test_repr_names_the_urn_and_target_only(self):
+        """No pmf term in the repr, so a table of huge terms still has one."""
+        table = first_passage_dp(UrnConfig(500001, 500000), 0, 4000)
+        assert repr(table) == "DPTable(config=UrnConfig(black=500001, white=500000), target_diff=0)"
+
     def test_empty_pmf_rejected(self):
         with pytest.raises(DomainError):
             DPTable(UrnConfig(2, 1), 0, ())

@@ -14,11 +14,9 @@ from hypothesis import strategies as st
 from polya_urn import (
     DomainError,
     ExactProbability,
-    RngSeed,
     UrnConfig,
     beta_cdf_rational,
     chernoff_bound,
-    definetti_estimator,
     equalization_probability,
     equalization_probability_binomial,
     equalization_probability_complement,
@@ -62,6 +60,13 @@ class TestDomainTypes:
         for i in range(0, len(den), 1000):
             value = value * 10 ** len(den[i : i + 1000]) + int(den[i : i + 1000])
         assert value == 2**20000
+
+    def test_exact_probability_repr_is_its_rational(self):
+        assert repr(equalization_probability(UrnConfig(5, 3))) == "ExactProbability(29/64)"
+
+    def test_exact_probability_repr_has_no_digit_limit(self):
+        p = equalization_probability(UrnConfig(20000, 3))
+        assert repr(p) == f"ExactProbability({p})" and len(repr(p)) > 6000
 
     def test_exact_probability_range(self):
         with pytest.raises(DomainError):
@@ -190,7 +195,6 @@ class TestEqualizationProbability:
             (equalization_probability_complement, "the complement form"),
             (normal_approximation, "the normal approximation"),
             (chernoff_bound, "the Chernoff bound"),
-            (lambda c: definetti_estimator(c, 10, RngSeed(0)), "the de Finetti estimator"),
         ],
     )
     def test_majority_message_names_the_route(self, route, label):

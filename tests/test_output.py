@@ -13,6 +13,7 @@ import pytest
 from polya_urn import (
     DomainError,
     DPTable,
+    EstimateWithCI,
     ExactProbability,
     ResourceLimitError,
     RngSeed,
@@ -227,6 +228,9 @@ _REFUSED = {
         lambda: estimate_equalization(UrnConfig(_HUGE, 1), 0, 5, 10, RngSeed(0)),
     ),
     "work-ceiling": (ResourceLimitError, lambda: cost.check("exact", UrnConfig(_HUGE, 1))),
+    "seed": (DomainError, lambda: RngSeed(_HUGE)),
+    "stream": (DomainError, lambda: RngSeed(0).generator(_HUGE)),
+    "estimate": (DomainError, lambda: EstimateWithCI(_HUGE, 1.0, 2.0)),
 }
 
 

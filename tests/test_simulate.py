@@ -63,6 +63,10 @@ class TestRngSeed:
         with pytest.raises(DomainError):
             RngSeed(0).generator(2**64)
 
+    def test_a_non_int_seed_is_named_by_its_repr(self):
+        with pytest.raises(DomainError, match=r"^seed must be a 64-bit unsigned int, got True$"):
+            RngSeed(True)
+
     def test_same_key_same_stream(self):
         a = RngSeed(123).generator(7).random(8)
         b = RngSeed(123).generator(7).random(8)
@@ -490,11 +494,17 @@ class TestDefinettiEstimator:
             with pytest.raises(DomainError, match="n_samples must be >= 1"):
                 definetti_estimator(UrnConfig(2, 1), n, SEED)
 
-    def test_requires_majority(self):
-        with pytest.raises(DomainError):
-            definetti_estimator(UrnConfig(2, 2), 100, SEED)
-        with pytest.raises(DomainError):
-            definetti_estimator(UrnConfig(1, 3), 100, SEED)
+    @pytest.mark.parametrize("b, w", [(3, 5), (1, 4), (2, 9), (2, 3)])
+    def test_matches_exact_value_without_a_majority(self, b, w):
+        """The one ruin formula answers b < w too, with the color-swapped urn's value."""
+        config = UrnConfig(b, w)
+        est = definetti_estimator(config, 2 * 10**6, SEED)
+        assert abs(est.z_score(float(equalization_probability(config)))) < 4
+
+    @pytest.mark.parametrize("k", [1, 4, 50])
+    def test_a_tie_estimates_exactly_one(self, k):
+        est = definetti_estimator(UrnConfig(k, k), 1000, SEED)
+        assert est.p_hat == 1.0 and est.degenerate and est.ci95 == (1.0, 1.0)
 
     @pytest.mark.parametrize("b", [2**1024 - 2**970, 2**1100], ids=["2^1024-2^970", "2^1100"])
     def test_b_past_the_float_range_refused_before_any_draw(self, monkeypatch, b):
