@@ -4,7 +4,9 @@ Both start from the coin-toss form: the equalization probability equals
 twice the chance of at most w-1 heads in n = b+w-1 fair tosses.  The normal
 approximation applies the central limit theorem to that binomial tail with
 a continuity correction; the Chernoff form bounds it with the exponential
-large-deviation rate, which is a guaranteed upper bound at every n.
+large-deviation rate, which is a guaranteed upper bound at every n.  Both
+work in floats, so each refuses an n past the float range with
+``ResourceLimitError`` before any float conversion.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Literal, Optional
 
+from .cost import _check_float
 from .errors import DomainError
 from .exact import ExactProbability, UrnConfig, _require_strict_majority
 
@@ -86,6 +89,7 @@ def normal_approximation(
     """
     b, w = _require_strict_majority(config, "the normal approximation")
     n = b + w - 1
+    _check_float("n = b + w - 1", n, "the normal approximation")
     z = (w - 0.5 - n / 2.0) / (math.sqrt(n) / 2.0)
     value = 2.0 * _standard_normal_cdf(z)
     return ApproxResult(min(1.0, value), "approximation", exact_ref)
@@ -107,6 +111,7 @@ def chernoff_bound(
     """
     b, w = _require_strict_majority(config, "the Chernoff bound")
     n = b + w - 1
+    _check_float("n = b + w - 1", n, "the Chernoff bound")
     if w == 1:
         value = 2.0 ** (1 - n)
     else:

@@ -21,7 +21,6 @@ import os
 import sys
 from dataclasses import replace
 from fractions import Fraction
-from functools import cached_property
 from itertools import chain
 from typing import Any, Callable, Iterable, Optional, Sequence, TextIO
 
@@ -92,38 +91,21 @@ def _emit_records(records: Iterable[OutputRecord], fmt: str, output: Optional[st
     _emit(lambda fh: write_records(records, fmt, fh), output)
 
 
-class _Pair:
-    """One (b, w) with the parsed arguments; each closed form is computed at most once.
-
-    ``probability`` is the value of all three forms when ``sweep``'s column
-    recurrence already has it; otherwise each comes from its own function.
-    """
-
-    def __init__(
-        self,
-        config: UrnConfig,
-        args: argparse.Namespace,
-        probability: Optional[ExactProbability] = None,
-    ) -> None:
-        self.config, self.args = config, args
-        if probability is not None:  # fill the cached properties below
-            self.exact = self.binomial = self.complement = probability
-
-    @cached_property
-    def exact(self) -> ExactProbability:
-        return equalization_probability(self.config)
-
-    @cached_property
-    def binomial(self) -> ExactProbability:
-        return equalization_probability_binomial(self.config)
-
-    @cached_property
-    def complement(self) -> ExactProbability:
-        return equalization_probability_complement(self.config)
+def _closed_forms(
+    config: UrnConfig, methods: Iterable[str] = ("exact", "binomial", "complement")
+) -> dict[str, ExactProbability]:
+    """Each of ``methods``' closed form at ``config``, evaluated independently; the
+    functions are looked up at each call, so rebinding a name here reaches every command."""
+    forms = {
+        "exact": equalization_probability,
+        "binomial": equalization_probability_binomial,
+        "complement": equalization_probability_complement,
+    }
+    return {method: forms[method](config) for method in methods}
 
 
-def _record(pair: _Pair, method: str, value: Fraction | float, **fields) -> OutputRecord:
-    """One row for ``pair``; an exact ``value`` also carries its lossless ``num/den``."""
+def _record(config: UrnConfig, method: str, value: Fraction | float, **fields) -> OutputRecord:
+    """One row for ``config``; an exact ``value`` also carries its lossless ``num/den``."""
     # float first: a float fails isinstance(value, Fraction) only through ABCMeta
     if isinstance(value, float):
         text = render_decimal(value)
@@ -132,28 +114,30 @@ def _record(pair: _Pair, method: str, value: Fraction | float, **fields) -> Outp
         num, den, text = rational_parts(value)
         fields["exact"] = f"{num}/{den}"
     return OutputRecord(
-        b=pair.config.black,
-        w=pair.config.white,
-        method=method,  # type: ignore[arg-type]
-        value=text,
-        **fields,
+        config.black, config.white, method, text, **fields  # type: ignore[arg-type]
     )
 
 
-def _dp_row(pair: _Pair, method: str):
-    table = dp_mod.first_passage_dp(pair.config, pair.args.target, pair.args.horizon)
+def _closed_form_row(config: UrnConfig, args: argparse.Namespace, method: str, probability):
+    return _record(config, method, probability.value), probability
+
+
+def _dp_row(config: UrnConfig, args: argparse.Namespace, method: str, probability=None):
+    table = dp_mod.first_passage_dp(config, args.target, args.horizon)
     note = "cumulative P(tau <= horizon)"
     fields = {"target": table.target_diff, "horizon": table.horizon, "note": note}
-    return _record(pair, method, table.cumulative, **fields), table
+    return _record(config, method, table.cumulative, **fields), table
 
 
-def _estimate_row(pair: _Pair, method: str, est: EstimateWithCI, **fields):
+def _estimate_row(
+    config: UrnConfig, args: argparse.Namespace, method: str, est: EstimateWithCI, **fields
+):
     return _record(
-        pair,
+        config,
         method,
         est.p_hat,
-        samples=pair.args.samples,
-        seed=pair.args.seed,
+        samples=args.samples,
+        seed=args.seed,
         std_err=render_decimal(est.std_err),
         ci_lo=render_decimal(est.ci95[0]),
         ci_hi=render_decimal(est.ci95[1]),
@@ -161,35 +145,32 @@ def _estimate_row(pair: _Pair, method: str, est: EstimateWithCI, **fields):
     ), est
 
 
-def _mc_row(pair: _Pair, method: str):
-    args = pair.args
+def _mc_row(config: UrnConfig, args: argparse.Namespace, method: str, probability=None):
     est = estimate_equalization(
-        pair.config, args.target, args.horizon, args.samples, RngSeed(args.seed), args.streams
+        config, args.target, args.horizon, args.samples, RngSeed(args.seed), args.streams
     )
     fields = {"target": args.target, "horizon": args.horizon, "streams": args.streams}
-    return _estimate_row(pair, method, est, **fields)
+    return _estimate_row(config, args, method, est, **fields)
 
 
-def _definetti_row(pair: _Pair, method: str):
-    if pair.args.target != 0:
-        raise DomainError(
-            f"the de Finetti estimator targets 0 only, got --target {pair.args.target}"
-        )
-    est = definetti_estimator(pair.config, pair.args.samples, RngSeed(pair.args.seed))
-    return _estimate_row(pair, method, est)
+def _definetti_row(config: UrnConfig, args: argparse.Namespace, method: str, probability=None):
+    if args.target != 0:
+        raise DomainError(f"the de Finetti estimator targets 0 only, got --target {args.target}")
+    est = definetti_estimator(config, args.samples, RngSeed(args.seed))
+    return _estimate_row(config, args, method, est)
 
 
-def _approx_row(pair: _Pair, method: str):
-    result = _APPROXIMATIONS[method](pair.config, pair.exact)
-    return _record(pair, method, result.value, reference=render_decimal(pair.exact.value)), result
+def _approx_row(config: UrnConfig, args: argparse.Namespace, method: str, probability):
+    result = _APPROXIMATIONS[method](config, probability)
+    reference = render_decimal(probability.value)
+    return _record(config, method, result.value, reference=reference), result
 
 
-# Every method's bare record for one pair (what ``sweep`` prints), with the
+# Every method's bare record for one urn (what ``sweep`` prints), with the
 # library result it came from; the other subcommands add their own fields.
-METHODS: dict[str, Callable[[_Pair, str], tuple[OutputRecord, Any]]] = {
-    "exact": lambda pair, method: (_record(pair, method, pair.exact.value), pair.exact),
-    "binomial": lambda pair, method: (_record(pair, method, pair.binomial.value), pair.binomial),
-    "complement": lambda pair, method: (_record(pair, method, pair.complement.value), pair.complement),
+# Only the closed forms and the approximations read the urn's probability.
+METHODS: dict[str, Callable[..., tuple[OutputRecord, Any]]] = {
+    **dict.fromkeys(("exact", "binomial", "complement"), _closed_form_row),
     "dp": _dp_row,
     "mc": _mc_row,
     "definetti": _definetti_row,
@@ -197,13 +178,13 @@ METHODS: dict[str, Callable[[_Pair, str], tuple[OutputRecord, Any]]] = {
 }
 
 
-def _triple_holds(pair: _Pair) -> bool:
+def _triple_holds(config: UrnConfig, forms: dict[str, ExactProbability]) -> bool:
     """Whether the three closed forms agree; a mismatch is reported on stderr."""
-    if pair.exact == pair.binomial == pair.complement:
+    exact, binomial, complement = forms.values()
+    if exact == binomial == complement:
         return True
     print(
-        f"MISMATCH b={pair.config.black} w={pair.config.white}: "
-        f"{pair.exact} vs {pair.binomial} vs {pair.complement}",
+        f"MISMATCH b={config.black} w={config.white}: {exact} vs {binomial} vs {complement}",
         file=sys.stderr,
     )
     return False
@@ -225,10 +206,10 @@ def _closed_form_notes(config: UrnConfig) -> dict[str, Optional[str]]:
 
 
 def cmd_exact(args: argparse.Namespace) -> int:
-    pair = _Pair(UrnConfig(args.b, args.w), args)
+    config = UrnConfig(args.b, args.w)
     # the closed forms share one estimate, which covers --form all
-    cost.check("exact", pair.config)
-    notes = _closed_form_notes(pair.config)
+    cost.check("exact", config)
+    notes = _closed_form_notes(config)
     if args.form != "all":
         # the theorem form is the "exact" method; each sum form shares its method's name
         method = "exact" if args.form == "theorem" else args.form
@@ -239,17 +220,20 @@ def cmd_exact(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         notes = {"exact": notes["exact"]}
-    elif _triple_holds(pair):
+    forms = _closed_forms(config, notes)
+    if len(forms) == 3:  # --form all at b > w: the rows wait for the cross-check
+        if not _triple_holds(config, forms):
+            return 1
         notes["exact"] = "triple identity verified"
-    else:
-        return 1
-    records = [replace(METHODS[m](pair, m)[0], note=note) for m, note in notes.items()]
+    records = [
+        replace(METHODS[m](config, args, m, forms[m])[0], note=note) for m, note in notes.items()
+    ]
     _emit_records(records, args.format, args.output)
     return 0
 
 
 def cmd_dp(args: argparse.Namespace) -> int:
-    record, table = METHODS["dp"](_Pair(UrnConfig(args.b, args.w), args), "dp")
+    record, table = METHODS["dp"](UrnConfig(args.b, args.w), args, "dp")
     if args.emit_pmf:
         _emit(lambda fh: write_pmf(table.hit_pmf, fh), args.output)
     # the record goes to --output, or to stdout when the pmf took --output
@@ -266,31 +250,33 @@ def cmd_dp(args: argparse.Namespace) -> int:
 _REFERENCE_HORIZON_CAP = 20_000
 
 
-def _reference(pair: _Pair, method: str) -> tuple[Optional[Fraction], str]:
+def _reference(
+    config: UrnConfig, args: argparse.Namespace, method: str
+) -> tuple[Optional[Fraction], str]:
     """``simulate``'s exact reference (None when its route refuses it) and its note."""
     if method == "definetti":
         note = "untruncated estimate of P(tau < infinity); "
         try:
-            cost.check("exact", pair.config)
+            cost.check("exact", config)
         except ResourceLimitError:
             return None, note + "exact reference skipped (work ceiling)"
-        return pair.exact.value, note + "reference is the exact value"
+        return equalization_probability(config).value, note + "reference is the exact value"
     note = "estimates P(tau <= horizon); "
-    if pair.args.horizon > _REFERENCE_HORIZON_CAP:
+    if args.horizon > _REFERENCE_HORIZON_CAP:
         return None, note + f"DP reference skipped (horizon over {_REFERENCE_HORIZON_CAP})"
     try:
-        table = dp_mod.first_passage_dp(pair.config, pair.args.target, pair.args.horizon)
+        table = dp_mod.first_passage_dp(config, args.target, args.horizon)
     except ResourceLimitError:
         return None, note + "DP reference skipped (memory budget)"
     return table.cumulative, note + "reference is the exact DP value"
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    pair = _Pair(UrnConfig(args.b, args.w), args)
+    config = UrnConfig(args.b, args.w)
     method = "mc" if args.method == "direct" else args.method
-    cost.check(method, pair.config, args.horizon, args.samples, args.streams, target=args.target)
-    record, est = METHODS[method](pair, method)
-    reference, note = _reference(pair, method)
+    cost.check(method, config, args.horizon, args.samples, args.streams, target=args.target)
+    record, est = METHODS[method](config, args, method)
+    reference, note = _reference(config, args, method)
     if reference is not None:
         record = replace(record, reference=render_decimal(reference))
         if not est.degenerate:
@@ -304,15 +290,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_approx(args: argparse.Namespace) -> int:
-    pair = _Pair(UrnConfig(args.b, args.w), args)
+    config = UrnConfig(args.b, args.w)
     methods = _APPROXIMATIONS if args.method == "all" else (args.method,)
     # each method's cost and its own b <= w refusal, before the exact reference
     for method in methods:
-        cost.check(method, pair.config)
-        _APPROXIMATIONS[method](pair.config)
+        cost.check(method, config)
+        _APPROXIMATIONS[method](config)
+    reference = equalization_probability(config)
     records = []
     for method in methods:
-        record, result = METHODS[method](pair, method)
+        record, result = METHODS[method](config, args, method, reference)
         note = "guaranteed upper bound" if result.kind == "upper_bound" else result.kind
         if result.rel_error is not None:  # None when the exact value underflows float
             note += f"; rel_error={render_decimal(result.rel_error)}"
@@ -358,8 +345,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         )
     else:
         columns = equalization_sweep(args.b_range, args.w_range)
-    pairs = (_Pair(config, args, probability) for config, probability in columns)
-    rows = ([METHODS[method](pair, method)[0] for method in methods] for pair in pairs)
+    rows = (
+        [METHODS[method](config, args, method, probability)[0] for method in methods]
+        for config, probability in columns
+    )
     _emit_records(chain(next(rows), chain.from_iterable(rows)), args.format, args.output)
     return 0
 
@@ -372,11 +361,12 @@ def cmd_identity_check(args: argparse.Namespace) -> int:
     largest_w = (args.max_total - 1) // 2
     largest = UrnConfig(args.max_total - largest_w, largest_w)
     cost.check("identity-check", largest, pairs=(args.max_total - 1) ** 2 // 4)
-    holds = [
-        _triple_holds(_Pair(UrnConfig(total - w, w), args))
+    configs = (
+        UrnConfig(total - w, w)
         for total in range(3, args.max_total + 1)
         for w in range(1, (total - 1) // 2 + 1)
-    ]
+    )
+    holds = [_triple_holds(config, _closed_forms(config)) for config in configs]
     if not all(holds):
         print(
             f"identity check FAILED for {holds.count(False)} of {len(holds)} pairs",

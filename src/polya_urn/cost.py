@@ -18,12 +18,13 @@ CLI's method names, one integer estimate, and ``check`` refuses with
 ``check_path_state`` is separate: it is the library's check that direct
 simulation can represent its paths, and ``estimate_equalization`` refuses only
 that; likewise ``definetti_estimator`` refuses only Beta shapes that are not
-finite floats (``_check_beta_shapes``); the CLI checks the work too.  Every
-estimate is non-decreasing in b, w, horizon, samples, streams and pairs, and
-so is every representation bound but the urn-size float, which depends on
-the target's reach; that one needs w past 2^1023, which no sweep pair
-(w < b <= 2^63) has.  So one check at a sweep's largest pair, with its pair
-count, covers the whole sweep.
+finite floats (``_check_beta_shapes``), and ``normal_approximation`` and
+``chernoff_bound`` only an n = b + w - 1 that is not (``_check_float``); the
+CLI checks the work too.  Every estimate is non-decreasing in b, w, horizon,
+samples, streams and pairs, and so is every representation bound but the
+urn-size float, which depends on the target's reach; that one needs w past
+2^1023, which no sweep pair (w < b <= 2^63) has.  So one check at a sweep's
+largest pair, with its pair count, covers the whole sweep.
 """
 
 from __future__ import annotations

@@ -31,7 +31,7 @@ from fractions import Fraction
 from . import cost
 from .errors import DomainError
 from .exact import UrnConfig
-from .output import rational_str
+from .output import _dataclass_repr, rational_str
 
 __all__ = ["DPTable", "first_passage_dp"]
 
@@ -49,6 +49,8 @@ class DPTable:
     target_diff: int
     hit_pmf: tuple[Fraction, ...] = field(repr=False)
     cumulative: Fraction = field(init=False, repr=False)
+
+    __repr__ = _dataclass_repr
 
     def __post_init__(self) -> None:
         if not self.hit_pmf:

@@ -34,7 +34,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .errors import DomainError
-from .output import int_str, rational_str
+from .output import _dataclass_repr, int_str, rational_str
 
 __all__ = [
     "UrnConfig",
@@ -61,6 +61,8 @@ class UrnConfig:
 
     black: int
     white: int
+
+    __repr__ = _dataclass_repr
 
     def __post_init__(self) -> None:
         _require_positive_int(self.black, "black")

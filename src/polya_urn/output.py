@@ -57,6 +57,14 @@ def int_str(n: int) -> str:
     return str(decimal.Decimal(n))
 
 
+def _dataclass_repr(obj) -> str:
+    """The repr that ``dataclass`` generates, with each int field rendered by
+    ``int_str``, so that a count past the digit limit still has a repr."""
+    shown = ((f.name, getattr(obj, f.name)) for f in fields(obj) if f.repr)
+    text = ", ".join(f"{name}={int_str(v) if type(v) is int else repr(v)}" for name, v in shown)
+    return f"{type(obj).__qualname__}({text})"
+
+
 def rational_str(value: Fraction) -> str:
     """Render as ``"num/den"``, always with an explicit denominator."""
     num, den, _ = rational_parts(value)
@@ -107,6 +115,8 @@ class OutputRecord:
     reference: Optional[str] = None
     z_score: Optional[str] = None
     note: Optional[str] = None
+
+    __repr__ = _dataclass_repr
 
     def __post_init__(self) -> None:
         if self.method not in _METHODS:

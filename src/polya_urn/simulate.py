@@ -42,10 +42,10 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .cost import _FEW_PATHS, _check_beta_shapes, check_path_state
+from .cost import _FEW_PATHS, _check_beta_shapes, _check_float, check_path_state
 from .errors import DomainError
 from .exact import UrnConfig
-from .output import int_str
+from .output import _dataclass_repr, int_str
 
 if TYPE_CHECKING:
     import numpy as np
@@ -105,20 +105,25 @@ class EstimateWithCI:
     size total^2 / total_sq (0 when every v is 0), below which a few draws
     carry the mean and the standard error means nothing.  Values in [0, 1]
     give 0 <= total_sq <= total <= n, so std_err^2 <= p_hat(1-p_hat)/(n-1).
+    An n past the float range, which ``p_hat`` could not divide by, is
+    refused with ``ResourceLimitError``.
     """
 
     n_samples: int
     total: float
     total_sq: float
 
+    __repr__ = _dataclass_repr
+
     def __post_init__(self) -> None:
         if self.n_samples < 1:
             raise DomainError(f"n_samples must be >= 1, got {int_str(self.n_samples)}")
-        # summation rounding may carry a sum a relative 1e-12 past its bound
+        # summation rounding may carry a sum a relative 1e-12 past its bound;
+        # an int compares exactly with a float, so n is not converted
         slack = 1 + 1e-12
-        if not (0.0 <= self.total_sq <= self.total * slack and self.total <= self.n_samples * slack):
-            shown = f"n_samples={int_str(self.n_samples)}, total={self.total}, total_sq={self.total_sq}"
-            raise DomainError(f"need 0 <= total_sq <= total <= n_samples, got EstimateWithCI({shown})")
+        if not 0.0 <= self.total_sq <= self.total * slack or self.total / slack > self.n_samples:
+            raise DomainError(f"need 0 <= total_sq <= total <= n_samples, got {self!r}")
+        _check_float("n_samples", self.n_samples, "a Monte Carlo estimate")
 
     @property
     def p_hat(self) -> float:

@@ -2,7 +2,7 @@
 
 Each criterion gets a PASS/FAIL line in the terminal summary (see
 conftest.py).  Stated runtime ceilings are asserted with a monotonic clock
-around the criterion body.
+around the criterion body; those tests carry the ``timing`` marker.
 """
 
 import subprocess
@@ -10,6 +10,7 @@ import sys
 import time
 from fractions import Fraction
 
+import pytest
 
 from polya_urn import (
     RngSeed,
@@ -54,6 +55,7 @@ def first_hit_step(draws: str, start_excess: int, target: int) -> int | None:
     return None
 
 
+@pytest.mark.timing
 def test_criterion_01_triple_identity():
     """All three closed forms agree exactly for 3,540 pairs with b+w <= 120."""
     start = time.monotonic()
@@ -91,6 +93,7 @@ def test_criterion_02_small_exact_values():
         assert expected - c400 < Fraction(1, 100)
 
 
+@pytest.mark.timing
 def test_criterion_03_dp_vs_enumeration():
     """DP and sequence enumeration agree exactly, b+w <= 6, horizons <= 14."""
     start = time.monotonic()
@@ -108,6 +111,7 @@ def test_criterion_03_dp_vs_enumeration():
     assert time.monotonic() - start < 60.0
 
 
+@pytest.mark.timing
 def test_criterion_04_exchangeability():
     """Order never matters, and each length's probabilities sum to 1."""
     start = time.monotonic()
@@ -138,6 +142,7 @@ def test_criterion_05_martingale():
             assert mean == expected
 
 
+@pytest.mark.timing
 def test_criterion_06_convergence_from_below():
     """DP cumulative sits below the exact value with a shrinking gap."""
     start = time.monotonic()
@@ -157,6 +162,7 @@ def test_criterion_06_convergence_from_below():
     assert time.monotonic() - start < 120.0
 
 
+@pytest.mark.timing
 def test_criterion_07_mc_agreement():
     """Direct MC (1e6 paths, horizon 200) within 4 sigma of the DP value."""
     start = time.monotonic()
@@ -168,6 +174,7 @@ def test_criterion_07_mc_agreement():
     assert time.monotonic() - start < 120.0
 
 
+@pytest.mark.timing
 def test_criterion_08_definetti_agreement():
     """Mixture estimator (1e6 draws) within 4 sigma of the exact value."""
     start = time.monotonic()

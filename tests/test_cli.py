@@ -766,6 +766,47 @@ def test_no_option_is_added():
     ]
 
 
+_FORMS = (
+    "equalization_probability",
+    "equalization_probability_binomial",
+    "equalization_probability_complement",
+)
+
+
+@pytest.mark.parametrize(
+    "argv, calls",
+    [
+        (("exact", "--b", "7", "--w", "3"), (1, 0, 0)),
+        (("exact", "--b", "7", "--w", "3", "--form", "all"), (1, 1, 1)),
+        (("approx", "--b", "7", "--w", "3", "--method", "all"), (1, 0, 0)),
+        (("simulate", "--b", "7", "--w", "3", "--method", "definetti", "--samples", "9"),
+         (1, 0, 0)),
+        # (12 - 1)^2 // 4 = 30 pairs
+        (("identity-check", "--max-total", "12"), (30, 30, 30)),
+    ],
+    ids=["exact", "exact-all", "approx-all", "simulate-definetti", "identity-check"],
+)
+def test_each_closed_form_is_evaluated_at_most_once_per_pair(capsys, monkeypatch, argv, calls):
+    """A command evaluates a closed form only where it prints or checks it;
+    ``sweep`` evaluates none (``test_closed_forms_come_from_the_column_recurrence``)."""
+    counts = dict.fromkeys(_FORMS, 0)
+
+    def counted(name):
+        form = getattr(cli, name)
+
+        def call(config):
+            counts[name] += 1
+            return form(config)
+
+        return call
+
+    for name in _FORMS:
+        monkeypatch.setattr(cli, name, counted(name))
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert tuple(counts.values()) == calls
+
+
 class TestOutputHygiene:
     def test_data_on_stdout_only(self, capsys):
         _, out, err = run_cli(capsys, "exact", "--b", "4", "--w", "1")

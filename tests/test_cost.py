@@ -31,6 +31,7 @@ _OVER_THE_CEILING = [
 ]
 
 
+@pytest.mark.timing
 @pytest.mark.parametrize("argv", _OVER_THE_CEILING, ids=" ".join)
 def test_refused_at_once_naming_estimate_and_ceiling(capsys, argv):
     start = time.perf_counter()

@@ -94,6 +94,7 @@ class TestFirstPassageDP:
         assert table.hit_pmf == (Fraction(0),) * 11
         assert table.cumulative == 0
 
+    @pytest.mark.timing
     def test_far_target_long_horizon_is_fast(self):
         """An unreachable target at a 2e6 horizon validates its zeros in under 3 s."""
         start = time.monotonic()
@@ -101,6 +102,7 @@ class TestFirstPassageDP:
         assert table.cumulative == 0
         assert time.monotonic() - start < 3.0
 
+    @pytest.mark.timing
     def test_large_urn_pmf_is_fast(self):
         """The pmf of a million-ball urn to horizon 4000 takes well under 3 s."""
         start = time.monotonic()

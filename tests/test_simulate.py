@@ -568,6 +568,7 @@ class TestDefinettiEstimator:
         z = (est.p_hat - values.mean()) / math.hypot(est.std_err, oracle_se)
         assert abs(z) < 4
 
+    @pytest.mark.timing
     def test_cost_does_not_grow_with_urn_size(self):
         """10^5 samples at b + w = 8000; order statistics would draw 8*10^8 uniforms."""
         start = time.monotonic()
