@@ -4,14 +4,15 @@ Subcommands: ``exact``, ``dp``, ``simulate``, ``approx``, ``sweep``, and
 ``identity-check``.  Data goes to stdout (or ``--output``); diagnostics and
 errors go to stderr; the exit code is 0 exactly when no error occurred.
 
-Every subcommand with ``--format`` streams its data through
-``output.write_records``, or ``output.write_pmf`` for ``dp --emit-pmf``, so
-each format is switched in one place.  ``sweep`` writes each row as soon as
-it is built; it takes its closed forms from ``exact.equalization_sweep``,
-which carries one head sum down each w column by Pascal's rule (by symmetry
-it is the value of all three forms), and builds none when its methods read
-none.  ``exact --form all`` and ``identity-check`` evaluate the three closed
-forms independently, since cross-checking them is their job.
+Every subcommand with ``--format`` streams its data through ``output``'s
+block writer, or ``output.write_pmf`` for ``dp --emit-pmf``, so each format is
+switched in one place.  ``sweep`` writes each pair's rows together, with one
+write, as soon as the pair is built; it takes its closed forms from
+``exact.equalization_sweep``, which carries one head sum down each w column
+by Pascal's rule (by symmetry it is the value of all three forms), and builds
+none when its methods read none.  ``exact --form all`` and ``identity-check``
+evaluate the three closed forms independently, since cross-checking them is
+their job.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Any, Callable, Iterable, Optional, Sequence, TextIO
 
 from . import cost
 from . import dp as dp_mod
-from .approx import chernoff_bound, normal_approximation
+from .approx import ApproxResult, chernoff_bound, normal_approximation
 from .errors import DomainError, PolyaUrnError, ResourceLimitError
 from .exact import (
     ExactProbability,
@@ -37,7 +38,7 @@ from .exact import (
     equalization_sweep,
 )
 from .output import (
-    OutputRecord, int_str, rational_parts, render_decimal, write_pmf, write_records
+    OutputRecord, _write_blocks, int_str, rational_parts, render_decimal, write_pmf
 )
 from .simulate import EstimateWithCI, RngSeed, definetti_estimator, estimate_equalization
 
@@ -46,7 +47,7 @@ from .simulate import EstimateWithCI, RngSeed, definetti_estimator, estimate_equ
 _MIN_EFFECTIVE_SAMPLES = 10
 
 # the methods ``approx --method all`` reports, in order
-_APPROXIMATIONS = {"normal": normal_approximation, "chernoff": chernoff_bound}
+_APPROXIMATIONS = ("normal", "chernoff")
 
 
 def _positive_int(text: str) -> int:
@@ -87,8 +88,8 @@ def _emit(write: Callable[[TextIO], Any], output: Optional[str]) -> None:
             raise PolyaUrnError(f"--output: {exc}") from exc
 
 
-def _emit_records(records: Iterable[OutputRecord], fmt: str, output: Optional[str]) -> None:
-    _emit(lambda fh: write_records(records, fmt, fh), output)
+def _emit_records(records: list[OutputRecord], fmt: str, output: Optional[str]) -> None:
+    _emit(lambda fh: _write_blocks([records], fmt, fh), output)
 
 
 def _closed_forms(
@@ -102,6 +103,15 @@ def _closed_forms(
         "complement": equalization_probability_complement,
     }
     return {method: forms[method](config) for method in methods}
+
+
+def _approximate(
+    method: str, config: UrnConfig, reference: Optional[ExactProbability] = None
+) -> ApproxResult:
+    """``method``'s approximation at ``config``; the functions are looked up at
+    each call, as in ``_closed_forms``."""
+    approximations = {"normal": normal_approximation, "chernoff": chernoff_bound}
+    return approximations[method](config, reference)
 
 
 def _record(config: UrnConfig, method: str, value: Fraction | float, **fields) -> OutputRecord:
@@ -161,7 +171,7 @@ def _definetti_row(config: UrnConfig, args: argparse.Namespace, method: str, pro
 
 
 def _approx_row(config: UrnConfig, args: argparse.Namespace, method: str, probability):
-    result = _APPROXIMATIONS[method](config, probability)
+    result = _approximate(method, config, probability)
     reference = render_decimal(probability.value)
     return _record(config, method, result.value, reference=reference), result
 
@@ -295,7 +305,7 @@ def cmd_approx(args: argparse.Namespace) -> int:
     # each method's cost and its own b <= w refusal, before the exact reference
     for method in methods:
         cost.check(method, config)
-        _APPROXIMATIONS[method](config)
+        _approximate(method, config)
     reference = equalization_probability(config)
     records = []
     for method in methods:
@@ -349,7 +359,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         [METHODS[method](config, args, method, probability)[0] for method in methods]
         for config, probability in columns
     )
-    _emit_records(chain(next(rows), chain.from_iterable(rows)), args.format, args.output)
+    blocks = chain([next(rows)], rows)
+    _emit(lambda fh: _write_blocks(blocks, args.format, fh), args.output)
     return 0
 
 

@@ -84,8 +84,9 @@ _SAMPLE = 250
 # rationals, 0.01 ns per n^2.  _RECORD is the rows of one pair, charged once
 # per pair by ``_closed_forms``, which writes one row per method, and once
 # per form by ``identity-check``: the grid workload's five rows a pair
-# (three closed forms, normal and Chernoff, written as CSV) took 35-40 us a
-# pair, its sweep step included, so 50 us leaves room to spare.
+# (three closed forms, normal and Chernoff, written as CSV with one write a
+# pair) took 32-34 us a pair at best in process, its sweep step included,
+# so 50 us leaves room to spare.
 _RECORD = 50_000
 
 
@@ -162,7 +163,13 @@ def check(
 ) -> None:
     """Refuse with ``ResourceLimitError``, before any work, a run of ``method``
     over its limit, or whose Monte Carlo state cannot be represented: direct
-    simulation's paths to ``target``, or de Finetti's Beta(b, w) shapes."""
+    simulation's paths to ``target``, or de Finetti's Beta(b, w) shapes.
+    Samples or streams below 1 and a negative horizon are refused first, with
+    ``DomainError``."""
+    counts = (("samples", samples, 1), ("streams", streams, 1), ("horizon", horizon, 0))
+    for name, value, least in counts:
+        if value < least:
+            raise DomainError(f"{name} must be >= {least}, got {int_str(value)}")
     if method == "mc":
         check_path_state(config, target, horizon, -(-samples // streams))
     elif method == "definetti":

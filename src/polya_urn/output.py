@@ -6,8 +6,11 @@ half-even, so emitted files are stable golden data.  ``write_records``
 writes records as CSV (UTF-8, a header row, LF line endings), JSON (one
 object with a ``records`` array that validates against the schema shipped
 in ``schemas/``) or text (one ``key=value`` line per record); ``write_pmf``
-writes a first-passage pmf as CSV.  Both write one row at a time, so a long
-table never sits in memory.
+writes a first-passage pmf as CSV.  Both write each row with one write, so
+a long table never sits in memory; the CLI writes a block of rows at a time
+(``sweep`` one pair's), also with one write.  Every CSV line is joined here;
+the ``csv`` module renders only a block that holds a field which needs
+quoting.
 """
 
 from __future__ import annotations
@@ -15,12 +18,13 @@ from __future__ import annotations
 import csv
 import decimal
 import functools
+import io
 import json
 import operator
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from importlib import resources
-from typing import Iterable, Literal, Optional, TextIO, get_args
+from typing import Iterable, Literal, Optional, Sequence, TextIO, get_args
 
 __all__ = [
     "Method",
@@ -133,6 +137,59 @@ CSV_COLUMNS = tuple(f.name for f in fields(OutputRecord))
 _csv_row = operator.attrgetter(*CSV_COLUMNS)
 
 
+def _csv_lines(rows: Sequence[Sequence]) -> str:
+    """``rows``, each of at least two fields, as the CSV lines that
+    ``csv.writer(lineterminator="\\n")`` writes, ints rendered in full.
+
+    A line is its fields joined by commas, None as an empty field and any
+    other field as its str().  A block holding a quote, a carriage return, or
+    more commas or newlines than its separators and line ends is rendered by
+    ``csv.writer`` instead, which stays the authority on quoting, and so is a
+    block with an int past ``str``'s digit limit.
+    """
+    try:
+        text = "".join([
+            ",".join(["" if f is None else f if type(f) is str else str(f) for f in row]) + "\n"
+            for row in rows
+        ])
+    except ValueError:  # an int past str()'s digit limit
+        text = None
+    if text is None or '"' in text or "\r" in text or text.count("\n") > len(rows) or (
+        text.count(",") > sum(map(len, rows)) - len(rows)
+    ):
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(
+            [int_str(f) if type(f) is int else f for f in row] for row in rows
+        )
+        text = buf.getvalue()
+    return text
+
+
+def _write_blocks(blocks: Iterable[Sequence[OutputRecord]], fmt: str, stream: TextIO) -> None:
+    """Write the records of ``blocks`` as ``write_records`` does, each block with
+    one write, after the header (csv) or the opening (json) is written on its own."""
+    if fmt == "csv":
+        stream.write(_csv_lines([CSV_COLUMNS]))
+        for block in blocks:
+            stream.write(_csv_lines(list(map(_csv_row, block))))
+    elif fmt == "json":
+        stream.write('{\n  "records": [')
+        # json.dumps writes an empty array as "[]"
+        separator, closing = "\n    ", "]\n}\n"
+        for block in blocks:
+            text = ""
+            for rec in block:
+                text += separator + json.dumps(rec.to_dict(), indent=2).replace("\n", "\n    ")
+                separator, closing = ",\n    ", "\n  ]\n}\n"
+            stream.write(text)
+        stream.write(closing)
+    else:
+        for block in blocks:
+            stream.write("".join([
+                " ".join(f"{k}={v}" for k, v in rec.to_dict().items()) + "\n" for rec in block
+            ]))
+
+
 def write_records(records: Iterable[OutputRecord], fmt: str, stream: TextIO) -> None:
     """Write ``records`` to ``stream`` as ``fmt`` (csv, json or text), one at a time.
 
@@ -140,22 +197,7 @@ def write_records(records: Iterable[OutputRecord], fmt: str, stream: TextIO) -> 
     JSON output is byte-identical to ``json.dumps({"records": [...]}, indent=2)``
     plus a final newline.
     """
-    if fmt == "csv":
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        # csv writes None as an empty field and an int as its str()
-        writer.writerows(map(_csv_row, records))
-    elif fmt == "json":
-        stream.write('{\n  "records": [')
-        # json.dumps writes an empty array as "[]"
-        separator, closing = "\n    ", "]\n}\n"
-        for rec in records:
-            stream.write(separator + json.dumps(rec.to_dict(), indent=2).replace("\n", "\n    "))
-            separator, closing = ",\n    ", "\n  ]\n}\n"
-        stream.write(closing)
-    else:
-        for rec in records:
-            stream.write(" ".join(f"{k}={v}" for k, v in rec.to_dict().items()) + "\n")
+    _write_blocks(([rec] for rec in records), fmt, stream)
 
 
 def write_pmf(hit_pmf: Iterable[Fraction], stream: TextIO) -> None:
@@ -164,9 +206,9 @@ def write_pmf(hit_pmf: Iterable[Fraction], stream: TextIO) -> None:
     The columns are ``n``, the lossless numerator and denominator, and the
     15-digit decimal.
     """
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(("n", "p_tau_n_num", "p_tau_n_den", "p_tau_n_decimal"))
-    writer.writerows((n, *rational_parts(p)) for n, p in enumerate(hit_pmf))
+    stream.write(_csv_lines([("n", "p_tau_n_num", "p_tau_n_den", "p_tau_n_decimal")]))
+    for n, p in enumerate(hit_pmf):
+        stream.write(_csv_lines([(n, *rational_parts(p))]))
 
 
 def load_output_schema() -> dict:

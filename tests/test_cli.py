@@ -18,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polya_urn import (
+    ApproxResult,
     ExactProbability,
     UrnConfig,
     cli,
@@ -421,6 +422,24 @@ class TestApproxCommand:
             f"error: the normal approximation requires black > white, got black={b}, white={w}\n"
         )
 
+    def test_rebinding_an_approximation_reaches_every_row(self, capsys, monkeypatch):
+        """The approximations are looked up at each call, as the closed forms are,
+        so a rebound name reaches both the ``approx`` and the ``sweep`` rows."""
+
+        def bound(config, exact_ref=None):
+            return ApproxResult(0.75, "upper_bound", exact_ref)
+
+        monkeypatch.setattr(cli, "chernoff_bound", bound)
+        code, out, _ = run_cli(capsys, "approx", "--b", "5", "--w", "3", "--method", "chernoff")
+        assert code == 0 and out.startswith("b=5 w=3 method=chernoff value=0.75 ")
+        code, out, _ = run_cli(
+            capsys, "sweep", "--b-range", "3:4", "--w-range", "1:2", "--methods", "chernoff,normal"
+        )
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [r["value"] for r in rows if r["method"] == "chernoff"] == ["0.75"] * 4
+        assert "0.75" not in {r["value"] for r in rows if r["method"] == "normal"}
+
     def test_exact_value_below_float_range(self):
         proc = run_subprocess("approx", "--b", "2000", "--w", "1", "--method", "normal")
         assert proc.returncode == 0
@@ -611,6 +630,58 @@ class TestSweepCommand:
             [f"b={b}", f"w={w}", f"method={m}"]
             for b in (2**63, 2**63 + 1) for w in (1, 2) for m in ("definetti", "dp")
         ]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json", "text"])
+    def test_each_pair_is_one_write_before_the_next_pair_is_built(self, monkeypatch, fmt):
+        """Past the header (csv) or the opening and closing (json), each write holds
+        exactly one pair's rows, and is made before the next pair is built; the
+        first pair is built before anything is written."""
+        events = []
+
+        class WriteLog(io.StringIO):
+            def write(self, text):
+                events.append(("write", text))
+                return super().write(text)
+
+        def recorded(*ranges, sweep=cli.equalization_sweep):
+            for config, probability in sweep(*ranges):
+                events.append(("built", (config.black, config.white)))
+                yield config, probability
+
+        monkeypatch.setattr(cli, "equalization_sweep", recorded)
+        monkeypatch.setattr(sys, "stdout", WriteLog())
+        argv = ["sweep", "--b-range", "2:12", "--w-range", "1:11", "--methods", "exact,normal"]
+        assert main([*argv, "--format", fmt]) == 0
+        pairs = [item for kind, item in events if kind == "built"]
+        assert len(pairs) == 66
+        # the writes after each pair is built, up to the next pair
+        writes = []
+        for kind, item in events:
+            if kind == "built":
+                writes.append([])
+            else:
+                writes[-1].append(item)
+        opening = {"csv": 1, "json": 1, "text": 0}[fmt]
+        closing = {"csv": 0, "json": 1, "text": 0}[fmt]
+        framing = writes[0][:opening] + writes[-1][len(writes[-1]) - closing:]
+        writes[0], writes[-1] = writes[0][opening:], writes[-1][:len(writes[-1]) - closing]
+        assert [len(w) for w in writes] == [1] * len(pairs)
+        assert framing == {
+            "csv": [",".join(output.CSV_COLUMNS) + "\n"],
+            "json": ['{\n  "records": [', "\n  ]\n}\n"],
+            "text": [],
+        }[fmt]
+
+        def rows(text):
+            if fmt == "csv":
+                return [tuple(row[:3]) for row in csv.reader(io.StringIO(text))]
+            if fmt == "json":
+                records = json.loads("[" + text.lstrip(",") + "]")
+                return [(str(r["b"]), str(r["w"]), r["method"]) for r in records]
+            return [tuple(f.split("=")[1] for f in line.split()[:3]) for line in text.splitlines()]
+
+        for (b, w), [text] in zip(pairs, writes):
+            assert rows(text) == [(str(b), str(w), "exact"), (str(b), str(w), "normal")]
 
     def test_closed_forms_come_from_the_column_recurrence(self, capsys, monkeypatch):
         """``sweep`` never calls the per-pair closed forms; the cross-checking routes do."""

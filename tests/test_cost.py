@@ -7,7 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from polya_urn import ResourceLimitError, RngSeed, UrnConfig, cost, estimate_equalization, simulate
+from polya_urn import (
+    DomainError, ResourceLimitError, RngSeed, UrnConfig, cost, estimate_equalization, simulate
+)
 from polya_urn.cli import METHODS, main
 
 _B = str(2**63)
@@ -129,3 +131,23 @@ def test_reference_reads_the_limits_at_call_time(monkeypatch, capsys, limit, val
     out = capsys.readouterr().out
     assert code == 0
     assert note in out and "reference=" not in out
+
+
+@pytest.mark.parametrize(
+    "horizon, samples, streams, message",
+    [
+        (10, 0, 1, "samples must be >= 1, got 0"),
+        (10, 1, 0, "streams must be >= 1, got 0"),
+        (-5, 10, 1, "horizon must be >= 0, got -5"),
+    ],
+)
+def test_check_refuses_counts_out_of_range(monkeypatch, horizon, samples, streams, message):
+    """Each is refused by name before any estimate: the first two once divided by
+    zero, and the negative horizon passed."""
+
+    def estimated(*args):
+        raise AssertionError("estimated")
+
+    monkeypatch.setattr(cost, "estimate", estimated)
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        cost.check("mc", UrnConfig(2, 1), horizon, samples, streams)

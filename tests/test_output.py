@@ -1,14 +1,20 @@
 """Tests for record rendering: decimal policy, round-trips, validation, the
-two stream writers, ``write_records`` and ``write_pmf``, and the package's
-refusals, which render their numbers here at any size."""
+two stream writers, ``write_records`` and ``write_pmf``, the block writer
+behind them, and the package's refusals, which render their numbers here at
+any size."""
 
+import contextlib
 import csv
 import io
 import json
+import sys
 from dataclasses import replace
 from fractions import Fraction
+from typing import get_args
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from polya_urn import (
     DomainError,
@@ -25,7 +31,9 @@ from polya_urn import (
 )
 from polya_urn.output import (
     CSV_COLUMNS,
+    Method,
     OutputRecord,
+    _write_blocks,
     int_str,
     rational_str,
     render_decimal,
@@ -208,6 +216,97 @@ class TestPmfWriter:
 
         write_pmf(pmf(), buf)
         assert seen[0] < seen[1] < seen[2] < len(buf.getvalue())
+
+
+class WriteLog(io.StringIO):
+    """A text stream that also keeps each write it is given."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.writes: list[str] = []
+
+    def write(self, text: str) -> int:
+        self.writes.append(text)
+        return super().write(text)
+
+
+@contextlib.contextmanager
+def _unlimited_int_digits():
+    """Let ``str(int)``, and so ``csv.writer``, render every digit for the block."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _csv_writer_text(rows) -> str:
+    """``rows`` as ``csv.writer`` writes them, every int in full."""
+    buf = io.StringIO()
+    with _unlimited_int_digits():
+        csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+# every character that can make csv quote a field, and some that cannot; half
+# the fields hold none of the first kind, so that one such field can be alone
+_TEXT = st.text(alphabet=" 0123456789", max_size=4) | st.text(',"\r\n 0123456789', max_size=6)
+# some past the 4,300 digits that ``str(int)`` renders by default
+_INTS = st.integers() | st.integers(10**4300, 10**4400) | st.integers(-(10**4400), -(10**4300))
+_EXACT_METHODS = ("exact", "binomial", "complement", "dp")
+
+
+@st.composite
+def _records(draw) -> OutputRecord:
+    method = draw(st.sampled_from(get_args(Method)))
+    fields = {
+        name: draw(st.none() | _TEXT)
+        for name in ("exact", "std_err", "ci_lo", "ci_hi", "reference", "z_score", "note")
+    }
+    if method in _EXACT_METHODS:
+        fields["exact"] = draw(_TEXT.filter(bool))
+    for name in ("target", "horizon", "samples", "seed", "streams"):
+        fields[name] = draw(st.none() | _INTS)
+    return OutputRecord(draw(_INTS), draw(_INTS), method, draw(_TEXT), **fields)
+
+
+class TestCsvRenderer:
+    """Every CSV line is joined by ``output`` itself; ``csv.writer`` is the oracle."""
+
+    @given(records=st.lists(_records(), max_size=8), cuts=st.lists(st.integers(0, 8)))
+    @example(records=[_RECORDS[1]], cuts=[])
+    @example(records=[replace(_RECORDS[0], note="a,b")], cuts=[])
+    @example(records=[replace(_RECORDS[0], note="a\nb")], cuts=[])
+    @example(records=[replace(_RECORDS[0], note="a\rb")], cuts=[])
+    @example(records=[replace(_RECORDS[0], note='"')], cuts=[])
+    @example(records=[replace(_RECORDS[0], b=10**5000)], cuts=[])
+    @settings(max_examples=200, deadline=None)
+    def test_each_block_is_one_write_of_csv_writer_lines(self, records, cuts):
+        bounds = [0, *sorted(min(cut, len(records)) for cut in cuts), len(records)]
+        blocks = [records[i:j] for i, j in zip(bounds, bounds[1:])]
+        stream = WriteLog()
+        _write_blocks(blocks, "csv", stream)
+        assert stream.writes == [
+            _csv_writer_text([CSV_COLUMNS]),
+            *(_csv_writer_text([getattr(r, c) for c in CSV_COLUMNS] for r in b) for b in blocks),
+        ]
+
+    @given(
+        pmf=st.lists(
+            st.builds(Fraction, _INTS, st.integers(1, 10**4400) | st.integers(1, 10**6)),
+            max_size=6,
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_pmf_rows_are_csv_writer_lines(self, pmf):
+        stream = WriteLog()
+        write_pmf(pmf, stream)
+        rows = [(n, p.numerator, p.denominator, render_decimal(p)) for n, p in enumerate(pmf)]
+        assert stream.writes == [
+            _csv_writer_text([("n", "p_tau_n_num", "p_tau_n_den", "p_tau_n_decimal")]),
+            *(_csv_writer_text([row]) for row in rows),
+        ]
 
 
 # past the 4,300 digits that ``str(int)`` renders by default
