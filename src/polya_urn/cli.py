@@ -13,6 +13,10 @@ by Pascal's rule (by symmetry it is the value of all three forms), and builds
 none when its methods read none.  ``exact --form all`` and ``identity-check``
 evaluate the three closed forms independently, since cross-checking them is
 their job.
+
+A ``sweep`` whose cost estimate is over about 0.1 s uses the CPUs in its
+affinity mask (``split``), with output byte-identical to one process's;
+``taskset -c 0 polya-urn sweep ...`` runs it on one CPU.
 """
 
 from __future__ import annotations
@@ -22,8 +26,8 @@ import os
 import sys
 from dataclasses import replace
 from fractions import Fraction
-from itertools import chain
-from typing import Any, Callable, Iterable, Optional, Sequence, TextIO
+from itertools import chain, islice
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, TextIO
 
 from . import cost
 from . import dp as dp_mod
@@ -38,7 +42,13 @@ from .exact import (
     equalization_sweep,
 )
 from .output import (
-    OutputRecord, _write_blocks, int_str, rational_parts, render_decimal, write_pmf
+    OutputRecord,
+    _render_blocks,
+    _write_blocks,
+    int_str,
+    rational_parts,
+    render_decimal,
+    write_pmf,
 )
 from .simulate import EstimateWithCI, RngSeed, definetti_estimator, estimate_equalization
 
@@ -318,13 +328,23 @@ def cmd_approx(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep_pair_count(b_range: tuple[int, int], w_range: tuple[int, int]) -> int:
-    """How many (b, w) in the ranges have w < b, counted without listing them."""
-    (b_lo, b_hi), (w_lo, w_hi) = b_range, w_range
-    # w < b_lo pairs with every b; b_lo <= w < b_hi with the b_hi - w values of b above w
-    below = max(0, min(w_hi, b_lo - 1) - w_lo + 1) * (b_hi - b_lo + 1)
-    lo, hi = max(w_lo, b_lo), min(w_hi, b_hi - 1)
-    return below + (max(0, hi - lo + 1) * (2 * b_hi - lo - hi)) // 2
+def _sweep_blocks(
+    args: argparse.Namespace, methods: list[str], b_range: tuple[int, int]
+) -> Iterator[list[OutputRecord]]:
+    """Each pair's rows over ``b_range`` and the sweep's w range, in b-major
+    order, each pair built when the previous one's rows are taken."""
+    if {"dp", "mc", "definetti"}.issuperset(methods):
+        # no row reads a closed form, so the pairs get none, in the same order
+        (b_lo, b_hi), (w_lo, w_hi) = b_range, args.w_range
+        columns = (
+            (UrnConfig(b, w), None)
+            for b in range(b_lo, b_hi + 1)
+            for w in range(w_lo, min(w_hi, b - 1) + 1)
+        )
+    else:
+        columns = equalization_sweep(b_range, args.w_range)
+    for config, probability in columns:
+        yield [METHODS[method](config, args, method, probability)[0] for method in methods]
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -334,8 +354,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     unknown = [m for m in methods if m not in METHODS]
     if unknown:
         raise DomainError(f"unknown methods: {', '.join(unknown)}")
+    # imported here, since no other subcommand needs it
+    from . import split
+
     (b_lo, b_hi), (w_lo, w_hi) = args.b_range, args.w_range
-    count = _sweep_pair_count(args.b_range, args.w_range)
+    count = split.pair_count(args.b_range, args.w_range)
     skipped = (b_hi - b_lo + 1) * (w_hi - w_lo + 1) - count
     if skipped:
         print(f"# skipped {int_str(skipped)} (b, w) pair(s): sweep requires w < b", file=sys.stderr)
@@ -345,22 +368,25 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # cost here, at the largest pair, which bounds every other, over all the
     # pairs, and the per-method domain checks on the first pair.
     largest = UrnConfig(b_hi, min(w_hi, b_hi - 1))
+    sizes = (args.horizon, args.samples, args.streams, count)
     for method in methods:
-        cost.check(method, largest, args.horizon, args.samples, args.streams, count, args.target)
-    if {"dp", "mc", "definetti"}.issuperset(methods):
-        # no row reads a closed form, so the pairs get none, in the same order
-        b_values = range(b_lo, b_hi + 1)
-        columns = (
-            (UrnConfig(b, w), None) for b in b_values for w in range(w_lo, min(w_hi, b - 1) + 1)
-        )
-    else:
-        columns = equalization_sweep(args.b_range, args.w_range)
-    rows = (
-        [METHODS[method](config, args, method, probability)[0] for method in methods]
-        for config, probability in columns
-    )
-    blocks = chain([next(rows)], rows)
-    _emit(lambda fh: _write_blocks(blocks, args.format, fh), args.output)
+        cost.check(method, largest, *sizes, args.target)
+    blocks = _sweep_blocks(args, methods, args.b_range)
+    first = next(blocks)
+    # dp's estimate is bytes of memory, not work; its time is not modelled
+    work = sum(cost.estimate(m, largest, *sizes) for m in methods if m != "dp")
+    slices, cpus = split.plan(first, args.format, largest, args.b_range, args.w_range, count, work)
+    own = chain([first], blocks)
+    if len(slices) > 1:
+        # the first slice goes on from the first pair's walk over the whole range
+        own = islice(own, split.pair_count(slices[0], args.w_range))
+
+    def render(b_range: tuple[int, int]) -> Iterable[str]:
+        if b_range == slices[0]:
+            return _render_blocks(own, args.format)
+        return _render_blocks(_sweep_blocks(args, methods, b_range), args.format, follows=True)
+
+    _emit(lambda fh: split.write_in_order(fh, args.format, slices, cpus, render), args.output)
     return 0
 
 

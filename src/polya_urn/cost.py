@@ -12,7 +12,10 @@ CLI's method names, one integer estimate, and ``check`` refuses with
 * every other route: work units, against ``WORK_CEILING``.  A unit is about
   a nanosecond of the route's work on that VM; the estimates count path
   steps, samples and squared row lengths and never read a clock, so a
-  refusal depends only on the parameters.
+  refusal depends only on the parameters.  The ceiling bounds work summed
+  over every CPU that does it, not wall time: a ``sweep`` that splits its b
+  range across the CPUs it may use does about the same work, in less time,
+  and is refused or admitted alike.
 
 ``first_passage_dp`` refuses its horizon by ``check("dp", ...)``.
 ``check_path_state`` is separate: it is the library's check that direct

@@ -18,9 +18,10 @@ C(n, j) = C(n, n - j) and n - b = w - 1, the tail over j >= b is the same w
 terms as the head over j < w, and the middle block is 2^n less both, so on
 one row the three forms are one number.  ``equalization_sweep`` uses that to
 tabulate a whole (b, w) range: it carries the head sum down each w column by
-Pascal's rule, (b, w) and (b + 1, w) sitting on adjacent rows, starting
-each column with the head-sum form's own loop, while the three functions
-above stay independent of each other for cross-checking.
+Pascal's rule, (b, w) and (b + 1, w) sitting on adjacent rows, starting its
+first column with the head-sum form's own loop and each further column from
+the one before, while the three functions above stay independent of each
+other for cross-checking.
 
 Everything is a pure function of its inputs; all returned values are
 immutable and reduced to lowest terms.
@@ -227,14 +228,21 @@ def equalization_sweep(
 
     Yields ``(config, probability)`` in b-major order, the value that
     ``equalization_probability``, ``_binomial`` and ``_complement`` each give.
-    Each w column starts with the w-term head sum over row n = b + w - 1 at
-    its first b; from (b, w) to (b + 1, w), Pascal's rule
+    The first w column starts with the w-term head sum over row n = b + w - 1
+    at its first b; from (b, w) to (b + 1, w), Pascal's rule
     C(n+1, j) = C(n, j) + C(n, j-1) gives
 
         head <- 2 head - C(n, w-1),  C(n+1, w-1) = C(n, w-1) (n+1)/(n+2-w).
 
-    So each pair costs a few big-integer operations, the state is two
-    integers per w column, and the probability is ``head / 2^(n-1)``.
+    The same rule on the diagonal, from (b, w) on row n to (b, w + 1) on row
+    n + 1, starts each further column from the one before at the same b:
+
+        head(n+1, w+1) = 2 head + C(n, w),  C(n+1, w) = C(n, w) (n+1)/(n+1-w).
+
+    So each pair and each column start but the first costs a few
+    big-integer operations, and a slice of a b range costs no more to start
+    than its first column; the state is two integers per w column, and the
+    probability is ``head / 2^(n-1)``.
     """
     (b_lo, b_hi), (w_lo, w_hi) = b_range, w_range
     for value, name in ((b_lo, "b_lo"), (b_hi, "b_hi"), (w_lo, "w_lo"), (w_hi, "w_hi")):
@@ -244,10 +252,15 @@ def equalization_sweep(
         for w in range(w_lo, min(w_hi, b - 1) + 1):
             n = b + w - 1
             state = columns.get(w)
-            if state is None:
-                state = columns[w] = _head_start(n, w)
-            else:
+            if state is not None:
                 # Pascal's rule from row n - 1 at b - 1 to row n at b
                 head, edge = state
                 state[:] = 2 * head - edge, edge * n // (n + 1 - w)
+            elif w == w_lo:
+                state = columns[w] = _head_start(n, w)
+            else:
+                # along the diagonal from column w - 1, on row n - 1 at this b
+                head, edge = columns[w - 1]
+                last = edge * (n + 1 - w) // (w - 1)
+                state = columns[w] = [2 * head + last, last * n // (n + 1 - w)]
             yield UrnConfig(b, w), ExactProbability(Fraction(state[0], 1 << (n - 1)))

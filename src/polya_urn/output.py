@@ -8,9 +8,10 @@ object with a ``records`` array that validates against the schema shipped
 in ``schemas/``) or text (one ``key=value`` line per record); ``write_pmf``
 writes a first-passage pmf as CSV.  Both write each row with one write, so
 a long table never sits in memory; the CLI writes a block of rows at a time
-(``sweep`` one pair's), also with one write.  Every CSV line is joined here;
-the ``csv`` module renders only a block that holds a field which needs
-quoting.
+(``sweep`` one pair's), also with one write; a block renders alone, so a
+``sweep`` worker can render it.  Every CSV line is joined here; the ``csv``
+module renders only a block that holds a field which needs quoting.  Ints
+render in full in every format.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import operator
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from importlib import resources
-from typing import Iterable, Literal, Optional, Sequence, TextIO, get_args
+from typing import Iterable, Iterator, Literal, Optional, Sequence, TextIO, get_args
 
 __all__ = [
     "Method",
@@ -165,29 +166,66 @@ def _csv_lines(rows: Sequence[Sequence]) -> str:
     return text
 
 
+# what each format writes before its first record
+_OPENINGS = {"csv": _csv_lines([CSV_COLUMNS]), "json": '{\n  "records": [', "text": ""}
+
+
+def _json_object(record: OutputRecord) -> str:
+    """``json.dumps(record.to_dict(), indent=2)`` as it sits in the records
+    array, indented by four more spaces, with ints rendered in full."""
+    return "{\n      " + ",\n      ".join([
+        f"{json.dumps(k)}: {int_str(v) if type(v) is int else json.dumps(v)}"
+        for k, v in record.to_dict().items()
+    ]) + "\n    }"
+
+
+def _render_block(block: Sequence[OutputRecord], fmt: str, follows: bool) -> str:
+    """The text of ``block``'s records in ``fmt``; ``follows`` says whether a
+    record precedes the block, which a JSON record must then follow a comma."""
+    if fmt == "csv":
+        return _csv_lines(list(map(_csv_row, block)))
+    if fmt == "json":
+        text = ""
+        for rec in block:
+            text += (",\n    " if follows else "\n    ") + _json_object(rec)
+            follows = True
+        return text
+    return "".join([
+        " ".join([f"{k}={int_str(v) if type(v) is int else v}" for k, v in rec.to_dict().items()])
+        + "\n"
+        for rec in block
+    ])
+
+
+def _render_blocks(
+    blocks: Iterable[Sequence[OutputRecord]], fmt: str, follows: bool = False
+) -> Iterator[str]:
+    """``_render_block``'s text of each of ``blocks`` in turn, each block rendered
+    when the previous text is taken; ``follows`` is as for the first block."""
+    for block in blocks:
+        yield _render_block(block, fmt, follows)
+        follows = follows or bool(block)
+
+
+def _write_texts(texts: Iterable[str], fmt: str, stream: TextIO) -> None:
+    """Write the opening of ``fmt`` (a csv header, json's), each of ``texts``
+    (rendered blocks, in order) and the closing, each with one write."""
+    opening = _OPENINGS[fmt]
+    if opening:
+        stream.write(opening)
+    written = False
+    for text in texts:
+        stream.write(text)
+        written = written or bool(text)
+    if fmt == "json":
+        # json.dumps writes an empty array as "[]"
+        stream.write("\n  ]\n}\n" if written else "]\n}\n")
+
+
 def _write_blocks(blocks: Iterable[Sequence[OutputRecord]], fmt: str, stream: TextIO) -> None:
     """Write the records of ``blocks`` as ``write_records`` does, each block with
     one write, after the header (csv) or the opening (json) is written on its own."""
-    if fmt == "csv":
-        stream.write(_csv_lines([CSV_COLUMNS]))
-        for block in blocks:
-            stream.write(_csv_lines(list(map(_csv_row, block))))
-    elif fmt == "json":
-        stream.write('{\n  "records": [')
-        # json.dumps writes an empty array as "[]"
-        separator, closing = "\n    ", "]\n}\n"
-        for block in blocks:
-            text = ""
-            for rec in block:
-                text += separator + json.dumps(rec.to_dict(), indent=2).replace("\n", "\n    ")
-                separator, closing = ",\n    ", "\n  ]\n}\n"
-            stream.write(text)
-        stream.write(closing)
-    else:
-        for block in blocks:
-            stream.write("".join([
-                " ".join(f"{k}={v}" for k, v in rec.to_dict().items()) + "\n" for rec in block
-            ]))
+    _write_texts(_render_blocks(blocks, fmt), fmt, stream)
 
 
 def write_records(records: Iterable[OutputRecord], fmt: str, stream: TextIO) -> None:

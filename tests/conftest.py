@@ -3,6 +3,8 @@ import sys
 import warnings
 from pathlib import Path
 
+import pytest
+
 import polya_urn
 
 # Hypothesis imports its patch writer (and with it libcst, whose import warns)
@@ -22,6 +24,19 @@ sys.path.insert(0, str(Path(__file__).parent))
 os.environ["PYTHONPATH"] = os.pathsep.join(
     filter(None, [str(Path(polya_urn.__file__).parents[1]), os.environ.get("PYTHONPATH")])
 )
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail a test that leaves a child process unreaped, running or not: a
+    ``sweep`` worker, or a subprocess never waited for."""
+    yield
+    try:
+        pid, status = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:  # no child at all
+        return
+    state = "still running" if pid == 0 else f"pid {pid} exited unreaped, status {status}"
+    pytest.fail(f"the test left a child process: {state}")
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

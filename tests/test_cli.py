@@ -3,12 +3,16 @@
 import argparse
 import contextlib
 import csv
+import gc
 import io
 import json
 import os
 import re
+import shutil
+import signal
 import subprocess
 import sys
+import warnings
 from decimal import Decimal
 from fractions import Fraction
 
@@ -27,6 +31,7 @@ from polya_urn import (
     equalization_probability_complement,
     first_passage_dp,
     output,
+    split,
 )
 from polya_urn.cli import main
 from polya_urn.cost import MEMORY_BUDGET_BYTES, estimate_dp_memory_bytes
@@ -754,6 +759,242 @@ class TestSweepCommand:
             assert [r["method"] for r in group] == ["exact", "binomial", "complement", "normal"]
             assert {parse_rational(r["exact"]) for r in group[:3]} == {expected}
             assert group[3]["reference"] == render_decimal(expected)
+
+
+class TestSplitSweep:
+    """A sweep over its estimate's floor splits its b range across the CPUs in
+    its affinity mask; its output is the same as in one process, byte for byte."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """Split every sweep across three processes, and list the workers forked."""
+        monkeypatch.setattr(split, "SPLIT_FLOOR", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        forked = []
+
+        def fork(fork=os.fork):
+            pid = fork()
+            if pid:
+                forked.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", fork)
+        return forked
+
+    @staticmethod
+    def _one_process(capsys, argv):
+        """The sweep's code, stdout and stderr with one CPU in its affinity mask."""
+        real = os.sched_getaffinity
+        os.sched_getaffinity = lambda pid: {0}
+        try:
+            return run_cli(capsys, *argv)
+        finally:
+            os.sched_getaffinity = real
+
+    @pytest.mark.parametrize("fmt", ["csv", "json", "text"])
+    @pytest.mark.parametrize("slice_bytes", [1, 4096, 256 * 1024])
+    @pytest.mark.parametrize(
+        "ranges",
+        [
+            ("2:40", "1:30"),
+            # w_lo > 1 and b_lo inside the w range: columns start mid-range in every slice
+            ("9:33", "4:20"),
+        ],
+    )
+    def test_split_output_is_byte_identical(
+        self, capsys, monkeypatch, forks, fmt, slice_bytes, ranges
+    ):
+        argv = [
+            "sweep", "--b-range", ranges[0], "--w-range", ranges[1],
+            "--methods", "exact,binomial,complement,normal,chernoff", "--format", fmt,
+        ]
+        expected = self._one_process(capsys, argv)
+        assert not forks
+        monkeypatch.setattr(split, "SLICE_BYTES", slice_bytes)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            shared = run_cli(capsys, *argv)
+            gc.collect()  # an unclosed pipe warns when it is collected
+        assert shared == expected and expected[0] == 0
+        assert len(forks) == 2
+        assert caught == []
+
+    def test_slices_cut_inside_w_columns(self):
+        """Every slice after the first starts inside a w column, which the
+        slice's own walk starts again from its first b."""
+        slices = split.cut((9, 33), (4, 20), split.pair_count((9, 33), (4, 20)), 6)
+        assert len(slices) == 6
+        # (lo - 1, 4) and (lo, 4) are both pairs: column 4 crosses the cut
+        assert all(lo - 1 > 4 for lo, _ in slices[1:])
+
+    def test_output_file_is_byte_identical(self, capsys, tmp_path, forks):
+        argv = ["sweep", "--b-range", "2:30", "--w-range", "1:29", "--methods", "exact,normal"]
+        one, shared = tmp_path / "one.csv", tmp_path / "shared.csv"
+        assert self._one_process(capsys, [*argv, "--output", str(one)])[:2] == (0, "")
+        assert not forks
+        assert run_cli(capsys, *argv, "--output", str(shared))[:2] == (0, "")
+        assert len(forks) == 2
+        assert shared.read_bytes() == one.read_bytes()
+
+    def test_monte_carlo_rows_do_not_depend_on_the_cpu_count(self, capsys, monkeypatch, forks):
+        """Each pair's estimates depend only on the parameters, the seed and the
+        streams, so which process draws them does not change a byte."""
+        monkeypatch.setattr(split, "SLICE_BYTES", 1)
+        argv = [
+            "sweep", "--b-range", "2:9", "--w-range", "1:6",
+            "--methods", "exact,normal,mc,definetti", "--seed", "11",
+            "--samples", "60", "--horizon", "12", "--streams", "2",
+        ]
+        for fmt in ("csv", "json"):
+            expected = self._one_process(capsys, [*argv, "--format", fmt])
+            forks.clear()
+            assert run_cli(capsys, *argv, "--format", fmt) == expected
+            assert len(forks) == 2
+
+    @given(
+        b_range=st.tuples(st.integers(1, 40), st.integers(0, 40)).map(
+            lambda t: (t[0], t[0] + t[1])
+        ),
+        w_range=st.tuples(st.integers(1, 40), st.integers(0, 40)).map(
+            lambda t: (t[0], t[0] + t[1])
+        ),
+        pieces=st.integers(1, 50),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_slices_cover_the_range_in_about_equal_pair_counts(self, b_range, w_range, pieces):
+        count = split.pair_count(b_range, w_range)
+        if not count:
+            return
+        slices = split.cut(b_range, w_range, count, pieces)
+        assert 1 <= len(slices) <= pieces
+        assert slices[0][0] == b_range[0] and slices[-1][1] == b_range[1]
+        assert all(hi + 1 == lo for (_, hi), (lo, _) in zip(slices, slices[1:]))
+        counts = [split.pair_count(s, w_range) for s in slices]
+        assert sum(counts) == count and min(counts) >= 1
+        # no more slices than b values with pairs; a slice ends at the first b
+        # that reaches its share, so it overshoots by less than one b's pairs
+        shares = min(pieces, b_range[1] - max(b_range[0], w_range[0] + 1) + 1)
+        widest = w_range[1] - w_range[0] + 1
+        assert max(counts) < -(-count // shares) + widest
+
+    def test_first_pair_refusal_comes_before_any_byte_or_fork(self, capsys, forks):
+        code, out, err = run_cli(
+            capsys,
+            "sweep", "--b-range", "2:30", "--w-range", "1:29", "--methods", "exact,definetti",
+            "--target", "1", "--samples", "10",
+        )
+        assert (code, out, forks) == (2, "", [])
+        assert err.splitlines()[-1] == "error: the de Finetti estimator targets 0 only, got --target 1"
+
+    def _failing(self, monkeypatch, at_b, fail):
+        """Make the normal row of every pair with b == at_b call ``fail``."""
+        row = cli.METHODS["normal"]
+
+        def failing(config, *args):
+            if config.black == at_b:
+                fail()
+            return row(config, *args)
+
+        monkeypatch.setitem(cli.METHODS, "normal", failing)
+        monkeypatch.setattr(split, "SLICE_BYTES", 1)  # as many slices as b values
+
+    def _assert_stopped_cleanly(self, capsys, argv, code, out, err, message):
+        expected = self._one_process(capsys, argv)[1]
+        assert code == 2
+        assert re.fullmatch(message + "\n", err)
+        # the rows written are the first rows of the whole sweep, none twice
+        assert expected.startswith(out) and len(out) < len(expected)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    # one pair a b, so that with one b a slice, b = 2 + k in slice k
+    _ARGV = ("sweep", "--b-range", "2:20", "--w-range", "1:1", "--methods", "exact,normal")
+
+    def test_worker_that_raises_stops_the_sweep(self, capsys, monkeypatch, forks):
+        def fail():
+            raise ZeroDivisionError("row")
+
+        self._failing(monkeypatch, 3, fail)  # slice 1, the first worker's
+        code, out, err = run_cli(capsys, *self._ARGV)
+        assert len(forks) == 2
+        monkeypatch.undo()
+        self._assert_stopped_cleanly(
+            capsys, self._ARGV, code, out, err,
+            r"error: sweep worker for b 3:3 failed: ZeroDivisionError\('row'\)",
+        )
+        assert out.splitlines()[-1].startswith("2,1,normal,")
+
+    def test_worker_killed_stops_the_sweep(self, capsys, monkeypatch, forks):
+        self._failing(monkeypatch, 7, lambda: os.kill(os.getpid(), signal.SIGKILL))  # slice 5
+        code, out, err = run_cli(capsys, *self._ARGV)
+        assert len(forks) == 2
+        monkeypatch.undo()
+        self._assert_stopped_cleanly(
+            capsys, self._ARGV, code, out, err,
+            rf"error: sweep worker for b 7:7 was killed by signal {int(signal.SIGKILL)} "
+            "before sending its rows",
+        )
+        assert out.splitlines()[-1].startswith("6,1,normal,")
+
+    def test_parent_failure_kills_and_reaps_every_worker(self, capsys, monkeypatch, forks):
+        def fail():
+            raise cli.DomainError("late")
+
+        self._failing(monkeypatch, 5, fail)  # slice 3, this process's own
+        code, out, err = run_cli(capsys, *self._ARGV)
+        assert len(forks) == 2
+        monkeypatch.undo()
+        self._assert_stopped_cleanly(capsys, self._ARGV, code, out, err, "error: late")
+
+    def test_closed_stdout_stops_quietly_and_reaps_every_worker(self, forks):
+        read_fd, write_fd = os.pipe()
+        os.close(read_fd)
+        stdout = open(write_fd, "w")
+        try:
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+                assert main(list(self._ARGV)) == 0
+        finally:
+            stdout.close()
+        assert len(forks) == 2
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    # about 7 * 10^8 work units: split on a host with more than one CPU
+    _LARGE = ("sweep", "--b-range", "2:120", "--w-range", "1:119", "--methods", "exact,normal")
+
+    @pytest.mark.parametrize(
+        "work, cpus, expected",
+        [(0, 4, 1), (10**8 - 1, 4, 1), (10**8, 4, 1), (2 * 10**8, 4, 2), (10**12, 4, 4),
+         (10**12, 1, 1)],
+    )
+    def test_one_process_per_floor_of_work_up_to_the_cpus(self, monkeypatch, work, cpus, expected):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        assert split.SPLIT_FLOOR == 10**8
+        assert split.processes(work) == expected
+
+    @pytest.mark.skipif(not shutil.which("taskset"), reason="needs taskset")
+    def test_one_cpu_and_every_cpu_write_the_same_bytes(self):
+        """The CLI as installed: ``taskset -c 0`` runs the sweep in one process."""
+        argv = [sys.executable, "-m", "polya_urn.cli", *self._LARGE, "--format", "json"]
+        one = subprocess.run(["taskset", "-c", "0", *argv], capture_output=True, check=True)
+        every = subprocess.run(argv, capture_output=True, check=True)
+        assert every.stdout == one.stdout and every.stderr == one.stderr
+
+    def test_head_of_a_split_sweep_exits_zero(self):
+        """``sweep ... | head -1`` over the floor: the sweep splits on a host with
+        more than one CPU, and still stops with exit 0 and one stderr line."""
+        argv = list(self._LARGE)
+        with subprocess.Popen(
+            [sys.executable, "-m", "polya_urn.cli", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        ) as sweep:
+            with subprocess.Popen(["head", "-1"], stdin=sweep.stdout, stdout=subprocess.PIPE) as head:
+                sweep.stdout.close()  # head alone reads the rows
+                first = head.stdout.read()
+            err = sweep.stderr.read().decode()
+        assert (sweep.returncode, head.returncode) == (0, 0)
+        assert first == (",".join(output.CSV_COLUMNS) + "\n").encode()
+        assert err == "# skipped 7021 (b, w) pair(s): sweep requires w < b\n"
 
 
 class TestIdentityCheck:

@@ -309,6 +309,43 @@ class TestCsvRenderer:
         ]
 
 
+class TestJsonAndTextRenderers:
+    """``json.dumps`` and ``key=value`` lines, with every int rendered in full,
+    are the oracles of the JSON and text blocks, as ``csv.writer`` is of CSV's."""
+
+    @given(records=st.lists(_records(), max_size=8), cuts=st.lists(st.integers(0, 8)))
+    @example(records=[replace(_RECORDS[0], b=10**5000)], cuts=[])
+    @example(records=[replace(_RECORDS[2], target=-(10**5000))], cuts=[0, 1])
+    @example(records=[], cuts=[0, 0])
+    @settings(max_examples=100, deadline=None)
+    def test_json_blocks_are_one_dumps(self, records, cuts):
+        bounds = [0, *sorted(min(cut, len(records)) for cut in cuts), len(records)]
+        blocks = [records[i:j] for i, j in zip(bounds, bounds[1:])]
+        stream = WriteLog()
+        _write_blocks(blocks, "json", stream)
+        with _unlimited_int_digits():
+            document = json.dumps({"records": [r.to_dict() for r in records]}, indent=2) + "\n"
+        assert "".join(stream.writes) == document
+        # the opening, one write a block, and the closing
+        assert len(stream.writes) == len(blocks) + 2
+        assert [bool(text) for text in stream.writes[1:-1]] == [bool(b) for b in blocks]
+
+    @given(records=st.lists(_records(), max_size=8), cuts=st.lists(st.integers(0, 8)))
+    @example(records=[replace(_RECORDS[0], w=-(10**5000))], cuts=[])
+    @settings(max_examples=100, deadline=None)
+    def test_text_blocks_are_key_value_lines(self, records, cuts):
+        bounds = [0, *sorted(min(cut, len(records)) for cut in cuts), len(records)]
+        blocks = [records[i:j] for i, j in zip(bounds, bounds[1:])]
+        stream = WriteLog()
+        _write_blocks(blocks, "text", stream)
+        with _unlimited_int_digits():
+            expected = [
+                "".join(" ".join(f"{k}={v}" for k, v in r.to_dict().items()) + "\n" for r in b)
+                for b in blocks
+            ]
+        assert stream.writes == expected
+
+
 # past the 4,300 digits that ``str(int)`` renders by default
 _HUGE = 10**5000
 _URN = UrnConfig(2, 1)
