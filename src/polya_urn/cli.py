@@ -14,9 +14,10 @@ none when its methods read none.  ``exact --form all`` and ``identity-check``
 evaluate the three closed forms independently, since cross-checking them is
 their job.
 
-A ``sweep`` whose cost estimate is over about 0.1 s uses the CPUs in its
-affinity mask (``split``), with output byte-identical to one process's;
-``taskset -c 0 polya-urn sweep ...`` runs it on one CPU.
+A ``sweep`` whose cost estimate reaches ``split.SPLIT_FLOOR`` uses the CPUs
+in its affinity mask (``split``), with output byte-identical to one
+process's; ``taskset -c 0 polya-urn sweep ...`` runs it on one CPU, as do
+``dp`` rows and a second thread in the process.
 """
 
 from __future__ import annotations
@@ -373,8 +374,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         cost.check(method, largest, *sizes, args.target)
     blocks = _sweep_blocks(args, methods, args.b_range)
     first = next(blocks)
-    # dp's estimate is bytes of memory, not work; its time is not modelled
-    work = sum(cost.estimate(m, largest, *sizes) for m in methods if m != "dp")
+    # dp's memory budget bounds one process, so a sweep with dp runs in one
+    work = 0 if "dp" in methods else sum(cost.estimate(m, largest, *sizes) for m in methods)
     slices, cpus = split.plan(first, args.format, largest, args.b_range, args.w_range, count, work)
     own = chain([first], blocks)
     if len(slices) > 1:

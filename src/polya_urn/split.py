@@ -1,9 +1,9 @@
 """Split a sweep's b range across the CPUs it may use, and write its rows in order.
 
 Only ``cli``'s ``sweep`` imports this module.  ``plan`` decides how many
-processes share a sweep, one per ``SPLIT_FLOOR`` work units of its cost
-estimate up to the CPUs in its affinity mask, and cuts its b range into
-slices of about equal pair count, each small enough that its text stays
+processes share a sweep, the CPUs in its affinity mask once its cost
+estimate reaches ``SPLIT_FLOOR`` work units, else one, and cuts its b range
+into slices of about equal pair count, each small enough that its text stays
 within about ``SLICE_BYTES``.  ``write_in_order`` writes every slice's text
 in order, in the format's frame: this process renders its own share of the
 slices, and each forked worker renders its share and sends each slice's text
@@ -29,10 +29,15 @@ from .errors import PolyaUrnError
 from .exact import UrnConfig
 from .output import OutputRecord, _render_block, _write_texts, int_str
 
-# A sweep takes one more process for each of this many work units (about
-# 0.1 s) in its estimate, up to the CPUs it may use: a worker's fork and pipe
-# cost a few milliseconds.
-SPLIT_FLOOR = 10**8
+# A sweep whose estimate reaches this many work units takes every CPU it may
+# use.  The estimates overcharge a sweep, most of all one of many methods,
+# whose rows each method's estimate charges again: 10^9 units is 0.15-0.2 s
+# of one CPU's work for the grid workload's five methods, 4,000 pairs, and
+# about 0.3 s for exact alone, 20,000 pairs.  A split's own cost, its forks,
+# pipes and copied pages, was 3-6 ms on sweeps of 10-40 ms, timed in process
+# on a shared 2-vCPU Xeon VM; so a split at the floor costs a few percent
+# when the other CPUs are busy, and saves up to half when one is free.
+SPLIT_FLOOR = 10**9
 # The most text one slice of a split sweep may hold: a worker renders a whole
 # slice, and keeps it, before the parent reads it.
 SLICE_BYTES = 256 * 1024
@@ -49,14 +54,25 @@ def pair_count(b_range: tuple[int, int], w_range: tuple[int, int]) -> int:
 
 def processes(work: int) -> int:
     """How many processes share a sweep whose estimate is ``work`` units: the
-    CPUs this process may use, but at most one per ``SPLIT_FLOOR`` units, and
-    one without ``os.fork`` or ``os.sched_getaffinity``, or while other Python
-    threads run (a forked worker would inherit the locks they hold)."""
-    if threading.active_count() > 1 or not hasattr(os, "fork"):
+    CPUs this process may use from ``SPLIT_FLOOR`` units on, else one.  It is
+    one without ``os.fork`` or ``os.sched_getaffinity``, and while this
+    process runs another thread, such as numpy's BLAS pool: a forked worker
+    would inherit the locks that thread holds, and from Python 3.12
+    ``os.fork`` warns."""
+    if work < SPLIT_FLOOR or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return 1
-    if not hasattr(os, "sched_getaffinity"):
+    if _threads() > 1:
         return 1
-    return max(1, min(len(os.sched_getaffinity(0)), work // SPLIT_FLOOR))
+    return len(os.sched_getaffinity(0))
+
+
+def _threads() -> int:
+    """The threads of this process: every OS thread where ``/proc`` lists
+    them, else the Python threads."""
+    try:
+        return len(os.listdir("/proc/self/task"))
+    except OSError:
+        return threading.active_count()
 
 
 def pair_bytes(first: Sequence[OutputRecord], fmt: str, largest: UrnConfig) -> int:
@@ -115,6 +131,8 @@ def plan(
 # the head of what a worker sends: whether its slice rendered (else the text
 # is the error that stopped it), and the text's length in bytes
 _FRAME = struct.Struct("<?Q")
+# what a worker sends first: its pid
+_PID = struct.Struct("<q")
 
 
 def write_in_order(
@@ -160,14 +178,23 @@ class _Worker:
         read_fd, write_fd = os.pipe()
         try:
             self.pid = os.fork()
-        except OSError as exc:  # out of processes
-            os.close(read_fd)
+        except BaseException as exc:
+            # the child may exist already: from Python 3.12 a warning, made an
+            # error, raises here after the fork, so reap the child that sent
+            # its pid (none did if the fork failed)
             os.close(write_fd)
-            raise PolyaUrnError(f"cannot start a sweep worker: {exc}") from exc
+            with open(read_fd, "rb") as pipe:
+                head = pipe.read(_PID.size)
+            if len(head) == _PID.size:
+                _kill(_PID.unpack(head)[0])
+            if isinstance(exc, Exception):
+                raise PolyaUrnError(f"cannot start a sweep worker: {exc}") from exc
+            raise
         self.reaped = False
         if self.pid:
             os.close(write_fd)
             self.pipe = open(read_fd, "rb")
+            self.pipe.read(_PID.size)  # this worker's pid, which self.pid holds
             return
         # the worker leaves by os._exit, so it never runs the caller's code,
         # its exit handlers or a flush of the stdout buffer it inherited
@@ -175,6 +202,8 @@ class _Worker:
         try:
             os.close(read_fd)
             with open(write_fd, "wb") as pipe:
+                pipe.write(_PID.pack(os.getpid()))
+                pipe.flush()
                 try:
                     for b_range in slices:
                         _send(pipe, True, "".join(render(b_range)))
@@ -204,13 +233,18 @@ class _Worker:
 
     def close(self) -> None:
         """Kill the worker if it has not been reaped yet, and reap it."""
-        import signal  # only a sweep that forks needs it
-
         self.pipe.close()
         if not self.reaped:
-            os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
+            _kill(self.pid)
             self.reaped = True
+
+
+def _kill(pid: int) -> None:
+    """Kill the worker ``pid``, running or not, and reap it."""
+    import signal  # only a sweep that forks needs it
+
+    os.kill(pid, signal.SIGKILL)
+    os.waitpid(pid, 0)
 
 
 def _send(pipe: BinaryIO, ok: bool, text: str) -> None:

@@ -5,6 +5,12 @@ from pathlib import Path
 
 import pytest
 
+# numpy's OpenBLAS starts a pool of threads when it loads, and a ``sweep`` in a
+# process with more than one thread runs in one process (``split.processes``);
+# one BLAS thread keeps this process single-threaded, so that the tests that
+# split a sweep in process fork real workers
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 import polya_urn
 
 # Hypothesis imports its patch writer (and with it libcst, whose import warns)

@@ -12,6 +12,7 @@ import shutil
 import signal
 import subprocess
 import sys
+import threading
 import warnings
 from decimal import Decimal
 from fractions import Fraction
@@ -768,6 +769,7 @@ class TestSplitSweep:
     @pytest.fixture
     def forks(self, monkeypatch):
         """Split every sweep across three processes, and list the workers forked."""
+        assert split._threads() == 1, "a sweep splits only in a single-threaded process"
         monkeypatch.setattr(split, "SPLIT_FLOOR", 1)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
         forked = []
@@ -959,18 +961,97 @@ class TestSplitSweep:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    # about 7 * 10^8 work units: split on a host with more than one CPU
-    _LARGE = ("sweep", "--b-range", "2:120", "--w-range", "1:119", "--methods", "exact,normal")
+    # over the floor: split on a host with more than one CPU
+    _LARGE = ("sweep", "--b-range", "2:160", "--w-range", "1:159", "--methods", "exact,normal")
 
     @pytest.mark.parametrize(
         "work, cpus, expected",
-        [(0, 4, 1), (10**8 - 1, 4, 1), (10**8, 4, 1), (2 * 10**8, 4, 2), (10**12, 4, 4),
+        [(0, 4, 1), (split.SPLIT_FLOOR - 1, 4, 1), (split.SPLIT_FLOOR, 4, 4), (10**12, 4, 4),
          (10**12, 1, 1)],
     )
-    def test_one_process_per_floor_of_work_up_to_the_cpus(self, monkeypatch, work, cpus, expected):
+    def test_every_cpu_from_the_floor_on(self, monkeypatch, work, cpus, expected):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        assert split.SPLIT_FLOOR == 10**8
         assert split.processes(work) == expected
+
+    def test_large_sweep_is_over_the_floor(self):
+        args = cli.build_parser().parse_args(self._LARGE)
+        largest = cli.UrnConfig(160, 159)
+        sizes = (args.horizon, args.samples, args.streams, split.pair_count((2, 160), (1, 159)))
+        work = sum(cli.cost.estimate(m, largest, *sizes) for m in ("exact", "normal"))
+        assert work >= split.SPLIT_FLOOR
+
+    def test_dp_sweep_runs_in_one_process(self, capsys, forks):
+        """dp's memory budget bounds one process, so no worker runs dp beside it."""
+        argv = ["sweep", "--b-range", "2:30", "--w-range", "1:29", "--methods", "exact,dp",
+                "--horizon", "12"]
+        assert run_cli(capsys, *argv) == self._one_process(capsys, argv)
+        assert forks == []
+
+    def test_another_thread_keeps_the_sweep_in_one_process(self, capsys, forks):
+        """A forked worker would inherit the locks another thread holds."""
+        argv = ["sweep", "--b-range", "2:30", "--w-range", "1:29", "--methods", "exact,normal"]
+        expected = self._one_process(capsys, argv)
+        done = threading.Event()
+        waiting = threading.Thread(target=done.wait)
+        waiting.start()
+        try:
+            assert run_cli(capsys, *argv) == expected
+        finally:
+            done.set()
+            waiting.join()
+        assert forks == []
+
+    def test_numpy_blas_threads_keep_the_sweep_in_one_process(self):
+        """With numpy loaded first, and its BLAS pool as many threads as it
+        starts, a sweep over the floor writes the same bytes, forks only in a
+        single-threaded process, and warns of nothing (from Python 3.12
+        ``os.fork`` warns in a process with more than one thread)."""
+        script = (
+            "import os, sys, numpy\n"
+            "from polya_urn import cli, split\n"
+            "split.SPLIT_FLOOR = 1\n"
+            "threads, forks, fork = split._threads(), [], os.fork\n"
+            "os.fork = lambda: forks.append(1) or fork()\n"
+            "code = cli.main(sys.argv[1:])\n"
+            "print(threads, len(forks), code, file=sys.stderr)\n"
+        )
+        argv = ["sweep", "--b-range", "2:60", "--w-range", "1:59", "--methods", "exact,mc",
+                "--samples", "5", "--horizon", "4", "--seed", "3"]
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        run = subprocess.run(
+            [sys.executable, "-W", "error", "-c", script, *argv],
+            capture_output=True, env=env, check=True,
+        )
+        plain = subprocess.run(
+            [sys.executable, "-m", "polya_urn.cli", *argv], capture_output=True, check=True
+        )
+        *notes, last = run.stderr.decode().splitlines()
+        threads, forks, code = map(int, last.split())
+        assert (code, forks) == (0, 0 if threads > 1 else len(os.sched_getaffinity(0)) - 1)
+        assert run.stdout == plain.stdout and "\n".join(notes) + "\n" == plain.stderr.decode()
+
+    @pytest.mark.parametrize("after_fork", [False, True])
+    def test_fork_that_raises_reaps_the_child_it_made(self, capsys, monkeypatch, after_fork):
+        """``os.fork`` may raise after it made the child, as from Python 3.12 its
+        multi-threaded warning does under ``-W error``: the child is reaped, and
+        the sweep exits 2 with one line, before any byte."""
+        monkeypatch.setattr(split, "SPLIT_FLOOR", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+        def fork(fork=os.fork):
+            if not after_fork:
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            if fork():
+                raise DeprecationWarning("multi-threaded")
+            return 0
+
+        monkeypatch.setattr(os, "fork", fork)
+        code, out, err = run_cli(capsys, *self._ARGV)
+        reason = "multi-threaded" if after_fork else r"\[Errno 11\] Resource temporarily unavailable"
+        assert (code, out) == (2, "")
+        assert re.fullmatch(rf"error: cannot start a sweep worker: {reason}\n", err)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.skipif(not shutil.which("taskset"), reason="needs taskset")
     def test_one_cpu_and_every_cpu_write_the_same_bytes(self):
@@ -994,7 +1075,7 @@ class TestSplitSweep:
             err = sweep.stderr.read().decode()
         assert (sweep.returncode, head.returncode) == (0, 0)
         assert first == (",".join(output.CSV_COLUMNS) + "\n").encode()
-        assert err == "# skipped 7021 (b, w) pair(s): sweep requires w < b\n"
+        assert err == "# skipped 12561 (b, w) pair(s): sweep requires w < b\n"
 
 
 class TestIdentityCheck:
