@@ -4,15 +4,20 @@ Subcommands: ``exact``, ``dp``, ``simulate``, ``approx``, ``sweep``, and
 ``identity-check``.  Data goes to stdout (or ``--output``); diagnostics and
 errors go to stderr; the exit code is 0 exactly when no error occurred.
 
-Every subcommand with ``--format`` streams its data through ``output``'s
-block writer, or ``output.write_pmf`` for ``dp --emit-pmf``, so each format is
-switched in one place.  ``sweep`` writes each pair's rows together, with one
-write, as soon as the pair is built; it takes its closed forms from
-``exact.equalization_sweep``, which carries one head sum down each w column
-by Pascal's rule (by symmetry it is the value of all three forms), and builds
-none when its methods read none.  ``exact --form all`` and ``identity-check``
-evaluate the three closed forms independently, since cross-checking them is
-their job.
+Every method's row comes from its builder in ``METHODS``: the row's shape,
+which fixes its method and the run's parameters, and the values of one
+pair.  Every subcommand with ``--format`` streams its data through
+``output``'s block renderers, or ``output.write_pmf`` for ``dp --emit-pmf``,
+so each format is switched in one place; a single-record command is a
+one-pair run, whose rows become ``OutputRecord``s that it edits with
+``dataclasses.replace`` and writes.  ``sweep`` renders each pair's rows together, with
+one write, as soon as the pair is built, with no record in between, and
+converts a pair's exact value to its strings once.  It takes its closed
+forms from ``exact.equalization_sweep``, which carries one head sum down
+each w column by Pascal's rule (by symmetry it is the value of all three
+forms), and builds none when its methods read none.  ``exact --form all``
+and ``identity-check`` evaluate the three closed forms independently, since
+cross-checking them is their job.
 
 A ``sweep`` whose cost estimate reaches ``split.SPLIT_FLOOR`` uses the CPUs
 in its affinity mask (``split``), with output byte-identical to one
@@ -28,7 +33,7 @@ import sys
 from dataclasses import replace
 from fractions import Fraction
 from itertools import chain, islice
-from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, TextIO
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, TextIO
 
 from . import cost
 from . import dp as dp_mod
@@ -44,7 +49,10 @@ from .exact import (
 )
 from .output import (
     OutputRecord,
+    Row,
+    _record_of,
     _render_blocks,
+    _shape,
     _write_blocks,
     int_str,
     rational_parts,
@@ -125,72 +133,84 @@ def _approximate(
     return approximations[method](config, reference)
 
 
-def _record(config: UrnConfig, method: str, value: Fraction | float, **fields) -> OutputRecord:
-    """One row for ``config``; an exact ``value`` also carries its lossless ``num/den``."""
-    # float first: a float fails isinstance(value, Fraction) only through ABCMeta
-    if isinstance(value, float):
-        text = render_decimal(value)
-    else:
-        # one conversion gives both the rational and its decimal
-        num, den, text = rational_parts(value)
-        fields["exact"] = f"{num}/{den}"
-    return OutputRecord(
-        config.black, config.white, method, text, **fields  # type: ignore[arg-type]
-    )
+class _Value(NamedTuple):
+    """A closed-form value and the strings its rows show, converted once a pair."""
+
+    probability: ExactProbability
+    decimal: str
+    exact: str  # "num/den"
 
 
-def _closed_form_row(config: UrnConfig, args: argparse.Namespace, method: str, probability):
-    return _record(config, method, probability.value), probability
+def _value(probability: ExactProbability) -> _Value:
+    num, den, decimal = rational_parts(probability.value)
+    return _Value(probability, decimal, f"{num}/{den}")
 
 
-def _dp_row(config: UrnConfig, args: argparse.Namespace, method: str, probability=None):
+# the columns each kind of row fills in per pair; the method and, for dp and
+# the estimates, the run's parameters are fixed in its shape
+_EXACT_COLUMNS = ("b", "w", "value", "exact")
+_APPROX_COLUMNS = ("b", "w", "value", "reference")
+_ESTIMATE_COLUMNS = ("b", "w", "value", "std_err", "ci_lo", "ci_hi")
+
+
+def _closed_form_row(config: UrnConfig, args: argparse.Namespace, method: str, value: _Value):
+    values = (config.black, config.white, value.decimal, value.exact)
+    return (_shape(method, _EXACT_COLUMNS), values), value.probability
+
+
+def _dp_row(config: UrnConfig, args: argparse.Namespace, method: str, value=None):
     table = dp_mod.first_passage_dp(config, args.target, args.horizon)
+    num, den, decimal = rational_parts(table.cumulative)
     note = "cumulative P(tau <= horizon)"
-    fields = {"target": table.target_diff, "horizon": table.horizon, "note": note}
-    return _record(config, method, table.cumulative, **fields), table
+    values = (config.black, config.white, decimal, f"{num}/{den}")
+    fixed = (("target", table.target_diff), ("horizon", table.horizon), ("note", note))
+    return (_shape(method, _EXACT_COLUMNS, fixed), values), table
 
 
 def _estimate_row(
-    config: UrnConfig, args: argparse.Namespace, method: str, est: EstimateWithCI, **fields
+    config: UrnConfig,
+    args: argparse.Namespace,
+    method: str,
+    est: EstimateWithCI,
+    fixed: tuple[tuple[str, object], ...] = (),
 ):
-    return _record(
-        config,
-        method,
-        est.p_hat,
-        samples=args.samples,
-        seed=args.seed,
-        std_err=render_decimal(est.std_err),
-        ci_lo=render_decimal(est.ci95[0]),
-        ci_hi=render_decimal(est.ci95[1]),
-        **fields,
-    ), est
+    values = (
+        config.black,
+        config.white,
+        render_decimal(est.p_hat),
+        render_decimal(est.std_err),
+        render_decimal(est.ci95[0]),
+        render_decimal(est.ci95[1]),
+    )
+    fixed = (*fixed, ("samples", args.samples), ("seed", args.seed))
+    return (_shape(method, _ESTIMATE_COLUMNS, fixed), values), est
 
 
-def _mc_row(config: UrnConfig, args: argparse.Namespace, method: str, probability=None):
+def _mc_row(config: UrnConfig, args: argparse.Namespace, method: str, value=None):
     est = estimate_equalization(
         config, args.target, args.horizon, args.samples, RngSeed(args.seed), args.streams
     )
-    fields = {"target": args.target, "horizon": args.horizon, "streams": args.streams}
-    return _estimate_row(config, args, method, est, **fields)
+    fixed = (("target", args.target), ("horizon", args.horizon), ("streams", args.streams))
+    return _estimate_row(config, args, method, est, fixed)
 
 
-def _definetti_row(config: UrnConfig, args: argparse.Namespace, method: str, probability=None):
+def _definetti_row(config: UrnConfig, args: argparse.Namespace, method: str, value=None):
     if args.target != 0:
         raise DomainError(f"the de Finetti estimator targets 0 only, got --target {args.target}")
     est = definetti_estimator(config, args.samples, RngSeed(args.seed))
     return _estimate_row(config, args, method, est)
 
 
-def _approx_row(config: UrnConfig, args: argparse.Namespace, method: str, probability):
-    result = _approximate(method, config, probability)
-    reference = render_decimal(probability.value)
-    return _record(config, method, result.value, reference=reference), result
+def _approx_row(config: UrnConfig, args: argparse.Namespace, method: str, value: _Value):
+    result = _approximate(method, config, value.probability)
+    values = (config.black, config.white, render_decimal(result.value), value.decimal)
+    return (_shape(method, _APPROX_COLUMNS), values), result
 
 
-# Every method's bare record for one urn (what ``sweep`` prints), with the
-# library result it came from; the other subcommands add their own fields.
-# Only the closed forms and the approximations read the urn's probability.
-METHODS: dict[str, Callable[..., tuple[OutputRecord, Any]]] = {
+# Every method's bare row for one urn (what ``sweep`` prints), with the library
+# result it came from; the other subcommands add their own fields to its record.
+# Only the closed forms and the approximations read the urn's ``_Value``.
+METHODS: dict[str, Callable[..., tuple[Row, Any]]] = {
     **dict.fromkeys(("exact", "binomial", "complement"), _closed_form_row),
     "dp": _dp_row,
     "mc": _mc_row,
@@ -247,19 +267,20 @@ def cmd_exact(args: argparse.Namespace) -> int:
             return 1
         notes["exact"] = "triple identity verified"
     records = [
-        replace(METHODS[m](config, args, m, forms[m])[0], note=note) for m, note in notes.items()
+        replace(_record_of(METHODS[m](config, args, m, _value(forms[m]))[0]), note=note)
+        for m, note in notes.items()
     ]
     _emit_records(records, args.format, args.output)
     return 0
 
 
 def cmd_dp(args: argparse.Namespace) -> int:
-    record, table = METHODS["dp"](UrnConfig(args.b, args.w), args, "dp")
+    row, table = METHODS["dp"](UrnConfig(args.b, args.w), args, "dp")
     if args.emit_pmf:
         _emit(lambda fh: write_pmf(table.hit_pmf, fh), args.output)
     # the record goes to --output, or to stdout when the pmf took --output
     if not args.emit_pmf or args.output is not None:
-        _emit_records([record], args.format, None if args.emit_pmf else args.output)
+        _emit_records([_record_of(row)], args.format, None if args.emit_pmf else args.output)
     return 0
 
 
@@ -296,7 +317,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     config = UrnConfig(args.b, args.w)
     method = "mc" if args.method == "direct" else args.method
     cost.check(method, config, args.horizon, args.samples, args.streams, target=args.target)
-    record, est = METHODS[method](config, args, method)
+    row, est = METHODS[method](config, args, method)
+    record = _record_of(row)
     reference, note = _reference(config, args, method)
     if reference is not None:
         record = replace(record, reference=render_decimal(reference))
@@ -317,35 +339,35 @@ def cmd_approx(args: argparse.Namespace) -> int:
     for method in methods:
         cost.check(method, config)
         _approximate(method, config)
-    reference = equalization_probability(config)
+    reference = _value(equalization_probability(config))
     records = []
     for method in methods:
-        record, result = METHODS[method](config, args, method, reference)
+        row, result = METHODS[method](config, args, method, reference)
         note = "guaranteed upper bound" if result.kind == "upper_bound" else result.kind
         if result.rel_error is not None:  # None when the exact value underflows float
             note += f"; rel_error={render_decimal(result.rel_error)}"
-        records.append(replace(record, note=note))
+        records.append(replace(_record_of(row), note=note))
     _emit_records(records, args.format, args.output)
     return 0
 
 
 def _sweep_blocks(
     args: argparse.Namespace, methods: list[str], b_range: tuple[int, int]
-) -> Iterator[list[OutputRecord]]:
+) -> Iterator[list[Row]]:
     """Each pair's rows over ``b_range`` and the sweep's w range, in b-major
     order, each pair built when the previous one's rows are taken."""
     if {"dp", "mc", "definetti"}.issuperset(methods):
         # no row reads a closed form, so the pairs get none, in the same order
         (b_lo, b_hi), (w_lo, w_hi) = b_range, args.w_range
-        columns = (
+        pairs: Iterable[tuple[UrnConfig, Optional[_Value]]] = (
             (UrnConfig(b, w), None)
             for b in range(b_lo, b_hi + 1)
             for w in range(w_lo, min(w_hi, b - 1) + 1)
         )
     else:
-        columns = equalization_sweep(b_range, args.w_range)
-    for config, probability in columns:
-        yield [METHODS[method](config, args, method, probability)[0] for method in methods]
+        pairs = ((config, _value(p)) for config, p in equalization_sweep(b_range, args.w_range))
+    for config, value in pairs:
+        yield [METHODS[method](config, args, method, value)[0] for method in methods]
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:

@@ -84,12 +84,15 @@ _SAMPLE = 250
 # Closed forms on row n = b + w - 1: one direct form took 0.2-0.5 ns per n^2,
 # and a sweep's w column start, a w-term head sum, is the same work as the
 # binomial form; each further pair of a sweep, mostly rendering its n-bit
-# rationals, 0.01 ns per n^2.  _RECORD is the rows of one pair, charged once
-# per pair by ``_closed_forms``, which writes one row per method, and once
-# per form by ``identity-check``: the grid workload's five rows a pair
-# (three closed forms, normal and Chernoff, written as CSV with one write a
-# pair) took 32-34 us a pair at best in process, its sweep step included,
-# so 50 us leaves room to spare.
+# rationals, 0.01 ns per n^2.  _RECORD is one row of a pair: each
+# method's ``_closed_forms`` charges it once a pair, and a sweep sums its
+# methods' estimates, so the grid workload's five methods pay it five times
+# a pair; ``identity-check`` charges it once per form.  The grid's five rows
+# a pair (three closed forms, normal and Chernoff, written as CSV with one
+# write a pair, each row filled into its method's template) took 23-26 us a
+# pair at best in process on one CPU, its sweep step included, against
+# 32-37 us when each row was a record; so the 250 us the grid is charged a
+# pair, 50 us a row, leaves room to spare.
 _RECORD = 50_000
 
 

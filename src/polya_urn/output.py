@@ -7,11 +7,19 @@ writes records as CSV (UTF-8, a header row, LF line endings), JSON (one
 object with a ``records`` array that validates against the schema shipped
 in ``schemas/``) or text (one ``key=value`` line per record); ``write_pmf``
 writes a first-passage pmf as CSV.  Both write each row with one write, so
-a long table never sits in memory; the CLI writes a block of rows at a time
-(``sweep`` one pair's), also with one write; a block renders alone, so a
-``sweep`` worker can render it.  Every CSV line is joined here; the ``csv``
-module renders only a block that holds a field which needs quoting.  Ints
-render in full in every format.
+a long table never sits in memory.
+
+Inside the package a ``sweep`` row travels as its shape and its values,
+not as an ``OutputRecord``: the shape (``_Shape``) holds the columns the
+row sets, the values every row of its kind shares, and its CSV line, a
+template rendered once a run; the row carries only what varies from pair
+to pair.  The CLI builds rows, and renders a block of them at a time
+(``sweep`` one pair's) with one write; a block renders alone, so a
+``sweep`` worker can render it.  A CSV block whose values would need a
+field quoted is rendered by ``csv.writer`` instead, which stays the
+authority on quoting; JSON and text are rendered field by field, as are
+the records that ``write_records`` and the commands of a few rows write.
+Ints render in full in every format.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ import operator
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from importlib import resources
-from typing import Iterable, Iterator, Literal, Optional, Sequence, TextIO, get_args
+from typing import Callable, Iterable, Iterator, Literal, Optional, Sequence, TextIO, get_args
 
 __all__ = [
     "Method",
@@ -45,6 +53,8 @@ Method = Literal[
 ]
 
 _METHODS = get_args(Method)
+# the methods whose rows carry their exact rational
+_EXACT_METHODS = ("exact", "binomial", "complement", "dp")
 
 _CONTEXT = decimal.Context(prec=15, rounding=decimal.ROUND_HALF_EVEN)
 
@@ -79,8 +89,9 @@ def rational_str(value: Fraction) -> str:
 def rational_parts(value: Fraction) -> tuple[str, str, str]:
     """Numerator, denominator and 15-digit decimal of ``value``.
 
-    A value that several rows show in a row (a sweep pair's closed forms and
-    the reference of its approximations) is converted once.
+    A ``sweep`` converts each pair's value once itself (``cli._value``); the
+    cache saves only the repeat conversions of other callers, such as a pmf's
+    or a command's rows of one value.
     """
     # keyed by (numerator, denominator), which hash faster than a Fraction
     return _converted(value.as_integer_ratio())
@@ -97,11 +108,12 @@ def _converted(ratio: tuple[int, int]) -> tuple[str, str, str]:
 class OutputRecord:
     """One (b, w, method) result row; metadata fields apply where relevant.
 
-    One record is built per output row, so it is slotted rather than frozen:
-    a frozen dataclass sets each of its 16 fields through
-    ``object.__setattr__``, about three times the cost of building a slotted
-    one.  Records are therefore mutable and unhashable; edit one with
-    ``dataclasses.replace``, which validates the new record.
+    The CLI's commands of one or a few rows build a record per row and edit
+    it; a ``sweep`` builds none.  It is slotted rather than frozen: a frozen
+    dataclass sets each of its 16 fields through ``object.__setattr__``,
+    about three times the cost of building a slotted one.  Records are
+    therefore mutable and unhashable; edit one with ``dataclasses.replace``,
+    which validates the new record.
     """
 
     b: int
@@ -126,7 +138,7 @@ class OutputRecord:
     def __post_init__(self) -> None:
         if self.method not in _METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        if self.method in ("exact", "binomial", "complement", "dp") and not self.exact:
+        if self.method in _EXACT_METHODS and not self.exact:
             raise ValueError(f"method {self.method!r} must carry the exact rational")
 
     def to_dict(self) -> dict[str, object]:
@@ -136,6 +148,12 @@ class OutputRecord:
 
 CSV_COLUMNS = tuple(f.name for f in fields(OutputRecord))
 _csv_row = operator.attrgetter(*CSV_COLUMNS)
+
+
+def _needs_csv_writer(text: str, lines: int, commas: int) -> bool:
+    """Whether ``text``, ``lines`` lines of fields joined by ``commas`` commas
+    in all, holds a character that makes ``csv.writer`` quote a field."""
+    return '"' in text or "\r" in text or text.count("\n") > lines or text.count(",") > commas
 
 
 def _csv_lines(rows: Sequence[Sequence]) -> str:
@@ -155,9 +173,7 @@ def _csv_lines(rows: Sequence[Sequence]) -> str:
         ])
     except ValueError:  # an int past str()'s digit limit
         text = None
-    if text is None or '"' in text or "\r" in text or text.count("\n") > len(rows) or (
-        text.count(",") > sum(map(len, rows)) - len(rows)
-    ):
+    if text is None or _needs_csv_writer(text, len(rows), sum(map(len, rows)) - len(rows)):
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows(
             [int_str(f) if type(f) is int else f for f in row] for row in rows
@@ -170,40 +186,133 @@ def _csv_lines(rows: Sequence[Sequence]) -> str:
 _OPENINGS = {"csv": _csv_lines([CSV_COLUMNS]), "json": '{\n  "records": [', "text": ""}
 
 
-def _json_object(record: OutputRecord) -> str:
-    """``json.dumps(record.to_dict(), indent=2)`` as it sits in the records
-    array, indented by four more spaces, with ints rendered in full."""
+class _Shape:
+    """The columns that a run of rows sets, and its CSV line.
+
+    ``fixed`` pairs each column that every row of the shape holds the same
+    value in (a sweep's method, target, horizon, samples, seed, streams and
+    note) with that value; ``varying`` names the columns whose values each
+    row carries, in CSV order, which hold the types ``OutputRecord``
+    declares for them.  A row is ``(shape, values)``, ``values`` in
+    ``varying``'s order.  The CSV line is a %-template rendered once, when
+    the shape is made, and a row fills in only its values.
+    ``OutputRecord``'s checks run here, once a shape: a varying ``exact`` is
+    a row builder's ``num/den``, which is never empty.
+    """
+
+    __slots__ = ("varying", "csv", "_layout")
+
+    def __init__(
+        self, method: str, varying: tuple[str, ...], fixed: tuple[tuple[str, object], ...]
+    ) -> None:
+        if method not in _METHODS:
+            raise ValueError(f"unknown method {method!r}")
+        given = {column: value for column, value in fixed if value is not None}
+        given["method"] = method
+        if method in _EXACT_METHODS and "exact" not in varying and not given.get("exact"):
+            raise ValueError(f"method {method!r} must carry the exact rational")
+        if sorted(varying, key=CSV_COLUMNS.index) != list(varying):
+            # the template's slots are filled in CSV order
+            raise ValueError(f"varying columns {varying} are not in CSV order")
+        self.varying = varying
+        # each set column, in CSV order, with its index in a row's values (None if fixed)
+        self._layout = tuple(
+            (column, varying.index(column) if column in varying else None, given.get(column))
+            for column in CSV_COLUMNS
+            if column in varying or column in given
+        )
+        cells = {
+            column: "%s" if i is not None
+            else (int_str(value) if type(value) is int else str(value)).replace("%", "%%")
+            for column, i, value in self._layout
+        }
+        self.csv = ",".join([cells.get(column, "") for column in CSV_COLUMNS]) + "\n"
+
+    def items(self, values: Sequence) -> list[tuple[str, object]]:
+        """Each set column of the row with ``values``, and its value, in CSV order."""
+        return [(c, value if i is None else values[i]) for c, i, value in self._layout]
+
+
+Row = tuple[_Shape, tuple]
+
+
+@functools.lru_cache(maxsize=256)
+def _shape(
+    method: str, varying: tuple[str, ...], fixed: tuple[tuple[str, object], ...] = ()
+) -> _Shape:
+    """The shape of ``method``'s rows with these varying and fixed columns,
+    made once and cached, so a run renders its CSV template once."""
+    return _Shape(method, varying, fixed)
+
+
+def _record_of(row: Row) -> OutputRecord:
+    """``row`` as a record, for a command that edits it with ``dataclasses.replace``."""
+    shape, values = row
+    return OutputRecord(**dict(shape.items(values)))  # type: ignore[arg-type]
+
+
+def _json_object(items: Iterable[tuple[str, object]]) -> str:
+    """``json.dumps(dict(items), indent=2)`` as it sits in the records array,
+    indented by four more spaces, with ints rendered in full."""
     return "{\n      " + ",\n      ".join([
-        f"{json.dumps(k)}: {int_str(v) if type(v) is int else json.dumps(v)}"
-        for k, v in record.to_dict().items()
+        f"{json.dumps(k)}: {int_str(v) if type(v) is int else json.dumps(v)}" for k, v in items
     ]) + "\n    }"
 
 
-def _render_block(block: Sequence[OutputRecord], fmt: str, follows: bool) -> str:
-    """The text of ``block``'s records in ``fmt``; ``follows`` says whether a
-    record precedes the block, which a JSON record must then follow a comma."""
-    if fmt == "csv":
-        return _csv_lines(list(map(_csv_row, block)))
+def _render_fields(
+    block: Sequence[Iterable[tuple[str, object]]], fmt: str, follows: bool
+) -> str:
+    """The json or text of rows given as their set fields and values, in CSV
+    order; ``follows`` is as for ``_render_block``."""
     if fmt == "json":
-        text = ""
-        for rec in block:
-            text += (",\n    " if follows else "\n    ") + _json_object(rec)
-            follows = True
-        return text
+        text = "".join([",\n    " + _json_object(items) for items in block])
+        # the first object of the array follows no comma
+        return text if follows else text[1:]
     return "".join([
-        " ".join([f"{k}={int_str(v) if type(v) is int else v}" for k, v in rec.to_dict().items()])
-        + "\n"
-        for rec in block
+        " ".join([f"{k}={int_str(v) if type(v) is int else v}" for k, v in items]) + "\n"
+        for items in block
     ])
 
 
+def _render_block(block: Sequence[Row], fmt: str, follows: bool) -> str:
+    """The text of ``block``'s rows in ``fmt``; ``follows`` says whether a
+    record precedes the block, which a JSON record must then follow a comma.
+
+    In csv each row fills in its shape's template; a block whose values need
+    a field quoted, or that holds an int past ``str()``'s digit limit, is
+    rendered by ``_csv_lines`` instead.  json and text are rendered field by
+    field.
+    """
+    if fmt != "csv":
+        return _render_fields([shape.items(values) for shape, values in block], fmt, follows)
+    try:
+        text = "".join([shape.csv % values for shape, values in block])
+    except ValueError:  # an int past str()'s digit limit
+        text = None
+    if text is None or _needs_csv_writer(text, len(block), (len(CSV_COLUMNS) - 1) * len(block)):
+        full = (dict(shape.items(values)) for shape, values in block)
+        text = _csv_lines([[row.get(c) for c in CSV_COLUMNS] for row in full])
+    return text
+
+
+def _render_records(block: Sequence[OutputRecord], fmt: str, follows: bool) -> str:
+    """``_render_block`` for a block of records."""
+    if fmt == "csv":
+        return _csv_lines(list(map(_csv_row, block)))
+    return _render_fields([rec.to_dict().items() for rec in block], fmt, follows)
+
+
 def _render_blocks(
-    blocks: Iterable[Sequence[OutputRecord]], fmt: str, follows: bool = False
+    blocks: Iterable[Sequence],
+    fmt: str,
+    follows: bool = False,
+    render: Callable[[Sequence, str, bool], str] = _render_block,
 ) -> Iterator[str]:
-    """``_render_block``'s text of each of ``blocks`` in turn, each block rendered
-    when the previous text is taken; ``follows`` is as for the first block."""
+    """``render``'s text (``_render_block``'s, or ``_render_records``' for
+    blocks of records) of each of ``blocks`` in turn, each block rendered when
+    the previous text is taken; ``follows`` is as for the first block."""
     for block in blocks:
-        yield _render_block(block, fmt, follows)
+        yield render(block, fmt, follows)
         follows = follows or bool(block)
 
 
@@ -225,7 +334,7 @@ def _write_texts(texts: Iterable[str], fmt: str, stream: TextIO) -> None:
 def _write_blocks(blocks: Iterable[Sequence[OutputRecord]], fmt: str, stream: TextIO) -> None:
     """Write the records of ``blocks`` as ``write_records`` does, each block with
     one write, after the header (csv) or the opening (json) is written on its own."""
-    _write_texts(_render_blocks(blocks, fmt), fmt, stream)
+    _write_texts(_render_blocks(blocks, fmt, render=_render_records), fmt, stream)
 
 
 def write_records(records: Iterable[OutputRecord], fmt: str, stream: TextIO) -> None:

@@ -27,16 +27,17 @@ from typing import BinaryIO, Callable, Iterable, Iterator, Sequence, TextIO
 
 from .errors import PolyaUrnError
 from .exact import UrnConfig
-from .output import OutputRecord, _render_block, _write_texts, int_str
+from .output import Row, _render_block, _write_texts, int_str
 
 # A sweep whose estimate reaches this many work units takes every CPU it may
 # use.  The estimates overcharge a sweep, most of all one of many methods,
-# whose rows each method's estimate charges again: 10^9 units is 0.15-0.2 s
-# of one CPU's work for the grid workload's five methods, 4,000 pairs, and
-# about 0.3 s for exact alone, 20,000 pairs.  A split's own cost, its forks,
-# pipes and copied pages, was 3-6 ms on sweeps of 10-40 ms, timed in process
-# on a shared 2-vCPU Xeon VM; so a split at the floor costs a few percent
-# when the other CPUs are busy, and saves up to half when one is free.
+# whose rows each method's estimate charges again: 10^9 units is 0.08-0.11 s
+# of one CPU's work for the grid workload's five methods, 4,005 pairs, and
+# 0.18-0.24 s for exact alone, 18,915 pairs (best and median of 15, in
+# process).  A split's own cost, its forks, pipes and copied pages, was
+# 3-6 ms on sweeps of 10-40 ms, timed in process on a shared 2-vCPU Xeon VM;
+# so a split at the floor costs several percent when the other CPUs are
+# busy, and saves up to half when one is free.
 SPLIT_FLOOR = 10**9
 # The most text one slice of a split sweep may hold: a worker renders a whole
 # slice, and keeps it, before the parent reads it.
@@ -75,7 +76,7 @@ def _threads() -> int:
         return threading.active_count()
 
 
-def pair_bytes(first: Sequence[OutputRecord], fmt: str, largest: UrnConfig) -> int:
+def pair_bytes(first: Sequence[Row], fmt: str, largest: UrnConfig) -> int:
     """A bound on the text of any one pair of a sweep: the first pair's, with
     each of its exact rationals grown to the largest pair's numerator and
     denominator, which divide 2^(n-1), and each b and w to the largest b's
@@ -84,7 +85,8 @@ def pair_bytes(first: Sequence[OutputRecord], fmt: str, largest: UrnConfig) -> i
     n = largest.total - 1
     rational_digits = n * 302 // 1000 + 1  # log10(2) < 0.302
     grown = sum(
-        2 * len(int_str(largest.black)) + 2 * rational_digits * bool(rec.exact) for rec in first
+        2 * len(int_str(largest.black)) + 2 * rational_digits * ("exact" in shape.varying)
+        for shape, _ in first
     )
     return len(_render_block(first, fmt, False)) + grown
 
@@ -110,7 +112,7 @@ def cut(
 
 
 def plan(
-    first: Sequence[OutputRecord],
+    first: Sequence[Row],
     fmt: str,
     largest: UrnConfig,
     b_range: tuple[int, int],

@@ -19,24 +19,29 @@ from fractions import Fraction
 
 import jsonschema
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from polya_urn import (
     ApproxResult,
     ExactProbability,
+    RngSeed,
     UrnConfig,
+    chernoff_bound,
     cli,
+    definetti_estimator,
     equalization_probability,
     equalization_probability_binomial,
     equalization_probability_complement,
+    estimate_equalization,
     first_passage_dp,
+    normal_approximation,
     output,
     split,
 )
 from polya_urn.cli import main
 from polya_urn.cost import MEMORY_BUDGET_BYTES, estimate_dp_memory_bytes
-from polya_urn.output import load_output_schema, render_decimal
+from polya_urn.output import load_output_schema, rational_str, render_decimal
 
 from oracles import beta_cdf_by_polynomial_integration, parse_rational
 
@@ -513,6 +518,27 @@ class TestSweepCommand:
         values = [parse_rational(row["exact"]) for row in rows[::5]]
         assert [Fraction(int(n), int(d)) for n, d in divisions] == values
 
+    def test_no_record_is_built_per_row(self, capsys, monkeypatch):
+        """A sweep's rows go from the row builders to the renderer as rows: no
+        ``OutputRecord`` is built, while a single-record command builds its own."""
+        built = []
+        init = output.OutputRecord.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(args or kwargs)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(output.OutputRecord, "__init__", counting)
+        for fmt in ("csv", "json", "text"):
+            code, out, _ = run_cli(
+                capsys, "sweep", "--b-range", "2:30", "--w-range", "1:29", "--format", fmt,
+                "--methods", "exact,binomial,complement,normal,chernoff",
+            )
+            assert code == 0 and out.count("chernoff") == 435  # the pairs with w < b
+        assert built == []
+        assert run_cli(capsys, "exact", "--b", "5", "--w", "3")[0] == 0
+        assert len(built) == 2  # the row's record and its noted copy
+
     def test_csv_round_trips_exact_rationals(self, capsys):
         _, out, _ = run_cli(
             capsys,
@@ -760,6 +786,137 @@ class TestSweepCommand:
             assert [r["method"] for r in group] == ["exact", "binomial", "complement", "normal"]
             assert {parse_rational(r["exact"]) for r in group[:3]} == {expected}
             assert group[3]["reference"] == render_decimal(expected)
+
+
+# the columns of every output row, in order, as the published schema lists them
+_COLUMNS = (
+    "b", "w", "method", "value", "exact", "target", "horizon", "samples", "seed", "streams",
+    "std_err", "ci_lo", "ci_hi", "reference", "z_score", "note",
+)
+
+_METHOD_NAMES = ("exact", "binomial", "complement", "dp", "mc", "definetti", "normal", "chernoff")
+
+
+def _library_rows(sweep: dict) -> list[dict]:
+    """The set fields of each row of ``sweep``, in b-major order, from the
+    library's own values and renderings alone."""
+    (b_lo, b_hi), (w_lo, w_hi) = sweep["b_range"], sweep["w_range"]
+    target, horizon, samples, seed, streams = (
+        sweep[k] for k in ("target", "horizon", "samples", "seed", "streams")
+    )
+    rows = []
+    for b in range(b_lo, b_hi + 1):
+        for w in range(w_lo, min(w_hi, b - 1) + 1):
+            config = UrnConfig(b, w)
+            exact = equalization_probability(config).value
+            for method in sweep["methods"]:
+                row = {"b": b, "w": w, "method": method}
+                if method in ("exact", "binomial", "complement"):
+                    row.update(value=render_decimal(exact), exact=rational_str(exact))
+                elif method in ("normal", "chernoff"):
+                    approximation = normal_approximation if method == "normal" else chernoff_bound
+                    row["value"] = render_decimal(approximation(config).value)
+                    row["reference"] = render_decimal(exact)
+                elif method == "dp":
+                    cumulative = first_passage_dp(config, target, horizon).cumulative
+                    row.update(
+                        value=render_decimal(cumulative), exact=rational_str(cumulative),
+                        target=target, horizon=horizon, note="cumulative P(tau <= horizon)",
+                    )
+                else:
+                    if method == "mc":
+                        est = estimate_equalization(
+                            config, target, horizon, samples, RngSeed(seed), streams
+                        )
+                        row.update(target=target, horizon=horizon, streams=streams)
+                    else:
+                        est = definetti_estimator(config, samples, RngSeed(seed))
+                    row.update(
+                        value=render_decimal(est.p_hat), samples=samples, seed=seed,
+                        std_err=render_decimal(est.std_err),
+                        ci_lo=render_decimal(est.ci95[0]), ci_hi=render_decimal(est.ci95[1]),
+                    )
+                rows.append({c: row[c] for c in _COLUMNS if c in row})
+    return rows
+
+
+def _library_text(sweep: dict) -> str:
+    """``sweep``'s stdout as the stdlib's ``csv.writer`` and ``json.dumps`` render it."""
+    rows = _library_rows(sweep)
+    if sweep["fmt"] == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(_COLUMNS)
+        writer.writerows([row.get(c) for c in _COLUMNS] for row in rows)
+        return buf.getvalue()
+    if sweep["fmt"] == "json":
+        return json.dumps({"records": rows}, indent=2) + "\n"
+    return "".join(" ".join(f"{k}={v}" for k, v in row.items()) + "\n" for row in rows)
+
+
+def _sweep_stdout(sweep: dict) -> str:
+    """``sweep`` run through the CLI in this process; its stdout."""
+    argv = [
+        "sweep",
+        "--b-range", "{}:{}".format(*sweep["b_range"]),
+        "--w-range", "{}:{}".format(*sweep["w_range"]),
+        "--methods", ",".join(sweep["methods"]),
+        "--format", sweep["fmt"],
+        *(f"--{k}={sweep[k]}" for k in ("target", "horizon", "samples", "seed", "streams")),
+    ]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) == 0
+    return out.getvalue()
+
+
+def _assert_same_text(got: str, want: str) -> None:
+    """Fail at the first line where ``got`` and ``want`` differ: pytest's diff
+    of two long texts takes minutes."""
+    if got != want:
+        pairs = zip(got.splitlines(), want.splitlines())
+        line, (ours, theirs) = next(
+            ((i, pair) for i, pair in enumerate(pairs) if pair[0] != pair[1]), (None, ("", ""))
+        )
+        pytest.fail(f"{len(got)} chars, not {len(want)}; line {line}: {ours!r}, not {theirs!r}")
+
+
+@st.composite
+def _sweeps(draw) -> dict:
+    """A small sweep with at least one pair: b up to 40, a random subset of
+    the methods in random order, dp at a short horizon, and the estimators
+    with a fixed seed and a few samples."""
+    b_hi = draw(st.integers(2, 40))
+    b_lo = draw(st.integers(max(1, b_hi - 12), b_hi))
+    w_lo = draw(st.integers(1, b_hi - 1))  # so (b_hi, w_lo) is a pair
+    methods = draw(st.lists(st.sampled_from(_METHOD_NAMES), min_size=1, max_size=5, unique=True))
+    return {
+        "b_range": (b_lo, b_hi),
+        "w_range": (w_lo, draw(st.integers(w_lo, w_lo + 12))),
+        "methods": methods,
+        # the de Finetti estimator answers target 0 only
+        "target": 0 if "definetti" in methods else draw(st.integers(-3, 3)),
+        "horizon": draw(st.integers(0, 12)),
+        "samples": draw(st.integers(1, 40)),
+        "seed": draw(st.integers(0, 2**32)),
+        "streams": draw(st.integers(1, 3)),
+        "fmt": draw(st.sampled_from(["csv", "json", "text"])),
+    }
+
+
+class TestSweepOracle:
+    @given(sweep=_sweeps())
+    @example(sweep={
+        "b_range": (2, 40), "w_range": (1, 13), "fmt": "csv",
+        "methods": ["exact", "binomial", "complement", "normal", "chernoff"],
+        "target": 0, "horizon": 200, "samples": 100_000, "seed": 0, "streams": 1,
+    })
+    @settings(max_examples=40, deadline=None)
+    def test_sweep_rows_are_the_library_values(self, sweep):
+        """Every row of a sweep, in every format, is what the stdlib writers
+        render from the library's values and decimals, none of the CLI's rows
+        or ``output``'s renderers in between."""
+        _assert_same_text(_sweep_stdout(sweep), _library_text(sweep))
 
 
 class TestSplitSweep:
@@ -1076,6 +1233,26 @@ class TestSplitSweep:
         assert (sweep.returncode, head.returncode) == (0, 0)
         assert first == (",".join(output.CSV_COLUMNS) + "\n").encode()
         assert err == "# skipped 12561 (b, w) pair(s): sweep requires w < b\n"
+
+    @given(sweep=_sweeps())
+    @example(sweep={
+        "b_range": (28, 40), "w_range": (5, 17), "fmt": "json",
+        "methods": ["mc", "exact", "definetti", "chernoff"],
+        "target": 0, "horizon": 9, "samples": 30, "seed": 5, "streams": 2,
+    })
+    @settings(
+        max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    def test_split_sweep_rows_are_the_library_values(self, monkeypatch, forks, sweep):
+        """The library oracle of ``TestSweepOracle``, with the sweep split
+        across three processes, one slice a b value."""
+        monkeypatch.setattr(split, "SLICE_BYTES", 1)
+        forks.clear()
+        _assert_same_text(_sweep_stdout(sweep), _library_text(sweep))
+        # with a byte a slice, as many slices as ``cut`` makes at most
+        count = split.pair_count(sweep["b_range"], sweep["w_range"])
+        slices = split.cut(sweep["b_range"], sweep["w_range"], count, count)
+        assert len(forks) == (0 if "dp" in sweep["methods"] else min(3, len(slices)) - 1)
 
 
 class TestIdentityCheck:

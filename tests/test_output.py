@@ -28,6 +28,7 @@ from polya_urn import (
     cost,
     estimate_equalization,
     normal_approximation,
+    output,
 )
 from polya_urn.output import (
     CSV_COLUMNS,
@@ -344,6 +345,56 @@ class TestJsonAndTextRenderers:
                 for b in blocks
             ]
         assert stream.writes == expected
+
+
+_STR_COLUMNS = ("exact", "std_err", "ci_lo", "ci_hi", "reference", "z_score", "note")
+_INT_FIELDS = ("target", "horizon", "samples", "seed", "streams")
+
+
+@st.composite
+def _rows(draw):
+    """A sweep row, ``(shape, values)``: b, w, the value and some other str
+    columns vary, in CSV order, and some str and int columns are fixed in
+    its shape, a ``%`` among them."""
+    text = _TEXT | st.text('%s,"\n 0', max_size=6)
+    others = draw(st.lists(st.sampled_from(_STR_COLUMNS), unique=True))
+    str_varying = ["value", *sorted(others, key=CSV_COLUMNS.index)]
+    fixed_columns = draw(st.lists(
+        st.sampled_from([c for c in CSV_COLUMNS[3:] if c not in str_varying]), unique=True
+    ))
+    fixed = tuple(
+        (c, draw(st.integers(0, 10**20) if c in _INT_FIELDS else text)) for c in fixed_columns
+    )
+    varying = ("b", "w", *str_varying)
+    values = (draw(st.integers(2, 10**20)), draw(st.integers(1, 9)))
+    values += tuple(draw(text) for _ in str_varying)
+    return output._shape("mc", varying, fixed), values
+
+
+class TestRowShapes:
+    """A row renders in every format as the record it stands for: its csv
+    template falls back to ``csv.writer`` where a field needs quoting, as
+    ``write_records`` does, and a fixed ``%`` stays a ``%``."""
+
+    @given(
+        rows=st.lists(_rows(), min_size=1, max_size=3),
+        fmt=st.sampled_from(["csv", "json", "text"]),
+    )
+    @example(
+        rows=[(output._shape("dp", ("b", "w", "value", "exact"), (("note", "100%"),)),
+               (2, 1, "0.5", "1/2"))],
+        fmt="csv",
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_a_row_renders_as_its_record(self, rows, fmt):
+        records = [output._record_of(row) for row in rows]
+        for follows in (False, True):
+            got = output._render_block(rows, fmt, follows)
+            assert got == output._render_records(records, fmt, follows)
+
+    def test_varying_columns_keep_csv_order(self):
+        with pytest.raises(ValueError, match="not in CSV order"):
+            output._shape("mc", ("b", "w", "value", "ci_lo", "std_err"))
 
 
 # past the 4,300 digits that ``str(int)`` renders by default
