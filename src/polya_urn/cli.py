@@ -9,13 +9,14 @@ which fixes its method and the run's parameters, and the values of one
 pair.  Every subcommand with ``--format`` streams its data through
 ``output``'s block renderers, or ``output.write_pmf`` for ``dp --emit-pmf``,
 so each format is switched in one place; a single-record command is a
-one-pair run, whose rows become ``OutputRecord``s that it edits with
-``dataclasses.replace`` and writes.  ``sweep`` renders each pair's rows together, with
-one write, as soon as the pair is built, with no record in between, and
-converts a pair's exact value to its strings once.  It takes its closed
-forms from ``exact.equalization_sweep``, which carries one head sum down
-each w column by Pascal's rule (by symmetry it is the value of all three
-forms), and builds none when its methods read none.  ``exact --form all``
+one-pair run, which fixes its own columns (a note, a reference) in its rows'
+shapes (``output._with``) and writes them; no command builds an
+``OutputRecord``.  ``sweep`` renders each pair's rows together, with one
+write, as soon as the pair is built, and converts a pair's exact value to
+its strings once.  It takes its closed forms from
+``exact.equalization_sweep``, which carries one head sum down each w
+column by Pascal's rule (by symmetry it is the value of all three forms),
+and builds none when its methods read none.  ``exact --form all``
 and ``identity-check`` evaluate the three closed forms independently, since
 cross-checking them is their job.
 
@@ -30,7 +31,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from itertools import chain, islice
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, TextIO
@@ -48,12 +48,11 @@ from .exact import (
     equalization_sweep,
 )
 from .output import (
-    OutputRecord,
     Row,
-    _record_of,
     _render_blocks,
     _shape,
-    _write_blocks,
+    _with,
+    _write_texts,
     int_str,
     rational_parts,
     render_decimal,
@@ -107,8 +106,8 @@ def _emit(write: Callable[[TextIO], Any], output: Optional[str]) -> None:
             raise PolyaUrnError(f"--output: {exc}") from exc
 
 
-def _emit_records(records: list[OutputRecord], fmt: str, output: Optional[str]) -> None:
-    _emit(lambda fh: _write_blocks([records], fmt, fh), output)
+def _emit_rows(rows: list[Row], fmt: str, output: Optional[str]) -> None:
+    _emit(lambda fh: _write_texts(_render_blocks([rows], fmt), fmt, fh), output)
 
 
 def _closed_forms(
@@ -208,7 +207,7 @@ def _approx_row(config: UrnConfig, args: argparse.Namespace, method: str, value:
 
 
 # Every method's bare row for one urn (what ``sweep`` prints), with the library
-# result it came from; the other subcommands add their own fields to its record.
+# result it came from; the other subcommands add their own fields to its shape.
 # Only the closed forms and the approximations read the urn's ``_Value``.
 METHODS: dict[str, Callable[..., tuple[Row, Any]]] = {
     **dict.fromkeys(("exact", "binomial", "complement"), _closed_form_row),
@@ -266,11 +265,11 @@ def cmd_exact(args: argparse.Namespace) -> int:
         if not _triple_holds(config, forms):
             return 1
         notes["exact"] = "triple identity verified"
-    records = [
-        replace(_record_of(METHODS[m](config, args, m, _value(forms[m]))[0]), note=note)
+    rows = [
+        _with(METHODS[m](config, args, m, _value(forms[m]))[0], note=note)
         for m, note in notes.items()
     ]
-    _emit_records(records, args.format, args.output)
+    _emit_rows(rows, args.format, args.output)
     return 0
 
 
@@ -278,9 +277,9 @@ def cmd_dp(args: argparse.Namespace) -> int:
     row, table = METHODS["dp"](UrnConfig(args.b, args.w), args, "dp")
     if args.emit_pmf:
         _emit(lambda fh: write_pmf(table.hit_pmf, fh), args.output)
-    # the record goes to --output, or to stdout when the pmf took --output
+    # the row goes to --output, or to stdout when the pmf took --output
     if not args.emit_pmf or args.output is not None:
-        _emit_records([_record_of(row)], args.format, None if args.emit_pmf else args.output)
+        _emit_rows([row], args.format, None if args.emit_pmf else args.output)
     return 0
 
 
@@ -318,17 +317,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     method = "mc" if args.method == "direct" else args.method
     cost.check(method, config, args.horizon, args.samples, args.streams, target=args.target)
     row, est = METHODS[method](config, args, method)
-    record = _record_of(row)
     reference, note = _reference(config, args, method)
+    columns = {}
     if reference is not None:
-        record = replace(record, reference=render_decimal(reference))
+        columns["reference"] = render_decimal(reference)
         if not est.degenerate:
-            record = replace(record, z_score=render_decimal(est.z_score(float(reference))))
+            columns["z_score"] = render_decimal(est.z_score(float(reference)))
     if est.degenerate:
         note += "; degenerate CI (zero standard error)"
     if (ess := est.effective_samples) < _MIN_EFFECTIVE_SAMPLES:
         note += f"; effective sample size {ess:.3g} < {_MIN_EFFECTIVE_SAMPLES}: out of MC reach"
-    _emit_records([replace(record, note=note)], args.format, args.output)
+    _emit_rows([_with(row, **columns, note=note)], args.format, args.output)
     return 0
 
 
@@ -340,14 +339,14 @@ def cmd_approx(args: argparse.Namespace) -> int:
         cost.check(method, config)
         _approximate(method, config)
     reference = _value(equalization_probability(config))
-    records = []
+    rows = []
     for method in methods:
         row, result = METHODS[method](config, args, method, reference)
         note = "guaranteed upper bound" if result.kind == "upper_bound" else result.kind
         if result.rel_error is not None:  # None when the exact value underflows float
             note += f"; rel_error={render_decimal(result.rel_error)}"
-        records.append(replace(_record_of(row), note=note))
-    _emit_records(records, args.format, args.output)
+        rows.append(_with(row, note=note))
+    _emit_rows(rows, args.format, args.output)
     return 0
 
 

@@ -9,17 +9,18 @@ in ``schemas/``) or text (one ``key=value`` line per record); ``write_pmf``
 writes a first-passage pmf as CSV.  Both write each row with one write, so
 a long table never sits in memory.
 
-Inside the package a ``sweep`` row travels as its shape and its values,
-not as an ``OutputRecord``: the shape (``_Shape``) holds the columns the
-row sets, the values every row of its kind shares, and its CSV line, a
-template rendered once a run; the row carries only what varies from pair
-to pair.  The CLI builds rows, and renders a block of them at a time
-(``sweep`` one pair's) with one write; a block renders alone, so a
-``sweep`` worker can render it.  A CSV block whose values would need a
-field quoted is rendered by ``csv.writer`` instead, which stays the
-authority on quoting; JSON and text are rendered field by field, as are
-the records that ``write_records`` and the commands of a few rows write.
-Ints render in full in every format.
+Inside the package a row travels as its shape and its values, not as an
+``OutputRecord``: the shape (``_Shape``) holds the columns the row sets,
+the values every row of its kind shares, and its CSV line, a template
+rendered once a shape; the row carries only what varies from pair to
+pair.  The CLI builds rows, and a command adds its own fixed columns (a
+note, a reference) to a row's shape; ``write_records`` turns each record
+into a row whose shape fixes only its method.  Every row renders through
+``_render_block``, a block of rows (``sweep`` one pair's) with one write;
+a block renders alone, so a ``sweep`` worker can render it.  A CSV block
+whose values would need a field quoted is rendered by ``csv.writer``
+instead, which stays the authority on quoting; JSON and text are rendered
+field by field.  Ints render in full in every format.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import operator
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from importlib import resources
-from typing import Callable, Iterable, Iterator, Literal, Optional, Sequence, TextIO, get_args
+from typing import Iterable, Iterator, Literal, Optional, Sequence, TextIO, get_args
 
 __all__ = [
     "Method",
@@ -55,6 +56,16 @@ Method = Literal[
 _METHODS = get_args(Method)
 # the methods whose rows carry their exact rational
 _EXACT_METHODS = ("exact", "binomial", "complement", "dp")
+
+
+def _check(method: object, exact: object) -> None:
+    """Refuse a row or record whose method is unknown, or whose exact method
+    carries no exact rational (``exact`` is falsy)."""
+    if method not in _METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    if method in _EXACT_METHODS and not exact:
+        raise ValueError(f"method {method!r} must carry the exact rational")
+
 
 _CONTEXT = decimal.Context(prec=15, rounding=decimal.ROUND_HALF_EVEN)
 
@@ -108,12 +119,13 @@ def _converted(ratio: tuple[int, int]) -> tuple[str, str, str]:
 class OutputRecord:
     """One (b, w, method) result row; metadata fields apply where relevant.
 
-    The CLI's commands of one or a few rows build a record per row and edit
-    it; a ``sweep`` builds none.  It is slotted rather than frozen: a frozen
-    dataclass sets each of its 16 fields through ``object.__setattr__``,
-    about three times the cost of building a slotted one.  Records are
-    therefore mutable and unhashable; edit one with ``dataclasses.replace``,
-    which validates the new record.
+    The CLI builds none: its commands render rows (``_Shape``).  A record
+    is slotted rather than frozen: a frozen dataclass sets each of its 16
+    fields through ``object.__setattr__``, about three times the cost of
+    building a slotted one.  Records are therefore mutable and unhashable;
+    edit one with ``dataclasses.replace``, which validates the new record.
+    ``write_records`` checks each record again, so it refuses one edited
+    in place into a record that the constructor would refuse.
     """
 
     b: int
@@ -136,10 +148,7 @@ class OutputRecord:
     __repr__ = _dataclass_repr
 
     def __post_init__(self) -> None:
-        if self.method not in _METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
-        if self.method in _EXACT_METHODS and not self.exact:
-            raise ValueError(f"method {self.method!r} must carry the exact rational")
+        _check(self.method, self.exact)
 
     def to_dict(self) -> dict[str, object]:
         """Field-ordered dict with None entries dropped."""
@@ -190,31 +199,29 @@ class _Shape:
     """The columns that a run of rows sets, and its CSV line.
 
     ``fixed`` pairs each column that every row of the shape holds the same
-    value in (a sweep's method, target, horizon, samples, seed, streams and
-    note) with that value; ``varying`` names the columns whose values each
-    row carries, in CSV order, which hold the types ``OutputRecord``
-    declares for them.  A row is ``(shape, values)``, ``values`` in
+    value in (a sweep's target, horizon, samples, seed, streams and note, or
+    a command's reference, z_score and note) with that value; ``varying``
+    names the columns whose values each row carries, in CSV order, which
+    hold the types ``OutputRecord`` declares for them.  A row is ``(shape, values)``, ``values`` in
     ``varying``'s order.  The CSV line is a %-template rendered once, when
     the shape is made, and a row fills in only its values.
-    ``OutputRecord``'s checks run here, once a shape: a varying ``exact`` is
-    a row builder's ``num/den``, which is never empty.
+    ``OutputRecord``'s check (``_check``) runs here, once a shape: a varying
+    ``exact`` is a row builder's ``num/den``, which is never empty, or a
+    record's, which ``_row_of`` has checked.
     """
 
-    __slots__ = ("varying", "csv", "_layout")
+    __slots__ = ("method", "varying", "fixed", "csv", "_layout")
 
     def __init__(
         self, method: str, varying: tuple[str, ...], fixed: tuple[tuple[str, object], ...]
     ) -> None:
-        if method not in _METHODS:
-            raise ValueError(f"unknown method {method!r}")
         given = {column: value for column, value in fixed if value is not None}
+        _check(method, "exact" in varying or given.get("exact"))
         given["method"] = method
-        if method in _EXACT_METHODS and "exact" not in varying and not given.get("exact"):
-            raise ValueError(f"method {method!r} must carry the exact rational")
         if sorted(varying, key=CSV_COLUMNS.index) != list(varying):
             # the template's slots are filled in CSV order
             raise ValueError(f"varying columns {varying} are not in CSV order")
-        self.varying = varying
+        self.method, self.varying, self.fixed = method, varying, fixed
         # each set column, in CSV order, with its index in a row's values (None if fixed)
         self._layout = tuple(
             (column, varying.index(column) if column in varying else None, given.get(column))
@@ -245,10 +252,17 @@ def _shape(
     return _Shape(method, varying, fixed)
 
 
-def _record_of(row: Row) -> OutputRecord:
-    """``row`` as a record, for a command that edits it with ``dataclasses.replace``."""
+def _with(row: Row, **columns: object) -> Row:
+    """``row`` with ``columns`` (None for unset) fixed in its shape as well."""
     shape, values = row
-    return OutputRecord(**dict(shape.items(values)))  # type: ignore[arg-type]
+    return _shape(shape.method, shape.varying, shape.fixed + tuple(columns.items())), values
+
+
+def _row_of(record: OutputRecord) -> Row:
+    """``record``, checked again, as a row whose shape fixes only its method."""
+    _check(record.method, record.exact)
+    columns = record.to_dict()
+    return _shape(columns.pop("method"), tuple(columns)), tuple(columns.values())
 
 
 def _json_object(items: Iterable[tuple[str, object]]) -> str:
@@ -257,21 +271,6 @@ def _json_object(items: Iterable[tuple[str, object]]) -> str:
     return "{\n      " + ",\n      ".join([
         f"{json.dumps(k)}: {int_str(v) if type(v) is int else json.dumps(v)}" for k, v in items
     ]) + "\n    }"
-
-
-def _render_fields(
-    block: Sequence[Iterable[tuple[str, object]]], fmt: str, follows: bool
-) -> str:
-    """The json or text of rows given as their set fields and values, in CSV
-    order; ``follows`` is as for ``_render_block``."""
-    if fmt == "json":
-        text = "".join([",\n    " + _json_object(items) for items in block])
-        # the first object of the array follows no comma
-        return text if follows else text[1:]
-    return "".join([
-        " ".join([f"{k}={int_str(v) if type(v) is int else v}" for k, v in items]) + "\n"
-        for items in block
-    ])
 
 
 def _render_block(block: Sequence[Row], fmt: str, follows: bool) -> str:
@@ -283,8 +282,16 @@ def _render_block(block: Sequence[Row], fmt: str, follows: bool) -> str:
     rendered by ``_csv_lines`` instead.  json and text are rendered field by
     field.
     """
-    if fmt != "csv":
-        return _render_fields([shape.items(values) for shape, values in block], fmt, follows)
+    if fmt == "json":
+        text = "".join([",\n    " + _json_object(shape.items(values)) for shape, values in block])
+        # the first object of the array follows no comma
+        return text if follows else text[1:]
+    if fmt == "text":
+        return "".join([
+            " ".join([f"{k}={int_str(v) if type(v) is int else v}" for k, v in shape.items(values)])
+            + "\n"
+            for shape, values in block
+        ])
     try:
         text = "".join([shape.csv % values for shape, values in block])
     except ValueError:  # an int past str()'s digit limit
@@ -295,24 +302,13 @@ def _render_block(block: Sequence[Row], fmt: str, follows: bool) -> str:
     return text
 
 
-def _render_records(block: Sequence[OutputRecord], fmt: str, follows: bool) -> str:
-    """``_render_block`` for a block of records."""
-    if fmt == "csv":
-        return _csv_lines(list(map(_csv_row, block)))
-    return _render_fields([rec.to_dict().items() for rec in block], fmt, follows)
-
-
 def _render_blocks(
-    blocks: Iterable[Sequence],
-    fmt: str,
-    follows: bool = False,
-    render: Callable[[Sequence, str, bool], str] = _render_block,
+    blocks: Iterable[Sequence[Row]], fmt: str, follows: bool = False
 ) -> Iterator[str]:
-    """``render``'s text (``_render_block``'s, or ``_render_records``' for
-    blocks of records) of each of ``blocks`` in turn, each block rendered when
-    the previous text is taken; ``follows`` is as for the first block."""
+    """``_render_block``'s text of each of ``blocks`` in turn, each block rendered
+    when the previous text is taken; ``follows`` is as for the first block."""
     for block in blocks:
-        yield render(block, fmt, follows)
+        yield _render_block(block, fmt, follows)
         follows = follows or bool(block)
 
 
@@ -334,7 +330,8 @@ def _write_texts(texts: Iterable[str], fmt: str, stream: TextIO) -> None:
 def _write_blocks(blocks: Iterable[Sequence[OutputRecord]], fmt: str, stream: TextIO) -> None:
     """Write the records of ``blocks`` as ``write_records`` does, each block with
     one write, after the header (csv) or the opening (json) is written on its own."""
-    _write_texts(_render_blocks(blocks, fmt, render=_render_records), fmt, stream)
+    rows = ([_row_of(rec) for rec in block] for block in blocks)
+    _write_texts(_render_blocks(rows, fmt), fmt, stream)
 
 
 def write_records(records: Iterable[OutputRecord], fmt: str, stream: TextIO) -> None:

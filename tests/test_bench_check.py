@@ -1,5 +1,5 @@
-"""The benchmark's own output check on the grid workload, run in process, so
-that a wrong grid row fails the tests before the benchmark runs it."""
+"""The benchmark's own output check on the grid, pmf and mc workloads, run in
+process, so that a wrong row fails the tests before the benchmark runs it."""
 
 import contextlib
 import importlib.util
@@ -50,3 +50,15 @@ def test_grid_passes_the_benchmark_check(monkeypatch, workloads, cpus):
         assert cli.main(list(grid.argv)) == 0
     assert len(forks) == cpus - 1
     assert workloads.check_output(grid, out.getvalue(), workloads.load_golden()) == []
+
+
+@pytest.mark.parametrize("kind", ["pmf", "mc"])
+def test_pmf_and_mc_pass_the_benchmark_check(workloads, kind):
+    """Each pmf invocation (``dp --emit-pmf``) and each mc one (a ``simulate``
+    text record) writes what the benchmark's check accepts."""
+    for invocation in workloads.build_workloads(0)[kind]:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main(list(invocation.argv)) == 0
+        problems = workloads.check_output(invocation, out.getvalue(), workloads.load_golden())
+        assert problems == [], invocation.key

@@ -519,8 +519,8 @@ class TestSweepCommand:
         assert [Fraction(int(n), int(d)) for n, d in divisions] == values
 
     def test_no_record_is_built_per_row(self, capsys, monkeypatch):
-        """A sweep's rows go from the row builders to the renderer as rows: no
-        ``OutputRecord`` is built, while a single-record command builds its own."""
+        """Rows go from the row builders to the renderer as rows: no
+        ``OutputRecord`` is built, by a sweep or by a single-record command."""
         built = []
         init = output.OutputRecord.__init__
 
@@ -536,8 +536,18 @@ class TestSweepCommand:
             )
             assert code == 0 and out.count("chernoff") == 435  # the pairs with w < b
         assert built == []
-        assert run_cli(capsys, "exact", "--b", "5", "--w", "3")[0] == 0
-        assert len(built) == 2  # the row's record and its noted copy
+        urn = ("--b", "5", "--w", "3")
+        for argv in (
+            ("exact", *urn),
+            ("exact", *urn, "--form", "all"),
+            ("dp", *urn, "--horizon", "20"),
+            ("simulate", *urn, "--samples", "100"),
+            ("simulate", *urn, "--samples", "100", "--method", "definetti"),
+            ("approx", *urn),
+        ):
+            for fmt in ("csv", "json", "text"):
+                assert run_cli(capsys, *argv, "--format", fmt)[0] == 0
+        assert built == []
 
     def test_csv_round_trips_exact_rationals(self, capsys):
         _, out, _ = run_cli(
@@ -842,14 +852,19 @@ def _library_rows(sweep: dict) -> list[dict]:
 
 def _library_text(sweep: dict) -> str:
     """``sweep``'s stdout as the stdlib's ``csv.writer`` and ``json.dumps`` render it."""
-    rows = _library_rows(sweep)
-    if sweep["fmt"] == "csv":
+    return _stdlib_text(_library_rows(sweep), sweep["fmt"])
+
+
+def _stdlib_text(rows: list[dict], fmt: str) -> str:
+    """Rows given as their set fields, as ``csv.writer``, ``json.dumps`` or
+    ``key=value`` lines render them."""
+    if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(_COLUMNS)
         writer.writerows([row.get(c) for c in _COLUMNS] for row in rows)
         return buf.getvalue()
-    if sweep["fmt"] == "json":
+    if fmt == "json":
         return json.dumps({"records": rows}, indent=2) + "\n"
     return "".join(" ".join(f"{k}={v}" for k, v in row.items()) + "\n" for row in rows)
 
@@ -917,6 +932,154 @@ class TestSweepOracle:
         render from the library's values and decimals, none of the CLI's rows
         or ``output``'s renderers in between."""
         _assert_same_text(_sweep_stdout(sweep), _library_text(sweep))
+
+
+def _command_rows(command: dict) -> list[dict]:
+    """The set fields of each row that the single-record ``command`` prints,
+    from the library's values and decimals alone; notes are literal strings."""
+    config = UrnConfig(command["b"], command["w"])
+    b, w, name = config.black, config.white, command["name"]
+    target, horizon, samples, seed, streams = (
+        command.get(k) for k in ("target", "horizon", "samples", "seed", "streams")
+    )
+    exact = equalization_probability(config)
+    rows = []
+    if name == "exact":
+        forms = {
+            "exact": equalization_probability,
+            "binomial": equalization_probability_binomial,
+            "complement": equalization_probability_complement,
+        }
+        form = command["form"]
+        if form != "all":
+            methods = ["exact" if form == "theorem" else form]
+        else:
+            methods = list(forms) if b > w else ["exact"]
+        notes = {
+            "exact": "triple identity verified" if len(methods) == 3
+            else "starts equal: equalized at step 0 by convention" if b == w
+            else f"black < white: value taken from the color-swapped urn ({w}, {b})" if b < w
+            else None,
+            "binomial": f"head sum, {w} term(s)",
+            "complement": f"complement sum, {b - w} term(s)",
+        }
+        for method in methods:
+            value = forms[method](config).value
+            rows.append({
+                "method": method, "value": render_decimal(value), "exact": rational_str(value),
+                "note": notes[method],
+            })
+    elif name == "dp":
+        cumulative = first_passage_dp(config, target, horizon).cumulative
+        rows.append({
+            "method": "dp", "value": render_decimal(cumulative), "exact": rational_str(cumulative),
+            "target": target, "horizon": horizon, "note": "cumulative P(tau <= horizon)",
+        })
+    elif name == "approx":
+        methods = ("normal", "chernoff") if command["method"] == "all" else (command["method"],)
+        for method in methods:
+            approximation = normal_approximation if method == "normal" else chernoff_bound
+            result = approximation(config, exact)
+            note = "guaranteed upper bound" if method == "chernoff" else "approximation"
+            if result.rel_error is not None:
+                note += f"; rel_error={render_decimal(result.rel_error)}"
+            rows.append({
+                "method": method, "value": render_decimal(result.value),
+                "reference": render_decimal(exact.value), "note": note,
+            })
+    else:
+        if command["method"] == "direct":
+            est = estimate_equalization(config, target, horizon, samples, RngSeed(seed), streams)
+            reference = first_passage_dp(config, target, horizon).cumulative
+            row = {"method": "mc", "target": target, "horizon": horizon, "streams": streams}
+            note = "estimates P(tau <= horizon); reference is the exact DP value"
+        else:
+            est = definetti_estimator(config, samples, RngSeed(seed))
+            reference = exact.value
+            row = {"method": "definetti"}
+            note = "untruncated estimate of P(tau < infinity); reference is the exact value"
+        row.update(
+            value=render_decimal(est.p_hat), samples=samples, seed=seed,
+            std_err=render_decimal(est.std_err),
+            ci_lo=render_decimal(est.ci95[0]), ci_hi=render_decimal(est.ci95[1]),
+            reference=render_decimal(reference),
+        )
+        if est.degenerate:
+            note += "; degenerate CI (zero standard error)"
+        else:
+            row["z_score"] = render_decimal(est.z_score(float(reference)))
+        if est.effective_samples < 10:
+            note += f"; effective sample size {est.effective_samples:.3g} < 10: out of MC reach"
+        rows.append({**row, "note": note})
+    return [
+        {c: row[c] for c in _COLUMNS if row.get(c) is not None}
+        for row in ({"b": b, "w": w, **row} for row in rows)
+    ]
+
+
+@st.composite
+def _commands(draw) -> dict:
+    """A single-record command on a small urn: ``exact`` in every form, at
+    b <= w where the form allows it; ``dp`` at a short horizon and a small
+    target; ``approx`` with every method; ``simulate`` with a fixed seed and
+    a few samples."""
+    name = draw(st.sampled_from(["exact", "dp", "approx", "simulate"]))
+    command = {"name": name, "fmt": draw(st.sampled_from(["csv", "json", "text"]))}
+    if name == "exact":
+        command["form"] = draw(st.sampled_from(["theorem", "binomial", "complement", "all"]))
+    elif name == "approx":
+        command["method"] = draw(st.sampled_from(["normal", "chernoff", "all"]))
+    elif name == "simulate":
+        command["method"] = draw(st.sampled_from(["direct", "definetti"]))
+        command["samples"] = draw(st.integers(1, 40))
+        command["seed"] = draw(st.integers(0, 2**32))
+        if command["method"] == "direct":
+            command["streams"] = draw(st.integers(1, 3))
+    if name in ("dp", "simulate"):
+        command["horizon"] = draw(st.integers(0, 12))
+        command["target"] = 0 if command.get("method") == "definetti" else draw(st.integers(-3, 3))
+    # the sum forms and the approximations need b > w
+    if command.get("form") in ("binomial", "complement") or name == "approx":
+        command["b"] = draw(st.integers(2, 40))
+        command["w"] = draw(st.integers(1, command["b"] - 1))
+    else:
+        command["b"], command["w"] = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    return command
+
+
+def _command_stdout(command: dict) -> str:
+    """``command`` run through the CLI in this process; its stdout."""
+    options = {("format" if k == "fmt" else k): v for k, v in command.items() if k != "name"}
+    argv = [command["name"], *(f"--{k}={v}" for k, v in options.items())]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) == 0
+    return out.getvalue()
+
+
+class TestCommandOracle:
+    @given(command=_commands())
+    @example(command={"name": "exact", "form": "all", "b": 7, "w": 3, "fmt": "csv"})
+    @example(command={"name": "exact", "form": "all", "b": 3, "w": 3, "fmt": "text"})
+    @example(command={"name": "exact", "form": "theorem", "b": 2, "w": 5, "fmt": "json"})
+    @example(command={"name": "exact", "form": "theorem", "b": 7, "w": 3, "fmt": "text"})
+    @example(command={"name": "dp", "b": 5, "w": 3, "target": -1, "horizon": 9, "fmt": "csv"})
+    @example(command={"name": "approx", "method": "all", "b": 9, "w": 4, "fmt": "json"})
+    @example(command={
+        "name": "simulate", "method": "direct", "b": 5, "w": 3, "target": 0, "horizon": 12,
+        "samples": 40, "seed": 7, "streams": 2, "fmt": "text",
+    })
+    @example(command={
+        "name": "simulate", "method": "definetti", "b": 5, "w": 3, "target": 0, "horizon": 0,
+        "samples": 1, "seed": 0, "fmt": "csv",
+    })
+    @settings(max_examples=60, deadline=None)
+    def test_command_rows_are_the_library_values(self, command):
+        """The rows of ``exact``, ``dp``, ``approx`` and ``simulate``, in every
+        format, are what the stdlib writers render from the library's values
+        and decimals, none of the CLI's rows or ``output``'s renderers in between."""
+        want = _stdlib_text(_command_rows(command), command["fmt"])
+        _assert_same_text(_command_stdout(command), want)
 
 
 class TestSplitSweep:

@@ -106,8 +106,8 @@ class TestOutputRecord:
             OutputRecord(b=2, w=1, method="guess", value="0.5")
 
     def test_replace_still_validates(self):
-        """Records are mutable; ``dataclasses.replace``, which the CLI edits them
-        with, builds a new record and runs its checks."""
+        """Records are mutable; ``dataclasses.replace`` builds a new record and
+        runs its checks."""
         rec = OutputRecord(b=2, w=1, method="mc", value="0.5")
         exact_rec = OutputRecord(b=2, w=1, method="exact", value="0.5", exact="1/2")
         with pytest.raises(ValueError, match="unknown method 'guess'"):
@@ -117,6 +117,26 @@ class TestOutputRecord:
         assert replace(exact_rec, note="n") == OutputRecord(
             b=2, w=1, method="exact", value="0.5", exact="1/2", note="n"
         )
+
+    @pytest.mark.parametrize("fmt", ["csv", "json", "text"])
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (("method", "bogus"), "unknown method 'bogus'"),
+            (("exact", None), "must carry the exact rational"),
+            (("exact", ""), "must carry the exact rational"),
+        ],
+    )
+    def test_write_records_refuses_a_record_edited_in_place(self, fmt, edit, message):
+        """A record edited in place, past the constructor's checks, is refused
+        by ``write_records`` before any of it is written."""
+        rec = OutputRecord(b=7, w=3, method="exact", value="0.25", exact="1/4")
+        setattr(rec, *edit)
+        buf = io.StringIO()
+        with pytest.raises(ValueError, match=message):
+            write_records([rec], fmt, buf)
+        # at most the header (csv) or the opening (json) of an empty document
+        assert _written([], fmt).startswith(buf.getvalue())
 
     def test_to_dict_drops_missing_fields(self):
         rec = OutputRecord(b=2, w=1, method="mc", value="0.5", samples=100)
@@ -353,9 +373,10 @@ _INT_FIELDS = ("target", "horizon", "samples", "seed", "streams")
 
 @st.composite
 def _rows(draw):
-    """A sweep row, ``(shape, values)``: b, w, the value and some other str
-    columns vary, in CSV order, and some str and int columns are fixed in
-    its shape, a ``%`` among them."""
+    """A row, ``(shape, values)``, and the columns it sets, in CSV order: b,
+    w, the value and some other str columns vary, in CSV order, and some str
+    and int columns are fixed in its shape, a ``%`` among them, some of them
+    added by ``output._with``, which also leaves some unset (None)."""
     text = _TEXT | st.text('%s,"\n 0', max_size=6)
     others = draw(st.lists(st.sampled_from(_STR_COLUMNS), unique=True))
     str_varying = ["value", *sorted(others, key=CSV_COLUMNS.index)]
@@ -368,29 +389,60 @@ def _rows(draw):
     varying = ("b", "w", *str_varying)
     values = (draw(st.integers(2, 10**20)), draw(st.integers(1, 9)))
     values += tuple(draw(text) for _ in str_varying)
-    return output._shape("mc", varying, fixed), values
+    cut = draw(st.integers(0, len(fixed)))
+    # the fixed columns past the cut are added by ``_with``, some of them unset
+    added = {c: draw(st.none() | st.just(v)) for c, v in fixed[cut:]}
+    row = output._with((output._shape("mc", varying, fixed[:cut]), values), **added)
+    columns = {"method": "mc", **dict(zip(varying, values)), **dict(fixed[:cut]), **added}
+    return row, {c: columns[c] for c in CSV_COLUMNS if columns.get(c) is not None}
+
+
+def _stdlib_block(columns: list[dict], fmt: str, follows: bool) -> str:
+    """The rows that set ``columns`` as ``csv.writer``, ``json.dumps`` (the
+    records array's objects, after one record if ``follows``) or ``key=value``
+    lines render them."""
+    if fmt == "csv":
+        return _csv_writer_text([[row.get(c) for c in CSV_COLUMNS] for row in columns])
+    with _unlimited_int_digits():
+        if fmt == "text":
+            return "".join(" ".join(f"{k}={v}" for k, v in row.items()) + "\n" for row in columns)
+        document = json.dumps({"records": [{}] * follows + columns}, indent=2)
+    # the array's objects, less the one before them and the array's closing
+    return document[len('{\n  "records": [' + "\n    {}" * follows):-len("\n  ]\n}")]
+
+
+_PERCENT_ROW = (
+    (output._shape("dp", ("b", "w", "value", "exact"), (("note", "100%"),)), (2, 1, "0.5", "1/2")),
+    {"b": 2, "w": 1, "method": "dp", "value": "0.5", "exact": "1/2", "note": "100%"},
+)
+_NOTED_ROW = (
+    output._with(
+        (output._shape("exact", ("b", "w", "value", "exact")), (5, 3, "0.25", "1/4")),
+        note='50%, a "half"',
+    ),
+    {"b": 5, "w": 3, "method": "exact", "value": "0.25", "exact": "1/4", "note": '50%, a "half"'},
+)
 
 
 class TestRowShapes:
-    """A row renders in every format as the record it stands for: its csv
-    template falls back to ``csv.writer`` where a field needs quoting, as
-    ``write_records`` does, and a fixed ``%`` stays a ``%``."""
+    """A row renders in every format as the stdlib writers render the columns
+    it sets: its csv template falls back to ``csv.writer`` where a field needs
+    quoting, and a fixed ``%`` stays a ``%``."""
 
     @given(
         rows=st.lists(_rows(), min_size=1, max_size=3),
         fmt=st.sampled_from(["csv", "json", "text"]),
     )
-    @example(
-        rows=[(output._shape("dp", ("b", "w", "value", "exact"), (("note", "100%"),)),
-               (2, 1, "0.5", "1/2"))],
-        fmt="csv",
-    )
+    @example(rows=[_PERCENT_ROW], fmt="csv")
+    @example(rows=[_NOTED_ROW], fmt="csv")
+    @example(rows=[_NOTED_ROW, _PERCENT_ROW], fmt="json")
+    @example(rows=[_NOTED_ROW], fmt="text")
     @settings(max_examples=100, deadline=None)
     def test_a_row_renders_as_its_record(self, rows, fmt):
-        records = [output._record_of(row) for row in rows]
+        block = [row for row, _ in rows]
         for follows in (False, True):
-            got = output._render_block(rows, fmt, follows)
-            assert got == output._render_records(records, fmt, follows)
+            got = output._render_block(block, fmt, follows)
+            assert got == _stdlib_block([columns for _, columns in rows], fmt, follows)
 
     def test_varying_columns_keep_csv_order(self):
         with pytest.raises(ValueError, match="not in CSV order"):
