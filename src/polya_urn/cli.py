@@ -7,11 +7,11 @@ errors go to stderr; the exit code is 0 exactly when no error occurred.
 Every method's row comes from its builder in ``METHODS``: the row's shape,
 which fixes its method and the run's parameters, and the values of one
 pair.  Every subcommand with ``--format`` streams its data through
-``output``'s block renderers, or ``output.write_pmf`` for ``dp --emit-pmf``,
-so each format is switched in one place; a single-record command is a
-one-pair run, which fixes its own columns (a note, a reference) in its rows'
-shapes (``output._with``) and writes them; no command builds an
-``OutputRecord``.  ``sweep`` renders each pair's rows together, with one
+``output._render_block`` and ``output._write_texts``, or ``output.write_pmf``
+for ``dp --emit-pmf``, so each format is switched and framed in one place;
+a single-record command is a one-pair run, which fixes its own columns (a
+note, a reference) in its rows' shapes (``output._with``) and writes them;
+no command builds an ``OutputRecord``.  ``sweep`` renders each pair's rows together, with one
 write, as soon as the pair is built, and converts a pair's exact value to
 its strings once.  It takes its closed forms from
 ``exact.equalization_sweep``, which carries one head sum down each w
@@ -37,7 +37,7 @@ from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequ
 
 from . import cost
 from . import dp as dp_mod
-from .approx import ApproxResult, chernoff_bound, normal_approximation
+from .approx import chernoff_bound, normal_approximation
 from .errors import DomainError, PolyaUrnError, ResourceLimitError
 from .exact import (
     ExactProbability,
@@ -49,7 +49,7 @@ from .exact import (
 )
 from .output import (
     Row,
-    _render_blocks,
+    _render_block,
     _shape,
     _with,
     _write_texts,
@@ -64,6 +64,8 @@ from .simulate import EstimateWithCI, RngSeed, definetti_estimator, estimate_equ
 # this: a few draws dominate its mean, so the standard error means nothing
 _MIN_EFFECTIVE_SAMPLES = 10
 
+# the closed forms ``exact --form all`` and ``identity-check`` cross-check, in order
+_CLOSED_FORMS = ("exact", "binomial", "complement")
 # the methods ``approx --method all`` reports, in order
 _APPROXIMATIONS = ("normal", "chernoff")
 
@@ -107,29 +109,23 @@ def _emit(write: Callable[[TextIO], Any], output: Optional[str]) -> None:
 
 
 def _emit_rows(rows: list[Row], fmt: str, output: Optional[str]) -> None:
-    _emit(lambda fh: _write_texts(_render_blocks([rows], fmt), fmt, fh), output)
+    _emit(lambda fh: _write_texts([_render_block(rows, fmt)], fmt, fh), output)
 
 
-def _closed_forms(
-    config: UrnConfig, methods: Iterable[str] = ("exact", "binomial", "complement")
-) -> dict[str, ExactProbability]:
-    """Each of ``methods``' closed form at ``config``, evaluated independently; the
-    functions are looked up at each call, so rebinding a name here reaches every command."""
-    forms = {
-        "exact": equalization_probability,
-        "binomial": equalization_probability_binomial,
-        "complement": equalization_probability_complement,
-    }
-    return {method: forms[method](config) for method in methods}
+# the library function of each closed form and approximation, by method; ``_route``
+# looks it up by name at each call, so rebinding a name here reaches every command
+_ROUTES = {
+    "exact": "equalization_probability",
+    "binomial": "equalization_probability_binomial",
+    "complement": "equalization_probability_complement",
+    "normal": "normal_approximation",
+    "chernoff": "chernoff_bound",
+}
 
 
-def _approximate(
-    method: str, config: UrnConfig, reference: Optional[ExactProbability] = None
-) -> ApproxResult:
-    """``method``'s approximation at ``config``; the functions are looked up at
-    each call, as in ``_closed_forms``."""
-    approximations = {"normal": normal_approximation, "chernoff": chernoff_bound}
-    return approximations[method](config, reference)
+def _route(method: str) -> Callable:
+    """The library function of ``method``, a closed form or an approximation."""
+    return globals()[_ROUTES[method]]
 
 
 class _Value(NamedTuple):
@@ -159,9 +155,9 @@ def _closed_form_row(config: UrnConfig, args: argparse.Namespace, method: str, v
 
 def _dp_row(config: UrnConfig, args: argparse.Namespace, method: str, value=None):
     table = dp_mod.first_passage_dp(config, args.target, args.horizon)
-    num, den, decimal = rational_parts(table.cumulative)
+    value = _value(ExactProbability(table.cumulative))
     note = "cumulative P(tau <= horizon)"
-    values = (config.black, config.white, decimal, f"{num}/{den}")
+    values = (config.black, config.white, value.decimal, value.exact)
     fixed = (("target", table.target_diff), ("horizon", table.horizon), ("note", note))
     return (_shape(method, _EXACT_COLUMNS, fixed), values), table
 
@@ -201,7 +197,7 @@ def _definetti_row(config: UrnConfig, args: argparse.Namespace, method: str, val
 
 
 def _approx_row(config: UrnConfig, args: argparse.Namespace, method: str, value: _Value):
-    result = _approximate(method, config, value.probability)
+    result = _route(method)(config, value.probability)
     values = (config.black, config.white, render_decimal(result.value), value.decimal)
     return (_shape(method, _APPROX_COLUMNS), values), result
 
@@ -210,7 +206,7 @@ def _approx_row(config: UrnConfig, args: argparse.Namespace, method: str, value:
 # result it came from; the other subcommands add their own fields to its shape.
 # Only the closed forms and the approximations read the urn's ``_Value``.
 METHODS: dict[str, Callable[..., tuple[Row, Any]]] = {
-    **dict.fromkeys(("exact", "binomial", "complement"), _closed_form_row),
+    **dict.fromkeys(_CLOSED_FORMS, _closed_form_row),
     "dp": _dp_row,
     "mc": _mc_row,
     "definetti": _definetti_row,
@@ -260,7 +256,7 @@ def cmd_exact(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         notes = {"exact": notes["exact"]}
-    forms = _closed_forms(config, notes)
+    forms = {method: _route(method)(config) for method in notes}
     if len(forms) == 3:  # --form all at b > w: the rows wait for the cross-check
         if not _triple_holds(config, forms):
             return 1
@@ -337,7 +333,7 @@ def cmd_approx(args: argparse.Namespace) -> int:
     # each method's cost and its own b <= w refusal, before the exact reference
     for method in methods:
         cost.check(method, config)
-        _approximate(method, config)
+        _route(method)(config)
     reference = _value(equalization_probability(config))
     rows = []
     for method in methods:
@@ -404,9 +400,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         own = islice(own, split.pair_count(slices[0], args.w_range))
 
     def render(b_range: tuple[int, int]) -> Iterable[str]:
-        if b_range == slices[0]:
-            return _render_blocks(own, args.format)
-        return _render_blocks(_sweep_blocks(args, methods, b_range), args.format, follows=True)
+        blocks = own if b_range == slices[0] else _sweep_blocks(args, methods, b_range)
+        return (_render_block(block, args.format) for block in blocks)
 
     _emit(lambda fh: split.write_in_order(fh, args.format, slices, cpus, render), args.output)
     return 0
@@ -425,7 +420,10 @@ def cmd_identity_check(args: argparse.Namespace) -> int:
         for total in range(3, args.max_total + 1)
         for w in range(1, (total - 1) // 2 + 1)
     )
-    holds = [_triple_holds(config, _closed_forms(config)) for config in configs]
+    holds = [
+        _triple_holds(config, {method: _route(method)(config) for method in _CLOSED_FORMS})
+        for config in configs
+    ]
     if not all(holds):
         print(
             f"identity check FAILED for {holds.count(False)} of {len(holds)} pairs",

@@ -17,10 +17,15 @@ pair.  The CLI builds rows, and a command adds its own fixed columns (a
 note, a reference) to a row's shape; ``write_records`` turns each record
 into a row whose shape fixes only its method.  Every row renders through
 ``_render_block``, a block of rows (``sweep`` one pair's) with one write;
-a block renders alone, so a ``sweep`` worker can render it.  A CSV block
-whose values would need a field quoted is rendered by ``csv.writer``
-instead, which stays the authority on quoting; JSON and text are rendered
-field by field.  Ints render in full in every format.
+a block renders alone, each JSON object after its comma, so a ``sweep``
+worker can render it.  ``_write_texts`` writes the blocks in the format's
+frame, and is the only code that knows it: the header, the JSON array's
+opening and closing, and that its first object follows no comma.  A CSV
+block fills in its shapes' templates, or, where its values would need a
+field quoted, is rendered by ``csv.writer``, which stays the authority on
+quoting; JSON and text are rendered field by field.  A pmf row is a fixed
+template, since its fields never need quoting.  Ints render in full in
+every format.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ import operator
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from importlib import resources
-from typing import Iterable, Iterator, Literal, Optional, Sequence, TextIO, get_args
+from typing import Iterable, Literal, Optional, Sequence, TextIO, get_args
 
 __all__ = [
     "Method",
@@ -159,40 +164,8 @@ CSV_COLUMNS = tuple(f.name for f in fields(OutputRecord))
 _csv_row = operator.attrgetter(*CSV_COLUMNS)
 
 
-def _needs_csv_writer(text: str, lines: int, commas: int) -> bool:
-    """Whether ``text``, ``lines`` lines of fields joined by ``commas`` commas
-    in all, holds a character that makes ``csv.writer`` quote a field."""
-    return '"' in text or "\r" in text or text.count("\n") > lines or text.count(",") > commas
-
-
-def _csv_lines(rows: Sequence[Sequence]) -> str:
-    """``rows``, each of at least two fields, as the CSV lines that
-    ``csv.writer(lineterminator="\\n")`` writes, ints rendered in full.
-
-    A line is its fields joined by commas, None as an empty field and any
-    other field as its str().  A block holding a quote, a carriage return, or
-    more commas or newlines than its separators and line ends is rendered by
-    ``csv.writer`` instead, which stays the authority on quoting, and so is a
-    block with an int past ``str``'s digit limit.
-    """
-    try:
-        text = "".join([
-            ",".join(["" if f is None else f if type(f) is str else str(f) for f in row]) + "\n"
-            for row in rows
-        ])
-    except ValueError:  # an int past str()'s digit limit
-        text = None
-    if text is None or _needs_csv_writer(text, len(rows), sum(map(len, rows)) - len(rows)):
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerows(
-            [int_str(f) if type(f) is int else f for f in row] for row in rows
-        )
-        text = buf.getvalue()
-    return text
-
-
 # what each format writes before its first record
-_OPENINGS = {"csv": _csv_lines([CSV_COLUMNS]), "json": '{\n  "records": [', "text": ""}
+_OPENINGS = {"csv": ",".join(CSV_COLUMNS) + "\n", "json": '{\n  "records": [', "text": ""}
 
 
 class _Shape:
@@ -273,19 +246,16 @@ def _json_object(items: Iterable[tuple[str, object]]) -> str:
     ]) + "\n    }"
 
 
-def _render_block(block: Sequence[Row], fmt: str, follows: bool) -> str:
-    """The text of ``block``'s rows in ``fmt``; ``follows`` says whether a
-    record precedes the block, which a JSON record must then follow a comma.
+def _render_block(block: Sequence[Row], fmt: str) -> str:
+    """The text of ``block``'s rows in ``fmt``, each JSON object after its comma.
 
     In csv each row fills in its shape's template; a block whose values need
     a field quoted, or that holds an int past ``str()``'s digit limit, is
-    rendered by ``_csv_lines`` instead.  json and text are rendered field by
+    rendered by ``csv.writer`` instead.  json and text are rendered field by
     field.
     """
     if fmt == "json":
-        text = "".join([",\n    " + _json_object(shape.items(values)) for shape, values in block])
-        # the first object of the array follows no comma
-        return text if follows else text[1:]
+        return "".join([",\n    " + _json_object(shape.items(values)) for shape, values in block])
     if fmt == "text":
         return "".join([
             " ".join([f"{k}={int_str(v) if type(v) is int else v}" for k, v in shape.items(values)])
@@ -296,42 +266,41 @@ def _render_block(block: Sequence[Row], fmt: str, follows: bool) -> str:
         text = "".join([shape.csv % values for shape, values in block])
     except ValueError:  # an int past str()'s digit limit
         text = None
-    if text is None or _needs_csv_writer(text, len(block), (len(CSV_COLUMNS) - 1) * len(block)):
-        full = (dict(shape.items(values)) for shape, values in block)
-        text = _csv_lines([[row.get(c) for c in CSV_COLUMNS] for row in full])
+    # csv.writer quotes a field that holds a quote, a carriage return, a
+    # newline or a comma: more of the last two than the lines hold
+    if (
+        text is None or '"' in text or "\r" in text or text.count("\n") > len(block)
+        or text.count(",") > (len(CSV_COLUMNS) - 1) * len(block)
+    ):
+        buf = io.StringIO()
+        rows = (dict(shape.items(values)) for shape, values in block)
+        csv.writer(buf, lineterminator="\n").writerows(
+            [int_str(v) if type(v) is int else v for v in map(row.get, CSV_COLUMNS)] for row in rows
+        )
+        text = buf.getvalue()
     return text
-
-
-def _render_blocks(
-    blocks: Iterable[Sequence[Row]], fmt: str, follows: bool = False
-) -> Iterator[str]:
-    """``_render_block``'s text of each of ``blocks`` in turn, each block rendered
-    when the previous text is taken; ``follows`` is as for the first block."""
-    for block in blocks:
-        yield _render_block(block, fmt, follows)
-        follows = follows or bool(block)
 
 
 def _write_texts(texts: Iterable[str], fmt: str, stream: TextIO) -> None:
     """Write the opening of ``fmt`` (a csv header, json's), each of ``texts``
-    (rendered blocks, in order) and the closing, each with one write."""
+    (rendered blocks, in order) and the closing, each with one write.
+
+    This is the one place that knows the JSON array's frame: the first
+    non-empty text loses the comma its first object follows.
+    """
     opening = _OPENINGS[fmt]
     if opening:
         stream.write(opening)
     written = False
     for text in texts:
+        if text and not written:
+            written = True
+            if fmt == "json":
+                text = text[1:]
         stream.write(text)
-        written = written or bool(text)
     if fmt == "json":
         # json.dumps writes an empty array as "[]"
         stream.write("\n  ]\n}\n" if written else "]\n}\n")
-
-
-def _write_blocks(blocks: Iterable[Sequence[OutputRecord]], fmt: str, stream: TextIO) -> None:
-    """Write the records of ``blocks`` as ``write_records`` does, each block with
-    one write, after the header (csv) or the opening (json) is written on its own."""
-    rows = ([_row_of(rec) for rec in block] for block in blocks)
-    _write_texts(_render_blocks(rows, fmt), fmt, stream)
 
 
 def write_records(records: Iterable[OutputRecord], fmt: str, stream: TextIO) -> None:
@@ -341,7 +310,7 @@ def write_records(records: Iterable[OutputRecord], fmt: str, stream: TextIO) -> 
     JSON output is byte-identical to ``json.dumps({"records": [...]}, indent=2)``
     plus a final newline.
     """
-    _write_blocks(([rec] for rec in records), fmt, stream)
+    _write_texts((_render_block([_row_of(rec)], fmt) for rec in records), fmt, stream)
 
 
 def write_pmf(hit_pmf: Iterable[Fraction], stream: TextIO) -> None:
@@ -350,9 +319,10 @@ def write_pmf(hit_pmf: Iterable[Fraction], stream: TextIO) -> None:
     The columns are ``n``, the lossless numerator and denominator, and the
     15-digit decimal.
     """
-    stream.write(_csv_lines([("n", "p_tau_n_num", "p_tau_n_den", "p_tau_n_decimal")]))
+    # every field is digits, a sign, a point or an exponent, so none needs quoting
+    stream.write("n,p_tau_n_num,p_tau_n_den,p_tau_n_decimal\n")
     for n, p in enumerate(hit_pmf):
-        stream.write(_csv_lines([(n, *rational_parts(p))]))
+        stream.write("%d,%s,%s,%s\n" % (n, *rational_parts(p)))
 
 
 def load_output_schema() -> dict:

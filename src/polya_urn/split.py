@@ -80,15 +80,16 @@ def pair_bytes(first: Sequence[Row], fmt: str, largest: UrnConfig) -> int:
     """A bound on the text of any one pair of a sweep: the first pair's, with
     each of its exact rationals grown to the largest pair's numerator and
     denominator, which divide 2^(n-1), and each b and w to the largest b's
-    digits.  A ``dp`` rational grows with the horizon, not the pair, so the
-    first pair's already shows most of it."""
+    digits.  The first pair's text is rendered as any pair's, JSON objects
+    after their commas.  A ``dp`` rational grows with the horizon, not the
+    pair, so the first pair's already shows most of it."""
     n = largest.total - 1
     rational_digits = n * 302 // 1000 + 1  # log10(2) < 0.302
     grown = sum(
         2 * len(int_str(largest.black)) + 2 * rational_digits * ("exact" in shape.varying)
         for shape, _ in first
     )
-    return len(_render_block(first, fmt, False)) + grown
+    return len(_render_block(first, fmt)) + grown
 
 
 def cut(

@@ -34,7 +34,6 @@ from polya_urn.output import (
     CSV_COLUMNS,
     Method,
     OutputRecord,
-    _write_blocks,
     int_str,
     rational_str,
     render_decimal,
@@ -262,6 +261,13 @@ def _unlimited_int_digits():
         sys.set_int_max_str_digits(limit)
 
 
+def _write_cut(blocks, fmt: str, stream) -> None:
+    """Write the records of ``blocks`` as a sweep writes its pairs: each block's
+    rows rendered by ``output._render_block`` and written by ``output._write_texts``."""
+    rows = ([output._row_of(rec) for rec in block] for block in blocks)
+    output._write_texts((output._render_block(block, fmt) for block in rows), fmt, stream)
+
+
 def _csv_writer_text(rows) -> str:
     """``rows`` as ``csv.writer`` writes them, every int in full."""
     buf = io.StringIO()
@@ -307,7 +313,7 @@ class TestCsvRenderer:
         bounds = [0, *sorted(min(cut, len(records)) for cut in cuts), len(records)]
         blocks = [records[i:j] for i, j in zip(bounds, bounds[1:])]
         stream = WriteLog()
-        _write_blocks(blocks, "csv", stream)
+        _write_cut(blocks, "csv", stream)
         assert stream.writes == [
             _csv_writer_text([CSV_COLUMNS]),
             *(_csv_writer_text([getattr(r, c) for c in CSV_COLUMNS] for r in b) for b in blocks),
@@ -338,12 +344,14 @@ class TestJsonAndTextRenderers:
     @example(records=[replace(_RECORDS[0], b=10**5000)], cuts=[])
     @example(records=[replace(_RECORDS[2], target=-(10**5000))], cuts=[0, 1])
     @example(records=[], cuts=[0, 0])
+    # the array's first object comes after two empty blocks, and follows no comma
+    @example(records=_RECORDS, cuts=[0, 0, 1])
     @settings(max_examples=100, deadline=None)
     def test_json_blocks_are_one_dumps(self, records, cuts):
         bounds = [0, *sorted(min(cut, len(records)) for cut in cuts), len(records)]
         blocks = [records[i:j] for i, j in zip(bounds, bounds[1:])]
         stream = WriteLog()
-        _write_blocks(blocks, "json", stream)
+        _write_cut(blocks, "json", stream)
         with _unlimited_int_digits():
             document = json.dumps({"records": [r.to_dict() for r in records]}, indent=2) + "\n"
         assert "".join(stream.writes) == document
@@ -358,7 +366,7 @@ class TestJsonAndTextRenderers:
         bounds = [0, *sorted(min(cut, len(records)) for cut in cuts), len(records)]
         blocks = [records[i:j] for i, j in zip(bounds, bounds[1:])]
         stream = WriteLog()
-        _write_blocks(blocks, "text", stream)
+        _write_cut(blocks, "text", stream)
         with _unlimited_int_digits():
             expected = [
                 "".join(" ".join(f"{k}={v}" for k, v in r.to_dict().items()) + "\n" for r in b)
@@ -397,18 +405,18 @@ def _rows(draw):
     return row, {c: columns[c] for c in CSV_COLUMNS if columns.get(c) is not None}
 
 
-def _stdlib_block(columns: list[dict], fmt: str, follows: bool) -> str:
+def _stdlib_block(columns: list[dict], fmt: str) -> str:
     """The rows that set ``columns`` as ``csv.writer``, ``json.dumps`` (the
-    records array's objects, after one record if ``follows``) or ``key=value``
-    lines render them."""
+    records array's objects, after one record) or ``key=value`` lines render
+    them."""
     if fmt == "csv":
         return _csv_writer_text([[row.get(c) for c in CSV_COLUMNS] for row in columns])
     with _unlimited_int_digits():
         if fmt == "text":
             return "".join(" ".join(f"{k}={v}" for k, v in row.items()) + "\n" for row in columns)
-        document = json.dumps({"records": [{}] * follows + columns}, indent=2)
+        document = json.dumps({"records": [{}, *columns]}, indent=2)
     # the array's objects, less the one before them and the array's closing
-    return document[len('{\n  "records": [' + "\n    {}" * follows):-len("\n  ]\n}")]
+    return document[len('{\n  "records": [\n    {}'):-len("\n  ]\n}")]
 
 
 _PERCENT_ROW = (
@@ -439,10 +447,15 @@ class TestRowShapes:
     @example(rows=[_NOTED_ROW], fmt="text")
     @settings(max_examples=100, deadline=None)
     def test_a_row_renders_as_its_record(self, rows, fmt):
-        block = [row for row, _ in rows]
-        for follows in (False, True):
-            got = output._render_block(block, fmt, follows)
-            assert got == _stdlib_block([columns for _, columns in rows], fmt, follows)
+        block, columns = [row for row, _ in rows], [columns for _, columns in rows]
+        got = output._render_block(block, fmt)
+        assert got == _stdlib_block(columns, fmt)
+        if fmt == "json":
+            # written after an empty block, the array's first object follows no comma
+            stream = io.StringIO()
+            output._write_texts(["", got], fmt, stream)
+            with _unlimited_int_digits():
+                assert stream.getvalue() == json.dumps({"records": columns}, indent=2) + "\n"
 
     def test_varying_columns_keep_csv_order(self):
         with pytest.raises(ValueError, match="not in CSV order"):
