@@ -18,7 +18,9 @@ its strings once.  It takes its closed forms from
 column by Pascal's rule (by symmetry it is the value of all three forms),
 and builds none when its methods read none.  ``exact --form all``
 and ``identity-check`` evaluate the three closed forms independently, since
-cross-checking them is their job.
+cross-checking them is their job, through one function (``_verified``);
+``exact`` converts the value it shows once, for all of its rows.  ``_ROUTES``
+is the one list of the closed forms and the approximations.
 
 A ``sweep`` whose cost estimate reaches ``split.SPLIT_FLOOR`` uses the CPUs
 in its affinity mask (``split``), with output byte-identical to one
@@ -63,11 +65,6 @@ from .simulate import EstimateWithCI, RngSeed, definetti_estimator, estimate_equ
 # ``simulate`` flags an estimate whose Kish effective sample size is below
 # this: a few draws dominate its mean, so the standard error means nothing
 _MIN_EFFECTIVE_SAMPLES = 10
-
-# the closed forms ``exact --form all`` and ``identity-check`` cross-check, in order
-_CLOSED_FORMS = ("exact", "binomial", "complement")
-# the methods ``approx --method all`` reports, in order
-_APPROXIMATIONS = ("normal", "chernoff")
 
 
 def _positive_int(text: str) -> int:
@@ -121,6 +118,9 @@ _ROUTES = {
     "normal": "normal_approximation",
     "chernoff": "chernoff_bound",
 }
+# the three closed forms, in ``exact --form all`` order, and the approximations,
+# in ``approx --method all`` order
+_CLOSED_FORMS, _APPROXIMATIONS = tuple(_ROUTES)[:3], tuple(_ROUTES)[3:]
 
 
 def _route(method: str) -> Callable:
@@ -214,57 +214,52 @@ METHODS: dict[str, Callable[..., tuple[Row, Any]]] = {
 }
 
 
-def _triple_holds(config: UrnConfig, forms: dict[str, ExactProbability]) -> bool:
-    """Whether the three closed forms agree; a mismatch is reported on stderr."""
-    exact, binomial, complement = forms.values()
+def _verified(config: UrnConfig) -> Optional[ExactProbability]:
+    """The value of the three closed forms, each evaluated on its own, or None
+    when they differ, which is reported on stderr."""
+    exact, binomial, complement = (_route(method)(config) for method in _CLOSED_FORMS)
     if exact == binomial == complement:
-        return True
+        return exact
     print(
         f"MISMATCH b={config.black} w={config.white}: {exact} vs {binomial} vs {complement}",
         file=sys.stderr,
     )
-    return False
-
-
-def _closed_form_notes(config: UrnConfig) -> dict[str, Optional[str]]:
-    """The note ``exact`` adds to each closed-form row, in ``--form all`` order."""
-    b, w = config.black, config.white
-    convention = None
-    if b == w:
-        convention = "starts equal: equalized at step 0 by convention"
-    elif b < w:
-        convention = f"black < white: value taken from the color-swapped urn ({w}, {b})"
-    return {
-        "exact": convention,
-        "binomial": f"head sum, {w} term(s)",
-        "complement": f"complement sum, {b - w} term(s)",
-    }
+    return None
 
 
 def cmd_exact(args: argparse.Namespace) -> int:
-    config = UrnConfig(args.b, args.w)
+    b, w = args.b, args.w
+    config = UrnConfig(b, w)
     # the closed forms share one estimate, which covers --form all
     cost.check("exact", config)
-    notes = _closed_form_notes(config)
-    if args.form != "all":
-        # the theorem form is the "exact" method; each sum form shares its method's name
-        method = "exact" if args.form == "theorem" else args.form
-        notes = {method: notes[method]}
-    elif args.b <= args.w:
-        print(
-            "note: binomial/complement forms need b > w; reporting the general form only",
-            file=sys.stderr,
+    # the theorem form is the "exact" method; each sum form shares its method's name
+    form = "exact" if args.form == "theorem" else args.form
+    notes: dict[str, Optional[str]] = {
+        "exact": None,
+        "binomial": f"head sum, {w} term(s)",
+        "complement": f"complement sum, {b - w} term(s)",
+    }
+    if b <= w:  # only the theorem form takes b <= w; the sum forms' routes refuse it
+        if form == "all":
+            print(
+                "note: binomial/complement forms need b > w; reporting the general form only",
+                file=sys.stderr,
+            )
+            form = "exact"
+        notes["exact"] = (
+            "starts equal: equalized at step 0 by convention" if b == w
+            else f"black < white: value taken from the color-swapped urn ({w}, {b})"
         )
-        notes = {"exact": notes["exact"]}
-    forms = {method: _route(method)(config) for method in notes}
-    if len(forms) == 3:  # --form all at b > w: the rows wait for the cross-check
-        if not _triple_holds(config, forms):
+    if form == "all":
+        probability = _verified(config)
+        if probability is None:
             return 1
         notes["exact"] = "triple identity verified"
-    rows = [
-        _with(METHODS[m](config, args, m, _value(forms[m]))[0], note=note)
-        for m, note in notes.items()
-    ]
+    else:
+        probability = _route(form)(config)
+        notes = {form: notes[form]}
+    value = _value(probability)  # once, for all of the rows
+    rows = [_with(METHODS[m](config, args, m, value)[0], note=note) for m, note in notes.items()]
     _emit_rows(rows, args.format, args.output)
     return 0
 
@@ -351,7 +346,7 @@ def _sweep_blocks(
 ) -> Iterator[list[Row]]:
     """Each pair's rows over ``b_range`` and the sweep's w range, in b-major
     order, each pair built when the previous one's rows are taken."""
-    if {"dp", "mc", "definetti"}.issuperset(methods):
+    if _ROUTES.keys().isdisjoint(methods):
         # no row reads a closed form, so the pairs get none, in the same order
         (b_lo, b_hi), (w_lo, w_hi) = b_range, args.w_range
         pairs: Iterable[tuple[UrnConfig, Optional[_Value]]] = (
@@ -420,10 +415,7 @@ def cmd_identity_check(args: argparse.Namespace) -> int:
         for total in range(3, args.max_total + 1)
         for w in range(1, (total - 1) // 2 + 1)
     )
-    holds = [
-        _triple_holds(config, {method: _route(method)(config) for method in _CLOSED_FORMS})
-        for config in configs
-    ]
+    holds = [_verified(config) is not None for config in configs]
     if not all(holds):
         print(
             f"identity check FAILED for {holds.count(False)} of {len(holds)} pairs",

@@ -25,7 +25,9 @@ block fills in its shapes' templates, or, where its values would need a
 field quoted, is rendered by ``csv.writer``, which stays the authority on
 quoting; JSON and text are rendered field by field.  A pmf row is a fixed
 template, since its fields never need quoting.  Ints render in full in
-every format.
+every format.  Nothing caches a conversion: ``rational_parts`` converts at
+each call, so the CLI converts each exact value once, where it is made, and
+``write_pmf`` writes a zero term without converting it.
 """
 
 from __future__ import annotations
@@ -105,18 +107,11 @@ def rational_str(value: Fraction) -> str:
 def rational_parts(value: Fraction) -> tuple[str, str, str]:
     """Numerator, denominator and 15-digit decimal of ``value``.
 
-    A ``sweep`` converts each pair's value once itself (``cli._value``); the
-    cache saves only the repeat conversions of other callers, such as a pmf's
-    or a command's rows of one value.
+    Each call converts afresh, so a caller converts a value once for all of
+    the rows that show it (``cli._value``).
     """
-    # keyed by (numerator, denominator), which hash faster than a Fraction
-    return _converted(value.as_integer_ratio())
-
-
-@functools.lru_cache(maxsize=8)
-def _converted(ratio: tuple[int, int]) -> tuple[str, str, str]:
     # Decimal, unlike str(int), has no limit on the number of digits
-    num, den = map(decimal.Decimal, ratio)
+    num, den = map(decimal.Decimal, value.as_integer_ratio())
     return str(num), str(den), str(_CONTEXT.divide(num, den))
 
 
@@ -317,12 +312,13 @@ def write_pmf(hit_pmf: Iterable[Fraction], stream: TextIO) -> None:
     """Write P(tau = n) for n = 0, 1, ... to ``stream`` as CSV, one row at a time.
 
     The columns are ``n``, the lossless numerator and denominator, and the
-    15-digit decimal.
+    15-digit decimal.  A zero term, such as every term of the wrong parity,
+    is the fixed row ``n,0,1,0`` and converts nothing.
     """
     # every field is digits, a sign, a point or an exponent, so none needs quoting
     stream.write("n,p_tau_n_num,p_tau_n_den,p_tau_n_decimal\n")
     for n, p in enumerate(hit_pmf):
-        stream.write("%d,%s,%s,%s\n" % (n, *rational_parts(p)))
+        stream.write("%d,%s,%s,%s\n" % (n, *rational_parts(p)) if p else "%d,0,1,0\n" % n)
 
 
 def load_output_schema() -> dict:

@@ -494,7 +494,8 @@ class TestSweepCommand:
 
     def test_each_exact_value_is_converted_once(self, capsys, monkeypatch):
         """A pair's three closed-form rows and two approximation references share one
-        ``Decimal`` conversion of its exact value."""
+        ``Decimal`` conversion of its exact value, as ``exact --form all``'s three
+        rows do; a pmf converts each non-zero term once and no zero term."""
         context, divisions = output._CONTEXT, []
 
         class CountingContext:
@@ -506,7 +507,6 @@ class TestSweepCommand:
                 return context.divide(num, den)
 
         monkeypatch.setattr(output, "_CONTEXT", CountingContext())
-        output._converted.cache_clear()  # values converted by earlier tests count too
         code, out, _ = run_cli(
             capsys,
             "sweep", "--b-range", "2:5", "--w-range", "1:4",
@@ -517,6 +517,27 @@ class TestSweepCommand:
         assert len(rows) == 5 * 10  # the 10 pairs with w < b, each with its own value
         values = [parse_rational(row["exact"]) for row in rows[::5]]
         assert [Fraction(int(n), int(d)) for n, d in divisions] == values
+
+        divisions.clear()
+        code, out, _ = run_cli(
+            capsys, "exact", "--b", "7", "--w", "3", "--form", "all", "--format", "csv"
+        )
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [row["method"] for row in rows] == ["exact", "binomial", "complement"]
+        assert [Fraction(int(n), int(d)) for n, d in divisions] == [parse_rational(rows[0]["exact"])]
+
+        divisions.clear()
+        code, out, _ = run_cli(capsys, "dp", "--b", "2", "--w", "1", "--horizon", "10", "--emit-pmf")
+        assert code == 0
+        pmf = [
+            Fraction(int(row["p_tau_n_num"]), int(row["p_tau_n_den"]))
+            for row in csv.DictReader(io.StringIO(out))
+        ]
+        nonzero = [p for p in pmf if p]
+        assert len(pmf) == 11 and len(nonzero) == 5
+        # the row's cumulative value, built before the pmf is written, then each non-zero term
+        assert [Fraction(int(n), int(d)) for n, d in divisions] == [sum(pmf), *nonzero]
 
     def test_no_record_is_built_per_row(self, capsys, monkeypatch):
         """Rows go from the row builders to the renderer as rows: no

@@ -151,3 +151,9 @@ def test_check_refuses_counts_out_of_range(monkeypatch, horizon, samples, stream
     monkeypatch.setattr(cost, "estimate", estimated)
     with pytest.raises(DomainError, match=f"^{message}$"):
         cost.check("mc", UrnConfig(2, 1), horizon, samples, streams)
+
+
+def test_dp_memory_estimate_refuses_a_negative_horizon():
+    """The estimate refuses a negative horizon by name, as ``check`` does."""
+    with pytest.raises(DomainError, match="^horizon must be >= 0, got -1$"):
+        cost.estimate_dp_memory_bytes(UrnConfig(2, 1), -1)
