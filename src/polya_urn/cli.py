@@ -9,18 +9,18 @@ which fixes its method and the run's parameters, and the values of one
 pair.  Every subcommand with ``--format`` streams its data through
 ``output._render_block`` and ``output._write_texts``, or ``output.write_pmf``
 for ``dp --emit-pmf``, so each format is switched and framed in one place;
-a single-record command is a one-pair run, which fixes its own columns (a
-note, a reference) in its rows' shapes (``output._with``) and writes them;
-no command builds an ``OutputRecord``.  ``sweep`` renders each pair's rows together, with one
-write, as soon as the pair is built, and converts a pair's exact value to
-its strings once.  It takes its closed forms from
-``exact.equalization_sweep``, which carries one head sum down each w
-column by Pascal's rule (by symmetry it is the value of all three forms),
-and builds none when its methods read none.  ``exact --form all``
-and ``identity-check`` evaluate the three closed forms independently, since
-cross-checking them is their job, through one function (``_verified``);
-``exact`` converts the value it shows once, for all of its rows.  ``_ROUTES``
-is the one list of the closed forms and the approximations.
+every command but ``sweep`` is a one-pair run, which fixes its own columns
+(a note, a reference) in its rows' shapes (``output._with``) and writes
+them.  ``sweep`` renders each pair's rows together, with one write, as soon
+as the pair is built, and converts a pair's exact value to its strings
+once.  It takes its closed forms from ``exact.equalization_sweep``, which
+carries one head sum down each w column by Pascal's rule (by symmetry it is
+the value of all three forms), and builds none when its methods read none.
+``exact --form all`` and ``identity-check`` evaluate the three closed forms
+independently, since cross-checking them is their job, through one function
+(``_verified``); ``exact`` converts the value it shows once, for all of its
+rows.  ``_ROUTES`` is the one list of the closed forms and the
+approximations.
 
 A ``sweep`` whose cost estimate reaches ``split.SPLIT_FLOOR`` uses the CPUs
 in its affinity mask (``split``), with output byte-identical to one
@@ -382,12 +382,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # pairs, and the per-method domain checks on the first pair.
     largest = UrnConfig(b_hi, min(w_hi, b_hi - 1))
     sizes = (args.horizon, args.samples, args.streams, count)
-    for method in methods:
-        cost.check(method, largest, *sizes, args.target)
+    charges = [cost.check(method, largest, *sizes, args.target) for method in methods]
     blocks = _sweep_blocks(args, methods, args.b_range)
     first = next(blocks)
     # dp's memory budget bounds one process, so a sweep with dp runs in one
-    work = 0 if "dp" in methods else sum(cost.estimate(m, largest, *sizes) for m in methods)
+    work = 0 if "dp" in methods else sum(charges)
     slices, cpus = split.plan(first, args.format, largest, args.b_range, args.w_range, count, work)
     own = chain([first], blocks)
     if len(slices) > 1:

@@ -3,7 +3,8 @@
 The answer reduces to b + w - 1 fair coin tosses, so every route's cost
 follows from its parameters.  ``estimate`` gives each route, keyed by the
 CLI's method names, one integer estimate, and ``check`` refuses with
-``ResourceLimitError`` a run whose estimate is over its route's limit:
+``ResourceLimitError`` a run whose estimate is over its route's limit, and
+returns the estimate of a run it admits:
 
 * ``dp``: its memory in bytes, against ``MEMORY_BUDGET_BYTES``.  Its time is
   not modelled: the exact sum that validates its pmf reduces unpredictably
@@ -90,9 +91,8 @@ _SAMPLE = 250
 # a pair; ``identity-check`` charges it once per form.  The grid's five rows
 # a pair (three closed forms, normal and Chernoff, written as CSV with one
 # write a pair, each row filled into its method's template) took 23-26 us a
-# pair at best in process on one CPU, its sweep step included, against
-# 32-37 us when each row was a record; so the 250 us the grid is charged a
-# pair, 50 us a row, leaves room to spare.
+# pair at best in process on one CPU, its sweep step included; so the 250 us
+# the grid is charged a pair, 50 us a row, leaves room to spare.
 _RECORD = 50_000
 
 
@@ -166,12 +166,12 @@ def check(
     streams: int = 1,
     pairs: int = 1,
     target: int = 0,
-) -> None:
+) -> int:
     """Refuse with ``ResourceLimitError``, before any work, a run of ``method``
     over its limit, or whose Monte Carlo state cannot be represented: direct
     simulation's paths to ``target``, or de Finetti's Beta(b, w) shapes.
     Samples or streams below 1 and a negative horizon are refused first, with
-    ``DomainError``."""
+    ``DomainError``.  Return the admitted run's ``estimate``."""
     counts = (("samples", samples, 1), ("streams", streams, 1), ("horizon", horizon, 0))
     for name, value, least in counts:
         if value < least:
@@ -183,7 +183,7 @@ def check(
     need = estimate(method, config, horizon, samples, streams, pairs)
     limit = MEMORY_BUDGET_BYTES if method == "dp" else WORK_CEILING
     if need <= limit:
-        return
+        return need
     if method == "dp":
         raise ResourceLimitError(
             f"horizon {int_str(horizon)} needs ~{int_str(need)} bytes, over the budget of "

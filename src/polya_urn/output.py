@@ -1,21 +1,19 @@
-"""Plot-ready output records and the stream writers every subcommand uses.
+"""The row format every subcommand writes, and its stream writers.
 
 Exact methods carry both a lossless ``num/den`` string and a decimal
 rendering; every decimal in any format is 15 significant digits, rounded
-half-even, so emitted files are stable golden data.  ``write_records``
-writes records as CSV (UTF-8, a header row, LF line endings), JSON (one
-object with a ``records`` array that validates against the schema shipped
-in ``schemas/``) or text (one ``key=value`` line per record); ``write_pmf``
-writes a first-passage pmf as CSV.  Both write each row with one write, so
-a long table never sits in memory.
+half-even, so emitted files are stable golden data.  Rows are written as
+CSV (UTF-8, a header row, LF line endings), JSON (one object with a
+``records`` array that validates against the schema shipped in
+``schemas/``) or text (one ``key=value`` line per row); ``write_pmf`` writes
+a first-passage pmf as CSV.  Each writes a row, or a block of rows, with one
+write, so a long table never sits in memory.
 
-Inside the package a row travels as its shape and its values, not as an
-``OutputRecord``: the shape (``_Shape``) holds the columns the row sets,
-the values every row of its kind shares, and its CSV line, a template
-rendered once a shape; the row carries only what varies from pair to
-pair.  The CLI builds rows, and a command adds its own fixed columns (a
-note, a reference) to a row's shape; ``write_records`` turns each record
-into a row whose shape fixes only its method.  Every row renders through
+A row travels as its shape and its values: the shape (``_Shape``) holds the
+columns the row sets, the values every row of its kind shares, and its CSV
+line, a template rendered once a shape; the row carries only what varies
+from pair to pair.  The CLI builds rows, and a command adds its own fixed
+columns (a note, a reference) to a row's shape.  Every row renders through
 ``_render_block``, a block of rows (``sweep`` one pair's) with one write;
 a block renders alone, each JSON object after its comma, so a ``sweep``
 worker can render it.  ``_write_texts`` writes the blocks in the format's
@@ -37,21 +35,18 @@ import decimal
 import functools
 import io
 import json
-import operator
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from fractions import Fraction
 from importlib import resources
-from typing import Iterable, Literal, Optional, Sequence, TextIO, get_args
+from typing import Iterable, Literal, Sequence, TextIO, get_args
 
 __all__ = [
     "Method",
-    "OutputRecord",
     "render_decimal",
     "int_str",
     "rational_str",
     "rational_parts",
     "CSV_COLUMNS",
-    "write_records",
     "write_pmf",
     "load_output_schema",
 ]
@@ -66,7 +61,7 @@ _EXACT_METHODS = ("exact", "binomial", "complement", "dp")
 
 
 def _check(method: object, exact: object) -> None:
-    """Refuse a row or record whose method is unknown, or whose exact method
+    """Refuse a row whose method is unknown, or whose exact method
     carries no exact rational (``exact`` is falsy)."""
     if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -115,51 +110,13 @@ def rational_parts(value: Fraction) -> tuple[str, str, str]:
     return str(num), str(den), str(_CONTEXT.divide(num, den))
 
 
-@dataclass(slots=True)
-class OutputRecord:
-    """One (b, w, method) result row; metadata fields apply where relevant.
-
-    The CLI builds none: its commands render rows (``_Shape``).  A record
-    is slotted rather than frozen: a frozen dataclass sets each of its 16
-    fields through ``object.__setattr__``, about three times the cost of
-    building a slotted one.  Records are therefore mutable and unhashable;
-    edit one with ``dataclasses.replace``, which validates the new record.
-    ``write_records`` checks each record again, so it refuses one edited
-    in place into a record that the constructor would refuse.
-    """
-
-    b: int
-    w: int
-    method: Method
-    value: str
-    exact: Optional[str] = None
-    target: Optional[int] = None
-    horizon: Optional[int] = None
-    samples: Optional[int] = None
-    seed: Optional[int] = None
-    streams: Optional[int] = None
-    std_err: Optional[str] = None
-    ci_lo: Optional[str] = None
-    ci_hi: Optional[str] = None
-    reference: Optional[str] = None
-    z_score: Optional[str] = None
-    note: Optional[str] = None
-
-    __repr__ = _dataclass_repr
-
-    def __post_init__(self) -> None:
-        _check(self.method, self.exact)
-
-    def to_dict(self) -> dict[str, object]:
-        """Field-ordered dict with None entries dropped."""
-        return {k: v for k, v in zip(CSV_COLUMNS, _csv_row(self)) if v is not None}
+CSV_COLUMNS = (
+    "b", "w", "method", "value", "exact", "target", "horizon", "samples", "seed",
+    "streams", "std_err", "ci_lo", "ci_hi", "reference", "z_score", "note",
+)
 
 
-CSV_COLUMNS = tuple(f.name for f in fields(OutputRecord))
-_csv_row = operator.attrgetter(*CSV_COLUMNS)
-
-
-# what each format writes before its first record
+# what each format writes before its first row
 _OPENINGS = {"csv": ",".join(CSV_COLUMNS) + "\n", "json": '{\n  "records": [', "text": ""}
 
 
@@ -169,13 +126,13 @@ class _Shape:
     ``fixed`` pairs each column that every row of the shape holds the same
     value in (a sweep's target, horizon, samples, seed, streams and note, or
     a command's reference, z_score and note) with that value; ``varying``
-    names the columns whose values each row carries, in CSV order, which
-    hold the types ``OutputRecord`` declares for them.  A row is ``(shape, values)``, ``values`` in
-    ``varying``'s order.  The CSV line is a %-template rendered once, when
-    the shape is made, and a row fills in only its values.
-    ``OutputRecord``'s check (``_check``) runs here, once a shape: a varying
-    ``exact`` is a row builder's ``num/den``, which is never empty, or a
-    record's, which ``_row_of`` has checked.
+    names the columns whose values each row carries, in CSV order.  A row
+    is ``(shape, values)``, ``values`` in ``varying``'s order.  As the
+    schema says, b, w, target, horizon, samples, seed and streams hold ints
+    and every other column a str.  The CSV line is a %-template rendered
+    once, when the shape is made, and a row fills in only its values.  The
+    row check (``_check``) runs here, once a shape: a varying ``exact`` is a
+    row builder's ``num/den``, which is never empty.
     """
 
     __slots__ = ("method", "varying", "fixed", "csv", "_layout")
@@ -224,13 +181,6 @@ def _with(row: Row, **columns: object) -> Row:
     """``row`` with ``columns`` (None for unset) fixed in its shape as well."""
     shape, values = row
     return _shape(shape.method, shape.varying, shape.fixed + tuple(columns.items())), values
-
-
-def _row_of(record: OutputRecord) -> Row:
-    """``record``, checked again, as a row whose shape fixes only its method."""
-    _check(record.method, record.exact)
-    columns = record.to_dict()
-    return _shape(columns.pop("method"), tuple(columns)), tuple(columns.values())
 
 
 def _json_object(items: Iterable[tuple[str, object]]) -> str:
@@ -298,16 +248,6 @@ def _write_texts(texts: Iterable[str], fmt: str, stream: TextIO) -> None:
         stream.write("\n  ]\n}\n" if written else "]\n}\n")
 
 
-def write_records(records: Iterable[OutputRecord], fmt: str, stream: TextIO) -> None:
-    """Write ``records`` to ``stream`` as ``fmt`` (csv, json or text), one at a time.
-
-    A text line is the record's set fields as ``key=value``, space-separated.
-    JSON output is byte-identical to ``json.dumps({"records": [...]}, indent=2)``
-    plus a final newline.
-    """
-    _write_texts((_render_block([_row_of(rec)], fmt) for rec in records), fmt, stream)
-
-
 def write_pmf(hit_pmf: Iterable[Fraction], stream: TextIO) -> None:
     """Write P(tau = n) for n = 0, 1, ... to ``stream`` as CSV, one row at a time.
 
@@ -322,6 +262,6 @@ def write_pmf(hit_pmf: Iterable[Fraction], stream: TextIO) -> None:
 
 
 def load_output_schema() -> dict:
-    """The published JSON schema for ``write_records``' JSON output."""
+    """The published JSON schema for the CLI's JSON output."""
     text = resources.files("polya_urn").joinpath("schemas/output_records.schema.json").read_text("utf-8")
     return json.loads(text)

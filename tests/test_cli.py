@@ -539,37 +539,6 @@ class TestSweepCommand:
         # the row's cumulative value, built before the pmf is written, then each non-zero term
         assert [Fraction(int(n), int(d)) for n, d in divisions] == [sum(pmf), *nonzero]
 
-    def test_no_record_is_built_per_row(self, capsys, monkeypatch):
-        """Rows go from the row builders to the renderer as rows: no
-        ``OutputRecord`` is built, by a sweep or by a single-record command."""
-        built = []
-        init = output.OutputRecord.__init__
-
-        def counting(self, *args, **kwargs):
-            built.append(args or kwargs)
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(output.OutputRecord, "__init__", counting)
-        for fmt in ("csv", "json", "text"):
-            code, out, _ = run_cli(
-                capsys, "sweep", "--b-range", "2:30", "--w-range", "1:29", "--format", fmt,
-                "--methods", "exact,binomial,complement,normal,chernoff",
-            )
-            assert code == 0 and out.count("chernoff") == 435  # the pairs with w < b
-        assert built == []
-        urn = ("--b", "5", "--w", "3")
-        for argv in (
-            ("exact", *urn),
-            ("exact", *urn, "--form", "all"),
-            ("dp", *urn, "--horizon", "20"),
-            ("simulate", *urn, "--samples", "100"),
-            ("simulate", *urn, "--samples", "100", "--method", "definetti"),
-            ("approx", *urn),
-        ):
-            for fmt in ("csv", "json", "text"):
-                assert run_cli(capsys, *argv, "--format", fmt)[0] == 0
-        assert built == []
-
     def test_csv_round_trips_exact_rationals(self, capsys):
         _, out, _ = run_cli(
             capsys,

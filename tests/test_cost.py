@@ -157,3 +157,36 @@ def test_dp_memory_estimate_refuses_a_negative_horizon():
     """The estimate refuses a negative horizon by name, as ``check`` does."""
     with pytest.raises(DomainError, match="^horizon must be >= 0, got -1$"):
         cost.estimate_dp_memory_bytes(UrnConfig(2, 1), -1)
+
+
+def test_path_state_float_check_reaches_a_target_exactly_horizon_away(capsys):
+    """A target exactly ``horizon`` steps away is in reach, so the urn size's
+    float is checked; the CLI refuses it with one line, not a traceback."""
+    w = 10**400
+    with pytest.raises(ResourceLimitError, match="exceeds the float range of direct simulation"):
+        cost.check_path_state(UrnConfig(2, w), 7 - w, 5)
+    argv = ["simulate", "--b", "2", "--w", str(w), f"--target={7 - w}", "--horizon", "5"]
+    code = main([*argv, "--samples", "10", "--seed", "1"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    refusal = r"error: [^\n]* exceeds the float range of direct simulation[^\n]*\n"
+    assert re.fullmatch(refusal, captured.err), captured.err
+
+
+@pytest.mark.parametrize("samples, windows", [(23, 0), (25, 1)])
+def test_direct_estimate_by_hand(samples, windows):
+    """One stream of ``samples`` paths over horizon 10, as ``_direct`` charges
+    it: each step in lists, or in numpy with a window of j levels at step j
+    for a stream of more than ``_FEW_PATHS`` paths; min(j, samples) live
+    levels and draws' means of at most min(30 j, samples) at step j; and the
+    stream's setup."""
+    assert windows == (samples > cost._FEW_PATHS)
+    horizon, steps = 10, range(1, 11)
+    expected = (
+        horizon * (cost._STEP if windows else cost._LIST_STEP)
+        + windows * cost._WINDOW_LEVEL * sum(steps)
+        + cost._LIVE_LEVEL * sum(min(j, samples) for j in steps)
+        + cost._MEAN_UNIT * sum(min(cost._INVERSION_MEAN * j, samples) for j in steps)
+        + cost._BLOCK_SETUP
+    )
+    assert cost.estimate("mc", UrnConfig(5, 3), horizon, samples, 1) == expected

@@ -179,7 +179,8 @@ class TestMemoryBudget:
         monkeypatch.setattr(cost, "MEMORY_BUDGET_BYTES", 100_000)
         config = UrnConfig(5, 3)
         n = max_feasible_horizon(config)
-        cost.check("dp", config, n)  # fits: returns quietly
+        # fits: returns the estimate it admitted
+        assert cost.check("dp", config, n) == cost.estimate("dp", config, n)
         with pytest.raises(ResourceLimitError) as checked:
             cost.check("dp", config, n + 1)
         with pytest.raises(ResourceLimitError) as computed:

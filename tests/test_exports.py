@@ -13,7 +13,6 @@ import pkgutil
 import pytest
 
 import polya_urn
-from polya_urn.output import OutputRecord
 
 _MODULES = [polya_urn] + [
     importlib.import_module(f"polya_urn.{info.name}")
@@ -53,8 +52,8 @@ _MODULE_NAMES = {
         "equalization_sweep",
     ],
     "polya_urn.output": [
-        "CSV_COLUMNS", "Method", "OutputRecord", "int_str", "load_output_schema",
-        "rational_parts", "rational_str", "render_decimal", "write_pmf", "write_records",
+        "CSV_COLUMNS", "Method", "int_str", "load_output_schema", "rational_parts",
+        "rational_str", "render_decimal", "write_pmf",
     ],
     "polya_urn.simulate": [
         "EstimateWithCI", "RngSeed", "definetti_estimator", "estimate_equalization",
@@ -67,10 +66,6 @@ _FIELDS = {
     polya_urn.EstimateWithCI: ("n_samples", "total", "total_sq"),
     polya_urn.ApproxResult: ("value", "kind", "exact_ref"),
     polya_urn.RngSeed: ("seed",),
-    OutputRecord: (
-        "b", "w", "method", "value", "exact", "target", "horizon", "samples", "seed",
-        "streams", "std_err", "ci_lo", "ci_hi", "reference", "z_score", "note",
-    ),
 }
 # values derived from the fields above: read-only properties, never stored
 _PROPERTIES = {

@@ -35,7 +35,6 @@ from polya_urn import (
     normal_approximation,
 )
 from polya_urn.cli import METHODS
-from polya_urn.output import OutputRecord
 
 _INT64_MAX = 2**63 - 1
 _FLOAT_OVERFLOW = 2**1024 - 2**970
@@ -68,10 +67,6 @@ def _out_of_reach(draw) -> tuple:
 _CALLS = st.one_of(
     st.tuples(st.just(UrnConfig), _INTS, _INTS),
     st.tuples(st.just(ExactProbability), st.builds(Fraction, _INTS, _COUNTS)),
-    st.tuples(
-        st.just(OutputRecord), _INTS, _INTS, st.just("mc"), st.just("0"),
-        st.none(), _INTS, _INTS, _INTS, _INTS, _INTS,
-    ),
     st.tuples(st.just(DPTable), _configs, _INTS, st.just((Fraction(1),))),
     st.tuples(st.just(EstimateWithCI), _INTS, _FLOATS, _FLOATS),
     st.tuples(st.just(RngSeed), _INTS),
@@ -105,7 +100,6 @@ def _use(result) -> list:
 
 @given(call=_CALLS)
 @example(call=(UrnConfig, 10**5000, 1))
-@example(call=(OutputRecord, 10**5000, 1, "mc", "0"))
 @example(call=(first_passage_dp, UrnConfig(2, 1), 10**5000, 10))
 @example(call=(EstimateWithCI, 10**5000, 0.0, 0.0))
 @example(call=(EstimateWithCI, 10**5000, 1.0, 0.5))

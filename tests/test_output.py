@@ -1,14 +1,12 @@
-"""Tests for record rendering: decimal policy, round-trips, validation, the
-two stream writers, ``write_records`` and ``write_pmf``, the block writer
-behind them, and the package's refusals, which render their numbers here at
-any size."""
+"""Tests for row rendering: decimal policy, round-trips, a row shape's
+checks, the block writer every command writes its rows through, ``write_pmf``,
+and the package's refusals, which render their numbers here at any size."""
 
 import contextlib
 import csv
 import io
 import json
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from typing import get_args
 
@@ -33,20 +31,26 @@ from polya_urn import (
 from polya_urn.output import (
     CSV_COLUMNS,
     Method,
-    OutputRecord,
     int_str,
     rational_str,
     render_decimal,
     write_pmf,
-    write_records,
 )
 
 from oracles import parse_rational
 
 
-def _written(records, fmt: str) -> str:
+def _row(columns: dict) -> output.Row:
+    """The row that sets ``columns``, in CSV order: its shape fixes the
+    method, and every other column varies."""
+    varying = tuple(c for c in columns if c != "method")
+    return output._shape(columns["method"], varying), tuple(columns[c] for c in varying)
+
+
+def _written(rows: list[dict], fmt: str) -> str:
+    """The rows that set ``rows``' columns, as a command writes its one block."""
     buf = io.StringIO()
-    write_records(iter(records), fmt, buf)
+    output._write_texts([output._render_block([_row(c) for c in rows], fmt)], fmt, buf)
     return buf.getvalue()
 
 
@@ -94,60 +98,26 @@ class TestRationalStrings:
 
 
 class TestOutputRecord:
+    """A row's shape refuses what an output record may not hold, however its
+    exact rational is given."""
+
     def test_exact_methods_require_rational(self):
-        with pytest.raises(ValueError):
-            OutputRecord(b=2, w=1, method="exact", value="0.5")
-        with pytest.raises(ValueError):
-            OutputRecord(b=2, w=1, method="dp", value="0.4")
+        for method in _EXACT_METHODS:
+            for fixed in ((), (("exact", None),), (("exact", ""),)):
+                with pytest.raises(ValueError, match=f"{method!r} must carry the exact rational"):
+                    output._shape(method, ("b", "w", "value"), fixed)
+            # fixed in the shape, the rational is carried as well as varying
+            output._shape(method, ("b", "w", "value"), (("exact", "1/2"),))
 
     def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError):
-            OutputRecord(b=2, w=1, method="guess", value="0.5")
-
-    def test_replace_still_validates(self):
-        """Records are mutable; ``dataclasses.replace`` builds a new record and
-        runs its checks."""
-        rec = OutputRecord(b=2, w=1, method="mc", value="0.5")
-        exact_rec = OutputRecord(b=2, w=1, method="exact", value="0.5", exact="1/2")
         with pytest.raises(ValueError, match="unknown method 'guess'"):
-            replace(rec, method="guess")
-        with pytest.raises(ValueError, match="must carry the exact rational"):
-            replace(exact_rec, exact=None)
-        assert replace(exact_rec, note="n") == OutputRecord(
-            b=2, w=1, method="exact", value="0.5", exact="1/2", note="n"
-        )
-
-    @pytest.mark.parametrize("fmt", ["csv", "json", "text"])
-    @pytest.mark.parametrize(
-        "edit, message",
-        [
-            (("method", "bogus"), "unknown method 'bogus'"),
-            (("exact", None), "must carry the exact rational"),
-            (("exact", ""), "must carry the exact rational"),
-        ],
-    )
-    def test_write_records_refuses_a_record_edited_in_place(self, fmt, edit, message):
-        """A record edited in place, past the constructor's checks, is refused
-        by ``write_records`` before any of it is written."""
-        rec = OutputRecord(b=7, w=3, method="exact", value="0.25", exact="1/4")
-        setattr(rec, *edit)
-        buf = io.StringIO()
-        with pytest.raises(ValueError, match=message):
-            write_records([rec], fmt, buf)
-        # at most the header (csv) or the opening (json) of an empty document
-        assert _written([], fmt).startswith(buf.getvalue())
-
-    def test_to_dict_drops_missing_fields(self):
-        rec = OutputRecord(b=2, w=1, method="mc", value="0.5", samples=100)
-        assert rec.to_dict() == {
-            "b": 2, "w": 1, "method": "mc", "value": "0.5", "samples": 100,
-        }
+            output._shape("guess", ("b", "w", "value"))
 
 
 class TestWriters:
     def test_csv_has_lf_endings_and_header(self):
-        rec = OutputRecord(b=2, w=1, method="exact", value="0.5", exact="1/2")
-        text = _written([rec], "csv")
+        columns = {"b": 2, "w": 1, "method": "exact", "value": "0.5", "exact": "1/2"}
+        text = _written([columns], "csv")
         assert "\r" not in text
         lines = text.split("\n")
         assert lines[0] == ",".join(CSV_COLUMNS)
@@ -155,32 +125,33 @@ class TestWriters:
         assert parsed["exact"] == "1/2"
 
     def test_json_shape(self):
-        rec = OutputRecord(b=3, w=2, method="exact", value="0.625", exact="5/8")
-        doc = json.loads(_written([rec], "json"))
+        columns = {"b": 3, "w": 2, "method": "exact", "value": "0.625", "exact": "5/8"}
+        doc = json.loads(_written([columns], "json"))
         assert list(doc) == ["records"]
         assert doc["records"][0]["exact"] == "5/8"
 
 
-_RECORDS = [
-    OutputRecord(b=2, w=1, method="exact", value="0.5", exact="1/2"),
-    OutputRecord(b=3, w=1, method="normal", value="0.3", reference="0.25", note='a "q"\nz'),
-    OutputRecord(b=9, w=4, method="dp", value="0.1", exact="1/10", target=-3, horizon=40),
+# the columns that three rows set, in CSV order
+_COLUMNS = [
+    {"b": 2, "w": 1, "method": "exact", "value": "0.5", "exact": "1/2"},
+    {"b": 3, "w": 1, "method": "normal", "value": "0.3", "reference": "0.25", "note": 'a "q"\nz'},
+    {"b": 9, "w": 4, "method": "dp", "value": "0.1", "exact": "1/10", "target": -3, "horizon": 40},
 ]
 
 
 class TestStreamingWriter:
     @pytest.mark.parametrize("count", [0, 1, 3])
     def test_json_is_byte_identical_to_one_dumps(self, count):
-        document = {"records": [rec.to_dict() for rec in _RECORDS[:count]]}
-        assert _written(_RECORDS[:count], "json") == json.dumps(document, indent=2) + "\n"
+        document = {"records": _COLUMNS[:count]}
+        assert _written(_COLUMNS[:count], "json") == json.dumps(document, indent=2) + "\n"
 
     @pytest.mark.parametrize("count", [0, 1, 3])
     def test_csv_is_one_csv_writer_over_every_column(self, count):
         expected = io.StringIO()
         writer = csv.writer(expected, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
-        writer.writerows([getattr(rec, c) for c in CSV_COLUMNS] for rec in _RECORDS[:count])
-        assert _written(_RECORDS[:count], "csv") == expected.getvalue()
+        writer.writerows([columns.get(c) for c in CSV_COLUMNS] for columns in _COLUMNS[:count])
+        assert _written(_COLUMNS[:count], "csv") == expected.getvalue()
 
     @pytest.mark.parametrize("count", [0, 1, 3])
     def test_text_is_one_key_value_line_per_record(self, count):
@@ -189,20 +160,20 @@ class TestStreamingWriter:
             'b=3 w=1 method=normal value=0.3 reference=0.25 note=a "q"\nz',
             "b=9 w=4 method=dp value=0.1 exact=1/10 target=-3 horizon=40",
         ]
-        assert _written(_RECORDS[:count], "text") == "".join(line + "\n" for line in lines[:count])
+        assert _written(_COLUMNS[:count], "text") == "".join(line + "\n" for line in lines[:count])
 
     @pytest.mark.parametrize("fmt", ["csv", "json", "text"])
     def test_each_record_is_written_before_the_next_is_built(self, fmt):
         buf = io.StringIO()
         seen = []
 
-        def records():
-            for rec in _RECORDS:
+        def texts():
+            for columns in _COLUMNS:
                 seen.append(len(buf.getvalue()))
-                yield rec
+                yield output._render_block([_row(columns)], fmt)
 
-        write_records(records(), fmt, buf)
-        # the stream grew between consecutive records: nothing was held back
+        output._write_texts(texts(), fmt, buf)
+        # the stream grew between consecutive blocks: nothing was held back
         assert seen[0] < seen[1] < seen[2] < len(buf.getvalue())
 
 
@@ -262,9 +233,10 @@ def _unlimited_int_digits():
 
 
 def _write_cut(blocks, fmt: str, stream) -> None:
-    """Write the records of ``blocks`` as a sweep writes its pairs: each block's
-    rows rendered by ``output._render_block`` and written by ``output._write_texts``."""
-    rows = ([output._row_of(rec) for rec in block] for block in blocks)
+    """Write the rows that set each block's columns as a sweep writes its
+    pairs: each block rendered by ``output._render_block`` and written by
+    ``output._write_texts``."""
+    rows = ([_row(columns) for columns in block] for block in blocks)
     output._write_texts((output._render_block(block, fmt) for block in rows), fmt, stream)
 
 
@@ -282,32 +254,33 @@ _TEXT = st.text(alphabet=" 0123456789", max_size=4) | st.text(',"\r\n 0123456789
 # some past the 4,300 digits that ``str(int)`` renders by default
 _INTS = st.integers() | st.integers(10**4300, 10**4400) | st.integers(-(10**4400), -(10**4300))
 _EXACT_METHODS = ("exact", "binomial", "complement", "dp")
+_STR_COLUMNS = ("exact", "std_err", "ci_lo", "ci_hi", "reference", "z_score", "note")
+_INT_FIELDS = ("target", "horizon", "samples", "seed", "streams")
 
 
 @st.composite
-def _records(draw) -> OutputRecord:
+def _records(draw) -> dict:
+    """The columns that a row of any method sets, in CSV order: b, w, method
+    and value, and each other column or not."""
     method = draw(st.sampled_from(get_args(Method)))
-    fields = {
-        name: draw(st.none() | _TEXT)
-        for name in ("exact", "std_err", "ci_lo", "ci_hi", "reference", "z_score", "note")
-    }
+    columns = {"b": draw(_INTS), "w": draw(_INTS), "method": method, "value": draw(_TEXT)}
+    for name in CSV_COLUMNS[4:]:
+        columns[name] = draw(st.none() | (_INTS if name in _INT_FIELDS else _TEXT))
     if method in _EXACT_METHODS:
-        fields["exact"] = draw(_TEXT.filter(bool))
-    for name in ("target", "horizon", "samples", "seed", "streams"):
-        fields[name] = draw(st.none() | _INTS)
-    return OutputRecord(draw(_INTS), draw(_INTS), method, draw(_TEXT), **fields)
+        columns["exact"] = draw(_TEXT.filter(bool))
+    return {c: v for c, v in columns.items() if v is not None}
 
 
 class TestCsvRenderer:
     """Every CSV line is joined by ``output`` itself; ``csv.writer`` is the oracle."""
 
     @given(records=st.lists(_records(), max_size=8), cuts=st.lists(st.integers(0, 8)))
-    @example(records=[_RECORDS[1]], cuts=[])
-    @example(records=[replace(_RECORDS[0], note="a,b")], cuts=[])
-    @example(records=[replace(_RECORDS[0], note="a\nb")], cuts=[])
-    @example(records=[replace(_RECORDS[0], note="a\rb")], cuts=[])
-    @example(records=[replace(_RECORDS[0], note='"')], cuts=[])
-    @example(records=[replace(_RECORDS[0], b=10**5000)], cuts=[])
+    @example(records=[_COLUMNS[1]], cuts=[])
+    @example(records=[{**_COLUMNS[0], "note": "a,b"}], cuts=[])
+    @example(records=[{**_COLUMNS[0], "note": "a\nb"}], cuts=[])
+    @example(records=[{**_COLUMNS[0], "note": "a\rb"}], cuts=[])
+    @example(records=[{**_COLUMNS[0], "note": '"'}], cuts=[])
+    @example(records=[{**_COLUMNS[0], "b": 10**5000}], cuts=[])
     @settings(max_examples=200, deadline=None)
     def test_each_block_is_one_write_of_csv_writer_lines(self, records, cuts):
         bounds = [0, *sorted(min(cut, len(records)) for cut in cuts), len(records)]
@@ -316,7 +289,7 @@ class TestCsvRenderer:
         _write_cut(blocks, "csv", stream)
         assert stream.writes == [
             _csv_writer_text([CSV_COLUMNS]),
-            *(_csv_writer_text([getattr(r, c) for c in CSV_COLUMNS] for r in b) for b in blocks),
+            *(_csv_writer_text([r.get(c) for c in CSV_COLUMNS] for r in b) for b in blocks),
         ]
 
     @given(
@@ -341,11 +314,11 @@ class TestJsonAndTextRenderers:
     are the oracles of the JSON and text blocks, as ``csv.writer`` is of CSV's."""
 
     @given(records=st.lists(_records(), max_size=8), cuts=st.lists(st.integers(0, 8)))
-    @example(records=[replace(_RECORDS[0], b=10**5000)], cuts=[])
-    @example(records=[replace(_RECORDS[2], target=-(10**5000))], cuts=[0, 1])
+    @example(records=[{**_COLUMNS[0], "b": 10**5000}], cuts=[])
+    @example(records=[{**_COLUMNS[2], "target": -(10**5000)}], cuts=[0, 1])
     @example(records=[], cuts=[0, 0])
     # the array's first object comes after two empty blocks, and follows no comma
-    @example(records=_RECORDS, cuts=[0, 0, 1])
+    @example(records=_COLUMNS, cuts=[0, 0, 1])
     @settings(max_examples=100, deadline=None)
     def test_json_blocks_are_one_dumps(self, records, cuts):
         bounds = [0, *sorted(min(cut, len(records)) for cut in cuts), len(records)]
@@ -353,14 +326,14 @@ class TestJsonAndTextRenderers:
         stream = WriteLog()
         _write_cut(blocks, "json", stream)
         with _unlimited_int_digits():
-            document = json.dumps({"records": [r.to_dict() for r in records]}, indent=2) + "\n"
+            document = json.dumps({"records": records}, indent=2) + "\n"
         assert "".join(stream.writes) == document
         # the opening, one write a block, and the closing
         assert len(stream.writes) == len(blocks) + 2
         assert [bool(text) for text in stream.writes[1:-1]] == [bool(b) for b in blocks]
 
     @given(records=st.lists(_records(), max_size=8), cuts=st.lists(st.integers(0, 8)))
-    @example(records=[replace(_RECORDS[0], w=-(10**5000))], cuts=[])
+    @example(records=[{**_COLUMNS[0], "w": -(10**5000)}], cuts=[])
     @settings(max_examples=100, deadline=None)
     def test_text_blocks_are_key_value_lines(self, records, cuts):
         bounds = [0, *sorted(min(cut, len(records)) for cut in cuts), len(records)]
@@ -369,14 +342,10 @@ class TestJsonAndTextRenderers:
         _write_cut(blocks, "text", stream)
         with _unlimited_int_digits():
             expected = [
-                "".join(" ".join(f"{k}={v}" for k, v in r.to_dict().items()) + "\n" for r in b)
+                "".join(" ".join(f"{k}={v}" for k, v in r.items()) + "\n" for r in b)
                 for b in blocks
             ]
         assert stream.writes == expected
-
-
-_STR_COLUMNS = ("exact", "std_err", "ci_lo", "ci_hi", "reference", "z_score", "note")
-_INT_FIELDS = ("target", "horizon", "samples", "seed", "streams")
 
 
 @st.composite
