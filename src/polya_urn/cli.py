@@ -4,14 +4,16 @@ Subcommands: ``exact``, ``dp``, ``simulate``, ``approx``, ``sweep``, and
 ``identity-check``.  Data goes to stdout (or ``--output``); diagnostics and
 errors go to stderr; the exit code is 0 exactly when no error occurred.
 
-Every method's row comes from its builder in ``METHODS``: the row's shape,
-which fixes its method and the run's parameters, and the values of one
-pair.  Every subcommand with ``--format`` streams its data through
-``output._render_block`` and ``output._write_texts``, or ``output.write_pmf``
-for ``dp --emit-pmf``, so each format is switched and framed in one place;
-every command but ``sweep`` is a one-pair run, which fixes its own columns
-(a note, a reference) in its rows' shapes (``output._with``) and writes
-them.  ``sweep`` renders each pair's rows together, with one write, as soon
+Every method's row comes from its builder in ``METHODS``, the one list of
+method names: the row's shape, which fixes its method and the run's
+parameters, and the values of one pair.  The exact methods, the closed forms
+and ``dp``, carry both a lossless ``num/den`` string and a decimal rendering
+(``_EXACT_COLUMNS``).  Every subcommand with ``--format`` streams its data
+through ``output._render_block`` and ``output._write_texts``, or
+``output.write_pmf`` for ``dp --emit-pmf``, so each format is switched and
+framed in one place; every command but ``sweep`` is a one-pair run, which
+fixes its own columns (a note, a reference) in its rows' shapes
+(``output._with``) and writes them.  ``sweep`` renders each pair's rows together, with one write, as soon
 as the pair is built, and converts a pair's exact value to its strings
 once.  It takes its closed forms from ``exact.equalization_sweep``, which
 carries one head sum down each w column by Pascal's rule (by symmetry it is

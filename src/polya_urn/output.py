@@ -1,13 +1,13 @@
 """The row format every subcommand writes, and its stream writers.
 
-Exact methods carry both a lossless ``num/den`` string and a decimal
-rendering; every decimal in any format is 15 significant digits, rounded
-half-even, so emitted files are stable golden data.  Rows are written as
-CSV (UTF-8, a header row, LF line endings), JSON (one object with a
-``records`` array that validates against the schema shipped in
-``schemas/``) or text (one ``key=value`` line per row); ``write_pmf`` writes
-a first-passage pmf as CSV.  Each writes a row, or a block of rows, with one
-write, so a long table never sits in memory.
+Every decimal in any format is 15 significant digits, rounded half-even, so
+emitted files are stable golden data.  Rows are written as CSV (UTF-8, a
+header row, LF line endings), JSON (one object with a ``records`` array that
+validates against the schema shipped in ``schemas/``) or text (one
+``key=value`` line per row); ``write_pmf`` writes a first-passage pmf as
+CSV.  Each writes a row, or a block of rows, with one write, so a long table
+never sits in memory.  ``output`` renders columns and knows no method: the
+CLI's row builders decide what each method's row holds.
 
 A row travels as its shape and its values: the shape (``_Shape``) holds the
 columns the row sets, the values every row of its kind shares, and its CSV
@@ -38,10 +38,9 @@ import json
 from dataclasses import fields
 from fractions import Fraction
 from importlib import resources
-from typing import Iterable, Literal, Sequence, TextIO, get_args
+from typing import Iterable, Sequence, TextIO
 
 __all__ = [
-    "Method",
     "render_decimal",
     "int_str",
     "rational_str",
@@ -50,24 +49,6 @@ __all__ = [
     "write_pmf",
     "load_output_schema",
 ]
-
-Method = Literal[
-    "exact", "binomial", "complement", "dp", "mc", "definetti", "normal", "chernoff"
-]
-
-_METHODS = get_args(Method)
-# the methods whose rows carry their exact rational
-_EXACT_METHODS = ("exact", "binomial", "complement", "dp")
-
-
-def _check(method: object, exact: object) -> None:
-    """Refuse a row whose method is unknown, or whose exact method
-    carries no exact rational (``exact`` is falsy)."""
-    if method not in _METHODS:
-        raise ValueError(f"unknown method {method!r}")
-    if method in _EXACT_METHODS and not exact:
-        raise ValueError(f"method {method!r} must carry the exact rational")
-
 
 _CONTEXT = decimal.Context(prec=15, rounding=decimal.ROUND_HALF_EVEN)
 
@@ -130,9 +111,7 @@ class _Shape:
     is ``(shape, values)``, ``values`` in ``varying``'s order.  As the
     schema says, b, w, target, horizon, samples, seed and streams hold ints
     and every other column a str.  The CSV line is a %-template rendered
-    once, when the shape is made, and a row fills in only its values.  The
-    row check (``_check``) runs here, once a shape: a varying ``exact`` is a
-    row builder's ``num/den``, which is never empty.
+    once, when the shape is made, and a row fills in only its values.
     """
 
     __slots__ = ("method", "varying", "fixed", "csv", "_layout")
@@ -141,7 +120,6 @@ class _Shape:
         self, method: str, varying: tuple[str, ...], fixed: tuple[tuple[str, object], ...]
     ) -> None:
         given = {column: value for column, value in fixed if value is not None}
-        _check(method, "exact" in varying or given.get("exact"))
         given["method"] = method
         if sorted(varying, key=CSV_COLUMNS.index) != list(varying):
             # the template's slots are filled in CSV order

@@ -76,18 +76,28 @@ def _threads() -> int:
         return threading.active_count()
 
 
+# the columns of a sweep row that hold a 15-digit decimal
+_DECIMALS = ("value", "reference", "std_err", "ci_lo", "ci_hi")
+
+
 def pair_bytes(first: Sequence[Row], fmt: str, largest: UrnConfig) -> int:
     """A bound on the text of any one pair of a sweep: the first pair's, with
     each of its exact rationals grown to the largest pair's numerator and
-    denominator, which divide 2^(n-1), and each b and w to the largest b's
-    digits.  The first pair's text is rendered as any pair's, JSON objects
-    after their commas.  A ``dp`` rational grows with the horizon, not the
-    pair, so the first pair's already shows most of it."""
+    denominator, which divide 2^(n-1), each b and w to the largest b's
+    digits, and each decimal to the longest 15-digit rendering of a value in
+    [0, 1] on row n: 22 characters (``0.00000123456789012346``), or 18 and
+    n's digits where an exact value's exponent needs more (23 for
+    ``4.00399561519478E-30103``, the value at (99999, 1)).  The first pair's
+    text is rendered as any pair's, JSON objects after their commas.  A
+    ``dp`` rational grows with the horizon, not the pair, so the first
+    pair's already shows most of it."""
     n = largest.total - 1
     rational_digits = n * 302 // 1000 + 1  # log10(2) < 0.302
+    decimal_chars = max(22, 18 + len(int_str(n)))
     grown = sum(
         2 * len(int_str(largest.black)) + 2 * rational_digits * ("exact" in shape.varying)
-        for shape, _ in first
+        + sum(decimal_chars - len(v) for c, v in zip(shape.varying, values) if c in _DECIMALS)
+        for shape, values in first
     )
     return len(_render_block(first, fmt)) + grown
 

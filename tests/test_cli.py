@@ -859,9 +859,8 @@ def _stdlib_text(rows: list[dict], fmt: str) -> str:
     return "".join(" ".join(f"{k}={v}" for k, v in row.items()) + "\n" for row in rows)
 
 
-def _sweep_stdout(sweep: dict) -> str:
-    """``sweep`` run through the CLI in this process; its stdout."""
-    argv = [
+def _sweep_argv(sweep: dict) -> list[str]:
+    return [
         "sweep",
         "--b-range", "{}:{}".format(*sweep["b_range"]),
         "--w-range", "{}:{}".format(*sweep["w_range"]),
@@ -869,9 +868,13 @@ def _sweep_stdout(sweep: dict) -> str:
         "--format", sweep["fmt"],
         *(f"--{k}={sweep[k]}" for k in ("target", "horizon", "samples", "seed", "streams")),
     ]
+
+
+def _sweep_stdout(sweep: dict) -> str:
+    """``sweep`` run through the CLI in this process; its stdout."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        assert main(argv) == 0
+        assert main(_sweep_argv(sweep)) == 0
     return out.getvalue()
 
 
@@ -1406,6 +1409,56 @@ class TestSplitSweep:
         count = split.pair_count(sweep["b_range"], sweep["w_range"])
         slices = split.cut(sweep["b_range"], sweep["w_range"], count, count)
         assert len(forks) == (0 if "dp" in sweep["methods"] else min(3, len(slices)) - 1)
+
+
+@st.composite
+def _split_sweeps(draw) -> dict:
+    """A sweep that may split: b up to 60, w up to 60 from any w_lo, any
+    subset of the methods but dp, and the estimators at a few samples."""
+    b_hi = draw(st.integers(2, 60))
+    w_lo = draw(st.integers(1, b_hi - 1))  # so (b_hi, w_lo) is a pair
+    methods = [m for m in _METHOD_NAMES if m != "dp"]
+    methods = draw(st.lists(st.sampled_from(methods), min_size=1, max_size=7, unique=True))
+    return {
+        "b_range": (draw(st.integers(1, b_hi)), b_hi),
+        "w_range": (w_lo, draw(st.integers(w_lo, 60))),
+        "methods": methods,
+        "target": 0 if "definetti" in methods else draw(st.integers(-3, 3)),
+        "horizon": draw(st.integers(0, 12)),
+        "samples": draw(st.integers(1, 20)),
+        "seed": draw(st.integers(0, 2**32)),
+        "streams": draw(st.integers(1, 3)),
+        "fmt": draw(st.sampled_from(["csv", "json", "text"])),
+    }
+
+
+# the sweep options' defaults, which the examples below, running no estimator, take
+_CLI_DEFAULTS = {"target": 0, "horizon": 200, "samples": 100_000, "seed": 0, "streams": 1}
+
+
+class TestPairBytes:
+    """``split.pair_bytes`` bounds the text of every pair of a sweep, which
+    ``plan`` multiplies by the pair count to keep each slice within
+    ``SLICE_BYTES``."""
+
+    @given(sweep=_split_sweeps())
+    # the grid workload's sweep: its exact decimals outgrow the first pair's
+    @example(sweep={
+        "b_range": (2, 160), "w_range": (1, 159), "fmt": "csv",
+        "methods": ["exact", "binomial", "complement", "normal", "chernoff"], **_CLI_DEFAULTS,
+    })
+    # a float decimal alone: 0.5 at the first pair, 22 characters later
+    @example(sweep={
+        "b_range": (2, 40), "w_range": (1, 30), "fmt": "csv", "methods": ["chernoff"],
+        **_CLI_DEFAULTS,
+    })
+    @settings(max_examples=60, deadline=None)
+    def test_no_pair_outgrows_the_first_pairs_bound(self, sweep):
+        args = cli.build_parser().parse_args(_sweep_argv(sweep))
+        blocks = list(cli._sweep_blocks(args, sweep["methods"], args.b_range))
+        (_, b_hi), (_, w_hi) = args.b_range, args.w_range
+        bound = split.pair_bytes(blocks[0], args.format, UrnConfig(b_hi, min(w_hi, b_hi - 1)))
+        assert max(len(output._render_block(block, args.format)) for block in blocks) <= bound
 
 
 class TestIdentityCheck:

@@ -52,8 +52,8 @@ _MODULE_NAMES = {
         "equalization_sweep",
     ],
     "polya_urn.output": [
-        "CSV_COLUMNS", "Method", "int_str", "load_output_schema", "rational_parts",
-        "rational_str", "render_decimal", "write_pmf",
+        "CSV_COLUMNS", "int_str", "load_output_schema", "rational_parts", "rational_str",
+        "render_decimal", "write_pmf",
     ],
     "polya_urn.simulate": [
         "EstimateWithCI", "RngSeed", "definetti_estimator", "estimate_equalization",

@@ -1,5 +1,5 @@
-"""Tests for row rendering: decimal policy, round-trips, a row shape's
-checks, the block writer every command writes its rows through, ``write_pmf``,
+"""Tests for row rendering: decimal policy, round-trips, row shapes, the
+block writer every command writes its rows through, ``write_pmf``,
 and the package's refusals, which render their numbers here at any size."""
 
 import contextlib
@@ -8,7 +8,6 @@ import io
 import json
 import sys
 from fractions import Fraction
-from typing import get_args
 
 import pytest
 from hypothesis import example, given, settings
@@ -23,6 +22,7 @@ from polya_urn import (
     RngSeed,
     UrnConfig,
     beta_cdf_rational,
+    cli,
     cost,
     estimate_equalization,
     normal_approximation,
@@ -30,7 +30,6 @@ from polya_urn import (
 )
 from polya_urn.output import (
     CSV_COLUMNS,
-    Method,
     int_str,
     rational_str,
     render_decimal,
@@ -95,23 +94,6 @@ class TestRationalStrings:
     def test_always_has_denominator(self):
         assert rational_str(Fraction(1)) == "1/1"
         assert rational_str(Fraction(0)) == "0/1"
-
-
-class TestOutputRecord:
-    """A row's shape refuses what an output record may not hold, however its
-    exact rational is given."""
-
-    def test_exact_methods_require_rational(self):
-        for method in _EXACT_METHODS:
-            for fixed in ((), (("exact", None),), (("exact", ""),)):
-                with pytest.raises(ValueError, match=f"{method!r} must carry the exact rational"):
-                    output._shape(method, ("b", "w", "value"), fixed)
-            # fixed in the shape, the rational is carried as well as varying
-            output._shape(method, ("b", "w", "value"), (("exact", "1/2"),))
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError, match="unknown method 'guess'"):
-            output._shape("guess", ("b", "w", "value"))
 
 
 class TestWriters:
@@ -253,7 +235,6 @@ def _csv_writer_text(rows) -> str:
 _TEXT = st.text(alphabet=" 0123456789", max_size=4) | st.text(',"\r\n 0123456789', max_size=6)
 # some past the 4,300 digits that ``str(int)`` renders by default
 _INTS = st.integers() | st.integers(10**4300, 10**4400) | st.integers(-(10**4400), -(10**4300))
-_EXACT_METHODS = ("exact", "binomial", "complement", "dp")
 _STR_COLUMNS = ("exact", "std_err", "ci_lo", "ci_hi", "reference", "z_score", "note")
 _INT_FIELDS = ("target", "horizon", "samples", "seed", "streams")
 
@@ -262,12 +243,10 @@ _INT_FIELDS = ("target", "horizon", "samples", "seed", "streams")
 def _records(draw) -> dict:
     """The columns that a row of any method sets, in CSV order: b, w, method
     and value, and each other column or not."""
-    method = draw(st.sampled_from(get_args(Method)))
+    method = draw(st.sampled_from(list(cli.METHODS)))
     columns = {"b": draw(_INTS), "w": draw(_INTS), "method": method, "value": draw(_TEXT)}
     for name in CSV_COLUMNS[4:]:
         columns[name] = draw(st.none() | (_INTS if name in _INT_FIELDS else _TEXT))
-    if method in _EXACT_METHODS:
-        columns["exact"] = draw(_TEXT.filter(bool))
     return {c: v for c, v in columns.items() if v is not None}
 
 
