@@ -18,14 +18,19 @@ columns (a note, a reference) to a row's shape.  Every row renders through
 a block renders alone, each JSON object after its comma, so a ``sweep``
 worker can render it.  ``_write_texts`` writes the blocks in the format's
 frame, and is the only code that knows it: the header, the JSON array's
-opening and closing, and that its first object follows no comma.  A CSV
-block fills in its shapes' templates, or, where its values would need a
-field quoted, is rendered by ``csv.writer``, which stays the authority on
-quoting; JSON and text are rendered field by field.  A pmf row is a fixed
-template, since its fields never need quoting.  Ints render in full in
-every format.  Nothing caches a conversion: ``rational_parts`` converts at
-each call, so the CLI converts each exact value once, where it is made, and
-``write_pmf`` writes a zero term without converting it.
+opening and closing, and that its first object follows no comma.
+
+The row contract: free text (a method, a note) is always fixed in a shape,
+and a varying value is an int (b, w) or a numeric string, which no format
+quotes.  So ``csv.writer``, the authority on quoting, renders a shape's CSV
+template once, its fixed fields quoted as it quotes them, and a CSV block
+only fills in its shapes' templates; JSON and text are rendered field by
+field.  Every int in a row prints with ``str()``: each comes from the
+command line, which ``int()`` parses within the same digit limit.  A pmf
+row is a fixed template, since its fields never need quoting.  Nothing
+caches a conversion: ``rational_parts`` converts at each call, so the CLI
+converts each exact value once, where it is made, and ``write_pmf`` writes
+a zero term without converting it.
 """
 
 from __future__ import annotations
@@ -110,8 +115,10 @@ class _Shape:
     names the columns whose values each row carries, in CSV order.  A row
     is ``(shape, values)``, ``values`` in ``varying``'s order.  As the
     schema says, b, w, target, horizon, samples, seed and streams hold ints
-    and every other column a str.  The CSV line is a %-template rendered
-    once, when the shape is made, and a row fills in only its values.
+    and every other column a str.  The method and the note, the columns of
+    free text, are fixed, and a varying value needs no quoting.  The CSV
+    line is a %-template that ``csv.writer`` renders once, when the shape is
+    made, and a row fills in only its values.
     """
 
     __slots__ = ("method", "varying", "fixed", "csv", "_layout")
@@ -121,6 +128,8 @@ class _Shape:
     ) -> None:
         given = {column: value for column, value in fixed if value is not None}
         given["method"] = method
+        if "method" in varying or "note" in varying:
+            raise ValueError(f"varying columns {varying} hold free text, which is fixed")
         if sorted(varying, key=CSV_COLUMNS.index) != list(varying):
             # the template's slots are filled in CSV order
             raise ValueError(f"varying columns {varying} are not in CSV order")
@@ -132,11 +141,12 @@ class _Shape:
             if column in varying or column in given
         )
         cells = {
-            column: "%s" if i is not None
-            else (int_str(value) if type(value) is int else str(value)).replace("%", "%%")
+            column: "%s" if i is not None else str(value).replace("%", "%%")
             for column, i, value in self._layout
         }
-        self.csv = ",".join([cells.get(column, "") for column in CSV_COLUMNS]) + "\n"
+        line = io.StringIO()
+        csv.writer(line, lineterminator="\n").writerow(map(cells.get, CSV_COLUMNS))
+        self.csv = line.getvalue()
 
     def items(self, values: Sequence) -> list[tuple[str, object]]:
         """Each set column of the row with ``values``, and its value, in CSV order."""
@@ -163,45 +173,26 @@ def _with(row: Row, **columns: object) -> Row:
 
 def _json_object(items: Iterable[tuple[str, object]]) -> str:
     """``json.dumps(dict(items), indent=2)`` as it sits in the records array,
-    indented by four more spaces, with ints rendered in full."""
+    indented by four more spaces."""
     return "{\n      " + ",\n      ".join([
-        f"{json.dumps(k)}: {int_str(v) if type(v) is int else json.dumps(v)}" for k, v in items
+        f"{json.dumps(k)}: {v if type(v) is int else json.dumps(v)}" for k, v in items
     ]) + "\n    }"
 
 
 def _render_block(block: Sequence[Row], fmt: str) -> str:
     """The text of ``block``'s rows in ``fmt``, each JSON object after its comma.
 
-    In csv each row fills in its shape's template; a block whose values need
-    a field quoted, or that holds an int past ``str()``'s digit limit, is
-    rendered by ``csv.writer`` instead.  json and text are rendered field by
-    field.
+    In csv each row fills in its shape's template, whose fixed fields are
+    already quoted; a varying value is never quoted, since it is an int or a
+    numeric string.  json and text are rendered field by field.
     """
     if fmt == "json":
         return "".join([",\n    " + _json_object(shape.items(values)) for shape, values in block])
     if fmt == "text":
         return "".join([
-            " ".join([f"{k}={int_str(v) if type(v) is int else v}" for k, v in shape.items(values)])
-            + "\n"
-            for shape, values in block
+            " ".join([f"{k}={v}" for k, v in shape.items(values)]) + "\n" for shape, values in block
         ])
-    try:
-        text = "".join([shape.csv % values for shape, values in block])
-    except ValueError:  # an int past str()'s digit limit
-        text = None
-    # csv.writer quotes a field that holds a quote, a carriage return, a
-    # newline or a comma: more of the last two than the lines hold
-    if (
-        text is None or '"' in text or "\r" in text or text.count("\n") > len(block)
-        or text.count(",") > (len(CSV_COLUMNS) - 1) * len(block)
-    ):
-        buf = io.StringIO()
-        rows = (dict(shape.items(values)) for shape, values in block)
-        csv.writer(buf, lineterminator="\n").writerows(
-            [int_str(v) if type(v) is int else v for v in map(row.get, CSV_COLUMNS)] for row in rows
-        )
-        text = buf.getvalue()
-    return text
+    return "".join([shape.csv % values for shape, values in block])
 
 
 def _write_texts(texts: Iterable[str], fmt: str, stream: TextIO) -> None:

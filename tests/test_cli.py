@@ -1191,6 +1191,8 @@ class TestSplitSweep:
         shares = min(pieces, b_range[1] - max(b_range[0], w_range[0] + 1) + 1)
         widest = w_range[1] - w_range[0] + 1
         assert max(counts) < -(-count // shares) + widest
+        # and the first slice reaches its share: no b without pairs is counted as a piece
+        assert counts[0] >= -(-count // shares)
 
     def test_first_pair_refusal_comes_before_any_byte_or_fork(self, capsys, forks):
         code, out, err = run_cli(
@@ -1597,6 +1599,24 @@ class TestOutputHygiene:
         assert code == 0 and out == ""
         rows = list(csv.DictReader(io.StringIO(target.read_text())))
         assert rows[0]["exact"] == "1/4"
+
+    @pytest.mark.parametrize(
+        "option, argv",
+        [
+            ("--b", ("exact", "--b", "{n}", "--w", "1", "--format", "csv")),
+            ("--target", ("dp", "--b", "3", "--w", "2", "--horizon", "5", "--target", "-{n}")),
+            ("--b-range", ("sweep", "--b-range", "2:{n}", "--w-range", "1:1", "--format", "json")),
+        ],
+    )
+    def test_an_int_past_the_digit_limit_is_a_usage_error(self, capsys, option, argv):
+        """An argv int too long for ``int()`` is refused before any row, so
+        every int in a row is one that ``str()`` prints."""
+        n = "9" * (sys.get_int_max_str_digits() + 1)
+        with pytest.raises(SystemExit) as exc:
+            main([arg.format(n=n) for arg in argv])
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out) == (2, "")
+        assert f"argument {option}: " in captured.err
 
     def test_reader_closing_stdout_early_stops_quietly(self):
         """``sweep ... | head``: once nobody reads the streamed rows, exit 0 without a traceback."""

@@ -57,6 +57,8 @@ TESTS = {
 _SPLIT = "src/polya_urn/split.py"
 _PAIR_DIGITS = "rational_digits = n * 302 // 1000 + 1  # log10(2) < 0.302"
 _DECIMAL_CHARS = "decimal_chars = max(22, 18 + len(int_str(n)))"
+_OUTPUT = "src/polya_urn/output.py"
+_RENDER_DECIMAL = "def render_decimal(x: Fraction | float | int) -> str:"
 _WORKER_END = (
     'ended = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"'
 )
@@ -82,6 +84,12 @@ EQUIVALENT: dict[tuple[str, str, str], str] = {
         "differs at exit status 0 alone, which a worker reaches only after sending every slice",
     (_SPLIT, _WORKER_END, "`0` -> `1` at column 58"):
         "differs at exit status 0 alone, which a worker reaches only after sending every slice",
+    (_OUTPUT, _RENDER_DECIMAL, "`|` -> `&` at column 31"):
+        "an annotation, which `from __future__ import annotations` leaves unevaluated",
+    (_OUTPUT, _RENDER_DECIMAL, "`|` -> `&` at column 39"):
+        "an annotation, which `from __future__ import annotations` leaves unevaluated",
+    (_OUTPUT, "@functools.lru_cache(maxsize=256)", "`256` -> `257` at column 29"):
+        "one more cached shape; a shape made again renders the same template",
 }
 
 # each operator's source text, and its partner's
